@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from . import closed_form as cf
 from . import curves as cv
@@ -99,8 +97,9 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=float, default=None, help="curvature for --surface polar")
     p.add_argument("--R", type=float, default=1.0, help="radius scale of the surface")
     add_theta(p)
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--r1", type=float, required=True)
+    radius = "geodesic distance from the pole (tractroid colatitude v for pseudosphere)"
+    p.add_argument("--r0", type=float, required=True, help=f"first sample: {radius}")
+    p.add_argument("--r1", type=float, required=True, help=f"last sample: {radius}")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--jets", choices=tuple(_JETS), default="analytic")
@@ -176,16 +175,11 @@ def _build_trace_curve(args, theta: float):
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
     patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
-    # Dense interpolation grid, padded past the requested range so the
-    # emitted end points sit on interpolated (not extrapolated) spline
-    # pieces; --samples only controls the emitted rows.
+    # the embedding fits the closed-form trace through these four points;
+    # --samples only controls the emitted rows
     lo, hi = sorted((args.r0, args.r1))
-    pad = min(0.02 * (hi - lo), 0.5 * lo)
-    if K > 0.0:
-        pad = min(pad, 0.5 * (math.pi / math.sqrt(K) - hi))
-    pad = max(pad, 0.0)
-    rs = np.linspace(lo - pad, hi + pad, 600)
-    pts = [pl.spiral_chart_trace(K, theta, lo, 0.0, float(r)) for r in rs]
+    rs = (lo, lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0, hi)
+    pts = [pl.spiral_chart_trace(K, theta, lo, 0.0, r) for r in rs]
     curve = pl.embed_polar_trace(patch, pts)
     return curve, args.r0, args.r1
 

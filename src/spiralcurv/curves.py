@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     BadParameter,
@@ -28,10 +27,9 @@ from .errors import (
 from .numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
-    central_first,
-    central_second,
     fit_step,
     richardson_first,
+    richardson_second,
     scaled_step,
 )
 from .surfaces import (
@@ -154,11 +152,10 @@ def pseudosphere_loxodrome(
 ) -> ChartCurve:
     """Loxodrome on the tractroid, constant angle theta to the parallels.
 
-    The chart trace (u(v), v) is obtained by integrating the
-    constant-angle condition du/dv = cot(theta) * sqrt(G/E) =
-    cot(theta) * cos(v)/sin(v)^2 with an 8th-order Runge-Kutta scheme
-    (rel tol 1e-12, dense output) from the rim v = pi/2 down to
-    v_floor; the curve is parametrized by t = v.
+    The constant-angle condition du/dv = cot(theta) * sqrt(G/E) =
+    cot(theta) * cos(v)/sin(v)^2 integrates in closed form to the chart
+    trace u(v) = u0 + cot(theta) * (1 - csc v), which passes through u0 at
+    the rim v = pi/2; the curve is parametrized by t = v in [v_floor, pi/2].
     """
     if R <= 0.0:
         raise BadParameter("pseudosphere radius must be positive")
@@ -172,22 +169,11 @@ def pseudosphere_loxodrome(
         return cot * math.cos(v) / (s * s)
 
     top = math.pi / 2.0
-    sol = solve_ivp(
-        lambda v, y: [rate(v)],
-        (top, v_floor),
-        [0.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-13,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NumericalBreakdown(f"constant-angle integration failed: {sol.message}")
 
     def chart_u(v: float) -> float:
         if not v_floor <= v <= top:
             raise OutOfDomain(f"v={v} outside [{v_floor}, {top}]")
-        return u0 + float(sol.sol(v)[0])
+        return u0 + cot * (1.0 - 1.0 / math.sin(v))
 
     return ChartCurve(
         patch=patch,
@@ -248,6 +234,8 @@ def arc_length(curve: ChartCurve, t0: float, t1: float, mode: Optional[str] = No
     Antisymmetric under swapping the endpoints; additive over adjacent
     intervals to the quadrature tolerance.
     """
+    from scipy.integrate import quad  # deferred: importing the package loads no scipy
+
     _require_param(curve, t0)
     _require_param(curve, t1)
     value, _ = quad(
@@ -275,15 +263,8 @@ def geodesic_curvature_numeric(
     if min(h1, h2) <= 0.0:
         raise OutOfDomain(f"t={t} leaves no room for the difference stencil")
 
-    g = curve.embedded
-    d1a = central_first(g, t, h1)
-    d1b = central_first(g, t, h1 / 2.0)
-    d1 = d1b + (d1b - d1a) / 3.0
-
-    d2a = central_second(g, t, h2)
-    d2b = central_second(g, t, h2 / 2.0)
-    d2 = d2b + (d2b - d2a) / 3.0
-    err = float(np.linalg.norm(d2 - d2b))
+    d1, _ = richardson_first(curve.embedded, t, h1)
+    d2, err = richardson_second(curve.embedded, t, h2)
 
     sp = float(np.linalg.norm(d1))
     if sp == 0.0:
@@ -334,6 +315,7 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
 
 def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
     """Measure position, curvature and angle at one parameter value."""
+    _require_param(curve, t)
     u, v = curve.trace(t)
     return CurveSample(
         t=t,

@@ -39,24 +39,26 @@ def central_second(f: Callable[[float], object], x: float, h: float):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def richardson_first(f, x, h):
-    """Extrapolated first derivative and an error estimate.
+def richardson(d: Callable[[float], object], h: float):
+    """One Richardson level on a central estimate d(step), and its error.
 
-    Combines the h and h/2 central differences (both have even error
-    expansions, so one Richardson level removes the h^2 term).  The
-    returned estimate is the magnitude of the extrapolation correction.
+    d must have an even error expansion in the step, so combining d(h)
+    and d(h/2) removes the h^2 term.  The returned error estimate is the
+    magnitude of the extrapolation correction.
     """
-    d1 = central_first(f, x, h)
-    d2 = central_first(f, x, h / 2.0)
-    best = d2 + (d2 - d1) / 3.0
-    return best, _mag(best - d2)
+    d_h, d_half = d(h), d(h / 2.0)
+    best = d_half + (d_half - d_h) / 3.0
+    return best, _mag(best - d_half)
+
+
+def richardson_first(f, x, h):
+    """Extrapolated first derivative and an error estimate."""
+    return richardson(lambda s: central_first(f, x, s), h)
 
 
 def richardson_second(f, x, h):
-    d1 = central_second(f, x, h)
-    d2 = central_second(f, x, h / 2.0)
-    best = d2 + (d2 - d1) / 3.0
-    return best, _mag(best - d2)
+    """Extrapolated second derivative and an error estimate."""
+    return richardson(lambda s: central_second(f, x, s), h)
 
 
 def richardson_sequence(estimates, steps):
@@ -89,5 +91,6 @@ def fit_step(h: float, x: float, lo: float, hi: float) -> float:
 
 def _mag(v) -> float:
     if isinstance(v, np.ndarray):
-        return float(np.linalg.norm(v))
+        # the value np.linalg.norm returns for a real vector, without its overhead
+        return math.sqrt(float(np.dot(v, v)))
     return abs(float(v))

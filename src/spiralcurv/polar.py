@@ -6,27 +6,28 @@ series keeps the evaluation stable.  The circle curvature computed from the
 metric quotient (sqrt(G))_r / sqrt(G) gives an independent route to the
 closed-form module's circle curvature.
 
-Intrinsic constant-angle traces u(r) are produced in closed form; they can
-be embedded into the plane and sphere charts.  The polar angular coordinate
-winds opposite to the revolution-chart angle (the (r, u) system is
-positively oriented, the (u, v) charts are not), so the embedding maps
-u_polar -> -u_chart; embedded traces are parametrized by r and traversed
-toward the pole, which makes the measured angle equal +theta.
+Intrinsic constant-angle traces u(r) = u0 + cot(theta) * int dr/sqrt(G)
+are produced in closed form (a logarithm, or a ln tan / ln tanh difference);
+the embedding into the plane and sphere charts uses the same closed form.
+The polar angular coordinate winds opposite to the revolution-chart angle
+(the (r, u) system is positively oriented, the (u, v) charts are not), so
+the embedding maps u_polar -> -u_chart; embedded traces are parametrized by
+r and traversed toward the pole, which makes the measured angle equal
++theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-from scipy.interpolate import CubicSpline
+from typing import Callable, Sequence
 
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
 from .surfaces import SurfacePatch
 
 THETA_CLAMP = 1e-3
+TRACE_TOL = 1e-9
 _SERIES_Q = 1e-6
 
 
@@ -91,6 +92,20 @@ def circle_curvature(K: float, r: float) -> float:
     return m.sqrtG_r(r) / m.sqrtG(r)
 
 
+def _advance(K: float, r0: float, r: float) -> float:
+    """int_r0^r dr / sqrt(G) in closed form: ln(r/r0) for K = 0 and the
+    ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise."""
+    if abs(K) * max(r, r0) ** 2 < 1e-8:
+        # ln tan(x) = ln x + x^2/3 + ..., so the leading K-correction to
+        # the flat formula is K (r^2 - r0^2)/12 for either sign of K.
+        return math.log(r / r0) + K * (r * r - r0 * r0) / 12.0
+    if K > 0.0:
+        s = math.sqrt(K)
+        return math.log(math.tan(r * s / 2.0)) - math.log(math.tan(r0 * s / 2.0))
+    b = math.sqrt(-K)
+    return math.log(math.tanh(r * b / 2.0)) - math.log(math.tanh(r0 * b / 2.0))
+
+
 def spiral_chart_trace(
     K: float, theta: float, r0: float, u0: float, r: float
 ) -> PolarTracePoint:
@@ -111,21 +126,7 @@ def spiral_chart_trace(
         if not 0.0 < rr < m.r_limit:
             raise DomainError(f"r={rr} outside admissible (0, {m.r_limit})")
     cot = math.cos(theta) / math.sin(theta)
-
-    q_max = abs(K) * max(r, r0) ** 2
-    if q_max < 1e-8:
-        # ln tan(x) = ln x + x^2/3 + ..., so the leading K-correction to
-        # the flat formula is K (r^2 - r0^2)/12 for either sign of K.
-        adv = math.log(r / r0) + K * (r * r - r0 * r0) / 12.0
-    elif K > 0.0:
-        s = math.sqrt(K)
-        adv = math.log(math.tan(r * s / 2.0)) - math.log(math.tan(r0 * s / 2.0))
-    elif K < 0.0:
-        b = math.sqrt(-K)
-        adv = math.log(math.tanh(r * b / 2.0)) - math.log(math.tanh(r0 * b / 2.0))
-    else:
-        adv = math.log(r / r0)
-    return PolarTracePoint(r=r, u=u0 + cot * adv)
+    return PolarTracePoint(r=r, u=u0 + cot * _advance(K, r0, r))
 
 
 def embed_polar_trace(
@@ -136,54 +137,59 @@ def embed_polar_trace(
     """Embed an intrinsic polar trace as a chart curve on a plane or
     sphere patch (pole at the chart center).
 
-    The patch is recognized by its known constant curvature: 0 -> plane
+    The patch is recognized by its known constant curvature K: 0 -> plane
     chart (angle, radius), K > 0 -> sphere chart with colatitude r/R.
     Negative curvature is refused (the tractroid chart does not contain a
-    full geodesic disk about any pole).  The returned curve interpolates
-    the supplied points with a cubic spline, is parametrized by t = r,
-    and carries direction_sign = -1 so it is traversed toward the pole.
+    full geodesic disk about any pole).  cot(theta) is fitted from the
+    first and last points through the closed-form advance of
+    spiral_chart_trace, and every point must lie on that one trace to
+    TRACE_TOL (relative to max(1, |u|) at the ends), else BadParameter.
+    The returned curve evaluates the closed form on the whole admissible
+    range 0 < r < r_limit, is parametrized by t = r, and carries
+    direction_sign = -1 so it is traversed toward the pole.
     """
     if center != "pole":
         raise Unsupported(f"center convention {center!r} not implemented")
-    if patch.known_K is None:
+    K = patch.known_K
+    if K is None:
         raise Unsupported(f"{patch.name} has no known constant curvature")
-    if patch.known_K < 0.0:
+    if K < 0.0:
         raise Unsupported(
             "embedding into a negatively curved chart is not supported"
         )
     if len(points) < 4:
-        raise BadParameter("need at least 4 trace points to interpolate")
+        raise BadParameter("need at least 4 trace points to fit the trace")
     rs = [p.r for p in points]
-    us = [p.u for p in points]
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise BadParameter("trace points must be strictly increasing in r")
 
-    if patch.known_K > 0.0:
-        v_scale = math.sqrt(patch.known_K)  # v = r / R
-    else:
-        v_scale = 1.0
+    v_scale = math.sqrt(K) if K > 0.0 else 1.0  # v = r / R on the sphere
     for r in (rs[0], rs[-1]):
         if not patch.domain.v.contains(r * v_scale):
             raise OutOfDomain(f"r={r} maps outside the chart of {patch.name}")
 
-    spline = CubicSpline(rs, us)
-    d_spline = spline.derivative()
+    m = polar_metric(K)
+    first, last = points[0], points[-1]
+    cot = (last.u - first.u) / _advance(K, first.r, last.r)
+    tol = TRACE_TOL * max(1.0, abs(first.u), abs(last.u))
+    for p in points:
+        if not abs(p.u - first.u - cot * _advance(K, first.r, p.r)) <= tol:
+            raise BadParameter(
+                f"point (r={p.r}, u={p.u}) is not on the constant-angle trace "
+                "through the first and last points"
+            )
 
-    # Pad the parameter domain a little past the data so difference
-    # stencils fit at the end points (the spline extrapolates there);
-    # stay inside the chart and away from r = 0.
-    pad = min(0.02 * (rs[-1] - rs[0]), 0.5 * rs[0])
-    v_hi = patch.domain.v.hi
-    if math.isfinite(v_hi):
-        pad = min(pad, 0.5 * (v_hi / v_scale - rs[-1]))
-    pad = max(pad, 0.0)
+    def chart_u(r: float) -> float:
+        if not 0.0 < r < m.r_limit:
+            raise OutOfDomain(f"r={r} outside admissible (0, {m.r_limit})")
+        return -(first.u + cot * _advance(K, first.r, r))
 
     return ChartCurve(
         patch=patch,
-        trace=lambda t: (-float(spline(t)), t * v_scale),
-        t_domain=(rs[0] - pad, rs[-1] + pad),
+        trace=lambda t: (chart_u(t), t * v_scale),
+        t_domain=(0.0, m.r_limit),
         direction_sign=-1,
-        trace_velocity=lambda t: (-float(d_spline(t)), v_scale),
+        trace_velocity=lambda t: (-cot / m.sqrtG(t), v_scale),
         center_distance=lambda t: t,
         label=f"polar trace on {patch.name}",
     )

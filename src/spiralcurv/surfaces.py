@@ -20,9 +20,10 @@ from .errors import BadParameter, DegenerateJet, OutOfDomain
 from .numdiff import (
     STEP_FIRST,
     STEP_SECOND,
-    central_first,
-    central_second,
     fit_step,
+    richardson,
+    richardson_first,
+    richardson_second,
     scaled_step,
 )
 from .vec import Vec3
@@ -159,11 +160,12 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     fv = lambda vv: patch.eval(u, vv).as_array()
 
     p = patch.eval(u, v)
-    p_u = _rich(central_first, fu, u, hu1)
-    p_v = _rich(central_first, fv, v, hv1)
-    p_uu = _rich(central_second, fu, u, hu2)
-    p_vv = _rich(central_second, fv, v, hv2)
-    p_uv = _rich_mixed(patch, u, v, hu2, hv2)
+    p_u = richardson_first(fu, u, hu1)[0]
+    p_v = richardson_first(fv, v, hv1)[0]
+    p_uu = richardson_second(fu, u, hu2)[0]
+    p_vv = richardson_second(fv, v, hv2)[0]
+    # the mixed stencil halves both steps together: extrapolate in their scale c
+    p_uv = richardson(lambda c: _cross_stencil(patch, u, v, c * hu2, c * hv2), 1.0)[0]
     return Jet2(
         p=p,
         p_u=Vec3.from_array(p_u),
@@ -174,23 +176,11 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     )
 
 
-def _rich(op, f, x, h):
-    d1 = op(f, x, h)
-    d2 = op(f, x, h / 2.0)
-    return d2 + (d2 - d1) / 3.0
-
-
 def _cross_stencil(patch, u, v, h, k):
     e = lambda uu, vv: patch.eval(uu, vv).as_array()
     return (
         e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)
     ) / (4.0 * h * k)
-
-
-def _rich_mixed(patch, u, v, h, k):
-    d1 = _cross_stencil(patch, u, v, h, k)
-    d2 = _cross_stencil(patch, u, v, h / 2.0, k / 2.0)
-    return d2 + (d2 - d1) / 3.0
 
 
 def unit_normal(jet: Jet2, sign: int) -> Vec3:

@@ -1,13 +1,29 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spiralcurv
 from spiralcurv import spiral_curvature
 from spiralcurv.cli import main
 
 PI = math.pi
+
+
+# sha256 of each `figure` output as first released; the figures are
+# byte-identical across refactors of the curve machinery
+FIGURE_SHA256 = {
+    "spiral": "8e7b1eda9ad346f3b6d83008de78deb195b0b9f33182b0f68faf68f94a892597",
+    "pseudosphere": "6098e873eaa60abeb2ef5a63234e3df9a590442cdf28e86e0d1df0fc2cf52861",
+    "sphere-loxodrome": "ff2694cd8db410de953bd8fa474c7794f6783edca5df7cf39fe7b745610187b7",
+    "pseudosphere-loxodrome": "42016caa8bd9be5c74fd2329a9630e0183b3efdf898d69d4d42daccb8115eaa2",
+    "k-surface": "bc7777725143c87d96bdc3c5053119f93d1b06540816448e4f166a5c38128259",
+}
 
 
 def run(capsys, *argv):
@@ -169,6 +185,17 @@ class TestTrace:
         assert code == 1
         assert "domain error" in err
 
+    def test_past_antipode_is_domain_error(self, capsys):
+        # r1 = 3.2 > pi puts the last sample outside the loxodrome's domain
+        code, out, err = run(
+            capsys,
+            "trace", "--surface", "sphere", "--theta", "0.7", "--r0", "1",
+            "--r1", "3.2", "--samples", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("domain error:")
+
     def test_samples_arity(self, capsys):
         code, _, _ = run(
             capsys,
@@ -236,6 +263,12 @@ class TestFigure:
         assert b1 == b2
         assert b1.startswith(b"<?xml")
 
+    @pytest.mark.parametrize("name,digest", sorted(FIGURE_SHA256.items()))
+    def test_matches_seed_digest(self, capsys, tmp_path, name, digest):
+        f = tmp_path / "fig.svg"
+        assert run(capsys, "figure", "--name", name, "--out", str(f))[0] == 0
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == digest
+
     def test_unknown_name(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figure", "--name", "torus", "--out", str(tmp_path / "x.svg"))
         assert code == 3
@@ -247,3 +280,16 @@ def test_no_command_is_flag_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_import_loads_no_scipy():
+    # scipy is deferred to arc_length and the verify battery, so a cold
+    # start of the package (and of every CLI call that needs neither) skips it
+    code = "import sys, spiralcurv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spiralcurv.numdiff import (
@@ -7,6 +8,7 @@ from spiralcurv.numdiff import (
     central_first,
     central_second,
     fit_step,
+    richardson,
     richardson_first,
     richardson_second,
     richardson_sequence,
@@ -25,6 +27,17 @@ def test_richardson_first_beats_plain_central():
     rich, err = richardson_first(math.sin, 0.7, h)
     assert abs(rich - math.cos(0.7)) < plain / 100.0
     assert err < 1e-6
+
+
+def test_richardson_single_level_formula():
+    d = {0.5: 2.5, 1.0: 3.0}.__getitem__
+    value, err = richardson(d, 1.0)
+    assert value == 2.5 + (2.5 - 3.0) / 3.0
+    assert err == abs(value - 2.5)
+    vec = {0.5: np.array([1.0, 2.0, 2.0]), 1.0: np.array([4.0, 2.0, -2.0])}.__getitem__
+    value, err = richardson(vec, 1.0)
+    assert np.array_equal(value, vec(0.5) + (vec(0.5) - vec(1.0)) / 3.0)
+    assert err == float(np.linalg.norm(value - vec(0.5)))
 
 
 def test_richardson_second():

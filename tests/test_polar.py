@@ -194,3 +194,51 @@ class TestEmbedding:
         emb = embed_polar_trace(plane_patch(), pts)
         assert emb.center_distance(1.2) == 1.2
         assert emb.direction_sign == -1
+
+    def test_rejects_points_off_one_trace(self):
+        pts = _trace_points(1.0, PI / 4.0, 0.5, 0.0, 2.0, n=8)
+        bumped = list(pts)
+        bumped[3] = PolarTracePoint(r=pts[3].r, u=pts[3].u + 1e-6)
+        with pytest.raises(BadParameter):
+            embed_polar_trace(sphere_patch(1.0), bumped)
+        # two constant-angle traces spliced together
+        mixed = pts[:4] + _trace_points(1.0, PI / 3.0, 0.5, 0.0, 2.0, n=8)[4:]
+        with pytest.raises(BadParameter):
+            embed_polar_trace(sphere_patch(1.0), mixed)
+        nan = pts[:2] + [PolarTracePoint(r=pts[2].r, u=math.nan)] + pts[3:]
+        with pytest.raises(BadParameter):
+            embed_polar_trace(sphere_patch(1.0), nan)
+
+    @pytest.mark.parametrize(
+        "K,patch,radii",
+        [
+            (0.0, plane_patch(), (0.01, 0.3, 2.5, 40.0)),
+            (1.0, sphere_patch(1.0), (0.01, 0.3, 2.5, 3.1)),
+            (4.0, sphere_patch(0.5), (0.01, 0.1, 1.2, 1.55)),
+        ],
+    )
+    def test_closed_form_beyond_supplied_points(self, K, patch, radii):
+        # the points span [0.4, 1.0] and every probed radius lies well
+        # outside it; both routes evaluate the same closed form, so the
+        # bound is a few ulps: 1e-14 relative
+        theta, r0, u0 = 0.9, 0.4, 0.3
+        pts = _trace_points(K, theta, r0, u0, 1.0, n=6)
+        emb = embed_polar_trace(patch, pts)
+        m = polar_metric(K)
+        cot = math.cos(theta) / math.sin(theta)
+        for r in radii:
+            want = spiral_chart_trace(K, theta, r0, u0, r).u
+            u, v = emb.trace(r)
+            assert abs(u + want) <= 1e-14 * abs(want)
+            du, dv = emb.velocity(r)
+            assert du == pytest.approx(-cot / m.sqrtG(r), rel=1e-14)
+            assert v == pytest.approx(r * dv, rel=1e-15)
+
+    def test_admissible_range_is_open(self):
+        pts = _trace_points(1.0, PI / 4.0, 0.5, 0.0, 2.0, n=8)
+        emb = embed_polar_trace(sphere_patch(1.0), pts)
+        assert emb.t_domain == (0.0, PI)
+        with pytest.raises(OutOfDomain):
+            emb.trace(0.0)
+        with pytest.raises(OutOfDomain):
+            emb.trace(PI)
