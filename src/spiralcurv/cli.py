@@ -14,30 +14,46 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
-from . import closed_form as cf
-from . import curves as cv
-from . import polar as pl
-from . import verify as vf
 from .errors import DomainError, GeometryError
-from .svg import render_figure, trace_svg
-from .surfaces import (
-    JET_MODE_ANALYTIC,
-    JET_MODE_FD,
-    plane_patch,
-    sphere_patch,
-)
 
-_JETS = {"analytic": JET_MODE_ANALYTIC, "fd": JET_MODE_FD}
+# Each subcommand imports the modules it uses when it runs, so that only
+# `verify` loads numpy.  For the same reason the parser spells out the
+# jet modes (surfaces.JET_MODE_*) and the suite names (verify.SUITES).
+_JETS = {"analytic": "analytic", "fd": "finite_difference"}
+_SUITES = ("forms", "curves", "liouville", "analysis", "all")
+
+# argparse takes a word that starts with "-" for a flag unless it looks
+# like a negative number; its own pattern misses exponents ("-1e-6")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract here is 3."""
+    """argparse exits with status 2 on bad flags; the contract here is 3.
+
+    Subparsers are built by the same class, so every subcommand reads
+    negative numbers in scientific notation as values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D401 - argparse hook
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -107,9 +123,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--suite", choices=vf.SUITES, required=True)
+    p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--jets", choices=tuple(_JETS), default="analytic")
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.add_argument("--format", choices=("report-text", "report-json"), default="report-text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -133,6 +149,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_curvature(args, parser: _Parser) -> int:
+    from . import closed_form as cf
+
     theta = _resolve_theta(args, parser, default=math.pi / 4.0)
     if args.series:
         k = cf.spiral_curvature_series(args.K, args.r, theta, args.terms)
@@ -143,6 +161,8 @@ def cmd_curvature(args, parser: _Parser) -> int:
 
 
 def cmd_profile(args, parser: _Parser) -> int:
+    from . import closed_form as cf
+
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     theta = _resolve_theta(args, parser, default=math.pi / 4.0)
@@ -155,7 +175,15 @@ def cmd_profile(args, parser: _Parser) -> int:
 
 
 def _build_trace_curve(args, theta: float):
+    from . import curves as cv
+    from . import polar as pl
+    from . import surfaces as sf
+
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"theta={theta} outside (0, pi)")
     if args.surface == "plane":
+        if not (args.r0 > 0.0 and args.r1 > 0.0):
+            raise DomainError(f"radii --r0 {args.r0} and --r1 {args.r1} must be positive")
         a = math.tan(theta)
         curve = cv.plane_log_spiral(a)
         t0 = -math.log(args.r0) / a
@@ -174,7 +202,7 @@ def _build_trace_curve(args, theta: float):
     K = args.K if args.K is not None else 0.0
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
-    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
+    patch = sf.plane_patch() if K == 0.0 else sf.sphere_patch(1.0 / math.sqrt(K))
     # the embedding fits the closed-form trace through these four points;
     # --samples only controls the emitted rows
     lo, hi = sorted((args.r0, args.r1))
@@ -185,6 +213,9 @@ def _build_trace_curve(args, theta: float):
 
 
 def cmd_trace(args, parser: _Parser) -> int:
+    from . import curves as cv
+    from . import svg
+
     if args.samples < 2:
         parser.error("--samples must be at least 2")
     theta = _resolve_theta(args, parser, default=None)
@@ -204,15 +235,17 @@ def cmd_trace(args, parser: _Parser) -> int:
         )
 
     if args.format == "svg":
-        _write_text(args.out, trace_svg(positions))
+        _write_text(args.out, svg.trace_svg(positions))
     else:
         _write_text(args.out, "\n".join(["t,x,y,z,u,v,k,theta_meas"] + rows) + "\n")
     return 0
 
 
 def cmd_verify(args, parser: _Parser) -> int:
+    from . import verify as vf
+
     mode = _JETS[args.jets]
-    scale = args.tol_scale * (100.0 if mode == JET_MODE_FD else 1.0)
+    scale = args.tol_scale * (100.0 if args.jets == "fd" else 1.0)
     reports = vf.run_suites(args.suite, mode, scale)
     if args.format == "report-json":
         _write_text(args.out, vf.reports_to_json(reports) + "\n")
@@ -222,7 +255,9 @@ def cmd_verify(args, parser: _Parser) -> int:
 
 
 def cmd_figure(args, parser: _Parser) -> int:
-    _write_text(args.out, render_figure(args.name))
+    from . import svg
+
+    _write_text(args.out, svg.render_figure(args.name))
     return 0
 
 

@@ -54,8 +54,8 @@ METHOD_NUMERIC = "numeric"
 class SpiralCurvatureQuery:
     """Admissible (K, r, theta) triple for a spiral-curvature evaluation.
 
-    r must be positive, theta in (0, pi), and for K > 0 the radius must
-    stay inside the first branch: r*sqrt(K) < pi.
+    K and r must be finite, r positive, theta in (0, pi), and for K > 0
+    the radius must stay inside the first branch: r*sqrt(K) < pi.
     """
 
     K: float
@@ -81,8 +81,10 @@ class CurvatureProfile:
 
 
 def _require_admissible(K: float, r: float) -> None:
-    if not r > 0.0:
-        raise DomainError(f"radius r={r} must be positive")
+    if not math.isfinite(K):
+        raise DomainError(f"K={K} must be finite")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"radius r={r} must be positive and finite")
     if K > 0.0 and r * math.sqrt(K) >= math.pi:
         raise DomainError(
             f"r={r} at or past the conjugate radius pi/sqrt(K)={math.pi / math.sqrt(K)}"

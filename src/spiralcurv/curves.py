@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import (
     BadParameter,
@@ -42,6 +40,9 @@ from .surfaces import (
     unit_normal,
 )
 from .vec import Vec3
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BREAKDOWN_TOL = 1e-4
 
@@ -71,9 +72,13 @@ class ChartCurve:
     def contains(self, t: float) -> bool:
         return self.t_domain[0] <= t <= self.t_domain[1]
 
+    def point(self, t: float) -> Vec3:
+        """The curve's position in R^3."""
+        return self.patch.eval(*self.trace(t))
+
     def embedded(self, t: float) -> np.ndarray:
-        u, v = self.trace(t)
-        return self.patch.eval(u, v).as_array()
+        """The position as a numpy array (this imports numpy)."""
+        return self.point(t).as_array()
 
     def velocity(self, t: float) -> Tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
@@ -253,8 +258,9 @@ def geodesic_curvature_numeric(
     get gamma' and gamma''; the unit-speed chain rule reduces the signed
     normal-frame curvature to <gamma'', N x gamma'>/|gamma'|^3.  The
     Richardson correction of the second derivative serves as an error
-    estimate: if it exceeds 1e-4 relative to the curvature scale, the
-    measurement is rejected with NumericalBreakdown.
+    estimate: if it exceeds 1e-4 relative to the curvature scale, or the
+    position overflows inside the stencil, the measurement is rejected
+    with NumericalBreakdown.
     """
     _require_param(curve, t)
     lo, hi = curve.t_domain
@@ -263,13 +269,18 @@ def geodesic_curvature_numeric(
     if min(h1, h2) <= 0.0:
         raise OutOfDomain(f"t={t} leaves no room for the difference stencil")
 
-    d1, _ = richardson_first(curve.embedded, t, h1)
-    d2, err = richardson_second(curve.embedded, t, h2)
+    try:
+        d1, _ = richardson_first(curve.point, t, h1)
+        d2, err = richardson_second(curve.point, t, h2)
+    except OverflowError:
+        raise NumericalBreakdown(
+            f"the position overflows inside the difference stencil at t={t}"
+        ) from None
 
-    sp = float(np.linalg.norm(d1))
+    sp = d1.norm()
     if sp == 0.0:
         raise DegenerateJet(f"curve is not regular at t={t}")
-    scale = max(float(np.linalg.norm(d2)), sp * sp)
+    scale = max(d2.norm(), sp * sp)
     if err / scale > BREAKDOWN_TOL:
         raise NumericalBreakdown(
             f"second-derivative estimate unreliable at t={t} "
@@ -278,8 +289,8 @@ def geodesic_curvature_numeric(
 
     u, v = curve.trace(t)
     jet = eval_jet(curve.patch, u, v, _pick_mode(curve.patch, mode))
-    n = unit_normal(jet, curve.patch.orientation_sign).as_array()
-    k = float(np.dot(d2, np.cross(n, d1))) / sp**3
+    n = unit_normal(jet, curve.patch.orientation_sign)
+    k = d2.dot(n.cross(d1)) / sp**3
     return curve.direction_sign * k
 
 

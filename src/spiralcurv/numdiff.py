@@ -1,6 +1,6 @@
 """Central-difference derivatives with one level of Richardson extrapolation.
 
-Values may be floats or numpy arrays; all routines are pure.  Step sizes
+Values may be floats, Vec3 or numpy arrays; all routines are pure.  Step sizes
 follow the usual epsilon-power scalings, with the exponent chosen per call
 site (truncation/roundoff balance differs between first and second
 derivatives, and between chart jets and curve kinematics).
@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Callable
 
-import numpy as np
+from .vec import Vec3
 
 EPS = sys.float_info.epsilon
 
@@ -90,7 +90,9 @@ def fit_step(h: float, x: float, lo: float, hi: float) -> float:
 
 
 def _mag(v) -> float:
-    if isinstance(v, np.ndarray):
-        # the value np.linalg.norm returns for a real vector, without its overhead
-        return math.sqrt(float(np.dot(v, v)))
-    return abs(float(v))
+    if isinstance(v, Vec3):
+        return v.norm()
+    if isinstance(v, (int, float)):
+        return abs(float(v))
+    # a numpy array: the value np.linalg.norm returns for a real vector
+    return math.sqrt(float(v.dot(v)))

@@ -156,8 +156,8 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
             f"no room for finite-difference stencil at ({u}, {v}) in {patch.name}"
         )
 
-    fu = lambda uu: patch.eval(uu, v).as_array()
-    fv = lambda vv: patch.eval(u, vv).as_array()
+    fu = lambda uu: patch.eval(uu, v)
+    fv = lambda vv: patch.eval(u, vv)
 
     p = patch.eval(u, v)
     p_u = richardson_first(fu, u, hu1)[0]
@@ -166,18 +166,11 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     p_vv = richardson_second(fv, v, hv2)[0]
     # the mixed stencil halves both steps together: extrapolate in their scale c
     p_uv = richardson(lambda c: _cross_stencil(patch, u, v, c * hu2, c * hv2), 1.0)[0]
-    return Jet2(
-        p=p,
-        p_u=Vec3.from_array(p_u),
-        p_v=Vec3.from_array(p_v),
-        p_uu=Vec3.from_array(p_uu),
-        p_uv=Vec3.from_array(p_uv),
-        p_vv=Vec3.from_array(p_vv),
-    )
+    return Jet2(p=p, p_u=p_u, p_v=p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
 
 
 def _cross_stencil(patch, u, v, h, k):
-    e = lambda uu, vv: patch.eval(uu, vv).as_array()
+    e = patch.eval
     return (
         e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)
     ) / (4.0 * h * k)

@@ -15,6 +15,7 @@ from . import closed_form as cf
 from . import curves as cv
 from .errors import BadParameter
 from .surfaces import pseudosphere_patch, sphere_patch
+from .vec import Vec3
 
 _TARGET = 600.0
 
@@ -116,12 +117,12 @@ class Canvas:
         return "\n".join(out) + "\n"
 
 
-def _project(azimuth: float, elevation: float) -> Callable[[Sequence[float]], Point]:
+def _project(azimuth: float, elevation: float) -> Callable[[Vec3], Point]:
     sa, ca = math.sin(azimuth), math.cos(azimuth)
     se, ce = math.sin(elevation), math.cos(elevation)
 
-    def proj(p: Sequence[float]) -> Point:
-        x, y, z = p[0], p[1], p[2]
+    def proj(p: Vec3) -> Point:
+        x, y, z = p.x, p.y, p.z
         return (y * ca - x * sa, z * ce - (x * ca + y * sa) * se)
 
     return proj
@@ -129,10 +130,10 @@ def _project(azimuth: float, elevation: float) -> Callable[[Sequence[float]], Po
 
 def _wireframe(canvas: Canvas, patch, us, vs, proj, stroke="#bbbbbb") -> None:
     for u in us:
-        pts = [proj(patch.eval(u, v).as_array()) for v in vs]
+        pts = [proj(patch.eval(u, v)) for v in vs]
         canvas.polyline(pts, stroke=stroke, width=0.8)
     for v in vs:
-        pts = [proj(patch.eval(u, v).as_array()) for u in us]
+        pts = [proj(patch.eval(u, v)) for u in us]
         canvas.polyline(pts, stroke=stroke, width=0.8)
 
 
@@ -140,7 +141,7 @@ def _curve_points(curve, t0: float, t1: float, n: int, proj) -> List[Point]:
     pts = []
     for i in range(n):
         t = t0 + (t1 - t0) * i / (n - 1)
-        pts.append(proj(curve.embedded(t)))
+        pts.append(proj(curve.point(t)))
     return pts
 
 

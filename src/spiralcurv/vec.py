@@ -1,16 +1,18 @@
 """Small fixed-size 3-vector used for surface points and frames.
 
 Kept as a frozen dataclass (rather than bare ndarrays) so jets and normals
-have named components; conversion helpers bridge to numpy where array math
-is more convenient.
+have named components.  All arithmetic is plain float math; numpy is
+imported only by as_array, the bridge for callers that want an ndarray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,6 @@ class Vec3:
         return Vec3(self.x / n, self.y / n, self.z / n)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+        import numpy as np
 
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
+        return np.array([self.x, self.y, self.z], dtype=float)

@@ -293,3 +293,75 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     ).stdout
     assert out.strip() == "[]"
+
+
+class TestNegativeNumbers:
+    # argparse once took "-1e-6" after a flag for a flag of its own
+    @pytest.mark.parametrize("value", ["-1e-6", "-2.5E-3", "-1.e-4", "-.5e-5"])
+    def test_curvature_K(self, capsys, value):
+        code, out, _ = run(capsys, "curvature", "--K", value, "--r", "2", "--theta", "0.7")
+        assert code == 0
+        assert float(out) == spiral_curvature(float(value), 2.0, 0.7)
+
+    def test_profile_bounds_and_fixed(self, capsys):
+        code, out, _ = run(capsys, "profile", "--axis", "K", "--fixed", "1", "--min", "-1e-3",
+                           "--max", "1e-3", "--steps", "3", "--theta", "0.7")
+        assert code == 0
+        assert out.splitlines()[1].startswith("-0.001,")
+        code, out, _ = run(capsys, "profile", "--axis", "r", "--fixed", "-2.5E-3", "--min",
+                           "0.5", "--max", "1", "--steps", "3", "--theta", "0.7")
+        assert code == 0
+        x, k, _ = out.splitlines()[1].split(",")
+        assert float(k) == spiral_curvature(-2.5e-3, 0.5, 0.7)
+
+    def test_trace_radii_reach_the_domain_check(self, capsys):
+        # parsed as values, so the plane's radius check answers, not argparse
+        code, _, err = run(capsys, "trace", "--surface", "plane", "--theta", "1", "--r0",
+                           "-1e-3", "--r1", "-2.5E-3", "--samples", "3")
+        assert code == 1
+        assert err.startswith("domain error:")
+
+    def test_flags_still_rejected(self, capsys):
+        assert run(capsys, "curvature", "--K", "-x")[0] == 3
+        assert run(capsys, "curvature", "--K", "--r", "1")[0] == 3
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [["--K", "nan"], ["--K", "inf"], ["--K=-inf"],
+                                      ["--r", "inf"], ["--K", "nan", "--series"]])
+    def test_non_finite_curvature_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "curvature", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("domain error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--surface", "plane", "--theta-deg", "90"],
+        ["--surface", "plane", "--theta-deg", "89.9999"],
+        ["--surface", "plane", "--theta", "3.5"],
+        ["--surface", "sphere", "--theta", "0"],
+    ])
+    def test_trace_degenerate_angle_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, "trace", *argv, "--r0", "0.5", "--r1", "2", "--samples", "3")
+        assert code == 1
+        assert err.startswith("domain error:")
+        assert "Traceback" not in err
+
+    def test_trace_plane_radius_must_be_positive(self, capsys):
+        code, _, err = run(capsys, "trace", "--surface", "plane", "--theta", "1", "--r0", "0",
+                           "--r1", "2", "--samples", "3")
+        assert code == 1
+        assert err.startswith("domain error:")
+
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf", "-1e-3", "abc"])
+    def test_tol_scale_must_be_positive_and_finite(self, capsys, scale):
+        code, _, err = run(capsys, "verify", "--suite", "analysis", "--tol-scale", scale)
+        assert code == 3
+        assert "--tol-scale" in err
+
+
+def test_parser_names_match_the_library():
+    from spiralcurv import cli, surfaces, verify
+
+    assert cli._JETS == {"analytic": surfaces.JET_MODE_ANALYTIC, "fd": surfaces.JET_MODE_FD}
+    assert cli._SUITES == verify.SUITES

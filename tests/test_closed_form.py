@@ -95,6 +95,25 @@ class TestSpiralCurvature:
         with pytest.raises(DomainError):
             spiral_curvature(0.0, 1.0, theta)
 
+    @pytest.mark.parametrize(
+        "K,r", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf),
+                (-1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_non_finite_inputs_rejected(self, K, r):
+        for fn in (spiral_curvature, spiral_curvature_dK):
+            with pytest.raises(DomainError):
+                fn(K, r, 0.7)
+        with pytest.raises(DomainError):
+            geodesic_circle_curvature(K, r)
+
+    @pytest.mark.parametrize(
+        "axis,fixed,hi", [("r", math.nan, 1.0), ("r", 0.0, math.inf), ("K", 1.0, math.inf),
+                          ("K", math.inf, 1.0)]
+    )
+    def test_non_finite_profile_rejected(self, axis, fixed, hi):
+        with pytest.raises(DomainError):
+            profile(axis, fixed, 0.5, hi, 3, 0.7)
+
     def test_query_validation(self):
         with pytest.raises(DomainError):
             SpiralCurvatureQuery(4.0, 2.0, 0.5)  # r past pi/2

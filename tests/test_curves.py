@@ -23,6 +23,15 @@ from spiralcurv import (
     sphere_patch,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL
+from spiralcurv.numdiff import (
+    STEP_FIRST_FINE,
+    STEP_SECOND_FINE,
+    fit_step,
+    richardson_first,
+    richardson_second,
+    scaled_step,
+)
+from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD, eval_jet, unit_normal
 
 PI = math.pi
 
@@ -205,6 +214,13 @@ class TestDiagnostics:
         with pytest.raises(NumericalBreakdown):
             geodesic_curvature_numeric(kink, 0.5)
 
+    def test_stencil_overflow_reports_numerical_breakdown(self):
+        # at theta = 90 degrees a = tan(theta) ~ 1.6e16, and exp(-a t) overflows
+        # one step away from the sample point
+        a = math.tan(math.radians(90.0))
+        with pytest.raises(NumericalBreakdown):
+            geodesic_curvature_numeric(plane_log_spiral(a), -math.log(0.5) / a)
+
     def test_stationary_point_is_degenerate(self):
         patch = plane_patch()
         frozen = ChartCurve(
@@ -215,6 +231,48 @@ class TestDiagnostics:
         )
         with pytest.raises(DegenerateJet):
             angle_to_parallel(frozen, 0.0)
+
+
+def _k_numeric_ndarray(curve, t, mode):
+    """geodesic_curvature_numeric on ndarray positions with numpy's dot,
+    cross and norm, as the measurement was once computed."""
+    lo, hi = curve.t_domain
+    h1 = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
+    h2 = fit_step(scaled_step(t, STEP_SECOND_FINE), t, lo, hi)
+    d1, _ = richardson_first(curve.embedded, t, h1)
+    d2, _ = richardson_second(curve.embedded, t, h2)
+    jet = eval_jet(curve.patch, *curve.trace(t), mode)
+    n = unit_normal(jet, curve.patch.orientation_sign).as_array()
+    k = float(np.dot(d2, np.cross(n, d1))) / float(np.linalg.norm(d1)) ** 3
+    return curve.direction_sign * k
+
+
+class TestVec3Stencil:
+    CURVES = [
+        (plane_log_spiral(1.0), (-1.0, 0.4, 2.0)),
+        (plane_log_spiral(-0.3), (-2.0, 0.5)),
+        (sphere_loxodrome(1.0, 1.0), (0.5, 0.9, 1.4)),
+        (sphere_loxodrome(2.5, -0.4), (0.3, 1.2)),
+        (pseudosphere_loxodrome(1.0, PI / 3.0), (0.3, 0.8, 1.4)),
+        (pseudosphere_loxodrome(0.5, 2.5), (0.4, 1.5)),
+    ]
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_matches_numpy_reference(self, mode):
+        # numpy's dot may round a 3-vector sum differently, so the two
+        # routes agree to a few ulp, not bit for bit
+        for curve, ts in self.CURVES:
+            for t in ts:
+                k = geodesic_curvature_numeric(curve, t, mode)
+                ref = _k_numeric_ndarray(curve, t, mode)
+                assert abs(k - ref) <= 1e-13 * abs(ref), (curve.label, t)
+
+    def test_point_and_embedded(self):
+        for curve, ts in self.CURVES:
+            for t in ts:
+                p = curve.point(t)
+                assert p == curve.patch.eval(*curve.trace(t))
+                assert tuple(curve.embedded(t)) == (p.x, p.y, p.z)
 
 
 class TestSample:

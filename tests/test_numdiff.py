@@ -14,6 +14,7 @@ from spiralcurv.numdiff import (
     richardson_sequence,
     scaled_step,
 )
+from spiralcurv.vec import Vec3
 
 
 def test_central_first_on_exp():
@@ -76,3 +77,17 @@ def test_fit_step_clips_to_available_room():
 
 def test_fit_step_unbounded_room_keeps_step():
     assert fit_step(0.1, 1.0, -math.inf, math.inf) == 0.1
+
+
+def test_richardson_error_for_floats_vectors_and_arrays():
+    # the error estimate is |correction| for a float and its Euclidean norm
+    # for a Vec3 or an ndarray, the latter as np.linalg.norm computes it
+    f = lambda x: (math.sin(x), math.exp(x), x**3)
+    _, err_float = richardson_first(lambda x: f(x)[1], 0.3, 1e-2)
+    _, err_vec = richardson_first(lambda x: Vec3(*f(x)), 0.3, 1e-2)
+    _, err_arr = richardson_first(lambda x: np.array(f(x)), 0.3, 1e-2)
+    assert err_float > 0.0
+    assert err_vec == pytest.approx(err_arr, rel=1e-15)
+    v = np.array([3.0, -4.0, 12.0])
+    _, err = richardson(lambda h: v * h * h, 1.0)
+    assert err == math.sqrt(float(np.dot(v, v))) / 4.0

@@ -1,0 +1,98 @@
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spiralcurv
+
+SUBMODULES = (
+    "cli", "closed_form", "curves", "errors", "liouville", "numdiff", "polar", "surfaces",
+    "svg", "vec", "verify",
+)
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+
+
+def test_import_loads_no_submodule():
+    out = run_fresh(
+        "import sys, spiralcurv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spiralcurv.')))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_submodule_attributes_resolve_on_first_access():
+    out = run_fresh(
+        "import spiralcurv, sys\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    assert getattr(spiralcurv, name) is sys.modules['spiralcurv.' + name], name\n"
+        "print('ok')"
+    )
+    assert out.strip() == "ok"
+
+
+def test_every_public_name_resolves_to_its_definition():
+    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 65
+    for name in spiralcurv.__all__:
+        module = importlib.import_module(f"spiralcurv.{spiralcurv._ORIGIN[name]}")
+        assert getattr(spiralcurv, name) is getattr(module, name), name
+    assert spiralcurv.__version__ == "0.1.0"
+
+
+def test_star_import_and_dir():
+    out = run_fresh(
+        "ns = {}\n"
+        "exec('from spiralcurv import *', ns)\n"
+        "import spiralcurv\n"
+        "assert sorted(n for n in ns if n != '__builtins__') == sorted(spiralcurv.__all__)\n"
+        "assert ns['spiral_curvature'] is spiralcurv.closed_form.spiral_curvature\n"
+        "print('ok')"
+    )
+    assert out.strip() == "ok"
+    listed = dir(spiralcurv)
+    assert set(spiralcurv.__all__) <= set(listed)
+    assert set(SUBMODULES) <= set(listed)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spiralcurv.no_such_name
+
+
+def test_cli_without_verify_loads_no_numpy_or_scipy(tmp_path):
+    figure = str(tmp_path / "figure.svg")
+    argvs = [
+        ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
+        ["curvature", "--K", "1e-6", "--series"],
+        ["profile", "--axis", "K", "--fixed", "1", "--min", "-1", "--max", "1", "--steps", "9"],
+    ]
+    for jets in ("analytic", "fd"):
+        for surface, extra in (("plane", []), ("sphere", []), ("pseudosphere", []),
+                               ("polar", ["--K", "1"])):
+            r0, r1 = ("0.4", "1.3") if surface == "pseudosphere" else ("0.5", "1.2")
+            argvs.append(["trace", "--surface", surface, *extra, "--theta", "1", "--r0", r0,
+                          "--r1", r1, "--samples", "5", "--jets", jets])
+    argvs.append(["trace", "--surface", "sphere", "--theta", "1", "--r0", "0.5", "--r1", "1",
+                  "--samples", "5", "--format", "svg", "--out", figure])
+    for name in ("spiral", "pseudosphere", "sphere-loxodrome", "pseudosphere-loxodrome",
+                 "k-surface"):
+        argvs.append(["figure", "--name", name, "--out", figure])
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "from spiralcurv.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    assert out.strip() == "[]"

@@ -20,6 +20,15 @@ from spiralcurv import (
     surface_of_revolution,
     unit_normal,
 )
+from spiralcurv.numdiff import (
+    STEP_FIRST,
+    STEP_SECOND,
+    fit_step,
+    richardson,
+    richardson_first,
+    richardson_second,
+    scaled_step,
+)
 from spiralcurv.surfaces import Interval
 
 
@@ -40,6 +49,33 @@ def _probe(patch):
     if patch.name.startswith("sphere"):
         return 0.8, 1.1
     return 0.8, 1.7
+
+
+def _fd_jet_ndarray(patch, u, v):
+    """The finite-difference jet with every position taken as an ndarray."""
+    dom = patch.domain
+    hu1 = fit_step(scaled_step(u, STEP_FIRST), u, dom.u.lo, dom.u.hi)
+    hv1 = fit_step(scaled_step(v, STEP_FIRST), v, dom.v.lo, dom.v.hi)
+    hu2 = fit_step(scaled_step(u, STEP_SECOND), u, dom.u.lo, dom.u.hi)
+    hv2 = fit_step(scaled_step(v, STEP_SECOND), v, dom.v.lo, dom.v.hi)
+    e = lambda uu, vv: patch.eval(uu, vv).as_array()
+    fu = lambda uu: e(uu, v)
+    fv = lambda vv: e(u, vv)
+
+    def cross(c):
+        h, k = c * hu2, c * hv2
+        return (e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)) / (
+            4.0 * h * k
+        )
+
+    return {
+        "p": e(u, v),
+        "p_u": richardson_first(fu, u, hu1)[0],
+        "p_v": richardson_first(fv, v, hv1)[0],
+        "p_uu": richardson_second(fu, u, hu2)[0],
+        "p_uv": richardson(cross, 1.0)[0],
+        "p_vv": richardson_second(fv, v, hv2)[0],
+    }
 
 
 class TestGaussianCurvature:
@@ -87,6 +123,19 @@ class TestJets:
                 a = getattr(an, name)
                 f = getattr(fd, name)
                 assert (f - a).norm() <= 1e-6 * max(1.0, a.norm())
+
+    @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES], ids=lambda p: p.name)
+    def test_fd_jet_bit_identical_to_ndarray_stencil(self, patch):
+        # the FD jet differences Vec3 positions; the same stencils on numpy
+        # arrays give the same bits, also next to the edges of the chart,
+        # where fit_step shrinks the steps
+        u, v = _probe(patch)
+        dom = patch.domain.v
+        for vv in (v, dom.lo + 1e-3, min(dom.hi, 3.0) - 1e-3):
+            fd = eval_jet(patch, u, vv, JET_MODE_FD)
+            ref = _fd_jet_ndarray(patch, u, vv)
+            for name, want in ref.items():
+                assert tuple(getattr(fd, name).as_array()) == tuple(want), name
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(BadParameter):
