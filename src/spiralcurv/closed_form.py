@@ -42,6 +42,8 @@ _COT_COEFFS = (
 # so the K = 0 value is bit-exactly -(r/3).
 _DERIV_COEFFS = (2.0 / 15.0, 2.0 / 105.0, 4.0 / 1575.0, 2.0 / 6237.0)
 
+_SINH_SQUARE_OVERFLOW = 400.0  # sinh(b)^2 is inf from b ~ 355.6 on
+
 SERIES_WINDOW = 1e-4          # |K| r^2 below this -> series branch
 SERIES_VALIDITY = 0.1         # explicit series calls allowed up to here
 
@@ -91,23 +93,32 @@ def _require_admissible(K: float, r: float) -> None:
         )
 
 
-def _series_sum(y: float, terms: int) -> float:
-    """Horner evaluation of the x*cot(x) series in y = K*r^2."""
+def _series_value(y: float, r: float, terms: int) -> float:
+    """Horner evaluation of the x*cot(x) series in y = K*r^2, over r.
+
+    The quotient, about 1/r, overflows only for r below about 1/DBL_MAX
+    (subnormal radii); no other branch can overflow, so this is the one
+    place that checks.
+    """
     acc = _COT_COEFFS[terms - 1]
     for c in reversed(_COT_COEFFS[: terms - 1]):
         acc = c + y * acc
-    return acc
+    value = acc / r
+    if value == math.inf:
+        raise DomainError(f"radius r={r} too small: the circle curvature overflows")
+    return value
 
 
 def _circle_value(K: float, r: float, terms: int = 4) -> Tuple[float, str]:
     """Circle curvature and the branch tag that produced it.
 
     Assumes admissibility was already checked by the caller; only pole
-    crossings are guarded here (they raise DomainError).
+    crossings and the overflow of 1/r at subnormal radii are guarded here
+    (they raise DomainError).
     """
     y = K * r * r
     if abs(y) < SERIES_WINDOW:
-        return _series_sum(y, terms) / r, METHOD_SERIES
+        return _series_value(y, r, terms), METHOD_SERIES
     if K > 0.0:
         a = r * math.sqrt(K)
         s = math.sin(a)
@@ -153,6 +164,9 @@ def geodesic_circle_curvature_dK(K: float, r: float) -> float:
         s = math.sin(a)
         return (1.0 / (2.0 * math.sqrt(K))) * (1.0 / math.tan(a) - a / (s * s))
     b = r * math.sqrt(-K)
+    if b > _SINH_SQUARE_OVERFLOW:
+        # sinh(b)^2 is inf, so b / sinh(b)^2 is 0; sinh itself overflows past b ~ 710
+        return (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b))
     sh = math.sinh(b)
     return (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b) + b / (sh * sh))
 
@@ -185,7 +199,7 @@ def spiral_curvature_series(K: float, r: float, theta: float, terms: int = 4) ->
         raise DomainError(
             f"|K|*r^2 = {abs(y)} outside the series validity window {SERIES_VALIDITY}"
         )
-    return math.cos(q.theta) * (_series_sum(y, terms) / q.r)
+    return math.cos(q.theta) * _series_value(y, q.r, terms)
 
 
 def spiral_curvature_dK(K: float, r: float, theta: float) -> float:

@@ -4,6 +4,9 @@ A ChartCurve is a parametrized trace t -> (u, v) drawn on a SurfacePatch.
 The geodesic curvature is measured numerically from the embedded curve
 (central differences of the position with Richardson extrapolation), so it
 serves as an independent cross-check of the closed-form predictions.
+Every measurement here reads the patch through its first-order frame
+(surfaces.eval_frame): the normal for the curvature, the first form for
+the speed and the angle.  None builds a 2-jet.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
@@ -33,7 +36,8 @@ from .numdiff import (
 from .surfaces import (
     SurfacePatch,
     _pick_mode,
-    eval_jet,
+    eval_frame,
+    first_form,
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
@@ -224,12 +228,8 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
     """|d gamma/dt| through the first fundamental form."""
     _require_param(curve, t)
-    u, v = curve.trace(t)
-    jet = eval_jet(curve.patch, u, v, _pick_mode(curve.patch, mode))
+    E, F, G = first_form(_frame(curve, *curve.trace(t), mode))
     du, dv = curve.velocity(t)
-    E = jet.p_u.dot(jet.p_u)
-    F = jet.p_u.dot(jet.p_v)
-    G = jet.p_v.dot(jet.p_v)
     return math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
 
 
@@ -260,9 +260,56 @@ def geodesic_curvature_numeric(
     Richardson correction of the second derivative serves as an error
     estimate: if it exceeds 1e-4 relative to the curvature scale, or the
     position overflows inside the stencil, the measurement is rejected
-    with NumericalBreakdown.
+    with NumericalBreakdown.  The normal N comes from the patch's
+    first-order frame (eval_frame), after the stencil is checked.
     """
     _require_param(curve, t)
+    d1, d2, sp = _embedded_derivatives(curve, t)
+    frame = _frame(curve, *curve.trace(t), mode)
+    return _curvature(curve, d1, d2, sp, frame)
+
+
+def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
+    """Signed angle in (-pi, pi] from the parallel direction to the curve.
+
+    Measured in-chart through the first fundamental form: the cosine
+    leg is <gamma', p_u> and the sine leg is the signed area
+    orientation_sign * dv * sqrt(EG - F^2), which matches the ambient
+    triple product <N, p_u x gamma'>.  E, F, G come from the patch's
+    first-order frame (eval_frame).
+    """
+    _require_param(curve, t)
+    frame = _frame(curve, *curve.trace(t), mode)
+    return _angle(curve, t, frame)
+
+
+def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
+    """Measure position, curvature and angle at one parameter value.
+
+    Gives the values of geodesic_curvature_numeric and angle_to_parallel,
+    with one first-order frame of the patch serving both.
+    """
+    _require_param(curve, t)
+    u, v = curve.trace(t)
+    position = curve.patch.eval(u, v)
+    d1, d2, sp = _embedded_derivatives(curve, t)
+    frame = _frame(curve, u, v, mode)
+    return CurveSample(
+        t=t,
+        position=position,
+        k=_curvature(curve, d1, d2, sp, frame),
+        theta=_angle(curve, t, frame),
+        r=curve.center_distance(t) if curve.center_distance is not None else None,
+    )
+
+
+def _frame(curve: ChartCurve, u: float, v: float, mode: Optional[str]):
+    return eval_frame(curve.patch, u, v, _pick_mode(curve.patch, mode))
+
+
+def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, float]:
+    """gamma'(t), gamma''(t) and the speed |gamma'(t)| from the position,
+    or the exception that rejects the stencil at t."""
     lo, hi = curve.t_domain
     h1 = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
     h2 = fit_step(scaled_step(t, STEP_SECOND_FINE), t, lo, hi)
@@ -286,28 +333,17 @@ def geodesic_curvature_numeric(
             f"second-derivative estimate unreliable at t={t} "
             f"(relative error ~{err / scale:.2e})"
         )
+    return d1, d2, sp
 
-    u, v = curve.trace(t)
-    jet = eval_jet(curve.patch, u, v, _pick_mode(curve.patch, mode))
-    n = unit_normal(jet, curve.patch.orientation_sign)
+
+def _curvature(curve: ChartCurve, d1: Vec3, d2: Vec3, sp: float, frame) -> float:
+    n = unit_normal(frame, curve.patch.orientation_sign)
     k = d2.dot(n.cross(d1)) / sp**3
     return curve.direction_sign * k
 
 
-def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
-    """Signed angle in (-pi, pi] from the parallel direction to the curve.
-
-    Measured in-chart through the first fundamental form: the cosine
-    leg is <gamma', p_u> and the sine leg is the signed area
-    orientation_sign * dv * sqrt(EG - F^2), which matches the ambient
-    triple product <N, p_u x gamma'>.
-    """
-    _require_param(curve, t)
-    u, v = curve.trace(t)
-    jet = eval_jet(curve.patch, u, v, _pick_mode(curve.patch, mode))
-    E = jet.p_u.dot(jet.p_u)
-    F = jet.p_u.dot(jet.p_v)
-    G = jet.p_v.dot(jet.p_v)
+def _angle(curve: ChartCurve, t: float, frame) -> float:
+    E, F, G = first_form(frame)
     area2 = E * G - F * F
     if area2 <= 0.0 or E <= 0.0:
         raise DegenerateJet("first form is not positive definite")
@@ -322,16 +358,3 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     if theta <= -math.pi:
         theta += 2.0 * math.pi
     return theta
-
-
-def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
-    """Measure position, curvature and angle at one parameter value."""
-    _require_param(curve, t)
-    u, v = curve.trace(t)
-    return CurveSample(
-        t=t,
-        position=curve.patch.eval(u, v),
-        k=geodesic_curvature_numeric(curve, t, mode),
-        theta=angle_to_parallel(curve, t, mode),
-        r=curve.center_distance(t) if curve.center_distance is not None else None,
-    )

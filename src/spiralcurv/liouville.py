@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import NotOrthogonal, OutOfDomain
 from .numdiff import STEP_FIRST_FINE, fit_step, richardson_first, scaled_step
-from .surfaces import _pick_mode, eval_jet
+from .surfaces import _pick_mode, eval_frame, first_form
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -56,10 +56,7 @@ def liouville_breakdown(
     decomposition needs an orthogonal chart.
     """
     u, v = curve.trace(t)
-    jet = eval_jet(curve.patch, u, v, _pick_mode(curve.patch, mode))
-    E = jet.p_u.dot(jet.p_u)
-    F = jet.p_u.dot(jet.p_v)
-    G = jet.p_v.dot(jet.p_v)
+    E, F, G = first_form(eval_frame(curve.patch, u, v, _pick_mode(curve.patch, mode)))
     if abs(F) >= ORTHOGONALITY_TOL * math.sqrt(E * G):
         raise NotOrthogonal(
             f"chart of {curve.patch.name} is not orthogonal at ({u}, {v})"

@@ -94,16 +94,30 @@ def circle_curvature(K: float, r: float) -> float:
 
 def _advance(K: float, r0: float, r: float) -> float:
     """int_r0^r dr / sqrt(G) in closed form: ln(r/r0) for K = 0 and the
-    ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise."""
-    if abs(K) * max(r, r0) ** 2 < 1e-8:
-        # ln tan(x) = ln x + x^2/3 + ..., so the leading K-correction to
-        # the flat formula is K (r^2 - r0^2)/12 for either sign of K.
-        return math.log(r / r0) + K * (r * r - r0 * r0) / 12.0
-    if K > 0.0:
-        s = math.sqrt(K)
-        return math.log(math.tan(r * s / 2.0)) - math.log(math.tan(r0 * s / 2.0))
-    b = math.sqrt(-K)
-    return math.log(math.tanh(r * b / 2.0)) - math.log(math.tanh(r0 * b / 2.0))
+    ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise.
+
+    Raises DomainError when the radii are so far apart or so extreme that
+    a float on the way overflows or underflows (K = 0 takes
+    ln(r/r0) alone, where 0 * r^2 would be nan once r^2 overflows).
+    """
+    try:
+        if K == 0.0:
+            value = math.log(r / r0)
+        elif abs(K) * max(r, r0) ** 2 < 1e-8:
+            # ln tan(x) = ln x + x^2/3 + ..., so the leading K-correction to
+            # the flat formula is K (r^2 - r0^2)/12 for either sign of K.
+            value = math.log(r / r0) + K * (r * r - r0 * r0) / 12.0
+        elif K > 0.0:
+            s = math.sqrt(K)
+            value = math.log(math.tan(r * s / 2.0)) - math.log(math.tan(r0 * s / 2.0))
+        else:
+            b = math.sqrt(-K)
+            value = math.log(math.tanh(r * b / 2.0)) - math.log(math.tanh(r0 * b / 2.0))
+    except (OverflowError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"the trace from r0={r0} to r={r} leaves the float range")
+    return value
 
 
 def spiral_chart_trace(

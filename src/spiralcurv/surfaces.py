@@ -1,4 +1,4 @@
-"""Parametrized surface patches, 2-jets, fundamental forms, Gaussian curvature.
+"""Surface patches, frames, 2-jets, fundamental forms, Gaussian curvature.
 
 A patch is a map (u, v) -> R^3 on a rectangle, carrying an orientation sign
 that fixes which of the two unit normals the rest of the package uses.  The
@@ -8,13 +8,19 @@ jointly and leaves the curvature untouched.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
+Two entry points share one domain and mode gate: eval_jet builds the full
+2-jet, which only the second fundamental form (fundamental_forms,
+gaussian_curvature) needs; eval_frame returns just p_u and p_v, the
+tangent plane that the unit normal and the first form read, which is all
+the curve measurements use.  With finite differences a frame takes 8
+position evaluations and a 2-jet 25.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, OutOfDomain
 from .numdiff import (
@@ -72,6 +78,14 @@ class Jet2:
     p_uu: Vec3
     p_uv: Vec3
     p_vv: Vec3
+
+
+@dataclass(frozen=True)
+class Frame:
+    """First partials at one point: the tangent plane of the patch."""
+
+    p_u: Vec3
+    p_v: Vec3
 
 
 @dataclass(frozen=True)
@@ -134,39 +148,70 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALY
         If mode is unknown or analytic mode is requested without an
         analytic jet.
     """
+    if _analytic(patch, u, v, mode):
+        return patch.jet(u, v)
+    return _fd_jet(patch, u, v)
+
+
+def eval_frame(
+    patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALYTIC
+) -> Frame | Jet2:
+    """Evaluate the first partials p_u, p_v of a patch at a chart point.
+
+    The tangent plane is all that the unit normal and the first form
+    need.  Analytic mode returns the patch's own Jet2; finite-difference
+    mode differences the position only for p_u and p_v, with the steps
+    and arithmetic of eval_jet's first partials, so both modes give the
+    same bits as eval_jet's p_u and p_v.  Raises like eval_jet.
+    """
+    if _analytic(patch, u, v, mode):
+        return patch.jet(u, v)
+    return _fd_frame(patch, u, v)
+
+
+def _analytic(patch: SurfacePatch, u: float, v: float, mode: str) -> bool:
+    """The domain and mode gate of eval_jet and eval_frame: True for the
+    analytic jet, False for finite differences."""
     if not patch.domain.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
     if mode == JET_MODE_ANALYTIC:
         if patch.jet is None:
             raise BadParameter(f"{patch.name} has no analytic jet; use finite_difference")
-        return patch.jet(u, v)
+        return True
     if mode != JET_MODE_FD:
         raise BadParameter(f"unknown jet mode {mode!r}")
-    return _fd_jet(patch, u, v)
+    return False
 
 
-def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
+def _fd_steps(patch: SurfacePatch, u: float, v: float, rel: float):
     dom = patch.domain
-    hu1 = fit_step(scaled_step(u, STEP_FIRST), u, dom.u.lo, dom.u.hi)
-    hv1 = fit_step(scaled_step(v, STEP_FIRST), v, dom.v.lo, dom.v.hi)
-    hu2 = fit_step(scaled_step(u, STEP_SECOND), u, dom.u.lo, dom.u.hi)
-    hv2 = fit_step(scaled_step(v, STEP_SECOND), v, dom.v.lo, dom.v.hi)
-    if min(hu1, hv1, hu2, hv2) <= 0.0:
+    hu = fit_step(scaled_step(u, rel), u, dom.u.lo, dom.u.hi)
+    hv = fit_step(scaled_step(v, rel), v, dom.v.lo, dom.v.hi)
+    if min(hu, hv) <= 0.0:
         raise OutOfDomain(
             f"no room for finite-difference stencil at ({u}, {v}) in {patch.name}"
         )
+    return hu, hv
 
-    fu = lambda uu: patch.eval(uu, v)
-    fv = lambda vv: patch.eval(u, vv)
 
+def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
+    hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
+    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
+    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
+    return Frame(p_u=p_u, p_v=p_v)
+
+
+def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
+    # both step pairs fit the same room, so they fail this gate together
+    hu2, hv2 = _fd_steps(patch, u, v, STEP_SECOND)
+    frame = _fd_frame(patch, u, v)
+    # the centre is evaluated once, for p and both second differences
     p = patch.eval(u, v)
-    p_u = richardson_first(fu, u, hu1)[0]
-    p_v = richardson_first(fv, v, hv1)[0]
-    p_uu = richardson_second(fu, u, hu2)[0]
-    p_vv = richardson_second(fv, v, hv2)[0]
+    p_uu = richardson_second(lambda uu: p if uu == u else patch.eval(uu, v), u, hu2)[0]
+    p_vv = richardson_second(lambda vv: p if vv == v else patch.eval(u, vv), v, hv2)[0]
     # the mixed stencil halves both steps together: extrapolate in their scale c
     p_uv = richardson(lambda c: _cross_stencil(patch, u, v, c * hu2, c * hv2), 1.0)[0]
-    return Jet2(p=p, p_u=p_u, p_v=p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
+    return Jet2(p=p, p_u=frame.p_u, p_v=frame.p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
 
 
 def _cross_stencil(patch, u, v, h, k):
@@ -176,8 +221,8 @@ def _cross_stencil(patch, u, v, h, k):
     ) / (4.0 * h * k)
 
 
-def unit_normal(jet: Jet2, sign: int) -> Vec3:
-    """Unit normal for the given orientation sign.
+def unit_normal(jet: Frame | Jet2, sign: int) -> Vec3:
+    """Unit normal for the given orientation sign, from a Frame or a Jet2.
 
     Raises DegenerateJet when |p_u x p_v| < 1e-12.
     """
@@ -204,11 +249,15 @@ def fundamental_forms(
     return forms_from_jet(jet, patch.orientation_sign)
 
 
+def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
+    """First fundamental form (E, F, G) from a Frame or a Jet2."""
+    p_u, p_v = frame.p_u, frame.p_v
+    return p_u.dot(p_u), p_u.dot(p_v), p_v.dot(p_v)
+
+
 def forms_from_jet(jet: Jet2, sign: int) -> FormCoefficients:
     p_u, p_v = jet.p_u, jet.p_v
-    E = p_u.dot(p_u)
-    F = p_u.dot(p_v)
-    G = p_v.dot(p_v)
+    E, F, G = first_form(jet)
 
     c = p_u.cross(p_v)
     cn = c.norm()
@@ -303,6 +352,21 @@ def surface_of_revolution(
     )
 
 
+def _inverse_square(R: float, surface: str) -> float:
+    """1/R^2, the magnitude of the curvature of a surface of radius R.
+
+    BadParameter unless R > 0 and 1/R^2 is a finite nonzero float, which
+    fails for R below about 7e-155 (inf) and above about 1.3e154 (0).
+    """
+    if R <= 0.0:
+        raise BadParameter(f"{surface} radius must be positive")
+    R2 = R * R
+    k = 1.0 / R2 if R2 > 0.0 else math.inf
+    if not 0.0 < k < math.inf:
+        raise BadParameter(f"{surface} radius R={R} has no finite nonzero curvature 1/R^2")
+    return k
+
+
 def plane_patch() -> SurfacePatch:
     """Flat plane in polar-style coordinates (v cos u, v sin u, 0), v > 0.
 
@@ -329,8 +393,7 @@ def sphere_patch(R: float = 1.0) -> SurfacePatch:
     Oriented by the outward normal, which for this chart order is
     -(p_u x p_v)/|p_u x p_v|.
     """
-    if R <= 0.0:
-        raise BadParameter("sphere radius must be positive")
+    known_K = _inverse_square(R, "sphere")
     return surface_of_revolution(
         x=lambda v: R * math.sin(v),
         z=lambda v: R * math.cos(v),
@@ -340,7 +403,7 @@ def sphere_patch(R: float = 1.0) -> SurfacePatch:
         d2z=lambda v: -R * math.cos(v),
         v_domain=Interval(0.0, math.pi),
         orientation_sign=-1,
-        known_K=1.0 / (R * R),
+        known_K=known_K,
         name=f"sphere(R={R:g})",
     )
 
@@ -353,8 +416,7 @@ def pseudosphere_patch(R: float = 1.0, v_floor: float = 1e-3) -> SurfacePatch:
     collapses along the cusp circle).  Oriented by the outward normal,
     which for this chart order is +(p_u x p_v)/|p_u x p_v|.
     """
-    if R <= 0.0:
-        raise BadParameter("pseudosphere radius must be positive")
+    known_K = -_inverse_square(R, "pseudosphere")
     if not 0.0 < v_floor < math.pi / 2:
         raise BadParameter("v_floor must lie in (0, pi/2)")
 
@@ -380,6 +442,6 @@ def pseudosphere_patch(R: float = 1.0, v_floor: float = 1e-3) -> SurfacePatch:
         d2z=d2z,
         v_domain=Interval(v_floor, math.pi / 2, closed_lo=True, closed_hi=True),
         orientation_sign=1,
-        known_K=-1.0 / (R * R),
+        known_K=known_K,
         name=f"pseudosphere(R={R:g})",
     )

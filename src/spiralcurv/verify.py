@@ -31,7 +31,9 @@ from .numdiff import EPS, richardson_second, richardson_sequence, scaled_step
 from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
+    eval_frame,
     eval_jet,
+    first_form,
     gaussian_curvature,
     plane_patch,
     pseudosphere_patch,
@@ -354,10 +356,7 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
         us, vs = _grid_for(patch)
         for u in us[::4]:
             for v in vs[::4]:
-                jet = eval_jet(patch, float(u), float(v), JET_MODE_ANALYTIC)
-                E = jet.p_u.dot(jet.p_u)
-                F = jet.p_u.dot(jet.p_v)
-                G = jet.p_v.dot(jet.p_v)
+                E, F, G = first_form(eval_frame(patch, float(u), float(v), JET_MODE_ANALYTIC))
                 det = E * G - F * F
                 obs.append(
                     Observation(

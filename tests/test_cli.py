@@ -365,3 +365,52 @@ def test_parser_names_match_the_library():
 
     assert cli._JETS == {"analytic": surfaces.JET_MODE_ANALYTIC, "fd": surfaces.JET_MODE_FD}
     assert cli._SUITES == verify.SUITES
+
+
+def run_cli(*argv):
+    """`python -m spiralcurv` in a fresh interpreter, so a traceback reaches stderr."""
+    src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "spiralcurv", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestFloatRangeEdges:
+    @pytest.mark.parametrize("argv", [
+        # 1/(R*R) divided by an underflowed 0
+        ["trace", "--surface", "sphere", "--R", "1e-300", "--theta", "1", "--r0", "1e-301",
+         "--r1", "2e-301", "--samples", "2"],
+        ["trace", "--surface", "pseudosphere", "--R", "1e-300", "--theta", "1", "--r0", "0.5",
+         "--r1", "1.2", "--samples", "2"],
+        # the circle curvature 1/r overflowed to inf
+        ["curvature", "--K", "0", "--r", "1e-320"],
+        ["curvature", "--K", "0", "--r", "1e-320", "--series"],
+        # the second FD step squared to 0 within ~3e-162 of the plane's origin
+        ["trace", "--surface", "plane", "--jets", "fd", "--theta", "0.785", "--r0", "2e-162",
+         "--r1", "3e-162", "--samples", "2"],
+    ])
+    def test_exit_1_without_traceback(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("domain error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_flat_polar_trace_at_huge_radii_is_finite(self):
+        # max(r, r0) ** 2 raised OverflowError from r ~ 1.3e154 on
+        proc = run_cli("trace", "--surface", "polar", "--theta", "1", "--r0", "1e200",
+                       "--r1", "1e300", "--samples", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = list(csv.reader(proc.stdout.splitlines()))[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+    def test_curved_polar_trace_leaving_the_float_range_exits_1(self):
+        proc = run_cli("trace", "--surface", "polar", "--K", "1e-320", "--theta", "1",
+                       "--r0", "1e150", "--r1", "1e160", "--samples", "2")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("domain error:")
+        assert "Traceback" not in proc.stderr

@@ -260,3 +260,34 @@ def test_sign_follows_cos_theta_inside_first_zero(q):
     assume(abs(theta - PI / 2.0) > 1e-3)
     k = spiral_curvature(K, r, theta)
     assert (k > 0.0) == (math.cos(theta) > 0.0)
+
+
+class TestOverflowEdges:
+    def test_subnormal_radius_is_domain_error(self):
+        # 1/r overflows below r ~ 5.6e-309; the result used to be inf
+        for r in (1e-320, 5e-324, 5e-309):
+            with pytest.raises(DomainError):
+                spiral_curvature(0.0, r, PI / 4.0)
+            with pytest.raises(DomainError):
+                geodesic_circle_curvature(-1.0, r)
+            with pytest.raises(DomainError):
+                spiral_curvature_series(0.0, r, PI / 4.0, 4)
+
+    def test_smallest_radii_with_a_finite_curvature_are_unchanged(self):
+        for r in (6e-309, 1e-300, 1e-200):
+            assert spiral_curvature(0.0, r, PI / 3.0) == math.cos(PI / 3.0) * (1.0 / r)
+            assert geodesic_circle_curvature(1e-5, r) == 1.0 / r
+
+    def test_dK_far_out_on_the_coth_branch_is_the_limit(self):
+        # b = r sqrt(-K) = 1000: sinh(b) overflows, b / sinh(b)^2 underflows to 0
+        for K, r in ((-1e6, 1.0), (-1.0, 800.0), (-1e300, 1e-140)):
+            assert geodesic_circle_curvature_dK(K, r) == -0.5 / math.sqrt(-K)
+        assert math.isfinite(spiral_curvature_dK(-1e6, 1.0, 0.7))
+
+    @pytest.mark.parametrize("b", [0.5, 20.0, 355.0, 356.0, 399.9, 400.0, 400.1, 700.0, 710.0])
+    def test_dK_guard_keeps_every_value_sinh_could_give(self, b):
+        # where sinh(b) is finite the guarded derivative is the plain formula, bit for bit
+        K = -4.0
+        sh = math.sinh(b)
+        plain = (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b) + b / (sh * sh))
+        assert geodesic_circle_curvature_dK(K, b / 2.0) == plain

@@ -242,3 +242,34 @@ class TestEmbedding:
             emb.trace(0.0)
         with pytest.raises(OutOfDomain):
             emb.trace(PI)
+
+
+class TestHugeRadii:
+    def test_flat_trace_at_huge_radii_is_finite(self):
+        # ln(r/r0) alone: (r^2 - r0^2) overflows and 0 * inf would be nan
+        pt = spiral_chart_trace(0.0, 1.0, 1e200, 0.0, 1e300)
+        assert pt.u == math.cos(1.0) / math.sin(1.0) * math.log(1e100)
+
+    @pytest.mark.parametrize("K,r0,r", [
+        (1e-320, 1e150, 1e160),      # |K| r^2 overflows on the way
+        (0.0, 1e-300, 1e300),        # r / r0 overflows
+        (-1.0, 5e-324, 1.0),         # tanh(r0 sqrt(-K) / 2) underflows to 0
+    ])
+    def test_trace_leaving_the_float_range_is_domain_error(self, K, r0, r):
+        with pytest.raises(DomainError):
+            spiral_chart_trace(K, 1.0, r0, 0.0, r)
+
+    @pytest.mark.parametrize("K", [0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0])
+    def test_values_at_ordinary_radii_are_unchanged(self, K):
+        # the closed forms as written before the range checks
+        cot = math.cos(0.8) / math.sin(0.8)
+        for r0, r in ((0.3, 0.5), (0.5, 0.3), (1e-3, 2.0), (2.0, 2.0)):
+            if abs(K) * max(r, r0) ** 2 < 1e-8:
+                adv = math.log(r / r0) + K * (r * r - r0 * r0) / 12.0
+            elif K > 0.0:
+                s = math.sqrt(K)
+                adv = math.log(math.tan(r * s / 2.0)) - math.log(math.tan(r0 * s / 2.0))
+            else:
+                b = math.sqrt(-K)
+                adv = math.log(math.tanh(r * b / 2.0)) - math.log(math.tanh(r0 * b / 2.0))
+            assert spiral_chart_trace(K, 0.8, r0, 0.25, r).u == 0.25 + cot * adv

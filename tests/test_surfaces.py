@@ -251,3 +251,15 @@ class TestInterval:
         i = Interval(-math.inf, math.inf, closed_lo=True, closed_hi=True)
         assert i.contains(1e300)
         assert not i.contains(math.inf)
+
+
+@pytest.mark.parametrize("make", [sphere_patch, pseudosphere_patch])
+def test_radius_without_a_finite_curvature_is_bad_parameter(make):
+    # 1/R^2 is inf below R ~ 7e-155 (R*R underflows to 0 below ~1e-162) and 0
+    # above R ~ 1.3e154
+    for R in (1e-300, 1e-160, 7e-155, 1.4e154, 1e300, math.inf, math.nan):
+        with pytest.raises(BadParameter):
+            make(R)
+    sign = 1.0 if make is sphere_patch else -1.0
+    for R in (8e-155, 0.5, 3.0, 1.3e154):
+        assert make(R).known_K == sign * (1.0 / (R * R))
