@@ -175,26 +175,24 @@ def cmd_profile(args, parser: _Parser) -> int:
 
 
 def _build_trace_curve(args, theta: float):
+    from . import closed_form as cf
     from . import curves as cv
     from . import polar as pl
     from . import surfaces as sf
 
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"theta={theta} outside (0, pi)")
+    cf._require_angle(theta)
     if args.surface == "plane":
-        if not (args.r0 > 0.0 and args.r1 > 0.0):
-            raise DomainError(f"radii --r0 {args.r0} and --r1 {args.r1} must be positive")
         a = math.tan(theta)
         curve = cv.plane_log_spiral(a)
-        t0 = -math.log(args.r0) / a
-        t1 = -math.log(args.r1) / a
-        return curve, t0, t1
+        for r in (args.r0, args.r1):
+            cf._require_admissible(curve.patch.known_K, r)
+        return curve, -math.log(args.r0) / a, -math.log(args.r1) / a
     if args.surface == "sphere":
         a = math.cos(theta) / math.sin(theta)
         curve = cv.sphere_loxodrome(args.R, a)
-        t0 = (math.pi - args.r0 / args.R) / 2.0
-        t1 = (math.pi - args.r1 / args.R) / 2.0
-        return curve, t0, t1
+        for r in (args.r0, args.r1):
+            cf._require_admissible(curve.patch.known_K, r)
+        return curve, (math.pi - args.r0 / args.R) / 2.0, (math.pi - args.r1 / args.R) / 2.0
     if args.surface == "pseudosphere":
         curve = cv.pseudosphere_loxodrome(args.R, theta)
         return curve, args.r0, args.r1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import BadParameter, DomainError
 
@@ -54,11 +54,8 @@ METHOD_NUMERIC = "numeric"
 
 @dataclass(frozen=True)
 class SpiralCurvatureQuery:
-    """Admissible (K, r, theta) triple for a spiral-curvature evaluation.
-
-    K and r must be finite, r positive, theta in (0, pi), and for K > 0
-    the radius must stay inside the first branch: r*sqrt(K) < pi.
-    """
+    """Admissible (K, r, theta) triple for a spiral-curvature evaluation;
+    the region is the one _require_admissible and _require_angle define."""
 
     K: float
     r: float
@@ -66,8 +63,7 @@ class SpiralCurvatureQuery:
 
     def __post_init__(self):
         _require_admissible(self.K, self.r)
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"theta={self.theta} outside (0, pi)")
+        _require_angle(self.theta)
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,13 @@ class CurvatureProfile:
 
 
 def _require_admissible(K: float, r: float) -> None:
+    """The admissibility gate for (K, r), shared by every module.
+
+    K finite; r finite, positive and above about 5.6e-309, below which
+    1/r, and with it every branch, overflows; r*sqrt(K) < pi for K > 0
+    (the conjugate radius).  Else DomainError.  Past the gate no branch
+    divides by zero or overflows.
+    """
     if not math.isfinite(K):
         raise DomainError(f"K={K} must be finite")
     if not 0.0 < r < math.inf:
@@ -91,39 +94,32 @@ def _require_admissible(K: float, r: float) -> None:
         raise DomainError(
             f"r={r} at or past the conjugate radius pi/sqrt(K)={math.pi / math.sqrt(K)}"
         )
+    if 1.0 / r == math.inf:
+        raise DomainError(f"radius r={r} too small: the circle curvature overflows")
+
+
+def _require_angle(theta: float) -> None:
+    """The admissibility gate for the spiral angle: theta in (0, pi)."""
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"theta={theta} outside (0, pi)")
 
 
 def _series_value(y: float, r: float, terms: int) -> float:
-    """Horner evaluation of the x*cot(x) series in y = K*r^2, over r.
-
-    The quotient, about 1/r, overflows only for r below about 1/DBL_MAX
-    (subnormal radii); no other branch can overflow, so this is the one
-    place that checks.
-    """
+    """Horner evaluation of the x*cot(x) series in y = K*r^2, over r."""
     acc = _COT_COEFFS[terms - 1]
     for c in reversed(_COT_COEFFS[: terms - 1]):
         acc = c + y * acc
-    value = acc / r
-    if value == math.inf:
-        raise DomainError(f"radius r={r} too small: the circle curvature overflows")
-    return value
+    return acc / r
 
 
 def _circle_value(K: float, r: float, terms: int = 4) -> Tuple[float, str]:
-    """Circle curvature and the branch tag that produced it.
-
-    Assumes admissibility was already checked by the caller; only pole
-    crossings and the overflow of 1/r at subnormal radii are guarded here
-    (they raise DomainError).
-    """
+    """Circle curvature and the branch tag that produced it, at a (K, r)
+    that passed _require_admissible."""
     y = K * r * r
     if abs(y) < SERIES_WINDOW:
         return _series_value(y, r, terms), METHOD_SERIES
     if K > 0.0:
         a = r * math.sqrt(K)
-        s = math.sin(a)
-        if s == 0.0:
-            raise DomainError(f"r*sqrt(K)={a} is a pole of the circle curvature")
         return math.sqrt(K) / math.tan(a), METHOD_CLOSED_FORM
     b = r * math.sqrt(-K)
     return math.sqrt(-K) / math.tanh(b), METHOD_CLOSED_FORM
@@ -147,8 +143,12 @@ def geodesic_circle_curvature_dK(K: float, r: float) -> float:
     Restricted to the principal branch r*sqrt(K) < pi for K > 0.  The
     value at K = 0 is exactly -(r/3); the sign is negative everywhere.
     """
-    if not r > 0.0:
-        raise DomainError(f"radius r={r} must be positive")
+    _require_admissible(K, r)
+    return _circle_dK(K, r)
+
+
+def _circle_dK(K: float, r: float) -> float:
+    """geodesic_circle_curvature_dK at a (K, r) that passed the gate."""
     y = K * r * r
     if abs(y) < SERIES_WINDOW:
         acc = _DERIV_COEFFS[-1]
@@ -157,10 +157,6 @@ def geodesic_circle_curvature_dK(K: float, r: float) -> float:
         return -(r / 3.0) * (1.0 + y * acc)
     if K > 0.0:
         a = r * math.sqrt(K)
-        if a >= math.pi:
-            raise DomainError(
-                f"r*sqrt(K)={a} outside the principal branch (need < pi)"
-            )
         s = math.sin(a)
         return (1.0 / (2.0 * math.sqrt(K))) * (1.0 / math.tan(a) - a / (s * s))
     b = r * math.sqrt(-K)
@@ -173,15 +169,16 @@ def geodesic_circle_curvature_dK(K: float, r: float) -> float:
 
 def spiral_curvature_with_method(K: float, r: float, theta: float) -> Tuple[float, str]:
     """Spiral curvature plus the branch tag ("closed_form" or "series")."""
-    q = SpiralCurvatureQuery(K, r, theta)
-    value, method = _circle_value(q.K, q.r)
-    return math.cos(q.theta) * value, method
+    _require_admissible(K, r)
+    _require_angle(theta)
+    value, method = _circle_value(K, r)
+    return math.cos(theta) * value, method
 
 
 def spiral_curvature(K: float, r: float, theta: float) -> float:
     """Geodesic curvature of the constant-angle spiral: cos(theta) times
-    the geodesic-circle curvature.  See SpiralCurvatureQuery for the
-    admissible region."""
+    the geodesic-circle curvature.  See _require_admissible and
+    _require_angle for the admissible region."""
     return spiral_curvature_with_method(K, r, theta)[0]
 
 
@@ -193,13 +190,14 @@ def spiral_curvature_series(K: float, r: float, theta: float, terms: int = 4) ->
     """
     if not isinstance(terms, int) or not 2 <= terms <= 6:
         raise BadParameter(f"terms={terms!r} must be an int in [2, 6]")
-    q = SpiralCurvatureQuery(K, r, theta)
-    y = q.K * q.r * q.r
+    _require_admissible(K, r)
+    _require_angle(theta)
+    y = K * r * r
     if abs(y) > SERIES_VALIDITY:
         raise DomainError(
             f"|K|*r^2 = {abs(y)} outside the series validity window {SERIES_VALIDITY}"
         )
-    return math.cos(q.theta) * _series_value(y, q.r, terms)
+    return math.cos(theta) * _series_value(y, r, terms)
 
 
 def spiral_curvature_dK(K: float, r: float, theta: float) -> float:
@@ -207,8 +205,9 @@ def spiral_curvature_dK(K: float, r: float, theta: float) -> float:
 
     Equals cos(theta) times the circle-curvature derivative; at K = 0 the
     value is -(r/3)*cos(theta)."""
-    q = SpiralCurvatureQuery(K, r, theta)
-    return math.cos(q.theta) * geodesic_circle_curvature_dK(q.K, q.r)
+    _require_admissible(K, r)
+    _require_angle(theta)
+    return math.cos(theta) * _circle_dK(K, r)
 
 
 def spiral_curvature_abs_dK(K: float, r: float, theta: float) -> float:
@@ -243,8 +242,8 @@ def profile(
     """Sweep the spiral curvature along r (axis="r", fixed K) or along K
     (axis="K", fixed r).
 
-    The whole grid is validated before any value is returned, so an
-    inadmissible endpoint raises DomainError without partial results.
+    An inadmissible grid point raises DomainError, and no partial
+    result is returned.
     """
     if axis not in ("r", "K"):
         raise BadParameter(f"axis must be 'r' or 'K', got {axis!r}")
@@ -256,18 +255,15 @@ def profile(
     xs = [x_min + i * (x_max - x_min) / (steps - 1) for i in range(steps)]
     xs[-1] = x_max
 
-    queries = []
-    for x in xs:
-        if axis == "r":
-            queries.append(SpiralCurvatureQuery(fixed_value, x, theta))
-        else:
-            queries.append(SpiralCurvatureQuery(x, fixed_value, theta))
-
+    _require_angle(theta)
+    c = math.cos(theta)
     samples: List[Tuple[float, float]] = []
     tags: List[str] = []
-    for x, q in zip(xs, queries):
-        value, method = _circle_value(q.K, q.r)
-        samples.append((x, math.cos(q.theta) * value))
+    for x in xs:
+        K, r = (fixed_value, x) if axis == "r" else (x, fixed_value)
+        _require_admissible(K, r)
+        value, method = _circle_value(K, r)
+        samples.append((x, c * value))
         tags.append(method)
     return CurvatureProfile(
         axis=axis,

@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
+from .closed_form import _require_angle
 from .errors import (
     BadParameter,
     DegenerateJet,
+    DomainError,
     NumericalBreakdown,
     OutOfDomain,
 )
@@ -122,10 +124,10 @@ def plane_log_spiral(a: float) -> ChartCurve:
 
     For a > 0 the curve winds counterclockwise into the origin; its
     constant angle to the circles about the origin is arctan(a).  a = 0
-    would be a circle, not a spiral, and is rejected.
+    would be a circle, not a spiral, and is rejected, as is a non-finite a.
     """
-    if a == 0.0:
-        raise BadParameter("a must be nonzero (a = 0 gives a circle)")
+    if a == 0.0 or not math.isfinite(a):
+        raise BadParameter(f"a={a} must be finite and nonzero (a = 0 gives a circle)")
     return ChartCurve(
         patch=plane_patch(),
         trace=lambda t: (t, math.exp(-a * t)),
@@ -144,10 +146,11 @@ def sphere_loxodrome(R: float, a: float) -> ChartCurve:
     crosses the equator at t = pi/4 and spirals into the north pole as
     t -> pi/2, at constant speed 2R*sqrt(1+a^2).
     """
-    if R <= 0.0:
-        raise BadParameter("sphere radius must be positive")
+    patch = sphere_patch(R)
+    if not math.isfinite(a):
+        raise BadParameter(f"a={a} must be finite")
     return ChartCurve(
-        patch=sphere_patch(R),
+        patch=patch,
         trace=lambda t: (a * math.log(math.tan(t)), math.pi - 2.0 * t),
         t_domain=(0.0, math.pi / 2.0),
         trace_velocity=lambda t: (2.0 * a / math.sin(2.0 * t), -2.0),
@@ -166,11 +169,13 @@ def pseudosphere_loxodrome(
     trace u(v) = u0 + cot(theta) * (1 - csc v), which passes through u0 at
     the rim v = pi/2; the curve is parametrized by t = v in [v_floor, pi/2].
     """
-    if R <= 0.0:
-        raise BadParameter("pseudosphere radius must be positive")
-    if not 0.0 < theta < math.pi:
-        raise BadParameter(f"theta={theta} outside (0, pi)")
     patch = pseudosphere_patch(R, v_floor)
+    try:
+        _require_angle(theta)
+    except DomainError as exc:
+        raise BadParameter(str(exc)) from None
+    if not math.isfinite(u0):
+        raise BadParameter(f"u0={u0} must be finite")
     cot = math.cos(theta) / math.sin(theta)
 
     def rate(v: float) -> float:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .closed_form import _require_admissible
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
 from .surfaces import SurfacePatch
@@ -51,32 +52,38 @@ class PolarTracePoint:
 
 
 def polar_metric(K: float) -> PolarMetric:
-    """Geodesic polar metric for constant curvature K."""
+    """Geodesic polar metric for constant curvature K.  sqrtG and sqrtG_r
+    take the radii closed_form's gate admits, and raise DomainError where
+    a value leaves the float range (r*sqrt(-K) above about 710)."""
     r_limit = math.pi / math.sqrt(K) if K > 0.0 else math.inf
 
-    def check(r: float) -> None:
-        if not 0.0 < r < r_limit:
-            raise DomainError(f"r={r} outside admissible (0, {r_limit})")
+    def hyperbolic(fn: Callable[[float], float], r: float, scale: float) -> float:
+        try:
+            value = fn(r * math.sqrt(-K)) / scale
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DomainError(f"the polar metric of K={K} leaves the float range at r={r}")
+        return value
 
     def sqrtG(r: float) -> float:
-        check(r)
+        _require_admissible(K, r)
         q = K * r * r
         if abs(q) < _SERIES_Q:
             return r * (1.0 - q / 6.0 + q * q / 120.0 - q**3 / 5040.0)
         if K > 0.0:
             s = math.sqrt(K)
             return math.sin(r * s) / s
-        b = math.sqrt(-K)
-        return math.sinh(r * b) / b
+        return hyperbolic(math.sinh, r, math.sqrt(-K))
 
     def sqrtG_r(r: float) -> float:
-        check(r)
+        _require_admissible(K, r)
         q = K * r * r
         if abs(q) < _SERIES_Q:
             return 1.0 - q / 2.0 + q * q / 24.0 - q**3 / 720.0
         if K > 0.0:
             return math.cos(r * math.sqrt(K))
-        return math.cosh(r * math.sqrt(-K))
+        return hyperbolic(math.cosh, r, 1.0)
 
     return PolarMetric(K=K, sqrtG=sqrtG, sqrtG_r=sqrtG_r, r_limit=r_limit)
 
@@ -129,18 +136,20 @@ def spiral_chart_trace(
     cot(theta) * ln(r/r0) for K = 0 and the corresponding
     ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise.  theta is
     restricted to [1e-3, pi - 1e-3] to keep both cot(theta) and the
-    trace parametrization well-conditioned.
+    trace parametrization well-conditioned.  Both radii pass closed_form's
+    gate; a u that is not finite (a non-finite u0) raises DomainError.
     """
     if not THETA_CLAMP <= theta <= math.pi - THETA_CLAMP:
         raise DomainError(
             f"theta={theta} outside [{THETA_CLAMP}, pi - {THETA_CLAMP}]"
         )
-    m = polar_metric(K)
-    for rr in (r0, r):
-        if not 0.0 < rr < m.r_limit:
-            raise DomainError(f"r={rr} outside admissible (0, {m.r_limit})")
+    _require_admissible(K, r0)
+    _require_admissible(K, r)
     cot = math.cos(theta) / math.sin(theta)
-    return PolarTracePoint(r=r, u=u0 + cot * _advance(K, r0, r))
+    u = u0 + cot * _advance(K, r0, r)
+    if not math.isfinite(u):
+        raise DomainError(f"the trace through u0={u0} has no finite u at r={r}")
+    return PolarTracePoint(r=r, u=u)
 
 
 def embed_polar_trace(

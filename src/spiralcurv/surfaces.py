@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-from .errors import BadParameter, DegenerateJet, OutOfDomain
+from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
 from .numdiff import (
     STEP_FIRST,
     STEP_SECOND,
@@ -204,6 +204,12 @@ def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     # both step pairs fit the same room, so they fail this gate together
     hu2, hv2 = _fd_steps(patch, u, v, STEP_SECOND)
+    # the second differences divide by the square of the halved step
+    h = min(hu2, hv2) / 2.0
+    if h * h == 0.0:
+        raise NumericalBreakdown(
+            f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
+        )
     frame = _fd_frame(patch, u, v)
     # the centre is evaluated once, for p and both second differences
     p = patch.eval(u, v)

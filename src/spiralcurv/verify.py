@@ -246,55 +246,30 @@ def verify_numeric_vs_closed_form(
     the winding angle of the spiral arctan(a))."""
     if sample_count < 2:
         raise BadParameter("sample_count must be at least 2")
-    obs = []
     if surface == "plane":
-        a = math.tan(theta)
-        curve = cv.plane_log_spiral(a)
+        curve = cv.plane_log_spiral(math.tan(theta))
         ts = np.linspace(0.0, 2.0, sample_count)
-        for t in ts:
-            r = math.exp(-a * t)
-            expected = math.cos(theta) / r
-            actual = cv.geodesic_curvature_numeric(curve, float(t), mode)
-            obs.append(
-                Observation(
-                    ("plane", R, theta, float(t)),
-                    expected,
-                    actual,
-                    abs(actual - expected) / abs(expected),
-                )
-            )
     elif surface == "sphere":
-        a = math.cos(theta) / math.sin(theta)
-        curve = cv.sphere_loxodrome(R, a)
-        vs = np.linspace(0.4, 1.2, sample_count)
-        for v in vs:
-            t = (math.pi - float(v)) / 2.0
-            expected = (1.0 / R) * (math.cos(v) / math.sin(v)) * math.cos(theta)
-            actual = cv.geodesic_curvature_numeric(curve, t, mode)
-            obs.append(
-                Observation(
-                    ("sphere", R, theta, t),
-                    expected,
-                    actual,
-                    abs(actual - expected) / abs(expected),
-                )
-            )
+        curve = cv.sphere_loxodrome(R, math.cos(theta) / math.sin(theta))
+        ts = (math.pi - np.linspace(0.4, 1.2, sample_count)) / 2.0
     elif surface == "pseudosphere":
+        # no pole: the loxodrome crosses horocycles, whose curvature is
+        # the r -> inf limit of the coth branch
         curve = cv.pseudosphere_loxodrome(R, theta)
-        expected = -(1.0 / R) * math.cos(theta)
-        vs = np.linspace(0.35, 1.35, sample_count)
-        for v in vs:
-            actual = cv.geodesic_curvature_numeric(curve, float(v), mode)
-            obs.append(
-                Observation(
-                    ("pseudosphere", R, theta, float(v)),
-                    expected,
-                    actual,
-                    abs(actual - expected) / abs(expected),
-                )
-            )
+        ts = np.linspace(0.35, 1.35, sample_count)
     else:
         raise BadParameter(f"unknown surface {surface!r}")
+    obs = []
+    for t in ts:
+        t = float(t)
+        if curve.center_distance is None:
+            expected = -(1.0 / R) * math.cos(theta)
+        else:
+            r = curve.center_distance(t)
+            expected = math.cos(theta) * cf.geodesic_circle_curvature(curve.patch.known_K, r)
+        actual = cv.geodesic_curvature_numeric(curve, t, mode)
+        err = abs(actual - expected) / abs(expected)
+        obs.append(Observation((surface, R, theta, t), expected, actual, err))
     return make_report(f"curves.numeric_vs_closed_form.{surface}", obs, 1e-5)
 
 
