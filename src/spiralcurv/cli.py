@@ -20,9 +20,10 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, GeometryError
 
-# Each subcommand imports the modules it uses when it runs, so that only
-# `verify` loads numpy.  For the same reason the parser spells out the
-# jet modes (surfaces.JET_MODE_*) and the suite names (verify.SUITES).
+# Each subcommand imports the modules it uses when it runs, so that a call
+# loads only what it computes with (the package needs neither numpy nor
+# scipy).  For the same reason the parser spells out the jet modes
+# (surfaces.JET_MODE_*) and the suite names (verify.SUITES).
 _JETS = {"analytic": "analytic", "fd": "finite_difference"}
 _SUITES = ("forms", "curves", "liouville", "analysis", "all")
 

@@ -49,7 +49,6 @@ SERIES_VALIDITY = 0.1         # explicit series calls allowed up to here
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_SERIES = "series"
-METHOD_NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)

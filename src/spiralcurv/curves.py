@@ -31,6 +31,7 @@ from .numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
     fit_step,
+    gauss_kronrod,
     richardson_first,
     richardson_second,
     scaled_step,
@@ -76,7 +77,8 @@ class ChartCurve:
     label: str = ""
 
     def contains(self, t: float) -> bool:
-        return self.t_domain[0] <= t <= self.t_domain[1]
+        """Whether t lies in t_domain; an infinite end is open."""
+        return self.t_domain[0] <= t <= self.t_domain[1] and math.isfinite(t)
 
     def point(self, t: float) -> Vec3:
         """The curve's position in R^3."""
@@ -110,9 +112,15 @@ class CurveSample:
     r: Optional[float] = None
 
 
-def _require_param(curve: ChartCurve, t: float) -> None:
+def _chart_point(curve: ChartCurve, t: float) -> Tuple[float, float]:
+    """The chart point (u, v) at t, after the domain check.  A trace that
+    overflows there raises NumericalBreakdown."""
     if not curve.contains(t):
         raise OutOfDomain(f"t={t} outside parameter domain {curve.t_domain}")
+    try:
+        return curve.trace(t)
+    except OverflowError:
+        raise NumericalBreakdown(f"the chart trace overflows at t={t}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +239,27 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 
 
 def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
-    """|d gamma/dt| through the first fundamental form."""
-    _require_param(curve, t)
-    E, F, G = first_form(_frame(curve, *curve.trace(t), mode))
+    """|d gamma/dt| through the first fundamental form; NumericalBreakdown
+    where it overflows."""
+    E, F, G = first_form(_frame(curve, *_chart_point(curve, t), mode))
     du, dv = curve.velocity(t)
-    return math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    if not math.isfinite(value):
+        raise NumericalBreakdown(f"the speed overflows at t={t}")
+    return value
 
 
 def arc_length(curve: ChartCurve, t0: float, t1: float, mode: Optional[str] = None) -> float:
-    """Arc length by adaptive Gauss-Kronrod quadrature (rel tol 1e-10).
+    """Arc length: the speed integrated by numdiff.gauss_kronrod, the
+    adaptive G7/K15 rule, to max(1e-12, 1e-10 * |L|) in at most 200 panels.
 
-    Antisymmetric under swapping the endpoints; additive over adjacent
-    intervals to the quadrature tolerance.
+    Exactly antisymmetric under swapping the endpoints; additive over
+    adjacent intervals to the quadrature tolerance.  A sum that does not
+    converge raises NumericalBreakdown.
     """
-    from scipy.integrate import quad  # deferred: importing the package loads no scipy
-
-    _require_param(curve, t0)
-    _require_param(curve, t1)
-    value, _ = quad(
-        lambda t: speed(curve, t, mode), t0, t1, epsabs=1e-12, epsrel=1e-10, limit=200
-    )
+    _chart_point(curve, t0)
+    _chart_point(curve, t1)
+    value, _ = gauss_kronrod(lambda t: speed(curve, t, mode), t0, t1, epsabs=1e-12, epsrel=1e-10)
     return value
 
 
@@ -268,9 +277,9 @@ def geodesic_curvature_numeric(
     with NumericalBreakdown.  The normal N comes from the patch's
     first-order frame (eval_frame), after the stencil is checked.
     """
-    _require_param(curve, t)
+    u, v = _chart_point(curve, t)
     d1, d2, sp = _embedded_derivatives(curve, t)
-    frame = _frame(curve, *curve.trace(t), mode)
+    frame = _frame(curve, u, v, mode)
     return _curvature(curve, d1, d2, sp, frame)
 
 
@@ -283,8 +292,7 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     triple product <N, p_u x gamma'>.  E, F, G come from the patch's
     first-order frame (eval_frame).
     """
-    _require_param(curve, t)
-    frame = _frame(curve, *curve.trace(t), mode)
+    frame = _frame(curve, *_chart_point(curve, t), mode)
     return _angle(curve, t, frame)
 
 
@@ -294,8 +302,7 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     Gives the values of geodesic_curvature_numeric and angle_to_parallel,
     with one first-order frame of the patch serving both.
     """
-    _require_param(curve, t)
-    u, v = curve.trace(t)
+    u, v = _chart_point(curve, t)
     position = curve.patch.eval(u, v)
     d1, d2, sp = _embedded_derivatives(curve, t)
     frame = _frame(curve, u, v, mode)

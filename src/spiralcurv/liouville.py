@@ -22,6 +22,7 @@ from .curves import (
     ChartCurve,
     MERIDIAN,
     PARALLEL,
+    _chart_point,
     angle_to_parallel,
     coordinate_curve,
     geodesic_curvature_numeric,
@@ -55,7 +56,7 @@ def liouville_breakdown(
     Raises NotOrthogonal when |F| >= 1e-10 * sqrt(EG) at the point: the
     decomposition needs an orthogonal chart.
     """
-    u, v = curve.trace(t)
+    u, v = _chart_point(curve, t)
     E, F, G = first_form(eval_frame(curve.patch, u, v, _pick_mode(curve.patch, mode)))
     if abs(F) >= ORTHOGONALITY_TOL * math.sqrt(E * G):
         raise NotOrthogonal(

@@ -1,9 +1,16 @@
-"""Central-difference derivatives with one level of Richardson extrapolation.
+"""Central-difference derivatives with one level of Richardson extrapolation,
+and adaptive Gauss-Kronrod quadrature.
 
-Values may be floats, Vec3 or numpy arrays; all routines are pure.  Step sizes
-follow the usual epsilon-power scalings, with the exponent chosen per call
-site (truncation/roundoff balance differs between first and second
-derivatives, and between chart jets and curve kinematics).
+Derivative values may be floats, Vec3 or numpy arrays; all routines are
+pure.  Step sizes follow the usual epsilon-power scalings, with the exponent
+chosen per call site (truncation/roundoff balance differs between first and
+second derivatives, and between chart jets and curve kinematics).
+
+gauss_kronrod integrates a float function over a finite interval with the
+7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
+bisects the panel with the largest error estimate |K15 - G7| until the
+summed estimate is at most max(epsabs, epsrel * |I|); more than
+PANEL_LIMIT = 200 panels, or a non-finite sum, raises NumericalBreakdown.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import math
 import sys
 from typing import Callable
 
+from .errors import NumericalBreakdown
 from .vec import Vec3
 
 EPS = sys.float_info.epsilon
@@ -21,6 +29,8 @@ STEP_FIRST = EPS ** (1.0 / 3.0)       # plain central first difference
 STEP_SECOND = EPS ** 0.25             # plain central second difference
 STEP_FIRST_FINE = EPS ** 0.2          # Richardson first difference
 STEP_SECOND_FINE = EPS ** (1.0 / 6.0) # Richardson second difference
+
+PANEL_LIMIT = 200                     # gauss_kronrod panels
 
 
 def scaled_step(x: float, rel: float) -> float:
@@ -87,6 +97,75 @@ def fit_step(h: float, x: float, lo: float, hi: float) -> float:
     if room <= 0.0:
         return 0.0
     return min(h, 0.45 * room)
+
+
+# Kronrod nodes on [-1, 1] (the odd-indexed ones are the Gauss nodes), with
+# the Kronrod and the Gauss weights; node 7 is the centre
+_XK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+
+
+def gauss_kronrod(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    epsabs: float,
+    epsrel: float,
+):
+    """Integral of f from a to b and its error estimate (see the module
+    docstring).  Swapping the limits negates the value exactly."""
+    if a == b:
+        return 0.0, 0.0
+    if b < a:
+        value, err = gauss_kronrod(f, b, a, epsabs, epsrel)
+        return -value, err
+    panels = [_gk15(f, a, b)]
+    while True:
+        value = math.fsum(p[0] for p in panels)
+        err = math.fsum(p[1] for p in panels)
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise NumericalBreakdown(f"integral over [{a}, {b}] is not finite")
+        if err <= max(epsabs, epsrel * abs(value)):
+            return value, err
+        if len(panels) >= PANEL_LIMIT:
+            raise NumericalBreakdown(
+                f"integral over [{a}, {b}] not converged in {PANEL_LIMIT} panels "
+                f"(error ~{err:.2e})"
+            )
+        worst = max(range(len(panels)), key=lambda i: panels[i][1])
+        _, _, lo, hi = panels[worst]
+        mid = 0.5 * (lo + hi)
+        panels[worst] = _gk15(f, lo, mid)
+        panels.append(_gk15(f, mid, hi))
+
+
+def _gk15(f, lo: float, hi: float):
+    """(K15 value, |K15 - G7|, lo, hi) on one panel."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(centre)
+    kronrod = _WK[7] * fc
+    gauss = _WG[3] * fc
+    for j in range(7):
+        pair = f(centre - half * _XK[j]) + f(centre + half * _XK[j])
+        kronrod += _WK[j] * pair
+        if j % 2:
+            gauss += _WG[j // 2] * pair
+    return half * kronrod, abs(half * (kronrod - gauss)), lo, hi
 
 
 def _mag(v) -> float:

@@ -51,10 +51,6 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        return Vec3(self.x / n, self.y / n, self.z / n)
-
     def as_array(self) -> np.ndarray:
         import numpy as np
 

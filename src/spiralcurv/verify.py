@@ -20,14 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import closed_form as cf
 from . import curves as cv
 from . import polar as pl
 from .errors import BadParameter, PreconditionFailed
 from .liouville import liouville_breakdown
-from .numdiff import EPS, richardson_second, richardson_sequence, scaled_step
+from .numdiff import EPS, gauss_kronrod, richardson_second, richardson_sequence, scaled_step
 from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -41,6 +39,13 @@ from .surfaces import (
 )
 
 SUITES = ("forms", "curves", "liouville", "analysis", "all")
+
+
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    """num evenly spaced points from start to stop, rounded as
+    numpy.linspace rounds them: start + i*step, and stop itself last."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 @dataclass(frozen=True)
@@ -248,20 +253,19 @@ def verify_numeric_vs_closed_form(
         raise BadParameter("sample_count must be at least 2")
     if surface == "plane":
         curve = cv.plane_log_spiral(math.tan(theta))
-        ts = np.linspace(0.0, 2.0, sample_count)
+        ts = _linspace(0.0, 2.0, sample_count)
     elif surface == "sphere":
         curve = cv.sphere_loxodrome(R, math.cos(theta) / math.sin(theta))
-        ts = (math.pi - np.linspace(0.4, 1.2, sample_count)) / 2.0
+        ts = [(math.pi - x) / 2.0 for x in _linspace(0.4, 1.2, sample_count)]
     elif surface == "pseudosphere":
         # no pole: the loxodrome crosses horocycles, whose curvature is
         # the r -> inf limit of the coth branch
         curve = cv.pseudosphere_loxodrome(R, theta)
-        ts = np.linspace(0.35, 1.35, sample_count)
+        ts = _linspace(0.35, 1.35, sample_count)
     else:
         raise BadParameter(f"unknown surface {surface!r}")
     obs = []
     for t in ts:
-        t = float(t)
         if curve.center_distance is None:
             expected = -(1.0 / R) * math.cos(theta)
         else:
@@ -285,15 +289,15 @@ def _patches():
     return out
 
 
-def _grid_for(patch) -> Tuple[np.ndarray, np.ndarray]:
-    us = np.linspace(0.0, 6.0, 20)
+def _grid_for(patch) -> Tuple[List[float], List[float]]:
+    us = _linspace(0.0, 6.0, 20)
     name = patch.name
     if name.startswith("sphere"):
-        vs = np.linspace(0.3, math.pi - 0.3, 20)
+        vs = _linspace(0.3, math.pi - 0.3, 20)
     elif name.startswith("pseudosphere"):
-        vs = np.linspace(0.1, 1.45, 20)
+        vs = _linspace(0.1, 1.45, 20)
     else:
-        vs = np.linspace(0.2, 3.0, 20)
+        vs = _linspace(0.2, 3.0, 20)
     return us, vs
 
 
@@ -306,12 +310,12 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
         relative = patch.known_K != 0.0
         for u in us:
             for v in vs:
-                K = gaussian_curvature(patch, float(u), float(v), mode)
+                K = gaussian_curvature(patch, u, v, mode)
                 if relative:
                     err = abs(K - patch.known_K) / abs(patch.known_K)
                 else:
                     err = abs(K)
-                obs.append(Observation((patch.name, float(u), float(v)), patch.known_K, K, err))
+                obs.append(Observation((patch.name, u, v), patch.known_K, K, err))
         tol = (1e-6 if relative else 1e-8) * tol_scale
         reports.append(make_report(f"forms.curvature_constancy.{patch.name}", obs, tol))
 
@@ -321,9 +325,9 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
         flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         for u in us[::4]:
             for v in vs[::4]:
-                K1 = gaussian_curvature(patch, float(u), float(v), mode)
-                K2 = gaussian_curvature(flipped, float(u), float(v), mode)
-                obs.append(Observation((patch.name, float(u), float(v)), K1, K2, abs(K1 - K2)))
+                K1 = gaussian_curvature(patch, u, v, mode)
+                K2 = gaussian_curvature(flipped, u, v, mode)
+                obs.append(Observation((patch.name, u, v), K1, K2, abs(K1 - K2)))
     reports.append(make_report("forms.orientation_invariance", obs, 1e-12 * tol_scale))
 
     obs = []
@@ -331,11 +335,11 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
         us, vs = _grid_for(patch)
         for u in us[::4]:
             for v in vs[::4]:
-                E, F, G = first_form(eval_frame(patch, float(u), float(v), JET_MODE_ANALYTIC))
+                E, F, G = first_form(eval_frame(patch, u, v, JET_MODE_ANALYTIC))
                 det = E * G - F * F
                 obs.append(
                     Observation(
-                        (patch.name, float(u), float(v)),
+                        (patch.name, u, v),
                         0.0,
                         det,
                         0.0 if det > 0.0 else 1.0,
@@ -348,31 +352,31 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
         us, vs = _grid_for(patch)
         for u in us[::4]:
             for v in vs[::4]:
-                an = eval_jet(patch, float(u), float(v), JET_MODE_ANALYTIC)
-                fd = eval_jet(patch, float(u), float(v), JET_MODE_FD)
+                an = eval_jet(patch, u, v, JET_MODE_ANALYTIC)
+                fd = eval_jet(patch, u, v, JET_MODE_FD)
                 worst = 0.0
                 for name in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"):
                     va = getattr(an, name)
                     vf = getattr(fd, name)
                     diff = (vf - va).norm() / max(1.0, va.norm())
                     worst = max(worst, diff)
-                obs.append(Observation((patch.name, float(u), float(v)), 0.0, worst, worst))
+                obs.append(Observation((patch.name, u, v), 0.0, worst, worst))
     reports.append(make_report("forms.jet_consistency", obs, 1e-6 * tol_scale))
 
     return reports
 
 
-def _angle_families() -> List[Tuple[cv.ChartCurve, float, np.ndarray]]:
+def _angle_families() -> List[Tuple[cv.ChartCurve, float, List[float]]]:
     fams = []
     for a in (0.5, 2.0, -1.0):
-        fams.append((cv.plane_log_spiral(a), math.atan(a), np.linspace(-1.0, 2.0, 50)))
+        fams.append((cv.plane_log_spiral(a), math.atan(a), _linspace(-1.0, 2.0, 50)))
     for R, a in ((1.0, 1.0), (2.0, 0.5)):
         fams.append(
-            (cv.sphere_loxodrome(R, a), math.atan2(1.0, a), np.linspace(0.5, 1.4, 50))
+            (cv.sphere_loxodrome(R, a), math.atan2(1.0, a), _linspace(0.5, 1.4, 50))
         )
     for theta in (math.pi / 3.0, 2.0 * math.pi / 3.0):
         fams.append(
-            (cv.pseudosphere_loxodrome(1.0, theta), theta, np.linspace(0.3, 1.4, 50))
+            (cv.pseudosphere_loxodrome(1.0, theta), theta, _linspace(0.3, 1.4, 50))
         )
     return fams
 
@@ -383,29 +387,29 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
     obs = []
     for curve, theta, ts in _angle_families():
         for t in ts:
-            measured = cv.angle_to_parallel(curve, float(t), mode)
+            measured = cv.angle_to_parallel(curve, t, mode)
             obs.append(
-                Observation((curve.label, float(t)), theta, measured, abs(measured - theta))
+                Observation((curve.label, t), theta, measured, abs(measured - theta))
             )
     reports.append(make_report("curves.constant_angle", obs, 1e-7 * tol_scale))
 
     obs = []
     for curve, _, ts in _angle_families()[:4]:
         for t in ts[5::17]:
-            k = cv.geodesic_curvature_numeric(curve, float(t), mode)
+            k = cv.geodesic_curvature_numeric(curve, t, mode)
             flipped_patch = dataclasses.replace(
                 curve.patch, orientation_sign=-curve.patch.orientation_sign
             )
             k_o = cv.geodesic_curvature_numeric(
-                dataclasses.replace(curve, patch=flipped_patch), float(t), mode
+                dataclasses.replace(curve, patch=flipped_patch), t, mode
             )
             k_d = cv.geodesic_curvature_numeric(
                 dataclasses.replace(curve, direction_sign=-curve.direction_sign),
-                float(t),
+                t,
                 mode,
             )
-            obs.append(Observation((curve.label, float(t), "orientation"), 0.0, k + k_o, abs(k + k_o)))
-            obs.append(Observation((curve.label, float(t), "direction"), 0.0, k + k_d, abs(k + k_d)))
+            obs.append(Observation((curve.label, t, "orientation"), 0.0, k + k_o, abs(k + k_o)))
+            obs.append(Observation((curve.label, t, "direction"), 0.0, k + k_d, abs(k + k_d)))
     reports.append(make_report("curves.orientation_covariance", obs, 1e-9 * tol_scale))
 
     for args in (
@@ -447,14 +451,14 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
         r_lo, r_hi = 0.5, 2.0
         if K > 0.0:
             r_hi = 2.6
-        rs = np.linspace(r_lo, r_hi, 400)
-        r0, u0 = float(rs[0]), 0.0
-        pts = [pl.spiral_chart_trace(K, theta, r0, u0, float(r)) for r in rs]
+        rs = _linspace(r_lo, r_hi, 400)
+        r0, u0 = rs[0], 0.0
+        pts = [pl.spiral_chart_trace(K, theta, r0, u0, r) for r in rs]
         emb = pl.embed_polar_trace(patch, pts)
-        for t in np.linspace(r_lo + 0.1, r_hi - 0.1, 50):
-            measured = cv.angle_to_parallel(emb, float(t), mode)
+        for t in _linspace(r_lo + 0.1, r_hi - 0.1, 50):
+            measured = cv.angle_to_parallel(emb, t, mode)
             obs.append(
-                Observation((patch.name, float(t)), theta, measured, abs(measured - theta))
+                Observation((patch.name, t), theta, measured, abs(measured - theta))
             )
     reports.append(make_report("curves.embedded_polar_angle", obs, 1e-7 * tol_scale))
 
@@ -465,19 +469,19 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
     reports = []
 
     families = [
-        (cv.plane_log_spiral(1.0), np.linspace(-0.5, 1.5, 8)),
-        (cv.sphere_loxodrome(1.0, 1.0), np.linspace(0.8, 1.35, 8)),
-        (cv.pseudosphere_loxodrome(1.0, math.pi / 3.0), np.linspace(0.4, 1.3, 8)),
+        (cv.plane_log_spiral(1.0), _linspace(-0.5, 1.5, 8)),
+        (cv.sphere_loxodrome(1.0, 1.0), _linspace(0.8, 1.35, 8)),
+        (cv.pseudosphere_loxodrome(1.0, math.pi / 3.0), _linspace(0.4, 1.3, 8)),
         (
             cv.coordinate_curve(sphere_patch(1.0), cv.PARALLEL, 0.9),
-            np.linspace(0.0, 5.0, 8),
+            _linspace(0.0, 5.0, 8),
         ),
     ]
     obs = []
     for curve, ts in families:
         for t in ts:
-            b = liouville_breakdown(curve, float(t), mode)
-            obs.append(Observation((curve.label, float(t)), b.k_direct, b.k_liouville, b.residual))
+            b = liouville_breakdown(curve, t, mode)
+            obs.append(Observation((curve.label, t), b.k_direct, b.k_liouville, b.residual))
     reports.append(make_report("liouville.residual", obs, 1e-5 * tol_scale))
 
     obs = []
@@ -496,10 +500,10 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
     return reports
 
 
-def _jacobi_grid(K: float) -> np.ndarray:
+def _jacobi_grid(K: float) -> List[float]:
     if K > 0.0:
-        return np.linspace(0.03, 0.97 * math.pi / math.sqrt(K), 100)
-    return np.linspace(0.05, 2.0, 100)
+        return _linspace(0.03, 0.97 * math.pi / math.sqrt(K), 100)
+    return _linspace(0.05, 2.0, 100)
 
 
 def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
@@ -514,14 +518,19 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         )
     )
 
-    slope_rs = np.logspace(-1, -4, 13)
-    devs = []
-    for r in slope_rs:
-        ratio = cf.spiral_curvature(4.0, float(r), math.pi / 4.0) / cf.spiral_curvature(
-            -4.0, float(r), math.pi / 4.0
+    # least-squares slope of log|ratio - 1| against log r, r from 1e-1 to 1e-4
+    xs, ys = [], []
+    for e in _linspace(-1.0, -4.0, 13):
+        r = 10.0 ** e
+        ratio = cf.spiral_curvature(4.0, r, math.pi / 4.0) / cf.spiral_curvature(
+            -4.0, r, math.pi / 4.0
         )
-        devs.append(abs(ratio - 1.0))
-    slope = float(np.polyfit(np.log(slope_rs), np.log(devs), 1)[0])
+        xs.append(math.log(r))
+        ys.append(math.log(abs(ratio - 1.0)))
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
     reports.append(
         make_report(
             "analysis.ratio_limit.slope",
@@ -538,8 +547,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
 
     for r in (0.25, 1.0, 4.0):
         t_max = (math.pi / r - 1e-3) ** 2
-        grid = np.linspace(-25.0, t_max, 1000)
-        rep = verify_monotone_in_K(r, [float(t) for t in grid])
+        rep = verify_monotone_in_K(r, _linspace(-25.0, t_max, 1000))
         reports.append(
             dataclasses.replace(rep, check_name=f"analysis.monotonicity.r={r:g}")
         )
@@ -602,7 +610,6 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
     for K in (-4.0, -1.0, 0.0, 1.0, 4.0):
         metric = pl.polar_metric(K)
         for r in _jacobi_grid(K):
-            r = float(r)
             h = scaled_step(r, EPS ** (1.0 / 6.0))
             d2, _ = richardson_second(metric.sqrtG, r, h)
             residual = abs(d2 + K * metric.sqrtG(r))
@@ -613,16 +620,12 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
     for K in (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0):
         grid = _jacobi_grid(K)[::10]
         for r in grid:
-            r = float(r)
             a = pl.circle_curvature(K, r)
             b = cf.geodesic_circle_curvature(K, r)
             obs.append(Observation((K, r), b, a, abs(a - b) / abs(b)))
     reports.append(make_report("analysis.circle_consistency", obs, 1e-13 * tol_scale))
 
-    # quad is the independent reference here; imported late so that
-    # importing the package loads no scipy
-    from scipy.integrate import quad
-
+    # the quadrature of 1/sqrt(G) is the independent route to the closed trace
     obs = []
     theta = math.pi / 3.0
     cot = math.cos(theta) / math.sin(theta)
@@ -630,7 +633,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         metric = pl.polar_metric(K)
         for r0, r1 in ((0.6, 1.4), (0.3, 0.9)):
             closed = pl.spiral_chart_trace(K, theta, r0, 0.0, r1).u
-            integral, _ = quad(lambda s: 1.0 / metric.sqrtG(s), r0, r1, epsabs=1e-13, epsrel=1e-12)
+            integral, _ = gauss_kronrod(lambda s: 1.0 / metric.sqrtG(s), r0, r1, epsabs=1e-13, epsrel=1e-12)
             obs.append(
                 Observation((K, r0, r1), cot * integral, closed, abs(closed - cot * integral))
             )
