@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closed_form": (
         "CurvatureProfile",
-        "SpiralCurvatureQuery",
         "first_positive_circle_zero",
         "geodesic_circle_curvature",
         "geodesic_circle_curvature_dK",

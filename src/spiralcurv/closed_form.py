@@ -52,20 +52,6 @@ METHOD_SERIES = "series"
 
 
 @dataclass(frozen=True)
-class SpiralCurvatureQuery:
-    """Admissible (K, r, theta) triple for a spiral-curvature evaluation;
-    the region is the one _require_admissible and _require_angle define."""
-
-    K: float
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        _require_admissible(self.K, self.r)
-        _require_angle(self.theta)
-
-
-@dataclass(frozen=True)
 class CurvatureProfile:
     """A 1-D sweep of spiral curvature along r (fixed K) or K (fixed r)."""
 

@@ -155,7 +155,6 @@ def spiral_chart_trace(
 def embed_polar_trace(
     patch: SurfacePatch,
     points: Sequence[PolarTracePoint],
-    center: str = "pole",
 ) -> ChartCurve:
     """Embed an intrinsic polar trace as a chart curve on a plane or
     sphere patch (pole at the chart center).
@@ -171,8 +170,6 @@ def embed_polar_trace(
     range 0 < r < r_limit, is parametrized by t = r, and carries
     direction_sign = -1 so it is traversed toward the pole.
     """
-    if center != "pole":
-        raise Unsupported(f"center convention {center!r} not implemented")
     K = patch.known_K
     if K is None:
         raise Unsupported(f"{patch.name} has no known constant curvature")

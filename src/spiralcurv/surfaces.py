@@ -2,8 +2,10 @@
 
 A patch is a map (u, v) -> R^3 on a rectangle, carrying an orientation sign
 that fixes which of the two unit normals the rest of the package uses.  The
-second-form coefficients follow the convention e = <N_u, p_u>,
-f = <N_u, p_v>, g = <N_v, p_v>; flipping the orientation flips (e, f, g)
+second-form coefficients are read off the unit normal N and the second
+partials, e = -<N, p_uu>, f = -<N, p_uv>, g = -<N, p_vv>, which is the
+convention e = <N_u, p_u>, f = <N_u, p_v>, g = <N_v, p_v> because N is
+orthogonal to p_u and p_v; flipping the orientation flips (e, f, g)
 jointly and leaves the curvature untouched.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
@@ -50,7 +52,7 @@ class Interval:
     closed_hi: bool = False
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # also False for nan
             return False
         if x == self.lo and not (self.closed_lo and math.isfinite(self.lo)):
             return False
@@ -246,10 +248,10 @@ def fundamental_forms(
 ) -> FormCoefficients:
     """First and second fundamental form coefficients at a chart point.
 
-    The normal partials N_u, N_v are obtained by differentiating the
-    normalized cross product symbolically in terms of the jet's second
-    partials, so the same code path serves analytic and finite-difference
-    jets.  mode=None picks analytic when the patch has one.
+    The second form is e, f, g = -<N, p_uu>, -<N, p_uv>, -<N, p_vv>, with N
+    the oriented unit normal, so the same code path serves analytic and
+    finite-difference jets.  mode=None picks analytic when the patch has
+    one.
     """
     jet = eval_jet(patch, u, v, _pick_mode(patch, mode))
     return forms_from_jet(jet, patch.orientation_sign)
@@ -262,23 +264,11 @@ def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
 
 
 def forms_from_jet(jet: Jet2, sign: int) -> FormCoefficients:
-    p_u, p_v = jet.p_u, jet.p_v
     E, F, G = first_form(jet)
-
-    c = p_u.cross(p_v)
-    cn = c.norm()
-    if cn < DEGENERACY_THRESHOLD:
-        raise DegenerateJet(f"|p_u x p_v| = {cn:.3e} below degeneracy threshold")
-    c_u = jet.p_uu.cross(p_v) + p_u.cross(jet.p_uv)
-    c_v = jet.p_uv.cross(p_v) + p_u.cross(jet.p_vv)
-    # d/du [ c/|c| ] = c_u/|c| - c <c, c_u>/|c|^3
-    n_u = (c_u / cn - c * (c.dot(c_u) / cn**3)) * sign
-    n_v = (c_v / cn - c * (c.dot(c_v) / cn**3)) * sign
-
-    e = n_u.dot(p_u)
-    f = n_u.dot(p_v)
-    g = n_v.dot(p_v)
-    return FormCoefficients(E=E, F=F, G=G, e=e, f=f, g=g)
+    n = unit_normal(jet, sign)
+    return FormCoefficients(
+        E=E, F=F, G=G, e=-n.dot(jet.p_uu), f=-n.dot(jet.p_uv), g=-n.dot(jet.p_vv)
+    )
 
 
 def gaussian_curvature(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import closed_form as cf
 from . import curves as cv
 from .errors import BadParameter
 from .surfaces import pseudosphere_patch, sphere_patch
@@ -198,27 +197,21 @@ def figure_pseudosphere_loxodrome() -> str:
 
 
 def _iso_radius(K: float, level: float) -> Optional[float]:
-    """Radius where the circle curvature hits `level`, or None.
+    """Radius where the circle curvature c(K, r) equals `level` > 0, or None.
 
-    The circle curvature decreases from +inf to its r->r_max limit, so a
-    bisection bracket exists iff the value at r_max lies below the level.
+    c is inverted in closed form: atan(sqrt(K)/L)/sqrt(K), 1/L, or
+    atanh(sqrt(-K)/L)/sqrt(-K).  For K < 0 the circle curvature stays
+    above sqrt(-K), so no radius exists when sqrt(-K) >= L.
     """
     if K > 0.0:
-        hi = 0.999 * math.pi / math.sqrt(K)
-    else:
-        hi = 60.0
-        if K < 0.0 and math.sqrt(-K) >= level:
-            return None
-    lo = 1e-6
-    if cf.geodesic_circle_curvature(K, hi) >= level:
+        s = math.sqrt(K)
+        return math.atan(s / level) / s
+    if K == 0.0:
+        return 1.0 / level
+    s = math.sqrt(-K)
+    if s >= level:
         return None
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if cf.geodesic_circle_curvature(K, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.atanh(s / level) / s
 
 
 def figure_k_surface() -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import closed_form as cf
@@ -29,7 +29,7 @@ from .numdiff import EPS, gauss_kronrod, richardson_second, richardson_sequence,
 from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
-    eval_frame,
+    SurfacePatch,
     eval_jet,
     first_form,
     gaussian_curvature,
@@ -59,9 +59,13 @@ class Observation:
 @dataclass(frozen=True)
 class VerificationReport:
     check_name: str
-    passed: bool
     observations: List[Observation]
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        """Every observation error is at most the tolerance (a nan fails)."""
+        return all(o.error <= self.tolerance for o in self.observations)
 
     def to_dict(self) -> dict:
         return {
@@ -78,13 +82,6 @@ class VerificationReport:
             f"{status} {self.check_name}: {len(self.observations)} observations, "
             f"max error {worst:.3e}, tolerance {self.tolerance:.3e}"
         )
-
-
-def make_report(name: str, observations: List[Observation], tolerance: float) -> VerificationReport:
-    ok = all(o.error <= tolerance for o in observations)
-    return VerificationReport(
-        check_name=name, passed=ok, observations=observations, tolerance=tolerance
-    )
 
 
 def reports_to_text(reports: Sequence[VerificationReport]) -> str:
@@ -128,7 +125,7 @@ def verify_ratio_limit(
                 error=abs(ratio - 1.0) / envelope,
             )
         )
-    return make_report("analysis.ratio_limit", obs, 1.0)
+    return VerificationReport("analysis.ratio_limit", obs, 1.0)
 
 
 def verify_derivative_at_zero(
@@ -158,7 +155,7 @@ def verify_derivative_at_zero(
         error = abs(estimate - target) / abs(target)
         tol = 1e-8
     obs = [Observation(input=(r, theta), expected=target, actual=estimate, error=error)]
-    return make_report("analysis.derivative_at_zero", obs, tol)
+    return VerificationReport("analysis.derivative_at_zero", obs, tol)
 
 
 def verify_monotone_in_K(r: float, t_grid: Sequence[float]) -> VerificationReport:
@@ -192,7 +189,7 @@ def verify_monotone_in_K(r: float, t_grid: Sequence[float]) -> VerificationRepor
                 )
             )
         prev = (t, val)
-    return make_report("analysis.monotonicity", obs, 0.0)
+    return VerificationReport("analysis.monotonicity", obs, 0.0)
 
 
 def verify_sign_pattern(
@@ -233,7 +230,7 @@ def verify_sign_pattern(
                     0.0 if d < 0.0 else 1.0 + abs(d),
                 )
             )
-    return make_report("analysis.sign_pattern", obs, 1e-12)
+    return VerificationReport("analysis.sign_pattern", obs, 1e-12)
 
 
 def verify_numeric_vs_closed_form(
@@ -274,95 +271,65 @@ def verify_numeric_vs_closed_form(
         actual = cv.geodesic_curvature_numeric(curve, t, mode)
         err = abs(actual - expected) / abs(expected)
         obs.append(Observation((surface, R, theta, t), expected, actual, err))
-    return make_report(f"curves.numeric_vs_closed_form.{surface}", obs, 1e-5)
+    return VerificationReport(f"curves.numeric_vs_closed_form.{surface}", obs, 1e-5)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _patches():
-    out = [plane_patch()]
+def _patches() -> List[Tuple[SurfacePatch, List[float], List[float]]]:
+    """The battery's patches, each with its (u, v) grid."""
+    us = _linspace(0.0, 6.0, 20)
+    out = [(plane_patch(), us, _linspace(0.2, 3.0, 20))]
     for R in (0.5, 1.0, 2.0):
-        out.append(sphere_patch(R))
-        out.append(pseudosphere_patch(R))
+        out.append((sphere_patch(R), us, _linspace(0.3, math.pi - 0.3, 20)))
+        out.append((pseudosphere_patch(R), us, _linspace(0.1, 1.45, 20)))
     return out
 
 
-def _grid_for(patch) -> Tuple[List[float], List[float]]:
-    us = _linspace(0.0, 6.0, 20)
-    name = patch.name
-    if name.startswith("sphere"):
-        vs = _linspace(0.3, math.pi - 0.3, 20)
-    elif name.startswith("pseudosphere"):
-        vs = _linspace(0.1, 1.45, 20)
-    else:
-        vs = _linspace(0.2, 3.0, 20)
-    return us, vs
-
-
 def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
+    """One pass per patch: the curvature at every grid point, and at every
+    4th point in u and in v its orientation flip, the regularity of the
+    first form and the analytic-vs-FD jet agreement."""
     reports = []
-
-    for patch in _patches():
-        us, vs = _grid_for(patch)
-        obs = []
+    orientation, regularity, consistency = [], [], []
+    for patch, us, vs in _patches():
+        flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         relative = patch.known_K != 0.0
-        for u in us:
-            for v in vs:
+        obs = []
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                point = (patch.name, u, v)
                 K = gaussian_curvature(patch, u, v, mode)
                 if relative:
                     err = abs(K - patch.known_K) / abs(patch.known_K)
                 else:
                     err = abs(K)
-                obs.append(Observation((patch.name, u, v), patch.known_K, K, err))
-        tol = (1e-6 if relative else 1e-8) * tol_scale
-        reports.append(make_report(f"forms.curvature_constancy.{patch.name}", obs, tol))
-
-    obs = []
-    for patch in _patches():
-        us, vs = _grid_for(patch)
-        flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
-        for u in us[::4]:
-            for v in vs[::4]:
-                K1 = gaussian_curvature(patch, u, v, mode)
+                obs.append(Observation(point, patch.known_K, K, err))
+                if i % 4 or j % 4:
+                    continue
                 K2 = gaussian_curvature(flipped, u, v, mode)
-                obs.append(Observation((patch.name, u, v), K1, K2, abs(K1 - K2)))
-    reports.append(make_report("forms.orientation_invariance", obs, 1e-12 * tol_scale))
-
-    obs = []
-    for patch in _patches():
-        us, vs = _grid_for(patch)
-        for u in us[::4]:
-            for v in vs[::4]:
-                E, F, G = first_form(eval_frame(patch, u, v, JET_MODE_ANALYTIC))
-                det = E * G - F * F
-                obs.append(
-                    Observation(
-                        (patch.name, u, v),
-                        0.0,
-                        det,
-                        0.0 if det > 0.0 else 1.0,
-                    )
-                )
-    reports.append(make_report("forms.regularity", obs, 0.0))
-
-    obs = []
-    for patch in _patches():
-        us, vs = _grid_for(patch)
-        for u in us[::4]:
-            for v in vs[::4]:
+                orientation.append(Observation(point, K, K2, abs(K - K2)))
                 an = eval_jet(patch, u, v, JET_MODE_ANALYTIC)
                 fd = eval_jet(patch, u, v, JET_MODE_FD)
+                E, F, G = first_form(an)
+                det = E * G - F * F
+                regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
                 worst = 0.0
                 for name in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"):
                     va = getattr(an, name)
                     vf = getattr(fd, name)
                     diff = (vf - va).norm() / max(1.0, va.norm())
                     worst = max(worst, diff)
-                obs.append(Observation((patch.name, u, v), 0.0, worst, worst))
-    reports.append(make_report("forms.jet_consistency", obs, 1e-6 * tol_scale))
-
+                consistency.append(Observation(point, 0.0, worst, worst))
+        tol = (1e-6 if relative else 1e-8) * tol_scale
+        reports.append(VerificationReport(f"forms.curvature_constancy.{patch.name}", obs, tol))
+    reports.append(
+        VerificationReport("forms.orientation_invariance", orientation, 1e-12 * tol_scale)
+    )
+    reports.append(VerificationReport("forms.regularity", regularity, 0.0))
+    reports.append(VerificationReport("forms.jet_consistency", consistency, 1e-6 * tol_scale))
     return reports
 
 
@@ -383,18 +350,19 @@ def _angle_families() -> List[Tuple[cv.ChartCurve, float, List[float]]]:
 
 def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
     reports = []
+    families = _angle_families()
 
     obs = []
-    for curve, theta, ts in _angle_families():
+    for curve, theta, ts in families:
         for t in ts:
             measured = cv.angle_to_parallel(curve, t, mode)
             obs.append(
                 Observation((curve.label, t), theta, measured, abs(measured - theta))
             )
-    reports.append(make_report("curves.constant_angle", obs, 1e-7 * tol_scale))
+    reports.append(VerificationReport("curves.constant_angle", obs, 1e-7 * tol_scale))
 
     obs = []
-    for curve, _, ts in _angle_families()[:4]:
+    for curve, _, ts in families[:4]:
         for t in ts[5::17]:
             k = cv.geodesic_curvature_numeric(curve, t, mode)
             flipped_patch = dataclasses.replace(
@@ -410,7 +378,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
             )
             obs.append(Observation((curve.label, t, "orientation"), 0.0, k + k_o, abs(k + k_o)))
             obs.append(Observation((curve.label, t, "direction"), 0.0, k + k_d, abs(k + k_d)))
-    reports.append(make_report("curves.orientation_covariance", obs, 1e-9 * tol_scale))
+    reports.append(VerificationReport("curves.orientation_covariance", obs, 1e-9 * tol_scale))
 
     for args in (
         ("plane", 1.0, math.pi / 4.0),
@@ -421,7 +389,9 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
     ):
         rep = verify_numeric_vs_closed_form(*args, sample_count=50, mode=mode)
         name = f"{rep.check_name}.R={args[1]:g}.theta={args[2]:.3f}"
-        reports.append(make_report(name, rep.observations, rep.tolerance * tol_scale))
+        reports.append(
+            dataclasses.replace(rep, check_name=name, tolerance=rep.tolerance * tol_scale)
+        )
 
     obs = []
     spiral = cv.plane_log_spiral(1.0)
@@ -431,17 +401,14 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
     La = cv.arc_length(spiral, 0.0, 0.8, mode)
     Lb = cv.arc_length(spiral, 0.8, 2.0, mode)
     obs.append(Observation(("additivity",), L, La + Lb, abs(L - La - Lb)))
-    obs.append(
-        Observation(
-            ("antisymmetry",), -L, cv.arc_length(spiral, 2.0, 0.0, mode), abs(L + cv.arc_length(spiral, 2.0, 0.0, mode))
-        )
-    )
+    L_rev = cv.arc_length(spiral, 2.0, 0.0, mode)
+    obs.append(Observation(("antisymmetry",), -L, L_rev, abs(L + L_rev)))
     equator = cv.coordinate_curve(sphere_patch(1.0), cv.PARALLEL, math.pi / 2.0)
     Le = cv.arc_length(equator, 0.0, 2.0 * math.pi, mode)
     obs.append(
         Observation(("sphere equator",), 2.0 * math.pi, Le, abs(Le - 2.0 * math.pi))
     )
-    reports.append(make_report("curves.arc_length", obs, 1e-10 * tol_scale))
+    reports.append(VerificationReport("curves.arc_length", obs, 1e-10 * tol_scale))
 
     obs = []
     for patch, K, theta, reference in (
@@ -451,16 +418,15 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
         r_lo, r_hi = 0.5, 2.0
         if K > 0.0:
             r_hi = 2.6
-        rs = _linspace(r_lo, r_hi, 400)
-        r0, u0 = rs[0], 0.0
-        pts = [pl.spiral_chart_trace(K, theta, r0, u0, r) for r in rs]
+        # the embedding fits the trace through its first and last points
+        pts = [pl.spiral_chart_trace(K, theta, r_lo, 0.0, r) for r in _linspace(r_lo, r_hi, 4)]
         emb = pl.embed_polar_trace(patch, pts)
         for t in _linspace(r_lo + 0.1, r_hi - 0.1, 50):
             measured = cv.angle_to_parallel(emb, t, mode)
             obs.append(
                 Observation((patch.name, t), theta, measured, abs(measured - theta))
             )
-    reports.append(make_report("curves.embedded_polar_angle", obs, 1e-7 * tol_scale))
+    reports.append(VerificationReport("curves.embedded_polar_angle", obs, 1e-7 * tol_scale))
 
     return reports
 
@@ -482,7 +448,7 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
         for t in ts:
             b = liouville_breakdown(curve, t, mode)
             obs.append(Observation((curve.label, t), b.k_direct, b.k_liouville, b.residual))
-    reports.append(make_report("liouville.residual", obs, 1e-5 * tol_scale))
+    reports.append(VerificationReport("liouville.residual", obs, 1e-5 * tol_scale))
 
     obs = []
     for patch, vs in (
@@ -495,7 +461,7 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
         for v in vs:
             k2 = cv.geodesic_curvature_numeric(meridian, v, mode)
             obs.append(Observation((patch.name, v), 0.0, k2, abs(k2)))
-    reports.append(make_report("liouville.meridian_geodesic", obs, 1e-8 * tol_scale))
+    reports.append(VerificationReport("liouville.meridian_geodesic", obs, 1e-8 * tol_scale))
 
     return reports
 
@@ -532,7 +498,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         (x - x_mean) ** 2 for x in xs
     )
     reports.append(
-        make_report(
+        VerificationReport(
             "analysis.ratio_limit.slope",
             [Observation((4.0, -4.0), 2.0, slope, abs(slope - 2.0))],
             0.1,
@@ -543,7 +509,9 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         for theta in (math.pi / 6.0, math.pi / 3.0, 3.0 * math.pi / 4.0):
             rep = verify_derivative_at_zero(r, theta)
             name = f"analysis.derivative_at_zero.r={r:g}.theta={theta:.3f}"
-            reports.append(make_report(name, rep.observations, rep.tolerance * tol_scale))
+            reports.append(
+                dataclasses.replace(rep, check_name=name, tolerance=rep.tolerance * tol_scale)
+            )
 
     for r in (0.25, 1.0, 4.0):
         t_max = (math.pi / r - 1e-3) ** 2
@@ -557,7 +525,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         got = cf.geodesic_circle_curvature_dK(0.0, r)
         want = -(r / 3.0)
         obs.append(Observation((0.0, r), want, got, 0.0 if got == want else abs(got - want)))
-    reports.append(make_report("analysis.derivative_exact_at_zero", obs, 0.0))
+    reports.append(VerificationReport("analysis.derivative_exact_at_zero", obs, 0.0))
 
     thetas = (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0)
     for K in (-4.0, 0.0, 4.0):
@@ -582,7 +550,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
                         (K, r), direct, series, abs(series - direct) / abs(direct)
                     )
                 )
-    reports.append(make_report("analysis.seam_agreement", obs, 1e-12 * tol_scale))
+    reports.append(VerificationReport("analysis.seam_agreement", obs, 1e-12 * tol_scale))
 
     obs = []
     r, theta = 1.5, math.pi / 3.0
@@ -604,7 +572,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             )
         )
         prev = gap
-    reports.append(make_report("analysis.seam_continuity", obs, 1e-12 * tol_scale))
+    reports.append(VerificationReport("analysis.seam_continuity", obs, 1e-12 * tol_scale))
 
     obs = []
     for K in (-4.0, -1.0, 0.0, 1.0, 4.0):
@@ -614,7 +582,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             d2, _ = richardson_second(metric.sqrtG, r, h)
             residual = abs(d2 + K * metric.sqrtG(r))
             obs.append(Observation((K, r), 0.0, d2, residual))
-    reports.append(make_report("analysis.jacobi_residual", obs, 1e-6 * tol_scale))
+    reports.append(VerificationReport("analysis.jacobi_residual", obs, 1e-6 * tol_scale))
 
     obs = []
     for K in (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0):
@@ -623,7 +591,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             a = pl.circle_curvature(K, r)
             b = cf.geodesic_circle_curvature(K, r)
             obs.append(Observation((K, r), b, a, abs(a - b) / abs(b)))
-    reports.append(make_report("analysis.circle_consistency", obs, 1e-13 * tol_scale))
+    reports.append(VerificationReport("analysis.circle_consistency", obs, 1e-13 * tol_scale))
 
     # the quadrature of 1/sqrt(G) is the independent route to the closed trace
     obs = []
@@ -637,7 +605,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             obs.append(
                 Observation((K, r0, r1), cot * integral, closed, abs(closed - cot * integral))
             )
-    reports.append(make_report("analysis.polar_trace_quadrature", obs, 1e-10 * tol_scale))
+    reports.append(VerificationReport("analysis.polar_trace_quadrature", obs, 1e-10 * tol_scale))
 
     return reports
 

@@ -30,7 +30,6 @@ from spiralcurv import (
     spiral_curvature_series,
     spiral_curvature_with_method,
 )
-from spiralcurv.closed_form import SpiralCurvatureQuery
 
 PI = math.pi
 
@@ -94,8 +93,6 @@ def test_gate_is_shared():
     # the same region, the same error, from every entry point
     for K, r, theta in ((math.nan, 1.0, 0.7), (4.0, 2.0, 0.7), (0.0, 1e-320, 0.7),
                         (0.0, 1.0, PI), (-math.inf, 1.0, 0.7)):
-        with pytest.raises(DomainError):
-            SpiralCurvatureQuery(K, r, theta)
         with pytest.raises(DomainError):
             spiral_curvature(K, r, theta)
         with pytest.raises(DomainError):

@@ -282,19 +282,6 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_import_loads_no_scipy():
-    # scipy is deferred to arc_length and the verify battery, so a cold
-    # start of the package (and of every CLI call that needs neither) skips it
-    code = "import sys, spiralcurv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
-    ).stdout
-    assert out.strip() == "[]"
-
-
 class TestNegativeNumbers:
     # argparse once took "-1e-6" after a flag for a flag of its own
     @pytest.mark.parametrize("value", ["-1e-6", "-2.5E-3", "-1.e-4", "-.5e-5"])

@@ -21,7 +21,6 @@ from spiralcurv.closed_form import (
     METHOD_CLOSED_FORM,
     METHOD_SERIES,
     SERIES_WINDOW,
-    SpiralCurvatureQuery,
 )
 
 PI = math.pi
@@ -113,12 +112,6 @@ class TestSpiralCurvature:
     def test_non_finite_profile_rejected(self, axis, fixed, hi):
         with pytest.raises(DomainError):
             profile(axis, fixed, 0.5, hi, 3, 0.7)
-
-    def test_query_validation(self):
-        with pytest.raises(DomainError):
-            SpiralCurvatureQuery(4.0, 2.0, 0.5)  # r past pi/2
-        q = SpiralCurvatureQuery(4.0, 1.5, 0.5)
-        assert (q.K, q.r, q.theta) == (4.0, 1.5, 0.5)
 
 
 class TestSeries:

@@ -42,7 +42,7 @@ def test_submodule_attributes_resolve_on_first_access():
 
 
 def test_every_public_name_resolves_to_its_definition():
-    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 65
+    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 64
     for name in spiralcurv.__all__:
         module = importlib.import_module(f"spiralcurv.{spiralcurv._ORIGIN[name]}")
         assert getattr(spiralcurv, name) is getattr(module, name), name
@@ -69,38 +69,10 @@ def test_unknown_attribute_raises_attribute_error():
         spiralcurv.no_such_name
 
 
-def test_cli_without_verify_loads_no_numpy_or_scipy(tmp_path):
-    figure = str(tmp_path / "figure.svg")
-    argvs = [
-        ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
-        ["curvature", "--K", "1e-6", "--series"],
-        ["profile", "--axis", "K", "--fixed", "1", "--min", "-1", "--max", "1", "--steps", "9"],
-    ]
-    for jets in ("analytic", "fd"):
-        for surface, extra in (("plane", []), ("sphere", []), ("pseudosphere", []),
-                               ("polar", ["--K", "1"])):
-            r0, r1 = ("0.4", "1.3") if surface == "pseudosphere" else ("0.5", "1.2")
-            argvs.append(["trace", "--surface", surface, *extra, "--theta", "1", "--r0", r0,
-                          "--r1", r1, "--samples", "5", "--jets", jets])
-    argvs.append(["trace", "--surface", "sphere", "--theta", "1", "--r0", "0.5", "--r1", "1",
-                  "--samples", "5", "--format", "svg", "--out", figure])
-    for name in ("spiral", "pseudosphere", "sphere-loxodrome", "pseudosphere-loxodrome",
-                 "k-surface"):
-        argvs.append(["figure", "--name", name, "--out", figure])
-    out = run_fresh(
-        "import contextlib, io, sys\n"
-        "from spiralcurv.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-    )
-    assert out.strip() == "[]"
-
-
 def test_every_subcommand_runs_with_numpy_and_scipy_blocked(tmp_path):
-    # a meta-path finder that fails every numpy or scipy import, installed
-    # before the package is imported: the package has no runtime dependencies
+    # a meta-path finder, installed before the package is imported, that
+    # records every numpy or scipy lookup and fails it: the package has no
+    # runtime dependencies, and no subcommand even tries either import
     figure = str(tmp_path / "figure.svg")
     argvs = [
         ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
@@ -121,15 +93,17 @@ def test_every_subcommand_runs_with_numpy_and_scipy_blocked(tmp_path):
         argvs.append(["figure", "--name", name, "--out", figure])
     out = run_fresh(
         "import contextlib, io, sys\n"
+        "looked_up = []\n"
         "class Block:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
         "        if name.split('.')[0] in ('numpy', 'scipy'):\n"
+        "            looked_up.append(name)\n"
         "            raise ImportError(f'{name} is blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
         "from spiralcurv.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(looked_up)"
     )
     assert out.strip() == "[]"

@@ -139,8 +139,6 @@ class TestEmbedding:
         pts = _trace_points(0.0, PI / 4.0, 0.5, 0.0, 2.0, n=8)
         with pytest.raises(Unsupported):
             embed_polar_trace(pseudosphere_patch(1.0), pts)
-        with pytest.raises(Unsupported):
-            embed_polar_trace(plane_patch(), pts, center="boundary")
 
     def test_rejects_bad_point_lists(self):
         pts = _trace_points(0.0, PI / 4.0, 0.5, 0.0, 2.0, n=8)

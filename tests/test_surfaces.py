@@ -29,7 +29,8 @@ from spiralcurv.numdiff import (
     richardson_second,
     scaled_step,
 )
-from spiralcurv.surfaces import Interval
+from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
+from spiralcurv.surfaces import Interval, eval_frame
 
 
 ALL_PATCHES = [
@@ -251,6 +252,30 @@ class TestInterval:
         i = Interval(-math.inf, math.inf, closed_lo=True, closed_hi=True)
         assert i.contains(1e300)
         assert not i.contains(math.inf)
+
+
+NAN_PATCHES = pytest.mark.parametrize(
+    "patch", [plane_patch(), sphere_patch(1.0), pseudosphere_patch(1.0)],
+    ids=["plane", "sphere", "pseudosphere"],
+)
+
+
+# every comparison with nan is False, so a gate that only rejects
+# x < lo or x > hi lets nan through to a nan result
+@NAN_PATCHES
+@pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+@pytest.mark.parametrize("u,v", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+@pytest.mark.parametrize("fn", [gaussian_curvature, fundamental_forms, eval_jet, eval_frame])
+def test_nan_chart_point_is_out_of_domain(patch, mode, u, v, fn):
+    with pytest.raises(OutOfDomain):
+        fn(patch, u, v, mode)
+
+
+@NAN_PATCHES
+@pytest.mark.parametrize("kind", [PARALLEL, MERIDIAN])
+def test_nan_coordinate_curve_is_out_of_domain(patch, kind):
+    with pytest.raises(OutOfDomain):
+        coordinate_curve(patch, kind, math.nan)
 
 
 @pytest.mark.parametrize("make", [sphere_patch, pseudosphere_patch])

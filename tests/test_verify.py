@@ -15,7 +15,7 @@ from spiralcurv import (
     verify_ratio_limit,
     verify_sign_pattern,
 )
-from spiralcurv.verify import Observation, make_report, suite_analysis
+from spiralcurv.verify import Observation, VerificationReport, suite_analysis
 
 PI = math.pi
 
@@ -24,21 +24,21 @@ class TestReportMechanics:
     def test_passed_iff_all_errors_within_tolerance(self):
         good = Observation(input=(1.0,), expected=1.0, actual=1.0 + 1e-9, error=1e-9)
         bad = Observation(input=(2.0,), expected=1.0, actual=1.5, error=0.5)
-        assert make_report("x", [good], 1e-8).passed
-        assert not make_report("x", [good, bad], 1e-8).passed
+        assert VerificationReport("x", [good], 1e-8).passed
+        assert not VerificationReport("x", [good, bad], 1e-8).passed
 
     def test_nan_error_fails(self):
         nan = Observation(input=(0.0,), expected=0.0, actual=math.nan, error=math.nan)
-        assert not make_report("x", [nan], 1.0).passed
+        assert not VerificationReport("x", [nan], 1.0).passed
 
     def test_text_line_format(self):
-        rep = make_report("demo.check", [Observation((1.0,), 0.0, 0.0, 0.0)], 1e-6)
+        rep = VerificationReport("demo.check", [Observation((1.0,), 0.0, 0.0, 0.0)], 1e-6)
         line = rep.to_text_line()
         assert line.startswith("PASS demo.check:")
         assert "tolerance 1.000e-06" in line
 
     def test_json_field_names(self):
-        rep = make_report("demo.check", [Observation((1.0, "tag"), 2.0, 2.5, 0.25)], 1.0)
+        rep = VerificationReport("demo.check", [Observation((1.0, "tag"), 2.0, 2.5, 0.25)], 1.0)
         doc = json.loads(reports_to_json([rep]))
         assert set(doc.keys()) == {"reports"}
         entry = doc["reports"][0]
