@@ -33,7 +33,7 @@ from .numdiff import (
     fit_step,
     gauss_kronrod,
     richardson_first,
-    richardson_second,
+    richardson_second_halving,
     scaled_step,
 )
 from .surfaces import (
@@ -52,6 +52,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 BREAKDOWN_TOL = 1e-4
+STEP_HALVINGS = 3  # retries of a second difference that fails BREAKDOWN_TOL
 
 PARALLEL = "parallel"
 MERIDIAN = "meridian"
@@ -272,9 +273,10 @@ def geodesic_curvature_numeric(
     get gamma' and gamma''; the unit-speed chain rule reduces the signed
     normal-frame curvature to <gamma'', N x gamma'>/|gamma'|^3.  The
     Richardson correction of the second derivative serves as an error
-    estimate: if it exceeds 1e-4 relative to the curvature scale, or the
-    position overflows inside the stencil, the measurement is rejected
-    with NumericalBreakdown.  The normal N comes from the patch's
+    estimate: while it exceeds 1e-4 relative to the curvature scale, the
+    second-difference step is halved, up to three times; if it still
+    does, or the position overflows inside the stencil, the measurement
+    is rejected with NumericalBreakdown.  The normal N comes from the patch's
     first-order frame (eval_frame), after the stencil is checked.
     """
     u, v = _chart_point(curve, t)
@@ -330,15 +332,22 @@ def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, floa
 
     try:
         d1, _ = richardson_first(curve.point, t, h1)
-        d2, err = richardson_second(curve.point, t, h2)
+        halving = richardson_second_halving(curve.point, t, h2)
+        d2, err = next(halving)
+        sp = d1.norm()
+        if sp == 0.0:
+            raise DegenerateJet(f"curve is not regular at t={t}")
+        # near a point where the trace stops being smooth (the sphere
+        # loxodrome's pole) the step sized from |t| is too coarse: halve it
+        for _ in range(STEP_HALVINGS):
+            if err / max(d2.norm(), sp * sp) <= BREAKDOWN_TOL:
+                break
+            d2, err = next(halving)
     except OverflowError:
         raise NumericalBreakdown(
             f"the position overflows inside the difference stencil at t={t}"
         ) from None
 
-    sp = d1.norm()
-    if sp == 0.0:
-        raise DegenerateJet(f"curve is not regular at t={t}")
     scale = max(d2.norm(), sp * sp)
     if err / scale > BREAKDOWN_TOL:
         raise NumericalBreakdown(
@@ -349,7 +358,7 @@ def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, floa
 
 
 def _curvature(curve: ChartCurve, d1: Vec3, d2: Vec3, sp: float, frame) -> float:
-    n = unit_normal(frame, curve.patch.orientation_sign)
+    n = unit_normal(frame, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
     k = d2.dot(n.cross(d1)) / sp**3
     return curve.direction_sign * k
 

@@ -6,7 +6,10 @@ second-form coefficients are read off the unit normal N and the second
 partials, e = -<N, p_uu>, f = -<N, p_uv>, g = -<N, p_vv>, which is the
 convention e = <N_u, p_u>, f = <N_u, p_v>, g = <N_v, p_v> because N is
 orthogonal to p_u and p_v; flipping the orientation flips (e, f, g)
-jointly and leaves the curvature untouched.
+jointly and leaves the curvature untouched.  The curvature is read off one
+2-jet by curvature_from_jet, which gaussian_curvature calls and which a
+caller already holding the jet calls directly: the verify battery reads
+both orientations' K off one jet per grid point.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
@@ -119,7 +122,8 @@ class SurfacePatch:
         Analytic 2-jet (u, v) -> Jet2, present for the built-in surfaces.
     known_K : float or None
         The constant Gaussian curvature this patch is supposed to have,
-        for downstream cross-checks; None if not constant/known.
+        for downstream cross-checks and for degeneracy_bound; None if not
+        constant/known.
     """
 
     eval: Callable[[float, float], Vec3]
@@ -128,6 +132,17 @@ class SurfacePatch:
     jet: Optional[Callable[[float, float], Jet2]] = None
     known_K: Optional[float] = None
     name: str = "patch"
+
+    @property
+    def degeneracy_bound(self) -> float:
+        """The |p_u x p_v| below which unit_normal calls the chart
+        degenerate: 1e-12 in units of the patch's area, so 1e-12 / |K|
+        (1e-12 * R^2 for the sphere and tractroid of radius R) when the
+        patch has a known nonzero constant curvature K, else the absolute
+        1e-12 (the plane has no length of its own).  A patch and its copy
+        scaled by any factor thus degenerate at the same chart points."""
+        K = self.known_K
+        return DEGENERACY_THRESHOLD / abs(K) if K else DEGENERACY_THRESHOLD
 
 
 def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALYTIC) -> Jet2:
@@ -229,16 +244,18 @@ def _cross_stencil(patch, u, v, h, k):
     ) / (4.0 * h * k)
 
 
-def unit_normal(jet: Frame | Jet2, sign: int) -> Vec3:
+def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:
     """Unit normal for the given orientation sign, from a Frame or a Jet2.
 
-    Raises DegenerateJet when |p_u x p_v| < 1e-12.
+    Raises DegenerateJet when |p_u x p_v| < bound.  The default is the
+    absolute 1e-12; the callers that know the patch pass its
+    degeneracy_bound, which grows with the square of the surface's size.
     """
     if sign not in (1, -1):
         raise BadParameter("orientation sign must be +1 or -1")
     c = jet.p_u.cross(jet.p_v)
     n = c.norm()
-    if n < DEGENERACY_THRESHOLD:
+    if n < bound:
         raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
     return c * (sign / n)
 
@@ -254,7 +271,7 @@ def fundamental_forms(
     one.
     """
     jet = eval_jet(patch, u, v, _pick_mode(patch, mode))
-    return forms_from_jet(jet, patch.orientation_sign)
+    return forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
 
 
 def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
@@ -263,9 +280,11 @@ def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
     return p_u.dot(p_u), p_u.dot(p_v), p_v.dot(p_v)
 
 
-def forms_from_jet(jet: Jet2, sign: int) -> FormCoefficients:
+def forms_from_jet(
+    jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
+) -> FormCoefficients:
     E, F, G = first_form(jet)
-    n = unit_normal(jet, sign)
+    n = unit_normal(jet, sign, bound)
     return FormCoefficients(
         E=E, F=F, G=G, e=-n.dot(jet.p_uu), f=-n.dot(jet.p_uv), g=-n.dot(jet.p_vv)
     )
@@ -275,7 +294,15 @@ def gaussian_curvature(
     patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
 ) -> float:
     """K = (e*g - f^2) / (E*G - F^2)."""
-    forms = fundamental_forms(patch, u, v, mode)
+    jet = eval_jet(patch, u, v, _pick_mode(patch, mode))
+    return curvature_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
+
+
+def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> float:
+    """K = (e*g - f^2) / (E*G - F^2) from a 2-jet, the forms oriented by
+    sign; the sign cancels in K.  DegenerateJet when |p_u x p_v| < bound
+    (see unit_normal) or the first form is not positive definite."""
+    forms = forms_from_jet(jet, sign, bound)
     denom = forms.E * forms.G - forms.F * forms.F
     if denom <= 0.0:
         raise DegenerateJet("first form is not positive definite")

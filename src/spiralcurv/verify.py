@@ -30,9 +30,9 @@ from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
     SurfacePatch,
+    curvature_from_jet,
     eval_jet,
     first_form,
-    gaussian_curvature,
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
@@ -291,17 +291,20 @@ def _patches() -> List[Tuple[SurfacePatch, List[float], List[float]]]:
 def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
     """One pass per patch: the curvature at every grid point, and at every
     4th point in u and in v its orientation flip, the regularity of the
-    first form and the analytic-vs-FD jet agreement."""
+    first form and the analytic-vs-FD jet agreement.  Each grid point
+    evaluates one jet in the battery's mode, which serves both
+    orientations and its own side of the jet agreement."""
     reports = []
     orientation, regularity, consistency = [], [], []
     for patch, us, vs in _patches():
-        flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
+        sign, bound = patch.orientation_sign, patch.degeneracy_bound
         relative = patch.known_K != 0.0
         obs = []
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
                 point = (patch.name, u, v)
-                K = gaussian_curvature(patch, u, v, mode)
+                jet = eval_jet(patch, u, v, mode)
+                K = curvature_from_jet(jet, sign, bound)
                 if relative:
                     err = abs(K - patch.known_K) / abs(patch.known_K)
                 else:
@@ -309,10 +312,12 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                 obs.append(Observation(point, patch.known_K, K, err))
                 if i % 4 or j % 4:
                     continue
-                K2 = gaussian_curvature(flipped, u, v, mode)
+                K2 = curvature_from_jet(jet, -sign, bound)
                 orientation.append(Observation(point, K, K2, abs(K - K2)))
-                an = eval_jet(patch, u, v, JET_MODE_ANALYTIC)
-                fd = eval_jet(patch, u, v, JET_MODE_FD)
+                if mode == JET_MODE_ANALYTIC:
+                    an, fd = jet, eval_jet(patch, u, v, JET_MODE_FD)
+                else:
+                    an, fd = eval_jet(patch, u, v, JET_MODE_ANALYTIC), jet
                 E, F, G = first_form(an)
                 det = E * G - F * F
                 regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
