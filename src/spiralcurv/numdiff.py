@@ -49,6 +49,14 @@ def central_second(f: Callable[[float], object], x: float, h: float):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
+def extrapolate(d_h, d_half):
+    """One Richardson level: the h^2 term removed from two central
+    estimates at steps h and h/2.  richardson, richardson_second_halving
+    and the finite-difference jets of surfaces (once per component) all
+    take it from here."""
+    return d_half + (d_half - d_h) / 3.0
+
+
 def richardson(d: Callable[[float], object], h: float):
     """One Richardson level on a central estimate d(step), and its error.
 
@@ -57,7 +65,7 @@ def richardson(d: Callable[[float], object], h: float):
     magnitude of the extrapolation correction.
     """
     d_h, d_half = d(h), d(h / 2.0)
-    best = d_half + (d_half - d_h) / 3.0
+    best = extrapolate(d_h, d_half)
     return best, _mag(best - d_half)
 
 
@@ -82,7 +90,7 @@ def richardson_second_halving(f, x, h):
     while True:
         h /= 2.0
         d_half = central_second(f, x, h)
-        best = d_half + (d_half - d_h) / 3.0
+        best = extrapolate(d_h, d_half)
         yield best, _mag(best - d_half)
         d_h = d_half
 

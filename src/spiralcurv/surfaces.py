@@ -18,7 +18,12 @@ Two entry points share one domain and mode gate: eval_jet builds the full
 gaussian_curvature) needs; eval_frame returns just p_u and p_v, the
 tangent plane that the unit normal and the first form read, which is all
 the curve measurements use.  With finite differences a frame takes 8
-position evaluations and a 2-jet 25.
+position evaluations and a 2-jet 25: a straight-line stencil kernel
+evaluates each stencil point once and differences the positions per
+component, with one Richardson level (numdiff.extrapolate) and the float
+operations of numdiff's generic central differences, so its bits are
+theirs.  A jet carries the extrapolated values only, no Richardson error
+estimate.
 """
 
 from __future__ import annotations
@@ -28,16 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import (
-    STEP_FIRST,
-    STEP_SECOND,
-    fit_step,
-    richardson,
-    richardson_first,
-    richardson_second,
-    scaled_step,
-)
+from .numdiff import STEP_FIRST, STEP_SECOND, extrapolate, fit_step, scaled_step
 from .vec import Vec3
+
+_new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -155,6 +154,8 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALY
         Finite-difference mode uses only the position map: central
         differences with step cbrt(eps)*max(1,|coord|) for first partials
         and the fourth root for second partials, one Richardson level each.
+        Each of the 25 stencil points is evaluated once; the jet holds the
+        extrapolated derivatives and no Richardson error estimate.
 
     Raises
     ------
@@ -213,9 +214,12 @@ def _fd_steps(patch: SurfacePatch, u: float, v: float, rel: float):
 
 def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
     hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
-    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
-    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
-    return Frame(p_u=p_u, p_v=p_v)
+    e = patch.eval
+    hu_half, hv_half = hu / 2.0, hv / 2.0
+    return Frame(
+        p_u=_first(e(u + hu, v), e(u - hu, v), e(u + hu_half, v), e(u - hu_half, v), hu, hu_half),
+        p_v=_first(e(u, v + hv), e(u, v - hv), e(u, v + hv_half), e(u, v - hv_half), hv, hv_half),
+    )
 
 
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
@@ -228,20 +232,81 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
     frame = _fd_frame(patch, u, v)
+    e = patch.eval
     # the centre is evaluated once, for p and both second differences
-    p = patch.eval(u, v)
-    p_uu = richardson_second(lambda uu: p if uu == u else patch.eval(uu, v), u, hu2)[0]
-    p_vv = richardson_second(lambda vv: p if vv == v else patch.eval(u, vv), v, hv2)[0]
-    # the mixed stencil halves both steps together: extrapolate in their scale c
-    p_uv = richardson(lambda c: _cross_stencil(patch, u, v, c * hu2, c * hv2), 1.0)[0]
+    p = e(u, v)
+    hu_half, hv_half = hu2 / 2.0, hv2 / 2.0
+    p_uu = _second(
+        e(u + hu2, v), p, e(u - hu2, v), e(u + hu_half, v), e(u - hu_half, v), hu2, hu_half
+    )
+    p_vv = _second(
+        e(u, v + hv2), p, e(u, v - hv2), e(u, v + hv_half), e(u, v - hv_half), hv2, hv_half
+    )
+    # the mixed stencil halves both steps together
+    hu_c, hv_c = 0.5 * hu2, 0.5 * hv2
+    p_uv = _cross(
+        e(u + hu2, v + hv2), e(u + hu2, v - hv2), e(u - hu2, v + hv2), e(u - hu2, v - hv2),
+        e(u + hu_c, v + hv_c), e(u + hu_c, v - hv_c), e(u - hu_c, v + hv_c), e(u - hu_c, v - hv_c),
+        4.0 * hu2 * hv2, 4.0 * hu_c * hv_c,
+    )
     return Jet2(p=p, p_u=frame.p_u, p_v=frame.p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
 
 
-def _cross_stencil(patch, u, v, h, k):
-    e = patch.eval
-    return (
-        e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)
-    ) / (4.0 * h * k)
+# The stencil kernel below takes each position once and does, per
+# component, the float operations of numdiff's generic route in its order:
+# central_first (a - b) / (2h), central_second ((a - 2p) + b) / h^2, the
+# cross stencil (((A - B) - C) + D) / (4hk), each at step h and h/2, and
+# one Richardson level through numdiff.extrapolate.  So its bits are those
+# of richardson_first, richardson_second and richardson on Vec3 positions,
+# without the error estimate, which no jet reads.
+
+
+def _first(a, b, a2, b2, h: float, h2: float) -> Vec3:
+    """Central first differences of a = f(x+h), b = f(x-h) and a2, b2 at
+    the half step h2, extrapolated."""
+    s, s2 = 2.0 * h, 2.0 * h2
+    return _new(
+        Vec3,
+        (
+            extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2),
+            extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2),
+            extrapolate((a[2] - b[2]) / s, (a2[2] - b2[2]) / s2),
+        ),
+    )
+
+
+def _second(a, p, b, a2, b2, h: float, h2: float) -> Vec3:
+    """Central second differences about the centre p of a = f(x+h),
+    b = f(x-h) and a2, b2 at the half step h2, extrapolated."""
+    s, s2 = h * h, h2 * h2
+    px, py, pz = 2.0 * p[0], 2.0 * p[1], 2.0 * p[2]
+    return _new(
+        Vec3,
+        (
+            extrapolate(((a[0] - px) + b[0]) / s, ((a2[0] - px) + b2[0]) / s2),
+            extrapolate(((a[1] - py) + b[1]) / s, ((a2[1] - py) + b2[1]) / s2),
+            extrapolate(((a[2] - pz) + b[2]) / s, ((a2[2] - pz) + b2[2]) / s2),
+        ),
+    )
+
+
+def _cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:
+    """Cross stencils f(+h,+k) - f(+h,-k) - f(-h,+k) + f(-h,-k) over
+    s = 4hk, at both step pairs, extrapolated."""
+    return _new(
+        Vec3,
+        (
+            extrapolate(
+                (((A[0] - B[0]) - C[0]) + D[0]) / s, (((A2[0] - B2[0]) - C2[0]) + D2[0]) / s2
+            ),
+            extrapolate(
+                (((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2
+            ),
+            extrapolate(
+                (((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2
+            ),
+        ),
+    )
 
 
 def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:
@@ -347,7 +412,7 @@ def surface_of_revolution(
 
     def position(u: float, v: float) -> Vec3:
         r = x(v)
-        return Vec3(r * math.cos(u), r * math.sin(u), z(v))
+        return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
 
     jet = None
     if all(fn is not None for fn in (dx, d2x, dz, d2z)):
@@ -357,12 +422,12 @@ def surface_of_revolution(
             r, r1, r2 = x(v), dx(v), d2x(v)
             h, h1, h2 = z(v), dz(v), d2z(v)
             return Jet2(
-                p=Vec3(r * cu, r * su, h),
-                p_u=Vec3(-r * su, r * cu, 0.0),
-                p_v=Vec3(r1 * cu, r1 * su, h1),
-                p_uu=Vec3(-r * cu, -r * su, 0.0),
-                p_uv=Vec3(-r1 * su, r1 * cu, 0.0),
-                p_vv=Vec3(r2 * cu, r2 * su, h2),
+                p=_new(Vec3, (r * cu, r * su, h)),
+                p_u=_new(Vec3, (-r * su, r * cu, 0.0)),
+                p_v=_new(Vec3, (r1 * cu, r1 * su, h1)),
+                p_uu=_new(Vec3, (-r * cu, -r * su, 0.0)),
+                p_uv=_new(Vec3, (-r1 * su, r1 * cu, 0.0)),
+                p_vv=_new(Vec3, (r2 * cu, r2 * su, h2)),
             )
 
     return SurfacePatch(

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import closed_form as cf
 from . import curves as cv
 from . import polar as pl
-from .errors import BadParameter, PreconditionFailed
+from .errors import BadParameter, DomainError, PreconditionFailed
 from .liouville import liouville_breakdown
 from .numdiff import EPS, gauss_kronrod, richardson_second, richardson_sequence, scaled_step
 from .surfaces import (
@@ -104,7 +104,9 @@ def verify_ratio_limit(
 
     Each observation stores the ratio and its deviation from 1 divided by
     the envelope 1.5 * |K - K2| r^2 / 3, so the report's tolerance is the
-    dimensionless 1.0; errors shrink quadratically with r.
+    dimensionless 1.0; errors shrink quadratically with r.  BadParameter
+    when the envelope at some r is not a positive finite float (it
+    underflows to 0 for a tiny r or |K - K2|).
     """
     rs = list(r_sequence)
     if not rs or any(r <= 0.0 for r in rs):
@@ -115,8 +117,12 @@ def verify_ratio_limit(
         raise BadParameter("the two curvatures must differ")
     obs = []
     for r in rs:
-        ratio = cf.spiral_curvature(K, r, theta) / cf.spiral_curvature(K2, r, theta)
         envelope = abs(K - K2) * r * r / 3.0 * 1.5
+        if not 0.0 < envelope < math.inf:
+            raise BadParameter(
+                f"envelope 1.5*|K - K2|*r^2/3 = {envelope} at r={r} is not a positive finite float"
+            )
+        ratio = cf.spiral_curvature(K, r, theta) / cf.spiral_curvature(K2, r, theta)
         obs.append(
             Observation(
                 input=(K, K2, theta, r),
@@ -245,13 +251,20 @@ def verify_numeric_vs_closed_form(
 
     surface is "plane", "sphere" or "pseudosphere"; theta is the
     constant angle (for the plane it must lie in (-pi/2, pi/2) \\ {0},
-    the winding angle of the spiral arctan(a))."""
+    the winding angle of the spiral arctan(a); for the sphere and the
+    tractroid in (0, pi)).  BadParameter for a theta outside its range."""
     if sample_count < 2:
         raise BadParameter("sample_count must be at least 2")
     if surface == "plane":
+        if not -math.pi / 2.0 < theta < math.pi / 2.0 or theta == 0.0:
+            raise BadParameter(f"theta={theta} outside (-pi/2, pi/2) \\ {{0}}")
         curve = cv.plane_log_spiral(math.tan(theta))
         ts = _linspace(0.0, 2.0, sample_count)
     elif surface == "sphere":
+        try:
+            cf._require_angle(theta)
+        except DomainError as exc:
+            raise BadParameter(str(exc)) from None
         curve = cv.sphere_loxodrome(R, math.cos(theta) / math.sin(theta))
         ts = [(math.pi - x) / 2.0 for x in _linspace(0.4, 1.2, sample_count)]
     elif surface == "pseudosphere":

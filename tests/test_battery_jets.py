@@ -12,6 +12,14 @@ import sys
 import pytest
 
 from spiralcurv import surfaces, verify
+from spiralcurv.errors import NumericalBreakdown
+from spiralcurv.numdiff import (
+    STEP_FIRST,
+    STEP_SECOND,
+    richardson,
+    richardson_first,
+    richardson_second,
+)
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -69,3 +77,53 @@ def test_forms_suite_observations_match_gaussian_curvature(mode):
         for o in obs[::37]:
             _, u, v = o.input
             assert o.actual == gaussian_curvature(patch, u, v, mode)
+
+
+# The finite-difference jet and frame through numdiff's generic routines on
+# Vec3 positions: the reference that surfaces' stencil kernel reproduces.
+
+
+def _generic_fd_frame(patch, u, v):
+    hu, hv = surfaces._fd_steps(patch, u, v, STEP_FIRST)
+    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
+    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
+    return surfaces.Frame(p_u=p_u, p_v=p_v)
+
+
+def _generic_fd_jet(patch, u, v):
+    hu2, hv2 = surfaces._fd_steps(patch, u, v, STEP_SECOND)
+    h = min(hu2, hv2) / 2.0
+    if h * h == 0.0:
+        raise NumericalBreakdown("squared step underflows")
+    frame = _generic_fd_frame(patch, u, v)
+    p = patch.eval(u, v)
+    p_uu = richardson_second(lambda uu: p if uu == u else patch.eval(uu, v), u, hu2)[0]
+    p_vv = richardson_second(lambda vv: p if vv == v else patch.eval(u, vv), v, hv2)[0]
+
+    def cross(c):
+        e, h, k = patch.eval, c * hu2, c * hv2
+        return (e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)) / (
+            4.0 * h * k
+        )
+
+    p_uv = richardson(cross, 1.0)[0]
+    return surfaces.Jet2(p=p, p_u=frame.p_u, p_v=frame.p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
+
+
+def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
+    kernel = verify.suite_forms(JET_MODE_FD, 100.0)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(patch, u, v):
+            calls[fn.__name__] += 1
+            return fn(patch, u, v)
+        return wrapper
+
+    monkeypatch.setattr(surfaces, "_fd_jet", counted(_generic_fd_jet))
+    monkeypatch.setattr(surfaces, "_fd_frame", counted(_generic_fd_frame))
+    generic = verify.suite_forms(JET_MODE_FD, 100.0)
+    assert calls["_generic_fd_jet"] == 2800
+    assert [(r.check_name, r.observations) for r in kernel] == [
+        (r.check_name, r.observations) for r in generic
+    ]

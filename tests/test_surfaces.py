@@ -19,6 +19,7 @@ from spiralcurv import (
     sphere_patch,
     surface_of_revolution,
     unit_normal,
+    verify,
 )
 from spiralcurv.numdiff import (
     STEP_FIRST,
@@ -30,7 +31,7 @@ from spiralcurv.numdiff import (
     scaled_step,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
-from spiralcurv.surfaces import Interval, eval_frame
+from spiralcurv.surfaces import Interval, Rect, SurfacePatch, eval_frame
 
 
 ALL_PATCHES = [
@@ -77,6 +78,18 @@ def _fd_jet_ndarray(patch, u, v):
         "p_uv": richardson(cross, 1.0)[0],
         "p_vv": richardson_second(fv, v, hv2)[0],
     }
+
+
+def _assert_fd_kernel_is_ndarray_stencil(patch, points):
+    """The FD jet and frame at each point carry the ndarray stencil's bits."""
+    for u, v in points:
+        ref = _fd_jet_ndarray(patch, u, v)
+        jet = eval_jet(patch, u, v, JET_MODE_FD)
+        frame = eval_frame(patch, u, v, JET_MODE_FD)
+        for field, want in ref.items():
+            assert tuple(getattr(jet, field).as_array()) == tuple(want), (u, v, field)
+        for field in ("p_u", "p_v"):
+            assert getattr(frame, field) == getattr(jet, field), (u, v, field)
 
 
 class TestGaussianCurvature:
@@ -129,7 +142,7 @@ class TestJets:
     def test_fd_jet_bit_identical_to_ndarray_stencil(self, patch):
         # the FD jet differences Vec3 positions; the same stencils on numpy
         # arrays give the same bits, also next to the edges of the chart,
-        # where fit_step shrinks the steps
+        # where fit_step shrinks the steps; so does the FD frame
         u, v = _probe(patch)
         dom = patch.domain.v
         for vv in (v, dom.lo + 1e-3, min(dom.hi, 3.0) - 1e-3):
@@ -137,6 +150,53 @@ class TestJets:
             ref = _fd_jet_ndarray(patch, u, vv)
             for name, want in ref.items():
                 assert tuple(getattr(fd, name).as_array()) == tuple(want), name
+            frame = eval_frame(patch, u, vv, JET_MODE_FD)
+            for name in ("p_u", "p_v"):
+                assert tuple(getattr(frame, name).as_array()) == tuple(ref[name]), name
+
+    @pytest.mark.parametrize(
+        "name", ["sphere(R=0.5)", "sphere(R=2)", "pseudosphere(R=0.5)", "pseudosphere(R=2)"]
+    )
+    def test_fd_kernel_bit_identical_on_battery_patches(self, name):
+        # the verify battery's scaled patches, at the corners of its grid
+        # and two inner points: the jet and the frame give the ndarray
+        # stencil's bits
+        (patch, us, vs), = [b for b in verify._patches() if b[0].name == name]
+        corners = ((0, 0), (0, -1), (-1, 0), (-1, -1), (10, 10), (7, 13))
+        _assert_fd_kernel_is_ndarray_stencil(patch, [(us[i], vs[j]) for i, j in corners])
+
+    def test_fd_kernel_bit_identical_on_a_chart_without_symmetry(self):
+        # on a surface of revolution some stencil sums are exactly 0 (the
+        # cross stencil of z), so this chart varies every component with
+        # both u and v
+        patch = SurfacePatch(
+            eval=lambda u, v: Vec3(
+                math.exp(0.3 * u) * math.cos(v) + u * v,
+                math.sin(u * v) + v * v * v,
+                u * u * v - math.cos(u + 2.0 * v),
+            ),
+            domain=Rect(Interval(-2.0, 2.0), Interval(0.1, 3.0)),
+            name="skew",
+        )
+        grid = [(u, v) for u in (-1.9, -0.7, 0.0, 0.45, 1.3, 2.0 - 1e-3)
+                for v in (0.1 + 1e-3, 0.6, 1.7, 2.9)]
+        _assert_fd_kernel_is_ndarray_stencil(patch, grid)
+
+    @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES], ids=lambda p: p.name)
+    def test_fd_stencil_evaluates_each_point_once(self, patch):
+        points = []
+
+        def counted(u, v):
+            points.append((u, v))
+            return patch.eval(u, v)
+
+        counting = dataclasses.replace(patch, eval=counted)
+        u, v = _probe(patch)
+        eval_frame(counting, u, v, JET_MODE_FD)
+        assert len(points) == len(set(points)) == 8
+        points.clear()
+        eval_jet(counting, u, v, JET_MODE_FD)
+        assert len(points) == len(set(points)) == 25
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(BadParameter):

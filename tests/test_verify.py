@@ -79,6 +79,18 @@ class TestRatioLimit:
         with pytest.raises(BadParameter):
             verify_ratio_limit(2.0, 2.0, PI / 4.0, [1e-1, 1e-2])
 
+    @pytest.mark.parametrize(
+        "K,K2,theta,rs,bad_r",
+        [
+            (1.0, -1.0, 1.0, [1e-300], 1e-300),  # r^2 underflows
+            (0.0, 5e-324, 0.5, [0.1, 0.01], 0.1),  # |K - K2| r^2 underflows
+        ],
+    )
+    def test_underflowing_envelope_rejected(self, K, K2, theta, rs, bad_r):
+        # the deviation is divided by the envelope, which must not be 0
+        with pytest.raises(BadParameter, match=f"r={bad_r}"):
+            verify_ratio_limit(K, K2, theta, rs)
+
 
 class TestDerivativeAtZero:
     def test_matches_closed_form(self):
@@ -139,6 +151,18 @@ class TestNumericVsClosedForm:
     def test_sample_count_validated(self):
         with pytest.raises(BadParameter):
             verify_numeric_vs_closed_form("plane", 1.0, PI / 4.0, sample_count=1)
+
+    @pytest.mark.parametrize(
+        "surface,R,theta",
+        [
+            ("sphere", 1.0, 0.0),  # cos(theta) / sin(theta) divides by zero
+            ("sphere", 1.0, math.inf),  # math domain error in cos and sin
+            ("plane", 1.0, math.inf),  # math domain error in tan
+        ],
+    )
+    def test_angle_outside_range_rejected(self, surface, R, theta):
+        with pytest.raises(BadParameter, match="theta="):
+            verify_numeric_vs_closed_form(surface, R, theta, sample_count=2)
 
 
 class TestSuites:
