@@ -359,7 +359,13 @@ def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, floa
 
 def _curvature(curve: ChartCurve, d1: Vec3, d2: Vec3, sp: float, frame) -> float:
     n = unit_normal(frame, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
-    k = d2.dot(n.cross(d1)) / sp**3
+    try:
+        cube = sp**3
+    except OverflowError:
+        cube = math.inf
+    if cube == math.inf:
+        raise NumericalBreakdown("the cube of the curve's speed overflows")
+    k = d2.dot(n.cross(d1)) / cube
     return curve.direction_sign * k
 
 
@@ -368,6 +374,8 @@ def _angle(curve: ChartCurve, t: float, frame) -> float:
     area2 = E * G - F * F
     if area2 <= 0.0 or E <= 0.0:
         raise DegenerateJet("first form is not positive definite")
+    if not math.isfinite(area2):
+        raise NumericalBreakdown("E*G - F^2 overflows")
     du, dv = curve.velocity(t)
     du *= curve.direction_sign
     dv *= curve.direction_sign

@@ -17,19 +17,31 @@ Two entry points share one domain and mode gate: eval_jet builds the full
 2-jet, which only the second fundamental form (fundamental_forms,
 gaussian_curvature) needs; eval_frame returns just p_u and p_v, the
 tangent plane that the unit normal and the first form read, which is all
-the curve measurements use.  With finite differences a frame takes 8
-position evaluations and a 2-jet 25: a straight-line stencil kernel
-evaluates each stencil point once and differences the positions per
+the curve measurements use.  With finite differences a frame takes the
+position at 8 stencil points and a 2-jet at 25: a straight-line stencil
+kernel takes each stencil position once and differences the positions per
 component, with one Richardson level (numdiff.extrapolate) and the float
 operations of numdiff's generic central differences, so its bits are
 theirs.  A jet carries the extrapolated values only, no Richardson error
 estimate.
+
+The stencil of a frame spans 5 distinct u and 5 distinct v, that of a jet
+9 and 9.  On a surface of revolution (x(v) cos u, x(v) sin u, z(v)) the
+kernel uses this: it takes cos and sin once per distinct u and the profile
+x, z once per distinct v, and builds each stencil position from them with
+the float products of the position map, so the jet has the same bits as
+with a call of the position map per point.  It recognises the surface by
+its position map, which surface_of_revolution builds as a
+functools.partial of _revolution_position over x and z; any other
+position map, such as a chart without that symmetry or a wrapped copy of
+the map, is called once per stencil point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
@@ -154,7 +166,10 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALY
         Finite-difference mode uses only the position map: central
         differences with step cbrt(eps)*max(1,|coord|) for first partials
         and the fourth root for second partials, one Richardson level each.
-        Each of the 25 stencil points is evaluated once; the jet holds the
+        The position is taken once at each of the 25 stencil points: on a
+        surface of revolution from cos/sin at the stencil's 9 distinct u
+        and the profile at its 9 distinct v, with the bits of a call of
+        the position map (see the module docstring).  The jet holds the
         extrapolated derivatives and no Richardson error estimate.
 
     Raises
@@ -178,9 +193,11 @@ def eval_frame(
 
     The tangent plane is all that the unit normal and the first form
     need.  Analytic mode returns the patch's own Jet2; finite-difference
-    mode differences the position only for p_u and p_v, with the steps
-    and arithmetic of eval_jet's first partials, so both modes give the
-    same bits as eval_jet's p_u and p_v.  Raises like eval_jet.
+    mode differences the position only for p_u and p_v, at 8 stencil
+    points (on a surface of revolution from cos/sin at 5 distinct u and
+    the profile at 5 distinct v), with the steps and arithmetic of
+    eval_jet's first partials, so both modes give the same bits as
+    eval_jet's p_u and p_v.  Raises like eval_jet.
     """
     if _analytic(patch, u, v, mode):
         return patch.jet(u, v)
@@ -214,12 +231,15 @@ def _fd_steps(patch: SurfacePatch, u: float, v: float, rel: float):
 
 def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
     hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
-    e = patch.eval
     hu_half, hv_half = hu / 2.0, hv / 2.0
-    return Frame(
-        p_u=_first(e(u + hu, v), e(u - hu, v), e(u + hu_half, v), e(u - hu_half, v), hu, hu_half),
-        p_v=_first(e(u, v + hv), e(u, v - hv), e(u, v + hv_half), e(u, v - hv_half), hv, hv_half),
+    (a, b, a2, b2), (c, d, c2, d2) = _positions(
+        patch.eval,
+        u,
+        v,
+        (u + hu, u - hu, u + hu_half, u - hu_half),
+        (v + hv, v - hv, v + hv_half, v - hv_half),
     )
+    return Frame(p_u=_first(a, b, a2, b2, hu, hu_half), p_v=_first(c, d, c2, d2, hv, hv_half))
 
 
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
@@ -231,25 +251,72 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
         raise NumericalBreakdown(
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
-    frame = _fd_frame(patch, u, v)
-    e = patch.eval
+    hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
+    # the mixed stencil halves both steps together, to the second
+    # differences' half steps (numdiff.richardson's 0.5 * h is h / 2.0
+    # exactly)
+    hu_half, hv_half, hu2_half, hv2_half = hu / 2.0, hv / 2.0, hu2 / 2.0, hv2 / 2.0
+    along_u, along_v, p, cross = _positions(
+        patch.eval,
+        u,
+        v,
+        (u + hu, u - hu, u + hu_half, u - hu_half, u + hu2, u - hu2, u + hu2_half, u - hu2_half),
+        (v + hv, v - hv, v + hv_half, v - hv_half, v + hv2, v - hv2, v + hv2_half, v - hv2_half),
+        _CROSS,
+    )
     # the centre is evaluated once, for p and both second differences
-    p = e(u, v)
-    hu_half, hv_half = hu2 / 2.0, hv2 / 2.0
-    p_uu = _second(
-        e(u + hu2, v), p, e(u - hu2, v), e(u + hu_half, v), e(u - hu_half, v), hu2, hu_half
+    return Jet2(
+        p=p,
+        p_u=_first(*along_u[:4], hu, hu_half),
+        p_v=_first(*along_v[:4], hv, hv_half),
+        p_uu=_second(along_u[4], p, along_u[5], along_u[6], along_u[7], hu2, hu2_half),
+        p_uv=_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
+        p_vv=_second(along_v[4], p, along_v[5], along_v[6], along_v[7], hv2, hv2_half),
     )
-    p_vv = _second(
-        e(u, v + hv2), p, e(u, v - hv2), e(u, v + hv_half), e(u, v - hv_half), hv2, hv_half
-    )
-    # the mixed stencil halves both steps together
-    hu_c, hv_c = 0.5 * hu2, 0.5 * hv2
-    p_uv = _cross(
-        e(u + hu2, v + hv2), e(u + hu2, v - hv2), e(u - hu2, v + hv2), e(u - hu2, v - hv2),
-        e(u + hu_c, v + hv_c), e(u + hu_c, v - hv_c), e(u - hu_c, v + hv_c), e(u - hu_c, v - hv_c),
-        4.0 * hu2 * hv2, 4.0 * hu_c * hv_c,
-    )
-    return Jet2(p=p, p_u=frame.p_u, p_v=frame.p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
+
+
+# The cross stencil of a jet, as (i, j) into its abscissae us and vs:
+# (+h, +k), (+h, -k), (-h, +k), (-h, -k) at the second-difference steps,
+# then at their halves.
+_CROSS = ((4, 4), (4, 5), (5, 4), (5, 5), (6, 6), (6, 7), (7, 6), (7, 7))
+
+
+def _positions(position, u, v, us, vs, cross=None):
+    """The stencil positions, each taken once: at (a, v) for a in us and
+    at (u, b) for b in vs; given cross, also at the centre (u, v), as a
+    Vec3, and at (us[i], vs[j]) for (i, j) in cross.
+
+    A surface of revolution's position map, a partial of
+    _revolution_position, is not called: cos and sin are taken once per
+    distinct u and x, z once per distinct v, and each position is built
+    with the float products of _revolution_position.  Any other position
+    map, including a wrapped one, is called at each point.
+    """
+    if type(position) is not partial or position.func is not _revolution_position:
+        along_u = [position(a, v) for a in us]
+        along_v = [position(u, b) for b in vs]
+        if cross is None:
+            return along_u, along_v
+        return along_u, along_v, position(u, v), [position(us[i], vs[j]) for i, j in cross]
+    x, z = position.args
+    r, h, c, s = x(v), z(v), math.cos(u), math.sin(u)
+    trig, along_u = [], []
+    for a in us:
+        ca, sa = math.cos(a), math.sin(a)
+        trig.append((ca, sa))
+        along_u.append((r * ca, r * sa, h))
+    profile, along_v = [], []
+    for b in vs:
+        rb, hb = x(b), z(b)
+        profile.append((rb, hb))
+        along_v.append((rb * c, rb * s, hb))
+    if cross is None:
+        return along_u, along_v
+    points = []
+    for i, j in cross:
+        (ca, sa), (rb, hb) = trig[i], profile[j]
+        points.append((rb * ca, rb * sa, hb))
+    return along_u, along_v, _new(Vec3, (r * c, r * s, h)), points
 
 
 # The stencil kernel below takes each position once and does, per
@@ -315,6 +382,8 @@ def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOL
     Raises DegenerateJet when |p_u x p_v| < bound.  The default is the
     absolute 1e-12; the callers that know the patch pass its
     degeneracy_bound, which grows with the square of the surface's size.
+    Raises NumericalBreakdown when |p_u x p_v| overflows, which it does
+    on a sphere or tractroid of radius above about 1e77.
     """
     if sign not in (1, -1):
         raise BadParameter("orientation sign must be +1 or -1")
@@ -322,6 +391,8 @@ def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOL
     n = c.norm()
     if n < bound:
         raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
+    if not math.isfinite(n):
+        raise NumericalBreakdown("|p_u x p_v| overflows")
     return c * (sign / n)
 
 
@@ -366,11 +437,14 @@ def gaussian_curvature(
 def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> float:
     """K = (e*g - f^2) / (E*G - F^2) from a 2-jet, the forms oriented by
     sign; the sign cancels in K.  DegenerateJet when |p_u x p_v| < bound
-    (see unit_normal) or the first form is not positive definite."""
+    (see unit_normal) or the first form is not positive definite,
+    NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows."""
     forms = forms_from_jet(jet, sign, bound)
     denom = forms.E * forms.G - forms.F * forms.F
     if denom <= 0.0:
         raise DegenerateJet("first form is not positive definite")
+    if not math.isfinite(denom):
+        raise NumericalBreakdown("E*G - F^2 overflows")
     return (forms.e * forms.g - forms.f * forms.f) / denom
 
 
@@ -382,6 +456,15 @@ def _pick_mode(patch: SurfacePatch, mode: Optional[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # built-in surfaces
+
+
+def _revolution_position(x, z, u: float, v: float) -> Vec3:
+    """The point (x(v) cos u, x(v) sin u, z(v)) of the surface of
+    revolution with profile x, z.  surface_of_revolution's position map
+    is this function with x and z bound by functools.partial, which the
+    FD stencil kernel (_positions) recognises."""
+    r = x(v)
+    return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
 
 
 def surface_of_revolution(
@@ -410,10 +493,6 @@ def surface_of_revolution(
     if not isinstance(u_domain, Interval):
         u_domain = Interval(*u_domain)
 
-    def position(u: float, v: float) -> Vec3:
-        r = x(v)
-        return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
-
     jet = None
     if all(fn is not None for fn in (dx, d2x, dz, d2z)):
 
@@ -431,7 +510,7 @@ def surface_of_revolution(
             )
 
     return SurfacePatch(
-        eval=position,
+        eval=partial(_revolution_position, x, z),
         domain=Rect(u=u_domain, v=v_domain),
         orientation_sign=orientation_sign,
         jet=jet,

@@ -377,6 +377,12 @@ class TestFloatRangeEdges:
         # the second FD step squared to 0 within ~3e-162 of the plane's origin
         ["trace", "--surface", "plane", "--jets", "fd", "--theta", "0.785", "--r0", "2e-162",
          "--r1", "3e-162", "--samples", "2"],
+        # |p_u x p_v| and E*G - F^2 overflowed: k printed 0.0 and theta_meas nan
+        ["trace", "--surface", "sphere", "--R", "1e100", "--theta", "1", "--r0", "5e99",
+         "--r1", "1e100", "--samples", "2"],
+        # |gamma'|^3 raised a bare OverflowError
+        ["trace", "--surface", "plane", "--theta", "1", "--r0", "1e103", "--r1", "2e103",
+         "--samples", "2"],
     ])
     def test_exit_1_without_traceback(self, argv):
         proc = run_cli(*argv)
@@ -386,14 +392,22 @@ class TestFloatRangeEdges:
         assert proc.stdout == ""
 
     def test_flat_polar_trace_at_huge_radii_is_finite(self):
-        # max(r, r0) ** 2 raised OverflowError from r ~ 1.3e154 on
+        # max(r, r0) ** 2 raised OverflowError from r ~ 1.3e154 on; the
+        # embedded trace is finite there
+        from spiralcurv import polar, surfaces
+
+        rs = (1e200, 1e250, 1e280, 1e300)
+        pts = [polar.spiral_chart_trace(0.0, 1.0, 1e200, 0.0, r) for r in rs]
+        curve = polar.embed_polar_trace(surfaces.plane_patch(), pts)
+        assert all(math.isfinite(x) for t in rs for x in curve.point(t))
+        # but |p_u x p_v| = r on the plane overflows when measured, so the
+        # command exits 1 (it printed k = -0.0 and theta_meas = pi/4 for
+        # theta = 1)
         proc = run_cli("trace", "--surface", "polar", "--theta", "1", "--r0", "1e200",
                        "--r1", "1e300", "--samples", "2")
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("domain error:")
         assert "Traceback" not in proc.stderr
-        rows = list(csv.reader(proc.stdout.splitlines()))[1:]
-        assert len(rows) == 2
-        assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_curved_polar_trace_leaving_the_float_range_exits_1(self):
         proc = run_cli("trace", "--surface", "polar", "--K", "1e-320", "--theta", "1",

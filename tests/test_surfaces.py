@@ -31,6 +31,7 @@ from spiralcurv.numdiff import (
     scaled_step,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
+from spiralcurv.errors import GeometryError
 from spiralcurv.surfaces import Interval, Rect, SurfacePatch, eval_frame
 
 
@@ -220,6 +221,100 @@ class TestJets:
             unit_normal(jet, patch.orientation_sign)
         with pytest.raises(DegenerateJet):
             gaussian_curvature(patch, 0.3, math.pi / 2.0)
+
+
+def _wrapped(patch):
+    """The patch with its position map behind a plain function, which the
+    FD kernel evaluates at each stencil point (the generic route)."""
+    position = patch.eval
+    return dataclasses.replace(patch, eval=lambda u, v: position(u, v))
+
+
+def _bits(obj):
+    return tuple(
+        float(c).hex() for field in dataclasses.fields(obj) for c in getattr(obj, field.name)
+    )
+
+
+def _assert_revolution_kernel_is_generic_route(patch, points):
+    """FD jets and frames of the patch and of its wrapped copy carry the
+    same bits, or raise the same exception."""
+    generic = _wrapped(patch)
+    for u, v in points:
+        for fn in (eval_jet, eval_frame):
+            try:
+                want = _bits(fn(generic, u, v, JET_MODE_FD))
+            except GeometryError as exc:  # the kernel must raise it too
+                with pytest.raises(type(exc)):
+                    fn(patch, u, v, JET_MODE_FD)
+                continue
+            assert _bits(fn(patch, u, v, JET_MODE_FD)) == want, (fn.__name__, u, v)
+
+
+NOJET = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
+
+
+class TestRevolutionKernel:
+    """FD frames and jets of a surface of revolution take cos/sin once per
+    distinct u and the profile once per distinct v of the stencil."""
+
+    @pytest.mark.parametrize("fn,n", [(eval_frame, 5), (eval_jet, 9)])
+    def test_profile_evaluated_once_per_distinct_v(self, fn, n):
+        seen = {"x": [], "z": []}
+
+        def counted(name, f):
+            def g(v):
+                seen[name].append(v)
+                return f(v)
+            return g
+
+        patch = surface_of_revolution(
+            counted("x", lambda v: 2.0 + math.cos(v)), counted("z", math.sin),
+            v_domain=(0.0, 3.0),
+        )
+        fn(patch, 0.4, 1.2, JET_MODE_FD)
+        for name in ("x", "z"):
+            assert len(seen[name]) == len(set(seen[name])) == n, name
+
+    @pytest.mark.parametrize(
+        "patch,points",
+        [
+            # next to the rim v = pi/2 and the floor v = 1e-3 of the tractroid,
+            # where fit_step shrinks the steps, and on both closed edges
+            (pseudosphere_patch(1.0), [(0.3, math.pi / 2 - d) for d in (0.0, 1e-9, 1e-5, 1e-3)]
+             + [(0.3, 1e-3 + d) for d in (0.0, 1e-9, 1e-5, 1e-3)]),
+            (pseudosphere_patch(2.0), [(-2.5, math.pi / 2 - 1e-7), (6.0, 1e-3 + 1e-7)]),
+            # next to both poles of the sphere
+            (sphere_patch(1.0), [(u, v) for u in (0.0, 2.0) for v in (
+                1e-12, 1e-8, 1e-3, math.pi - 1e-3, math.pi - 1e-8, math.pi - 1e-12)]),
+            (sphere_patch(0.5), [(-1.0, 1e-6), (1.0, math.pi - 1e-6)]),
+            # FD only: no analytic jet
+            (NOJET, [(0.5, 1.0), (-3.0, 1e-6), (3.0, 3.0 - 1e-6), (0.0, 1.5)]),
+        ],
+        ids=["pseudosphere(R=1)", "pseudosphere(R=2)", "sphere(R=1)", "sphere(R=0.5)", "nojet"],
+    )
+    def test_bit_identical_to_the_generic_route_at_the_edges(self, patch, points):
+        _assert_revolution_kernel_is_generic_route(patch, points)
+
+    @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES] + [NOJET],
+                             ids=lambda p: p.name)
+    def test_a_wrapped_position_map_gives_the_same_jets(self, patch):
+        # the wrapper is called at every stencil point, and the jets agree
+        calls = []
+        position = patch.eval
+
+        def counted(u, v):
+            calls.append((u, v))
+            return position(u, v)
+
+        wrapped = dataclasses.replace(patch, eval=counted)
+        u, v = _probe(patch)
+        assert _bits(eval_jet(wrapped, u, v, JET_MODE_FD)) == _bits(
+            eval_jet(patch, u, v, JET_MODE_FD))
+        assert len(calls) == 25
+        assert _bits(eval_frame(wrapped, u, v, JET_MODE_FD)) == _bits(
+            eval_frame(patch, u, v, JET_MODE_FD))
+        assert len(calls) == 33
 
 
 class TestNormals:
