@@ -6,7 +6,10 @@ The geodesic curvature is measured numerically from the embedded curve
 serves as an independent cross-check of the closed-form predictions.
 Every measurement here reads the patch through its first-order frame
 (surfaces.eval_frame): the normal for the curvature, the first form for
-the speed and the angle.  None builds a 2-jet.
+the speed and the angle.  None builds a 2-jet.  Each passes its jet mode
+to eval_frame unchanged, so mode=None picks analytic exactly when the
+patch carries a jet, and takes its difference steps in t from
+numdiff.fit_steps, which raises OutOfDomain where the stencil has no room.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .closed_form import _require_angle
 from .errors import (
@@ -30,15 +33,13 @@ from .errors import (
 from .numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
-    fit_step,
+    fit_steps,
     gauss_kronrod,
     richardson_first,
     richardson_second_halving,
-    scaled_step,
 )
 from .surfaces import (
     SurfacePatch,
-    _pick_mode,
     eval_frame,
     first_form,
     plane_patch,
@@ -47,9 +48,6 @@ from .surfaces import (
     unit_normal,
 )
 from .vec import Vec3
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BREAKDOWN_TOL = 1e-4
 STEP_HALVINGS = 3  # retries of a second difference that fails BREAKDOWN_TOL
@@ -85,18 +83,11 @@ class ChartCurve:
         """The curve's position in R^3."""
         return self.patch.eval(*self.trace(t))
 
-    def embedded(self, t: float) -> np.ndarray:
-        """The position as a numpy array (this imports numpy)."""
-        return self.point(t).as_array()
-
     def velocity(self, t: float) -> Tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
         if self.trace_velocity is not None:
             return self.trace_velocity(t)
-        lo, hi = self.t_domain
-        h = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
-        if h <= 0.0:
-            raise OutOfDomain(f"t={t} leaves no room to differentiate the trace")
+        (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
         du, _ = richardson_first(lambda s: self.trace(s)[0], t, h)
         dv, _ = richardson_first(lambda s: self.trace(s)[1], t, h)
         return du, dv
@@ -115,13 +106,16 @@ class CurveSample:
 
 def _chart_point(curve: ChartCurve, t: float) -> Tuple[float, float]:
     """The chart point (u, v) at t, after the domain check.  A trace that
-    overflows there raises NumericalBreakdown."""
+    overflows there raises NumericalBreakdown; one that is undefined there
+    (the sphere loxodrome's ln tan t at t = 0) raises OutOfDomain."""
     if not curve.contains(t):
         raise OutOfDomain(f"t={t} outside parameter domain {curve.t_domain}")
     try:
         return curve.trace(t)
     except OverflowError:
         raise NumericalBreakdown(f"the chart trace overflows at t={t}") from None
+    except ValueError:
+        raise OutOfDomain(f"the chart trace is undefined at t={t}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,7 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
-    E, F, G = first_form(_frame(curve, *_chart_point(curve, t), mode))
+    E, F, G = first_form(eval_frame(curve.patch, *_chart_point(curve, t), mode))
     du, dv = curve.velocity(t)
     value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
     if not math.isfinite(value):
@@ -281,7 +275,7 @@ def geodesic_curvature_numeric(
     """
     u, v = _chart_point(curve, t)
     d1, d2, sp = _embedded_derivatives(curve, t)
-    frame = _frame(curve, u, v, mode)
+    frame = eval_frame(curve.patch, u, v, mode)
     return _curvature(curve, d1, d2, sp, frame)
 
 
@@ -294,7 +288,7 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     triple product <N, p_u x gamma'>.  E, F, G come from the patch's
     first-order frame (eval_frame).
     """
-    frame = _frame(curve, *_chart_point(curve, t), mode)
+    frame = eval_frame(curve.patch, *_chart_point(curve, t), mode)
     return _angle(curve, t, frame)
 
 
@@ -307,7 +301,7 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     u, v = _chart_point(curve, t)
     position = curve.patch.eval(u, v)
     d1, d2, sp = _embedded_derivatives(curve, t)
-    frame = _frame(curve, u, v, mode)
+    frame = eval_frame(curve.patch, u, v, mode)
     return CurveSample(
         t=t,
         position=position,
@@ -317,19 +311,10 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     )
 
 
-def _frame(curve: ChartCurve, u: float, v: float, mode: Optional[str]):
-    return eval_frame(curve.patch, u, v, _pick_mode(curve.patch, mode))
-
-
 def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, float]:
     """gamma'(t), gamma''(t) and the speed |gamma'(t)| from the position,
     or the exception that rejects the stencil at t."""
-    lo, hi = curve.t_domain
-    h1 = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
-    h2 = fit_step(scaled_step(t, STEP_SECOND_FINE), t, lo, hi)
-    if min(h1, h2) <= 0.0:
-        raise OutOfDomain(f"t={t} leaves no room for the difference stencil")
-
+    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
     try:
         d1, _ = richardson_first(curve.point, t, h1)
         halving = richardson_second_halving(curve.point, t, h2)

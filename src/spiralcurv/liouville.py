@@ -28,9 +28,9 @@ from .curves import (
     geodesic_curvature_numeric,
     speed,
 )
-from .errors import NotOrthogonal, OutOfDomain
-from .numdiff import STEP_FIRST_FINE, fit_step, richardson_first, scaled_step
-from .surfaces import _pick_mode, eval_frame, first_form
+from .errors import NotOrthogonal
+from .numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
+from .surfaces import eval_frame, first_form
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -57,7 +57,7 @@ def liouville_breakdown(
     decomposition needs an orthogonal chart.
     """
     u, v = _chart_point(curve, t)
-    E, F, G = first_form(eval_frame(curve.patch, u, v, _pick_mode(curve.patch, mode)))
+    E, F, G = first_form(eval_frame(curve.patch, u, v, mode))
     if abs(F) >= ORTHOGONALITY_TOL * math.sqrt(E * G):
         raise NotOrthogonal(
             f"chart of {curve.patch.name} is not orthogonal at ({u}, {v})"
@@ -68,10 +68,7 @@ def liouville_breakdown(
     theta = angle_to_parallel(curve, t, mode)
     k_direct = geodesic_curvature_numeric(curve, t, mode)
 
-    lo, hi = curve.t_domain
-    h = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
-    if h <= 0.0:
-        raise OutOfDomain(f"t={t} leaves no room to differentiate the angle")
+    (h,) = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE)
 
     def unwrapped(s: float) -> float:
         a = angle_to_parallel(curve, s, mode)

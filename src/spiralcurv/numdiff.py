@@ -6,6 +6,13 @@ pure.  Step sizes follow the usual epsilon-power scalings, with the exponent
 chosen per call site (truncation/roundoff balance differs between first and
 second derivatives, and between chart jets and curve kinematics).
 
+fit_steps sizes and fits the steps of every stencil in the package: the
+finite-difference frames and jets of surfaces (once per chart coordinate),
+and the curve stencils of curves and liouville (once per curve parameter).
+Each step is scaled_step(x, rel), shrunk to at most 0.45 of the distance
+from x to the nearer finite end of its interval, so that the stencil
+[x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
+
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
 bisects the panel with the largest error estimate |K15 - G7| until the
@@ -19,7 +26,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import NumericalBreakdown
+from .errors import NumericalBreakdown, OutOfDomain
 from .vec import Vec3
 
 EPS = sys.float_info.epsilon
@@ -34,11 +41,29 @@ PANEL_LIMIT = 200                     # gauss_kronrod panels
 
 
 def scaled_step(x: float, rel: float) -> float:
-    """Step proportional to the magnitude of x, floored at rel itself."""
-    h = rel * max(1.0, abs(x))
-    # snap so that x + h and x - h are exactly representable offsets
-    t = x + h
-    return t - x if t != x else rel
+    """Step proportional to the magnitude of x, floored at rel itself: the
+    step of fit_steps on an interval with no finite end."""
+    return fit_steps(x, -math.inf, math.inf, rel)[0]
+
+
+def fit_steps(x: float, lo: float, hi: float, *rels: float) -> list[float]:
+    """One step per relative size in rels, each rel * max(1, |x|) snapped
+    to a representable offset of x, then shrunk to at most 0.45 of the room
+    min(x - lo, hi - x), so its whole stencil [x-h, x+h] stays inside
+    (lo, hi).  An infinite room keeps the steps.  OutOfDomain when there
+    is no room: x on or outside an end, or 0.45 of the room underflows."""
+    room = min(x - lo, hi - x)
+    cap = 0.45 * room if math.isfinite(room) else math.inf
+    if cap <= 0.0:
+        raise OutOfDomain(f"no room for a difference stencil at {x} inside ({lo}, {hi})")
+    m = max(1.0, abs(x))
+    steps = []
+    for rel in rels:
+        # snap so that x + h and x - h are exactly representable offsets
+        t = x + rel * m
+        h = t - x if t != x else rel
+        steps.append(cap if cap < h else h)
+    return steps
 
 
 def central_first(f: Callable[[float], object], x: float, h: float):
@@ -111,16 +136,6 @@ def richardson_sequence(estimates, steps):
             nxt.append((w * work[i + 1] - work[i]) / (w - 1.0))
         work = nxt
     return work[0]
-
-
-def fit_step(h: float, x: float, lo: float, hi: float) -> float:
-    """Shrink h so the whole stencil [x-h, x+h] stays inside (lo, hi)."""
-    room = min(x - lo, hi - x)
-    if not math.isfinite(room):
-        room = math.inf
-    if room <= 0.0:
-        return 0.0
-    return min(h, 0.45 * room)
 
 
 # Kronrod nodes on [-1, 1] (the odd-indexed ones are the Gauss nodes), with

@@ -13,17 +13,21 @@ both orientations' K off one jet per grid point.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
-Two entry points share one domain and mode gate: eval_jet builds the full
-2-jet, which only the second fundamental form (fundamental_forms,
-gaussian_curvature) needs; eval_frame returns just p_u and p_v, the
-tangent plane that the unit normal and the first form read, which is all
-the curve measurements use.  With finite differences a frame takes the
-position at 8 stencil points and a 2-jet at 25: a straight-line stencil
-kernel takes each stencil position once and differences the positions per
-component, with one Richardson level (numdiff.extrapolate) and the float
-operations of numdiff's generic central differences, so its bits are
-theirs.  A jet carries the extrapolated values only, no Richardson error
-estimate.
+Two entry points share one domain and mode gate, which also picks the mode
+of a call that names none (mode=None): analytic exactly when the patch
+carries a jet, else finite differences.  fundamental_forms,
+gaussian_curvature and the curve measurements pass their mode to it
+unchanged.  eval_jet builds the full 2-jet, which only the second
+fundamental form (fundamental_forms, gaussian_curvature) needs; eval_frame
+returns just p_u and p_v, the tangent plane that the unit normal and the
+first form read, which is all the curve measurements use.  With finite
+differences a frame takes the position at 8 stencil points and a 2-jet at
+25, each step fitted into the domain by numdiff.fit_steps: a straight-line
+stencil kernel takes each stencil position once and differences the
+positions per component, with one Richardson level (numdiff.extrapolate)
+and the float operations of numdiff's generic central differences, so its
+bits are theirs.  A jet carries the extrapolated values only, no
+Richardson error estimate.
 
 The stencil of a frame spans 5 distinct u and 5 distinct v, that of a jet
 9 and 9.  On a surface of revolution (x(v) cos u, x(v) sin u, z(v)) the
@@ -45,7 +49,7 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import STEP_FIRST, STEP_SECOND, extrapolate, fit_step, scaled_step
+from .numdiff import STEP_FIRST, STEP_SECOND, extrapolate, fit_steps
 from .vec import Vec3
 
 _new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
@@ -156,13 +160,15 @@ class SurfacePatch:
         return DEGENERACY_THRESHOLD / abs(K) if K else DEGENERACY_THRESHOLD
 
 
-def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALYTIC) -> Jet2:
+def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None) -> Jet2:
     """Evaluate the 2-jet of a patch at a chart point.
 
     Parameters
     ----------
-    mode : "analytic" or "finite_difference"
-        Analytic mode requires the patch to carry an analytic jet.
+    mode : "analytic", "finite_difference" or None
+        None (the default) picks analytic when the patch carries an
+        analytic jet and finite differences otherwise.  Analytic mode
+        requires the patch to carry an analytic jet.
         Finite-difference mode uses only the position map: central
         differences with step cbrt(eps)*max(1,|coord|) for first partials
         and the fourth root for second partials, one Richardson level each.
@@ -176,10 +182,11 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALY
     ------
     OutOfDomain
         If (u, v) is outside the domain (closed edges count as inside),
-        or if a finite-difference stencil cannot fit inside the domain.
+        or if a finite-difference stencil cannot fit inside the domain
+        (numdiff.fit_steps raises it).
     BadParameter
-        If mode is unknown or analytic mode is requested without an
-        analytic jet.
+        If mode is unknown or "analytic" is requested of a patch without
+        an analytic jet.
     """
     if _analytic(patch, u, v, mode):
         return patch.jet(u, v)
@@ -187,28 +194,31 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALY
 
 
 def eval_frame(
-    patch: SurfacePatch, u: float, v: float, mode: str = JET_MODE_ANALYTIC
+    patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
 ) -> Frame | Jet2:
     """Evaluate the first partials p_u, p_v of a patch at a chart point.
 
     The tangent plane is all that the unit normal and the first form
-    need.  Analytic mode returns the patch's own Jet2; finite-difference
-    mode differences the position only for p_u and p_v, at 8 stencil
-    points (on a surface of revolution from cos/sin at 5 distinct u and
-    the profile at 5 distinct v), with the steps and arithmetic of
-    eval_jet's first partials, so both modes give the same bits as
-    eval_jet's p_u and p_v.  Raises like eval_jet.
+    need.  mode=None picks as in eval_jet.  Analytic mode returns the
+    patch's own Jet2; finite-difference mode differences the position only
+    for p_u and p_v, at 8 stencil points (on a surface of revolution from
+    cos/sin at 5 distinct u and the profile at 5 distinct v), with the
+    steps and arithmetic of eval_jet's first partials, so both modes give
+    the same bits as eval_jet's p_u and p_v.  Raises like eval_jet.
     """
     if _analytic(patch, u, v, mode):
         return patch.jet(u, v)
     return _fd_frame(patch, u, v)
 
 
-def _analytic(patch: SurfacePatch, u: float, v: float, mode: str) -> bool:
+def _analytic(patch: SurfacePatch, u: float, v: float, mode: Optional[str]) -> bool:
     """The domain and mode gate of eval_jet and eval_frame: True for the
-    analytic jet, False for finite differences."""
+    analytic jet, False for finite differences.  mode=None picks analytic
+    exactly when the patch carries a jet."""
     if not patch.domain.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
+    if mode is None:
+        return patch.jet is not None
     if mode == JET_MODE_ANALYTIC:
         if patch.jet is None:
             raise BadParameter(f"{patch.name} has no analytic jet; use finite_difference")
@@ -218,19 +228,10 @@ def _analytic(patch: SurfacePatch, u: float, v: float, mode: str) -> bool:
     return False
 
 
-def _fd_steps(patch: SurfacePatch, u: float, v: float, rel: float):
-    dom = patch.domain
-    hu = fit_step(scaled_step(u, rel), u, dom.u.lo, dom.u.hi)
-    hv = fit_step(scaled_step(v, rel), v, dom.v.lo, dom.v.hi)
-    if min(hu, hv) <= 0.0:
-        raise OutOfDomain(
-            f"no room for finite-difference stencil at ({u}, {v}) in {patch.name}"
-        )
-    return hu, hv
-
-
 def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
-    hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
+    dom = patch.domain
+    (hu,) = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST)
+    (hv,) = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST)
     hu_half, hv_half = hu / 2.0, hv / 2.0
     (a, b, a2, b2), (c, d, c2, d2) = _positions(
         patch.eval,
@@ -243,15 +244,15 @@ def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
 
 
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
-    # both step pairs fit the same room, so they fail this gate together
-    hu2, hv2 = _fd_steps(patch, u, v, STEP_SECOND)
+    dom = patch.domain
+    hu, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST, STEP_SECOND)
+    hv, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST, STEP_SECOND)
     # the second differences divide by the square of the halved step
     h = min(hu2, hv2) / 2.0
     if h * h == 0.0:
         raise NumericalBreakdown(
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
-    hu, hv = _fd_steps(patch, u, v, STEP_FIRST)
     # the mixed stencil halves both steps together, to the second
     # differences' half steps (numdiff.richardson's 0.5 * h is h / 2.0
     # exactly)
@@ -403,10 +404,9 @@ def fundamental_forms(
 
     The second form is e, f, g = -<N, p_uu>, -<N, p_uv>, -<N, p_vv>, with N
     the oriented unit normal, so the same code path serves analytic and
-    finite-difference jets.  mode=None picks analytic when the patch has
-    one.
+    finite-difference jets.  mode is eval_jet's.
     """
-    jet = eval_jet(patch, u, v, _pick_mode(patch, mode))
+    jet = eval_jet(patch, u, v, mode)
     return forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
 
 
@@ -430,7 +430,7 @@ def gaussian_curvature(
     patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
 ) -> float:
     """K = (e*g - f^2) / (E*G - F^2)."""
-    jet = eval_jet(patch, u, v, _pick_mode(patch, mode))
+    jet = eval_jet(patch, u, v, mode)
     return curvature_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
 
 
@@ -446,12 +446,6 @@ def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
     if not math.isfinite(denom):
         raise NumericalBreakdown("E*G - F^2 overflows")
     return (forms.e * forms.g - forms.f * forms.f) / denom
-
-
-def _pick_mode(patch: SurfacePatch, mode: Optional[str]) -> str:
-    if mode is not None:
-        return mode
-    return JET_MODE_ANALYTIC if patch.jet is not None else JET_MODE_FD
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ normals read as p.x, p.y, p.z, and building one costs a single tuple
 allocation.  Its operators treat it as a value: + - * / are vector
 arithmetic, a Vec3 equals only another Vec3 with the same components (never
 a plain tuple), its hash is that of (x, y, z), and it is not ordered.  All
-arithmetic is plain float math; numpy is imported only by as_array, the
-bridge for callers that want an ndarray.
+arithmetic is plain float math.
 
 Where it was a frozen dataclass it is now still a tuple underneath: len,
 indexing, iteration and unpacking work; a plain tuple + a Vec3
@@ -21,10 +20,6 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _new = tuple.__new__
 
@@ -92,8 +87,3 @@ class Vec3(tuple):
     def norm(self) -> float:
         x, y, z = self[0], self[1], self[2]
         return math.sqrt(x * x + y * y + z * z)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self[0], self[1], self[2]], dtype=float)

@@ -25,7 +25,13 @@ from . import curves as cv
 from . import polar as pl
 from .errors import BadParameter, DomainError, PreconditionFailed
 from .liouville import liouville_breakdown
-from .numdiff import EPS, gauss_kronrod, richardson_second, richardson_sequence, scaled_step
+from .numdiff import (
+    STEP_SECOND_FINE,
+    gauss_kronrod,
+    richardson_second,
+    richardson_sequence,
+    scaled_step,
+)
 from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -596,7 +602,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
     for K in (-4.0, -1.0, 0.0, 1.0, 4.0):
         metric = pl.polar_metric(K)
         for r in _jacobi_grid(K):
-            h = scaled_step(r, EPS ** (1.0 / 6.0))
+            h = scaled_step(r, STEP_SECOND_FINE)
             d2, _ = richardson_second(metric.sqrtG, r, h)
             residual = abs(d2 + K * metric.sqrtG(r))
             obs.append(Observation((K, r), 0.0, d2, residual))

@@ -16,6 +16,7 @@ from spiralcurv.errors import NumericalBreakdown
 from spiralcurv.numdiff import (
     STEP_FIRST,
     STEP_SECOND,
+    fit_steps,
     richardson,
     richardson_first,
     richardson_second,
@@ -83,15 +84,22 @@ def test_forms_suite_observations_match_gaussian_curvature(mode):
 # Vec3 positions: the reference that surfaces' stencil kernel reproduces.
 
 
+def _steps(patch, u, v, rel):
+    dom = patch.domain
+    (hu,) = fit_steps(u, dom.u.lo, dom.u.hi, rel)
+    (hv,) = fit_steps(v, dom.v.lo, dom.v.hi, rel)
+    return hu, hv
+
+
 def _generic_fd_frame(patch, u, v):
-    hu, hv = surfaces._fd_steps(patch, u, v, STEP_FIRST)
+    hu, hv = _steps(patch, u, v, STEP_FIRST)
     p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
     p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
     return surfaces.Frame(p_u=p_u, p_v=p_v)
 
 
 def _generic_fd_jet(patch, u, v):
-    hu2, hv2 = surfaces._fd_steps(patch, u, v, STEP_SECOND)
+    hu2, hv2 = _steps(patch, u, v, STEP_SECOND)
     h = min(hu2, hv2) / 2.0
     if h * h == 0.0:
         raise NumericalBreakdown("squared step underflows")

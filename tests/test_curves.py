@@ -26,10 +26,9 @@ from spiralcurv.curves import MERIDIAN, PARALLEL
 from spiralcurv.numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
-    fit_step,
+    fit_steps,
     richardson_first,
     richardson_second,
-    scaled_step,
 )
 from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD, eval_jet, unit_normal
 
@@ -236,13 +235,12 @@ class TestDiagnostics:
 def _k_numeric_ndarray(curve, t, mode):
     """geodesic_curvature_numeric on ndarray positions with numpy's dot,
     cross and norm, as the measurement was once computed."""
-    lo, hi = curve.t_domain
-    h1 = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
-    h2 = fit_step(scaled_step(t, STEP_SECOND_FINE), t, lo, hi)
-    d1, _ = richardson_first(curve.embedded, t, h1)
-    d2, _ = richardson_second(curve.embedded, t, h2)
+    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    position = lambda s: np.array(curve.point(s))
+    d1, _ = richardson_first(position, t, h1)
+    d2, _ = richardson_second(position, t, h2)
     jet = eval_jet(curve.patch, *curve.trace(t), mode)
-    n = unit_normal(jet, curve.patch.orientation_sign).as_array()
+    n = np.array(unit_normal(jet, curve.patch.orientation_sign))
     k = float(np.dot(d2, np.cross(n, d1))) / float(np.linalg.norm(d1)) ** 3
     return curve.direction_sign * k
 
@@ -267,12 +265,12 @@ class TestVec3Stencil:
                 ref = _k_numeric_ndarray(curve, t, mode)
                 assert abs(k - ref) <= 1e-13 * abs(ref), (curve.label, t)
 
-    def test_point_and_embedded(self):
+    def test_point_and_ndarray(self):
         for curve, ts in self.CURVES:
             for t in ts:
                 p = curve.point(t)
                 assert p == curve.patch.eval(*curve.trace(t))
-                assert tuple(curve.embedded(t)) == (p.x, p.y, p.z)
+                assert tuple(np.array(p)) == (p.x, p.y, p.z)
 
 
 class TestSample:

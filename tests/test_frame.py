@@ -25,10 +25,9 @@ from spiralcurv.liouville import LiouvilleBreakdown, liouville_breakdown
 from spiralcurv.numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
-    fit_step,
+    fit_steps,
     richardson_first,
     richardson_second,
-    scaled_step,
 )
 from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
@@ -73,9 +72,7 @@ IDS = [f"{c.label}-t={t}" for c, t in CASES]
 
 
 def two_jet_k(curve, t, mode):
-    lo, hi = curve.t_domain
-    h1 = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
-    h2 = fit_step(scaled_step(t, STEP_SECOND_FINE), t, lo, hi)
+    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
     d1 = richardson_first(curve.point, t, h1)[0]
     d2 = richardson_second(curve.point, t, h2)[0]
     jet = eval_jet(curve.patch, *curve.trace(t), mode)
@@ -110,8 +107,7 @@ def two_jet_breakdown(curve, t, mode):
     k2 = two_jet_k(coordinate_curve(curve.patch, MERIDIAN, u), v, mode)
     theta = two_jet_theta(curve, t, mode)
     k_direct = two_jet_k(curve, t, mode)
-    lo, hi = curve.t_domain
-    h = fit_step(scaled_step(t, STEP_FIRST_FINE), t, lo, hi)
+    (h,) = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE)
 
     def unwrapped(s):
         a = two_jet_theta(curve, s, mode)
@@ -143,7 +139,7 @@ def test_fd_frame_equals_fd_jet_first_partials(patch):
     dom = patch.domain.v
     lo = dom.lo if math.isfinite(dom.lo) else -3.0
     hi = min(dom.hi, 3.0)
-    # interior points and points next to the edges, where fit_step shrinks the steps
+    # interior points and points next to the edges, where fit_steps shrinks the steps
     for v in (lo + 1e-9, lo + 1e-3, (lo + hi) / 2.0, hi - 1e-3, hi - 1e-9):
         for u in (-2.0, 0.0, 0.7, 40.0):
             frame = eval_frame(patch, u, v, JET_MODE_FD)
@@ -185,6 +181,43 @@ def test_frame_shares_the_gate_of_eval_jet():
             eval_frame(*args)
     frame, jet = eval_frame(nojet, 0.5, 1.0, JET_MODE_FD), eval_jet(nojet, 0.5, 1.0, JET_MODE_FD)
     same_bits((frame.p_u, frame.p_v), (jet.p_u, jet.p_v))
+
+
+def test_no_mode_picks_analytic_exactly_when_the_patch_has_a_jet():
+    sphere = sphere_patch(1.0)
+    assert eval_jet(sphere, 0.3, 1.2) == sphere.jet(0.3, 1.2)
+    assert eval_frame(sphere, 0.3, 1.2) == sphere.jet(0.3, 1.2)
+    # a patch without an analytic jet gets finite differences, bit for bit,
+    # where naming "analytic" still raises
+    nojet = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
+    for fn in (eval_jet, eval_frame):
+        same_bits(fn(nojet, 0.5, 1.0), fn(nojet, 0.5, 1.0, JET_MODE_FD))
+        same_bits(fn(nojet, 0.5, 1.0, None), fn(nojet, 0.5, 1.0, JET_MODE_FD))
+        with pytest.raises(BadParameter):
+            fn(nojet, 0.5, 1.0, JET_MODE_ANALYTIC)
+
+
+# the floor v = 1e-3 of the tractroid is a closed edge: inside the domain of
+# the patch and of the loxodrome's t = v, but with no room for a stencil
+NO_ROOM = r"^no room for a difference stencil at 0\.001 inside \(0\.001, 1\.5707963267948966\)$"
+# (u0 puts the loxodrome's floor point at u = 0, where liouville_breakdown's
+# parallel through it measures)
+_FLOOR_LOX = cv.pseudosphere_loxodrome(
+    1.0, PI / 3.0, u0=(1.0 / math.sin(1e-3) - 1.0) / math.sqrt(3.0)
+)
+NO_ROOM_SITES = {
+    "fd-frame": lambda: eval_frame(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
+    "fd-jet": lambda: eval_jet(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
+    "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3),
+    "velocity": lambda: dataclasses.replace(_FLOOR_LOX, trace_velocity=None).velocity(1e-3),
+    "liouville": lambda: liouville_breakdown(_FLOOR_LOX, 1e-3),
+}
+
+
+@pytest.mark.parametrize("site", NO_ROOM_SITES)
+def test_every_stencil_site_raises_the_one_no_room_error(site):
+    with pytest.raises(OutOfDomain, match=NO_ROOM):
+        NO_ROOM_SITES[site]()
 
 
 # ---------------------------------------------------------------------------

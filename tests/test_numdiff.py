@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from spiralcurv.errors import OutOfDomain
 from spiralcurv.numdiff import (
     EPS,
+    STEP_FIRST,
+    STEP_FIRST_FINE,
+    STEP_SECOND,
+    STEP_SECOND_FINE,
     central_first,
     central_second,
-    fit_step,
+    fit_steps,
     richardson,
     richardson_first,
     richardson_second,
@@ -69,14 +76,67 @@ def test_scaled_step_grows_with_magnitude():
     assert scaled_step(100.0, 1e-5) > scaled_step(1.0, 1e-5)
 
 
-def test_fit_step_clips_to_available_room():
-    h = fit_step(0.1, 1.0, 0.0, 1.05)
+def test_fit_steps_clips_to_available_room():
+    (h,) = fit_steps(1.0, 0.0, 1.05, 0.1)
     # only 0.05 of room above: the step must shrink below that
     assert 0.0 < h < 0.05
+    # twice the smallest subnormal is room for a (subnormal) step
+    assert fit_steps(1e-323, 0.0, 1.0, STEP_FIRST) == [5e-324]
 
 
-def test_fit_step_unbounded_room_keeps_step():
-    assert fit_step(0.1, 1.0, -math.inf, math.inf) == 0.1
+def test_fit_steps_unbounded_room_keeps_steps():
+    assert fit_steps(0.0, -math.inf, math.inf, 0.1, 0.01) == [0.1, 0.01]
+    # one infinite end: the finite one bounds the room
+    assert fit_steps(0.0, -1.0, math.inf, 0.1, 0.5) == [0.1, 0.45]
+
+
+def _old_scaled_step(x, rel):
+    h = rel * max(1.0, abs(x))
+    t = x + h
+    return t - x if t != x else rel
+
+
+def _old_fit_step(h, x, lo, hi):
+    room = min(x - lo, hi - x)
+    if not math.isfinite(room):
+        room = math.inf
+    if room <= 0.0:
+        return 0.0
+    return min(h, 0.45 * room)
+
+
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    lo=st.floats(allow_nan=False),
+    hi=st.floats(allow_nan=False),
+    rels=st.lists(
+        st.sampled_from([STEP_FIRST, STEP_SECOND, STEP_FIRST_FINE, STEP_SECOND_FINE])
+        | st.floats(min_value=1e-12, max_value=1.0),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_fit_steps_is_the_fitted_scaled_step(x, lo, hi, rels):
+    # the steps of the separate scaled_step and fit_step it replaced, bit for
+    # bit, wherever those fitted a positive step; OutOfDomain where they gave 0
+    old = [_old_fit_step(_old_scaled_step(x, rel), x, lo, hi) for rel in rels]
+    if min(old) > 0.0:
+        assert [h.hex() for h in fit_steps(x, lo, hi, *rels)] == [h.hex() for h in old]
+        assert [scaled_step(x, rel).hex() for rel in rels] == [
+            _old_scaled_step(x, rel).hex() for rel in rels
+        ]
+    else:
+        with pytest.raises(OutOfDomain):
+            fit_steps(x, lo, hi, *rels)
+
+
+# x on or past an end, or a subnormal room: 0.45 of the smallest subnormal
+# underflows to 0
+@pytest.mark.parametrize("x", [5e-324, 0.0, 1.0, 2.0])
+def test_fit_steps_rejects_no_room(x):
+    message = rf"^no room for a difference stencil at {x} inside \(0\.0, 1\.0\)$"
+    with pytest.raises(OutOfDomain, match=message):
+        fit_steps(x, 0.0, 1.0, STEP_FIRST, STEP_SECOND)
 
 
 def test_richardson_error_for_floats_vectors_and_arrays():

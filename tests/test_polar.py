@@ -162,7 +162,7 @@ class TestEmbedding:
         emb = embed_polar_trace(plane_patch(), pts)
         spiral = plane_log_spiral(a)
         for r in (0.6, 1.0, 1.9):
-            d = np.linalg.norm(emb.embedded(r) - spiral.embedded(-math.log(r) / a))
+            d = np.linalg.norm(np.array(emb.point(r)) - np.array(spiral.point(-math.log(r) / a)))
             assert d < 1e-9
 
     def test_sphere_trace_coincides_with_loxodrome(self):
@@ -173,7 +173,7 @@ class TestEmbedding:
         emb = embed_polar_trace(sphere_patch(1.0), pts)
         lox = sphere_loxodrome(1.0, a)
         for r in (0.6, 1.3, 2.5):
-            d = np.linalg.norm(emb.embedded(r) - lox.embedded((PI - r) / 2.0))
+            d = np.linalg.norm(np.array(emb.point(r)) - np.array(lox.point((PI - r) / 2.0)))
             assert d < 1e-9
 
     @pytest.mark.parametrize(

@@ -24,11 +24,10 @@ from spiralcurv import (
 from spiralcurv.numdiff import (
     STEP_FIRST,
     STEP_SECOND,
-    fit_step,
+    fit_steps,
     richardson,
     richardson_first,
     richardson_second,
-    scaled_step,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
 from spiralcurv.errors import GeometryError
@@ -57,11 +56,9 @@ def _probe(patch):
 def _fd_jet_ndarray(patch, u, v):
     """The finite-difference jet with every position taken as an ndarray."""
     dom = patch.domain
-    hu1 = fit_step(scaled_step(u, STEP_FIRST), u, dom.u.lo, dom.u.hi)
-    hv1 = fit_step(scaled_step(v, STEP_FIRST), v, dom.v.lo, dom.v.hi)
-    hu2 = fit_step(scaled_step(u, STEP_SECOND), u, dom.u.lo, dom.u.hi)
-    hv2 = fit_step(scaled_step(v, STEP_SECOND), v, dom.v.lo, dom.v.hi)
-    e = lambda uu, vv: patch.eval(uu, vv).as_array()
+    hu1, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST, STEP_SECOND)
+    hv1, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST, STEP_SECOND)
+    e = lambda uu, vv: np.array(patch.eval(uu, vv))
     fu = lambda uu: e(uu, v)
     fv = lambda vv: e(u, vv)
 
@@ -88,7 +85,7 @@ def _assert_fd_kernel_is_ndarray_stencil(patch, points):
         jet = eval_jet(patch, u, v, JET_MODE_FD)
         frame = eval_frame(patch, u, v, JET_MODE_FD)
         for field, want in ref.items():
-            assert tuple(getattr(jet, field).as_array()) == tuple(want), (u, v, field)
+            assert tuple(np.array(getattr(jet, field))) == tuple(want), (u, v, field)
         for field in ("p_u", "p_v"):
             assert getattr(frame, field) == getattr(jet, field), (u, v, field)
 
@@ -143,17 +140,17 @@ class TestJets:
     def test_fd_jet_bit_identical_to_ndarray_stencil(self, patch):
         # the FD jet differences Vec3 positions; the same stencils on numpy
         # arrays give the same bits, also next to the edges of the chart,
-        # where fit_step shrinks the steps; so does the FD frame
+        # where fit_steps shrinks the steps; so does the FD frame
         u, v = _probe(patch)
         dom = patch.domain.v
         for vv in (v, dom.lo + 1e-3, min(dom.hi, 3.0) - 1e-3):
             fd = eval_jet(patch, u, vv, JET_MODE_FD)
             ref = _fd_jet_ndarray(patch, u, vv)
             for name, want in ref.items():
-                assert tuple(getattr(fd, name).as_array()) == tuple(want), name
+                assert tuple(np.array(getattr(fd, name))) == tuple(want), name
             frame = eval_frame(patch, u, vv, JET_MODE_FD)
             for name in ("p_u", "p_v"):
-                assert tuple(getattr(frame, name).as_array()) == tuple(ref[name]), name
+                assert tuple(np.array(getattr(frame, name))) == tuple(ref[name]), name
 
     @pytest.mark.parametrize(
         "name", ["sphere(R=0.5)", "sphere(R=2)", "pseudosphere(R=0.5)", "pseudosphere(R=2)"]
@@ -280,7 +277,7 @@ class TestRevolutionKernel:
         "patch,points",
         [
             # next to the rim v = pi/2 and the floor v = 1e-3 of the tractroid,
-            # where fit_step shrinks the steps, and on both closed edges
+            # where fit_steps shrinks the steps, and on both closed edges
             (pseudosphere_patch(1.0), [(0.3, math.pi / 2 - d) for d in (0.0, 1e-9, 1e-5, 1e-3)]
              + [(0.3, 1e-3 + d) for d in (0.0, 1e-9, 1e-5, 1e-3)]),
             (pseudosphere_patch(2.0), [(-2.5, math.pi / 2 - 1e-7), (6.0, 1e-3 + 1e-7)]),

@@ -76,8 +76,8 @@ def test_vector_arithmetic():
     assert math.isnan(Vec3(math.nan, 0.0, 0.0).norm())
 
 
-def test_as_array():
-    a = V.as_array()
+def test_np_array_reads_the_components():
+    a = np.array(V)
     assert isinstance(a, np.ndarray) and a.dtype == float
     assert a.tolist() == [1.5, -2.0, 0.25]
 
