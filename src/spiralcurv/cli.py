@@ -5,9 +5,9 @@ trace (sample a constant-angle curve to CSV/SVG), verify (numerical
 battery), figure (regenerate a named SVG).
 
 Exit codes: 0 success, 1 inadmissible input ("domain error: ..." on
-stderr), 2 verification failure, 3 malformed flags.  All output is
-deterministic; floats are written in shortest round-trip form (17
-significant digits suffice to re-read them exactly).
+stderr), 2 verification failure, 3 malformed flags or an unwritable
+--out path.  All output is deterministic; floats are written in shortest
+round-trip form (17 significant digits suffice to re-read them exactly).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import math
 import re
 import sys
-from typing import Optional, Sequence
 
 from .errors import DomainError, GeometryError
 
@@ -61,15 +60,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"spiralcurv: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(3) from None
 
 
-def _resolve_theta(args, parser: _Parser, default: Optional[float]) -> float:
+def _resolve_theta(args, parser: _Parser, default: float | None) -> float:
     if getattr(args, "theta_deg", None) is not None:
         if args.theta is not None:
             parser.error("--theta and --theta-deg are mutually exclusive")
@@ -178,8 +181,6 @@ def cmd_profile(args, parser: _Parser) -> int:
 def _build_trace_curve(args, theta: float):
     from . import closed_form as cf
     from . import curves as cv
-    from . import polar as pl
-    from . import surfaces as sf
 
     cf._require_angle(theta)
     if args.surface == "plane":
@@ -198,6 +199,8 @@ def _build_trace_curve(args, theta: float):
         curve = cv.pseudosphere_loxodrome(args.R, theta)
         return curve, args.r0, args.r1
     # intrinsic polar trace, embedded into the matching model surface
+    from . import polar as pl
+    from . import surfaces as sf
     K = args.K if args.K is not None else 0.0
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
@@ -213,7 +216,6 @@ def _build_trace_curve(args, theta: float):
 
 def cmd_trace(args, parser: _Parser) -> int:
     from . import curves as cv
-    from . import svg
 
     if args.samples < 2:
         parser.error("--samples must be at least 2")
@@ -234,6 +236,7 @@ def cmd_trace(args, parser: _Parser) -> int:
         )
 
     if args.format == "svg":
+        from . import svg
         _write_text(args.out, svg.trace_svg(positions))
     else:
         _write_text(args.out, "\n".join(["t,x,y,z,u,v,k,theta_meas"] + rows) + "\n")
@@ -260,7 +263,7 @@ def cmd_figure(args, parser: _Parser) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

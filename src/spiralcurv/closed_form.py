@@ -21,8 +21,7 @@ in K except for the radial geodesics theta = pi/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from collections import namedtuple
 
 from .errors import BadParameter, DomainError
 
@@ -51,16 +50,28 @@ METHOD_CLOSED_FORM = "closed_form"
 METHOD_SERIES = "series"
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """A 1-D sweep of spiral curvature along r (fixed K) or K (fixed r)."""
+class CurvatureProfile(namedtuple("_Fields", "axis samples theta fixed_value method sample_methods")):
+    """A 1-D sweep of spiral curvature along r (fixed K) or K (fixed r):
+    samples lists (x, k) and sample_methods the per-sample tags.  A tuple
+    with a frozen dataclass's value behaviour: read-only fields, a repr by
+    field, and equal only to a CurvatureProfile with equal fields."""
 
-    axis: str                      # "r" or "K"
-    samples: List[Tuple[float, float]]
-    theta: float
-    fixed_value: float
-    method: str                    # overall route; per-sample tags below
-    sample_methods: List[str] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, axis, samples, theta, fixed_value, method, sample_methods=None):
+        tags = [] if sample_methods is None else sample_methods
+        return tuple.__new__(cls, (axis, samples, theta, fixed_value, method, tags))
+
+    def __eq__(self, other):
+        if type(other) is CurvatureProfile:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
 
 def _require_admissible(K: float, r: float) -> None:
@@ -97,7 +108,7 @@ def _series_value(y: float, r: float, terms: int) -> float:
     return acc / r
 
 
-def _circle_value(K: float, r: float, terms: int = 4) -> Tuple[float, str]:
+def _circle_value(K: float, r: float, terms: int = 4) -> tuple[float, str]:
     """Circle curvature and the branch tag that produced it, at a (K, r)
     that passed _require_admissible."""
     y = K * r * r
@@ -152,7 +163,7 @@ def _circle_dK(K: float, r: float) -> float:
     return (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b) + b / (sh * sh))
 
 
-def spiral_curvature_with_method(K: float, r: float, theta: float) -> Tuple[float, str]:
+def spiral_curvature_with_method(K: float, r: float, theta: float) -> tuple[float, str]:
     """Spiral curvature plus the branch tag ("closed_form" or "series")."""
     _require_admissible(K, r)
     _require_angle(theta)
@@ -242,19 +253,12 @@ def profile(
 
     _require_angle(theta)
     c = math.cos(theta)
-    samples: List[Tuple[float, float]] = []
-    tags: List[str] = []
+    samples: list[tuple[float, float]] = []
+    tags: list[str] = []
     for x in xs:
         K, r = (fixed_value, x) if axis == "r" else (x, fixed_value)
         _require_admissible(K, r)
         value, method = _circle_value(K, r)
         samples.append((x, c * value))
         tags.append(method)
-    return CurvatureProfile(
-        axis=axis,
-        samples=samples,
-        theta=theta,
-        fixed_value=fixed_value,
-        method=METHOD_CLOSED_FORM,
-        sample_methods=tags,
-    )
+    return CurvatureProfile(axis, samples, theta, fixed_value, METHOD_CLOSED_FORM, tags)

@@ -80,13 +80,19 @@ class ChartCurve:
         return self.t_domain[0] <= t <= self.t_domain[1] and math.isfinite(t)
 
     def point(self, t: float) -> Vec3:
-        """The curve's position in R^3."""
-        return self.patch.eval(*self.trace(t))
+        """The curve's position in R^3 (unchecked: the curve stencil calls it)."""
+        try:
+            return self.patch.eval(*self.trace(t))
+        except ValueError:
+            raise OutOfDomain(f"the chart trace is undefined at t={t}") from None
 
     def velocity(self, t: float) -> Tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
         if self.trace_velocity is not None:
-            return self.trace_velocity(t)
+            try:
+                return self.trace_velocity(t)
+            except (ValueError, ZeroDivisionError):
+                raise OutOfDomain(f"the chart velocity is undefined at t={t}") from None
         (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
         du, _ = richardson_first(lambda s: self.trace(s)[0], t, h)
         dv, _ = richardson_first(lambda s: self.trace(s)[1], t, h)

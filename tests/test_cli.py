@@ -415,3 +415,41 @@ class TestFloatRangeEdges:
         assert proc.returncode == 1
         assert proc.stderr.startswith("domain error:")
         assert "Traceback" not in proc.stderr
+
+
+class TestUnwritableOut:
+    # every subcommand that takes --out writes through one routine; a path
+    # it cannot open exits 3, as a bad flag does, with one line on stderr
+    ARGVS = {
+        "profile": ["profile", "--axis", "r", "--fixed", "1", "--min", "0.1", "--max", "2",
+                    "--steps", "5", "--theta", "0.7"],
+        "figure": ["figure", "--name", "spiral"],
+        "trace-svg": ["trace", "--surface", "sphere", "--theta", "1", "--r0", "0.5", "--r1",
+                      "1.2", "--samples", "5", "--format", "svg"],
+        "verify": ["verify", "--suite", "analysis"],
+    }
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_missing_directory_exits_3(self, capsys, tmp_path, name):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *self.ARGVS[name], "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"spiralcurv: error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_directory_as_path_exits_3(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, *self.ARGVS[name], "--out", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"spiralcurv: error: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_no_traceback_from_a_fresh_interpreter(self, tmp_path, name):
+        path = tmp_path / "missing" / "out.txt"
+        proc = run_cli(*self.ARGVS[name], "--out", str(path))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"spiralcurv: error: cannot write {path}: No such file or directory\n"

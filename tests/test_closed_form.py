@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from spiralcurv import (
     BadParameter,
+    CurvatureProfile,
     DomainError,
     first_positive_circle_zero,
     geodesic_circle_curvature,
@@ -221,6 +224,83 @@ class TestProfile:
     def test_bad_arguments(self, axis, steps, lo, hi):
         with pytest.raises(BadParameter):
             profile(axis, 0.0, lo, hi, steps, PI / 4.0)
+
+
+
+class TestCurvatureProfileValue:
+    """The tuple-backed CurvatureProfile behaves as the frozen dataclass it was."""
+
+    FIELDS = ("axis", "samples", "theta", "fixed_value", "method", "sample_methods")
+
+    def make(self):
+        return profile("r", 1.0, 0.1, 2.0, 3, 0.7)
+
+    def test_fields_in_order(self):
+        prof = self.make()
+        assert prof._fields == self.FIELDS
+        assert tuple(prof) == tuple(getattr(prof, name) for name in self.FIELDS)
+        assert prof.axis == "r" and prof.theta == 0.7 and prof.fixed_value == 1.0
+        assert prof.method == METHOD_CLOSED_FORM
+        assert isinstance(prof.samples, list) and isinstance(prof.sample_methods, list)
+
+    def test_equality_only_between_profiles_with_equal_fields(self):
+        prof = self.make()
+        twin = CurvatureProfile("r", list(prof.samples), 0.7, 1.0, METHOD_CLOSED_FORM,
+                                list(prof.sample_methods))
+        assert prof == twin and not prof != twin
+        assert prof != self.make()._replace(theta=0.8)
+        assert prof != profile("r", 1.0, 0.1, 2.0, 4, 0.7)
+        # a plain tuple with the same items is not a profile
+        assert prof != tuple(prof) and not prof == tuple(prof)
+        assert tuple(prof) != prof
+        assert prof != list(prof) and prof != "r"
+
+    @pytest.mark.parametrize("name", FIELDS + ("extra",))
+    def test_fields_cannot_be_assigned(self, name):
+        prof = self.make()
+        with pytest.raises(AttributeError):
+            setattr(prof, name, 0.0)
+
+    def test_unhashable_like_the_dataclass(self):
+        # a frozen dataclass hashes its fields, and samples is a list
+        with pytest.raises(TypeError, match="list"):
+            hash(self.make())
+
+    def test_repr_names_every_field(self):
+        samples = [(0.5, 1.0), (2.0, 0.25)]
+        prof = CurvatureProfile("K", samples, 0.5, 2.0, METHOD_SERIES, ["series", "series"])
+        assert repr(prof) == (
+            "CurvatureProfile(axis='K', samples=[(0.5, 1.0), (2.0, 0.25)], theta=0.5, "
+            "fixed_value=2.0, method='series', sample_methods=['series', 'series'])"
+        )
+
+    def test_sample_methods_defaults_to_a_new_list(self):
+        a = CurvatureProfile("r", [], 0.5, 0.0, METHOD_CLOSED_FORM)
+        b = CurvatureProfile(axis="r", samples=[], theta=0.5, fixed_value=0.0,
+                             method=METHOD_CLOSED_FORM)
+        assert a.sample_methods == [] and b.sample_methods == []
+        a.sample_methods.append("series")
+        assert b.sample_methods == []
+        assert a.sample_methods is not b.sample_methods
+
+    def test_samples_stays_a_mutable_list(self):
+        prof = self.make()
+        x, k = prof.samples[1]
+        prof.samples[1] = (x, math.nextafter(k, math.inf))
+        assert prof.samples[1][1] > k
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)),
+        lambda p: pickle.loads(pickle.dumps(p, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ])
+    def test_pickle_and_copy_round_trip(self, clone):
+        prof = self.make()
+        again = clone(prof)
+        assert type(again) is CurvatureProfile
+        assert again == prof
+        assert repr(again) == repr(prof)
 
 
 admissible = st.tuples(

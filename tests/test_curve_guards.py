@@ -126,6 +126,26 @@ def test_every_measurement_at_an_end_of_the_domain_is_finite_or_a_geometry_error
         assert _finite(value), (measure, value)
 
 
+@pytest.mark.parametrize("curve,t", ENDS, ids=[f"{c.label}-t={t}" for c, t in ENDS])
+def test_point_and_velocity_at_an_end_of_the_domain(curve, t):
+    # they check no domain (the curve stencil calls point many times per
+    # sample), so an open infinite end may give infinite values; but only a
+    # GeometryError is raised, and a closed end gives finite values
+    for method in (curve.point, curve.velocity):
+        try:
+            value = method(t)
+        except GeometryError:
+            continue
+        assert not curve.contains(t) or _finite(value), (method, value)
+
+
+def test_undefined_trace_point_and_velocity_are_out_of_domain():
+    lox = sphere_loxodrome(1.0, 1.0)
+    with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
+        lox.point(0.0)  # ln tan 0
+    with pytest.raises(OutOfDomain, match="the chart velocity is undefined at t=0.0"):
+        lox.velocity(0.0)  # 2a / sin 0
+
 @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
 def test_undefined_trace_is_out_of_domain(mode):
     with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):

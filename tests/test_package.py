@@ -13,12 +13,13 @@ SUBMODULES = (
 )
 
 
-def run_fresh(code: str) -> str:
-    """Run `code` in a new interpreter that imports this checkout's package."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Run `code` in a new interpreter, started with `flags`, that imports
+    this checkout's package."""
     src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     ).stdout
 
@@ -107,3 +108,42 @@ def test_every_subcommand_runs_with_numpy_and_scipy_blocked(tmp_path):
         "print(looked_up)"
     )
     assert out.strip() == "[]"
+
+
+def modules_after_main(argv, *flags: str) -> set:
+    """The modules a fresh interpreter holds after cli.main(argv) returns 0."""
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "from spiralcurv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(' '.join(sys.modules))",
+        *flags,
+    )
+    return set(out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
+    ["curvature", "--K", "1e-6", "--series"],
+    ["profile", "--axis", "r", "--fixed", "1", "--min", "0.1", "--max", "2", "--steps", "5"],
+    ["profile", "--axis", "K", "--fixed", "1", "--min", "-1", "--max", "1", "--steps", "9"],
+])
+def test_light_subcommands_load_no_dataclasses_inspect_or_typing(argv):
+    # -S skips site, which can load typing through a .pth file before main runs
+    loaded = modules_after_main(argv, "-S")
+    assert {"spiralcurv.cli", "spiralcurv.closed_form"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+    assert not {m for m in loaded if m.startswith("spiralcurv.")} - {
+        "spiralcurv.cli", "spiralcurv.closed_form", "spiralcurv.errors"
+    }
+
+
+@pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere"])
+def test_csv_trace_off_the_polar_surface_loads_neither_svg_nor_polar(surface):
+    loaded = modules_after_main(
+        ["trace", "--surface", surface, "--theta", "1", "--r0", "0.5", "--r1", "1.2",
+         "--samples", "3"]
+    )
+    assert "spiralcurv.curves" in loaded
+    assert not loaded & {"spiralcurv.svg", "spiralcurv.polar"}
