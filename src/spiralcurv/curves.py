@@ -11,6 +11,10 @@ to eval_frame unchanged, so mode=None picks analytic exactly when the
 patch carries a jet, and takes its difference steps in t from
 numdiff.fit_steps, which raises OutOfDomain where the stencil has no room.
 
+ChartCurve.point (so each stencil position), ChartCurve.velocity and
+_chart_point map trace faults in one place, _trace_fault: OverflowError to
+NumericalBreakdown, ValueError and ZeroDivisionError to OutOfDomain.
+
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
 and negates both the measured angle's sine and the curvature.
@@ -51,6 +55,7 @@ from .vec import Vec3
 
 BREAKDOWN_TOL = 1e-4
 STEP_HALVINGS = 3  # retries of a second difference that fails BREAKDOWN_TOL
+_TRACE_FAULTS = (OverflowError, ValueError, ZeroDivisionError)  # see _trace_fault
 
 PARALLEL = "parallel"
 MERIDIAN = "meridian"
@@ -83,20 +88,27 @@ class ChartCurve:
         """The curve's position in R^3 (unchecked: the curve stencil calls it)."""
         try:
             return self.patch.eval(*self.trace(t))
-        except ValueError:
-            raise OutOfDomain(f"the chart trace is undefined at t={t}") from None
+        except _TRACE_FAULTS as exc:
+            raise _trace_fault(exc, "trace", t) from None
 
     def velocity(self, t: float) -> Tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
-        if self.trace_velocity is not None:
-            try:
+        try:
+            if self.trace_velocity is not None:
                 return self.trace_velocity(t)
-            except (ValueError, ZeroDivisionError):
-                raise OutOfDomain(f"the chart velocity is undefined at t={t}") from None
-        (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
-        du, _ = richardson_first(lambda s: self.trace(s)[0], t, h)
-        dv, _ = richardson_first(lambda s: self.trace(s)[1], t, h)
-        return du, dv
+            (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
+            du, _ = richardson_first(lambda s: self.trace(s)[0], t, h)
+            dv, _ = richardson_first(lambda s: self.trace(s)[1], t, h)
+            return du, dv
+        except _TRACE_FAULTS as exc:
+            raise _trace_fault(exc, "velocity", t) from None
+
+
+def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | OutOfDomain:
+    """The error for a fault exc of the chart {what} ("trace" or "velocity") at t."""
+    if isinstance(exc, OverflowError):
+        return NumericalBreakdown(f"the chart {what} overflows at t={t}")
+    return OutOfDomain(f"the chart {what} is undefined at t={t}")
 
 
 @dataclass(frozen=True)
@@ -111,17 +123,13 @@ class CurveSample:
 
 
 def _chart_point(curve: ChartCurve, t: float) -> Tuple[float, float]:
-    """The chart point (u, v) at t, after the domain check.  A trace that
-    overflows there raises NumericalBreakdown; one that is undefined there
-    (the sphere loxodrome's ln tan t at t = 0) raises OutOfDomain."""
+    """The chart point (u, v) at t, after the domain check."""
     if not curve.contains(t):
         raise OutOfDomain(f"t={t} outside parameter domain {curve.t_domain}")
     try:
         return curve.trace(t)
-    except OverflowError:
-        raise NumericalBreakdown(f"the chart trace overflows at t={t}") from None
-    except ValueError:
-        raise OutOfDomain(f"the chart trace is undefined at t={t}") from None
+    except _TRACE_FAULTS as exc:
+        raise _trace_fault(exc, "trace", t) from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,7 @@ def geodesic_curvature_numeric(
     Richardson correction of the second derivative serves as an error
     estimate: while it exceeds 1e-4 relative to the curvature scale, the
     second-difference step is halved, up to three times; if it still
-    does, or the position overflows inside the stencil, the measurement
+    does, or the trace overflows inside the stencil, the measurement
     is rejected with NumericalBreakdown.  The normal N comes from the patch's
     first-order frame (eval_frame), after the stencil is checked.
     """
@@ -305,7 +313,7 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     with one first-order frame of the patch serving both.
     """
     u, v = _chart_point(curve, t)
-    position = curve.patch.eval(u, v)
+    position = curve.point(t)
     d1, d2, sp = _embedded_derivatives(curve, t)
     frame = eval_frame(curve.patch, u, v, mode)
     return CurveSample(
@@ -321,23 +329,18 @@ def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, floa
     """gamma'(t), gamma''(t) and the speed |gamma'(t)| from the position,
     or the exception that rejects the stencil at t."""
     h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    try:
-        d1, _ = richardson_first(curve.point, t, h1)
-        halving = richardson_second_halving(curve.point, t, h2)
+    d1, _ = richardson_first(curve.point, t, h1)
+    halving = richardson_second_halving(curve.point, t, h2)
+    d2, err = next(halving)
+    sp = d1.norm()
+    if sp == 0.0:
+        raise DegenerateJet(f"curve is not regular at t={t}")
+    # near a point where the trace stops being smooth (the sphere
+    # loxodrome's pole) the step sized from |t| is too coarse: halve it
+    for _ in range(STEP_HALVINGS):
+        if err / max(d2.norm(), sp * sp) <= BREAKDOWN_TOL:
+            break
         d2, err = next(halving)
-        sp = d1.norm()
-        if sp == 0.0:
-            raise DegenerateJet(f"curve is not regular at t={t}")
-        # near a point where the trace stops being smooth (the sphere
-        # loxodrome's pole) the step sized from |t| is too coarse: halve it
-        for _ in range(STEP_HALVINGS):
-            if err / max(d2.norm(), sp * sp) <= BREAKDOWN_TOL:
-                break
-            d2, err = next(halving)
-    except OverflowError:
-        raise NumericalBreakdown(
-            f"the position overflows inside the difference stencil at t={t}"
-        ) from None
 
     scale = max(d2.norm(), sp * sp)
     if err / scale > BREAKDOWN_TOL:

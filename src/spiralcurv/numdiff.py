@@ -9,7 +9,7 @@ second derivatives, and between chart jets and curve kinematics).
 fit_steps sizes and fits the steps of every stencil in the package: the
 finite-difference frames and jets of surfaces (once per chart coordinate),
 and the curve stencils of curves and liouville (once per curve parameter).
-Each step is scaled_step(x, rel), shrunk to at most 0.45 of the distance
+Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
@@ -38,12 +38,6 @@ STEP_FIRST_FINE = EPS ** 0.2          # Richardson first difference
 STEP_SECOND_FINE = EPS ** (1.0 / 6.0) # Richardson second difference
 
 PANEL_LIMIT = 200                     # gauss_kronrod panels
-
-
-def scaled_step(x: float, rel: float) -> float:
-    """Step proportional to the magnitude of x, floored at rel itself: the
-    step of fit_steps on an interval with no finite end."""
-    return fit_steps(x, -math.inf, math.inf, rel)[0]
 
 
 def fit_steps(x: float, lo: float, hi: float, *rels: float) -> list[float]:

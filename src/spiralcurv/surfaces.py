@@ -407,7 +407,7 @@ def fundamental_forms(
     finite-difference jets.  mode is eval_jet's.
     """
     jet = eval_jet(patch, u, v, mode)
-    return forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
+    return FormCoefficients(*forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound))
 
 
 def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
@@ -418,12 +418,11 @@ def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
 
 def forms_from_jet(
     jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
-) -> FormCoefficients:
+) -> Tuple[float, float, float, float, float, float]:
+    """(E, F, G, e, f, g) from a 2-jet, the second form oriented by sign."""
     E, F, G = first_form(jet)
     n = unit_normal(jet, sign, bound)
-    return FormCoefficients(
-        E=E, F=F, G=G, e=-n.dot(jet.p_uu), f=-n.dot(jet.p_uv), g=-n.dot(jet.p_vv)
-    )
+    return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
 
 
 def gaussian_curvature(
@@ -439,13 +438,13 @@ def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
     sign; the sign cancels in K.  DegenerateJet when |p_u x p_v| < bound
     (see unit_normal) or the first form is not positive definite,
     NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows."""
-    forms = forms_from_jet(jet, sign, bound)
-    denom = forms.E * forms.G - forms.F * forms.F
+    E, F, G, e, f, g = forms_from_jet(jet, sign, bound)
+    denom = E * G - F * F
     if denom <= 0.0:
         raise DegenerateJet("first form is not positive definite")
     if not math.isfinite(denom):
         raise NumericalBreakdown("E*G - F^2 overflows")
-    return (forms.e * forms.g - forms.f * forms.f) / denom
+    return (e * g - f * f) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from .errors import BadParameter, DomainError, PreconditionFailed
 from .liouville import liouville_breakdown
 from .numdiff import (
     STEP_SECOND_FINE,
+    fit_steps,
     gauss_kronrod,
     richardson_second,
     richardson_sequence,
-    scaled_step,
 )
 from .surfaces import (
     JET_MODE_ANALYTIC,
@@ -78,7 +78,10 @@ class VerificationReport:
             "check_name": self.check_name,
             "passed": self.passed,
             "tolerance": self.tolerance,
-            "observations": [dataclasses.asdict(o) for o in self.observations],
+            "observations": [
+                {"input": o.input, "expected": o.expected, "actual": o.actual, "error": o.error}
+                for o in self.observations
+            ],
         }
 
     def to_text_line(self) -> str:
@@ -602,7 +605,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
     for K in (-4.0, -1.0, 0.0, 1.0, 4.0):
         metric = pl.polar_metric(K)
         for r in _jacobi_grid(K):
-            h = scaled_step(r, STEP_SECOND_FINE)
+            (h,) = fit_steps(r, -math.inf, math.inf, STEP_SECOND_FINE)
             d2, _ = richardson_second(metric.sqrtG, r, h)
             residual = abs(d2 + K * metric.sqrtG(r))
             obs.append(Observation((K, r), 0.0, d2, residual))

@@ -11,7 +11,7 @@ import numpy as np
 
 import spiralcurv as sc
 from spiralcurv.cli import main as cli_main
-from spiralcurv.numdiff import EPS, richardson_second, richardson_sequence, scaled_step
+from spiralcurv.numdiff import EPS, fit_steps, richardson_second, richardson_sequence
 
 PI = math.pi
 
@@ -241,7 +241,7 @@ def test_criterion_11_jacobi_equation(capsys):
         m = sc.polar_metric(K)
         hi = min(3.0, m.r_limit - 0.05)
         for r in np.linspace(0.05, hi, 20):
-            h = scaled_step(float(r), EPS ** (1.0 / 6.0))
+            h = fit_steps(float(r), -math.inf, math.inf, EPS ** (1.0 / 6.0))[0]
             d2 = richardson_second(m.sqrtG, float(r), h)[0]
             worst = max(worst, abs(d2 + K * m.sqrtG(float(r))))
             checked += 1

@@ -11,6 +11,7 @@ import pytest
 from spiralcurv.curves import (
     MERIDIAN,
     PARALLEL,
+    ChartCurve,
     angle_to_parallel,
     arc_length,
     coordinate_curve,
@@ -58,11 +59,34 @@ def test_arc_length_to_infinity_is_out_of_domain(t0, t1):
         arc_length(plane_log_spiral(1.0), t0, t1)
 
 
-@pytest.mark.parametrize("measure", MEASUREMENTS + (liouville_breakdown,))
+def _point(curve, t):
+    return curve.point(t)
+
+
+def _velocity(curve, t):
+    return curve.velocity(t)
+
+
+def _fd_velocity(curve, t):
+    return dataclasses.replace(curve, trace_velocity=None).velocity(t)
+
+
+@pytest.mark.parametrize(
+    "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity, _fd_velocity)
+)
 def test_trace_overflow_is_numerical_breakdown(measure):
-    # exp(800) overflows inside the chart trace (t, exp(-t))
-    with pytest.raises(NumericalBreakdown):
+    # exp(800) overflows inside the chart trace (t, exp(-t)) and its velocity
+    with pytest.raises(NumericalBreakdown, match="the chart (trace|velocity) overflows at t=-800"):
         measure(plane_log_spiral(1.0), -800.0)
+
+
+@pytest.mark.parametrize("velocity", [lambda t: (1.0, -1.0 / (t * t)), None], ids=["closed", "fd"])
+@pytest.mark.parametrize("measure", MEASUREMENTS + (liouville_breakdown,))
+def test_trace_dividing_by_zero_is_out_of_domain(measure, velocity):
+    # 1/t raises ZeroDivisionError at t = 0, inside the domain
+    curve = ChartCurve(plane_patch(), lambda t: (t, 1.0 / t), (-1.0, 1.0), trace_velocity=velocity)
+    with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
+        measure(curve, 0.0)
 
 
 def test_arc_length_from_an_overflowing_end_is_numerical_breakdown():

@@ -19,7 +19,6 @@ from spiralcurv.numdiff import (
     richardson_first,
     richardson_second,
     richardson_sequence,
-    scaled_step,
 )
 from spiralcurv.vec import Vec3
 
@@ -67,13 +66,16 @@ def test_richardson_sequence_extrapolates_h_squared():
 
 def test_scaled_step_is_representable():
     x = 0.7
-    h = scaled_step(x, EPS ** (1.0 / 3.0))
+    h = fit_steps(x, -math.inf, math.inf, EPS ** (1.0 / 3.0))[0]
     assert (x + h) - x == h
     assert h > 0.0
 
 
 def test_scaled_step_grows_with_magnitude():
-    assert scaled_step(100.0, 1e-5) > scaled_step(1.0, 1e-5)
+    assert (
+        fit_steps(100.0, -math.inf, math.inf, 1e-5)[0]
+        > fit_steps(1.0, -math.inf, math.inf, 1e-5)[0]
+    )
 
 
 def test_fit_steps_clips_to_available_room():
@@ -122,7 +124,7 @@ def test_fit_steps_is_the_fitted_scaled_step(x, lo, hi, rels):
     old = [_old_fit_step(_old_scaled_step(x, rel), x, lo, hi) for rel in rels]
     if min(old) > 0.0:
         assert [h.hex() for h in fit_steps(x, lo, hi, *rels)] == [h.hex() for h in old]
-        assert [scaled_step(x, rel).hex() for rel in rels] == [
+        assert [fit_steps(x, -math.inf, math.inf, rel)[0].hex() for rel in rels] == [
             _old_scaled_step(x, rel).hex() for rel in rels
         ]
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,7 @@ from spiralcurv import (
     verify_ratio_limit,
     verify_sign_pattern,
 )
+from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD
 from spiralcurv.verify import Observation, VerificationReport, suite_analysis
 
 PI = math.pi
@@ -53,6 +55,23 @@ class TestReportMechanics:
         b = reports_to_json(suite_analysis())
         assert a == b
         assert reports_to_text(suite_analysis()) == reports_to_text(suite_analysis())
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_json_is_that_of_the_asdict_route(self, mode):
+        # the reference serialises each observation through dataclasses.asdict
+        reports = run_suites("all", mode)
+        reference = {
+            "reports": [
+                {
+                    "check_name": r.check_name,
+                    "passed": r.passed,
+                    "tolerance": r.tolerance,
+                    "observations": [dataclasses.asdict(o) for o in r.observations],
+                }
+                for r in reports
+            ]
+        }
+        assert reports_to_json(reports) == json.dumps(reference, indent=2)
 
 
 class TestRatioLimit:
