@@ -3,7 +3,12 @@
 A ChartCurve is a parametrized trace t -> (u, v) drawn on a SurfacePatch.
 The geodesic curvature is measured numerically from the embedded curve
 (central differences of the position with Richardson extrapolation), so it
-serves as an independent cross-check of the closed-form predictions.
+serves as an independent cross-check of the closed-form predictions.  A
+straight-line kernel takes the position once at t and at t +- h1, t +- h1/2
+(for gamma'), t +- h2, t +- h2/2 (gamma'') and 2 more per halving of h2,
+in that order, and differences it per component with numdiff's kernels:
+the bits of richardson_first and richardson_second, whose error estimate
+|best - d_half| decides the halvings.
 Every measurement here reads the patch through its first-order frame
 (surfaces.eval_frame): the normal for the curvature, the first form for
 the speed and the angle.  None builds a 2-jet.  Each passes its jet mode
@@ -11,9 +16,10 @@ to eval_frame unchanged, so mode=None picks analytic exactly when the
 patch carries a jet, and takes its difference steps in t from
 numdiff.fit_steps, which raises OutOfDomain where the stencil has no room.
 
-ChartCurve.point (so each stencil position), ChartCurve.velocity and
-_chart_point map trace faults in one place, _trace_fault: OverflowError to
-NumericalBreakdown, ValueError and ZeroDivisionError to OutOfDomain.
+ChartCurve.point (so each stencil position), the stencil's centre,
+ChartCurve.velocity and _chart_point map trace faults in one place,
+_trace_fault: OverflowError to NumericalBreakdown, ValueError and
+ZeroDivisionError to OutOfDomain.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
@@ -37,10 +43,11 @@ from .errors import (
 from .numdiff import (
     STEP_FIRST_FINE,
     STEP_SECOND_FINE,
+    extrapolate,
+    extrapolated_first,
+    extrapolated_second,
     fit_steps,
     gauss_kronrod,
-    richardson_first,
-    richardson_second_halving,
 )
 from .surfaces import (
     SurfacePatch,
@@ -97,9 +104,12 @@ class ChartCurve:
             if self.trace_velocity is not None:
                 return self.trace_velocity(t)
             (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
-            du, _ = richardson_first(lambda s: self.trace(s)[0], t, h)
-            dv, _ = richardson_first(lambda s: self.trace(s)[1], t, h)
-            return du, dv
+            h2 = h / 2.0
+            a, b, a2, b2 = map(self.trace, (t + h, t - h, t + h2, t - h2))
+            # numdiff.extrapolated_first on the two chart components
+            s, s2 = 2.0 * h, 2.0 * h2
+            du = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
+            return du, extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
         except _TRACE_FAULTS as exc:
             raise _trace_fault(exc, "velocity", t) from None
 
@@ -277,18 +287,19 @@ def geodesic_curvature_numeric(
 ) -> float:
     """Geodesic curvature measured from the embedded curve.
 
-    The position is differenced centrally (with one Richardson level) to
-    get gamma' and gamma''; the unit-speed chain rule reduces the signed
-    normal-frame curvature to <gamma'', N x gamma'>/|gamma'|^3.  The
-    Richardson correction of the second derivative serves as an error
-    estimate: while it exceeds 1e-4 relative to the curvature scale, the
-    second-difference step is halved, up to three times; if it still
+    The position, taken at 9 points (see the module docstring), is
+    differenced centrally (with one Richardson level) to get gamma' and
+    gamma''; the unit-speed chain rule reduces the signed normal-frame
+    curvature to <gamma'', N x gamma'>/|gamma'|^3.  The Richardson
+    correction of the second derivative serves as an error estimate: while
+    it exceeds 1e-4 relative to the curvature scale, the second-difference
+    step is halved, up to three times, 2 more positions each; if it still
     does, or the trace overflows inside the stencil, the measurement
     is rejected with NumericalBreakdown.  The normal N comes from the patch's
     first-order frame (eval_frame), after the stencil is checked.
     """
     u, v = _chart_point(curve, t)
-    d1, d2, sp = _embedded_derivatives(curve, t)
+    _, d1, d2, sp = _embedded_derivatives(curve, t, u, v)
     frame = eval_frame(curve.patch, u, v, mode)
     return _curvature(curve, d1, d2, sp, frame)
 
@@ -313,8 +324,7 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     with one first-order frame of the patch serving both.
     """
     u, v = _chart_point(curve, t)
-    position = curve.point(t)
-    d1, d2, sp = _embedded_derivatives(curve, t)
+    position, d1, d2, sp = _embedded_derivatives(curve, t, u, v)
     frame = eval_frame(curve.patch, u, v, mode)
     return CurveSample(
         t=t,
@@ -325,30 +335,40 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     )
 
 
-def _embedded_derivatives(curve: ChartCurve, t: float) -> Tuple[Vec3, Vec3, float]:
-    """gamma'(t), gamma''(t) and the speed |gamma'(t)| from the position,
-    or the exception that rejects the stencil at t."""
-    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    d1, _ = richardson_first(curve.point, t, h1)
-    halving = richardson_second_halving(curve.point, t, h2)
-    d2, err = next(halving)
+def _embedded_derivatives(curve: ChartCurve, t: float, u: float, v: float):
+    """The position gamma(t) at (u, v) = trace(t), gamma'(t), gamma''(t)
+    and the speed |gamma'(t)|, or the exception that rejects the stencil
+    at t.  The straight-line kernel of the module docstring."""
+    try:
+        p = curve.patch.eval(u, v)
+    except _TRACE_FAULTS as exc:
+        raise _trace_fault(exc, "trace", t) from None
+    point = curve.point
+    h1, h = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    half = h1 / 2.0
+    d1 = extrapolated_first(*map(point, (t + h1, t - h1, t + half, t - half)), h1, half)
     sp = d1.norm()
-    if sp == 0.0:
-        raise DegenerateJet(f"curve is not regular at t={t}")
+    a, b = point(t + h), point(t - h)
     # near a point where the trace stops being smooth (the sphere
-    # loxodrome's pole) the step sized from |t| is too coarse: halve it
-    for _ in range(STEP_HALVINGS):
-        if err / max(d2.norm(), sp * sp) <= BREAKDOWN_TOL:
+    # loxodrome's pole) the step sized from |t| is too coarse: halve it,
+    # the half-step positions serving as the next full-step ones
+    for _ in range(STEP_HALVINGS + 1):
+        half = h / 2.0
+        a2, b2 = point(t + half), point(t - half)
+        d2, d_half = extrapolated_second(p, a, b, a2, b2, h, half)
+        err = (d2 - d_half).norm()
+        if sp == 0.0:  # once the first h2 positions are in: their faults come first
+            raise DegenerateJet(f"curve is not regular at t={t}")
+        scale = max(d2.norm(), sp * sp)
+        if err / scale <= BREAKDOWN_TOL:
             break
-        d2, err = next(halving)
-
-    scale = max(d2.norm(), sp * sp)
+        a, b, h = a2, b2, half
     if err / scale > BREAKDOWN_TOL:
         raise NumericalBreakdown(
             f"second-derivative estimate unreliable at t={t} "
             f"(relative error ~{err / scale:.2e})"
         )
-    return d1, d2, sp
+    return p, d1, d2, sp
 
 
 def _curvature(curve: ChartCurve, d1: Vec3, d2: Vec3, sp: float, frame) -> float:

@@ -13,6 +13,13 @@ Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
+The straight-line stencil kernels of surfaces and curves take each stencil
+position once and difference the positions with extrapolated_first,
+extrapolated_second and extrapolated_cross, per component in the float
+operations and order of central_first, central_second and the cross
+stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
+richardson_first, richardson_second and richardson on Vec3 positions.
+
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
 bisects the panel with the largest error estimate |K15 - G7| until the
@@ -28,6 +35,8 @@ from typing import Callable
 
 from .errors import NumericalBreakdown, OutOfDomain
 from .vec import Vec3
+
+_new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
 
 EPS = sys.float_info.epsilon
 
@@ -70,9 +79,8 @@ def central_second(f: Callable[[float], object], x: float, h: float):
 
 def extrapolate(d_h, d_half):
     """One Richardson level: the h^2 term removed from two central
-    estimates at steps h and h/2.  richardson, richardson_second_halving
-    and the finite-difference jets of surfaces (once per component) all
-    take it from here."""
+    estimates at steps h and h/2.  richardson and the stencil kernels
+    below (once per component) all take it from here."""
     return d_half + (d_half - d_h) / 3.0
 
 
@@ -98,20 +106,40 @@ def richardson_second(f, x, h):
     return richardson(lambda s: central_second(f, x, s), h)
 
 
-def richardson_second_halving(f, x, h):
-    """richardson_second at h, then at h/2, h/4, ... for as long as the
-    caller asks: yields (estimate, error) pairs, the first equal to
-    richardson_second(f, x, h).  Each later pair reuses the previous
-    pair's half-step central difference, so it costs one central
-    difference (three evaluations of f), not the two of a fresh
-    richardson_second."""
-    d_h = central_second(f, x, h)
-    while True:
-        h /= 2.0
-        d_half = central_second(f, x, h)
-        best = extrapolate(d_h, d_half)
-        yield best, _mag(best - d_half)
-        d_h = d_half
+def extrapolated_first(a, b, a2, b2, h: float, h2: float) -> Vec3:
+    """Central first differences of a = f(x+h), b = f(x-h) and a2, b2 at
+    the half step h2, extrapolated."""
+    s, s2 = 2.0 * h, 2.0 * h2
+    x = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
+    y = extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
+    z = extrapolate((a[2] - b[2]) / s, (a2[2] - b2[2]) / s2)
+    return _new(Vec3, (x, y, z))
+
+
+def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> tuple[Vec3, tuple]:
+    """Central second differences about the centre p of a = f(x+h),
+    b = f(x-h) and a2, b2 at the half step h2, extrapolated; and the
+    half-step differences as a plain tuple, for the Richardson error."""
+    s, s2 = h * h, h2 * h2
+    px, py, pz = 2.0 * p[0], 2.0 * p[1], 2.0 * p[2]
+    x = ((a2[0] - px) + b2[0]) / s2
+    y = ((a2[1] - py) + b2[1]) / s2
+    z = ((a2[2] - pz) + b2[2]) / s2
+    best = (
+        extrapolate(((a[0] - px) + b[0]) / s, x),
+        extrapolate(((a[1] - py) + b[1]) / s, y),
+        extrapolate(((a[2] - pz) + b[2]) / s, z),
+    )
+    return _new(Vec3, best), (x, y, z)
+
+
+def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:
+    """Cross stencils f(+h,+k) - f(+h,-k) - f(-h,+k) + f(-h,-k) over
+    s = 4hk, at both step pairs, extrapolated."""
+    x = extrapolate((((A[0] - B[0]) - C[0]) + D[0]) / s, (((A2[0] - B2[0]) - C2[0]) + D2[0]) / s2)
+    y = extrapolate((((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2)
+    z = extrapolate((((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2)
+    return _new(Vec3, (x, y, z))
 
 
 def richardson_sequence(estimates, steps):

@@ -24,10 +24,10 @@ first form read, which is all the curve measurements use.  With finite
 differences a frame takes the position at 8 stencil points and a 2-jet at
 25, each step fitted into the domain by numdiff.fit_steps: a straight-line
 stencil kernel takes each stencil position once and differences the
-positions per component, with one Richardson level (numdiff.extrapolate)
-and the float operations of numdiff's generic central differences, so its
-bits are theirs.  A jet carries the extrapolated values only, no
-Richardson error estimate.
+positions with numdiff's per-component kernels (extrapolated_first,
+_second and _cross), which have the bits of its generic central
+differences with one Richardson level.  A jet carries the extrapolated
+values only, no Richardson error estimate.
 
 The stencil of a frame spans 5 distinct u and 5 distinct v, that of a jet
 9 and 9.  On a surface of revolution (x(v) cos u, x(v) sin u, z(v)) the
@@ -49,7 +49,14 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import STEP_FIRST, STEP_SECOND, extrapolate, fit_steps
+from .numdiff import (
+    STEP_FIRST,
+    STEP_SECOND,
+    extrapolated_cross,
+    extrapolated_first,
+    extrapolated_second,
+    fit_steps,
+)
 from .vec import Vec3
 
 _new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
@@ -240,7 +247,10 @@ def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
         (u + hu, u - hu, u + hu_half, u - hu_half),
         (v + hv, v - hv, v + hv_half, v - hv_half),
     )
-    return Frame(p_u=_first(a, b, a2, b2, hu, hu_half), p_v=_first(c, d, c2, d2, hv, hv_half))
+    return Frame(
+        p_u=extrapolated_first(a, b, a2, b2, hu, hu_half),
+        p_v=extrapolated_first(c, d, c2, d2, hv, hv_half),
+    )
 
 
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
@@ -268,11 +278,15 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     # the centre is evaluated once, for p and both second differences
     return Jet2(
         p=p,
-        p_u=_first(*along_u[:4], hu, hu_half),
-        p_v=_first(*along_v[:4], hv, hv_half),
-        p_uu=_second(along_u[4], p, along_u[5], along_u[6], along_u[7], hu2, hu2_half),
-        p_uv=_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
-        p_vv=_second(along_v[4], p, along_v[5], along_v[6], along_v[7], hv2, hv2_half),
+        p_u=extrapolated_first(*along_u[:4], hu, hu_half),
+        p_v=extrapolated_first(*along_v[:4], hv, hv_half),
+        p_uu=extrapolated_second(
+            p, along_u[4], along_u[5], along_u[6], along_u[7], hu2, hu2_half
+        )[0],
+        p_uv=extrapolated_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
+        p_vv=extrapolated_second(
+            p, along_v[4], along_v[5], along_v[6], along_v[7], hv2, hv2_half
+        )[0],
     )
 
 
@@ -318,63 +332,6 @@ def _positions(position, u, v, us, vs, cross=None):
         (ca, sa), (rb, hb) = trig[i], profile[j]
         points.append((rb * ca, rb * sa, hb))
     return along_u, along_v, _new(Vec3, (r * c, r * s, h)), points
-
-
-# The stencil kernel below takes each position once and does, per
-# component, the float operations of numdiff's generic route in its order:
-# central_first (a - b) / (2h), central_second ((a - 2p) + b) / h^2, the
-# cross stencil (((A - B) - C) + D) / (4hk), each at step h and h/2, and
-# one Richardson level through numdiff.extrapolate.  So its bits are those
-# of richardson_first, richardson_second and richardson on Vec3 positions,
-# without the error estimate, which no jet reads.
-
-
-def _first(a, b, a2, b2, h: float, h2: float) -> Vec3:
-    """Central first differences of a = f(x+h), b = f(x-h) and a2, b2 at
-    the half step h2, extrapolated."""
-    s, s2 = 2.0 * h, 2.0 * h2
-    return _new(
-        Vec3,
-        (
-            extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2),
-            extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2),
-            extrapolate((a[2] - b[2]) / s, (a2[2] - b2[2]) / s2),
-        ),
-    )
-
-
-def _second(a, p, b, a2, b2, h: float, h2: float) -> Vec3:
-    """Central second differences about the centre p of a = f(x+h),
-    b = f(x-h) and a2, b2 at the half step h2, extrapolated."""
-    s, s2 = h * h, h2 * h2
-    px, py, pz = 2.0 * p[0], 2.0 * p[1], 2.0 * p[2]
-    return _new(
-        Vec3,
-        (
-            extrapolate(((a[0] - px) + b[0]) / s, ((a2[0] - px) + b2[0]) / s2),
-            extrapolate(((a[1] - py) + b[1]) / s, ((a2[1] - py) + b2[1]) / s2),
-            extrapolate(((a[2] - pz) + b[2]) / s, ((a2[2] - pz) + b2[2]) / s2),
-        ),
-    )
-
-
-def _cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:
-    """Cross stencils f(+h,+k) - f(+h,-k) - f(-h,+k) + f(-h,-k) over
-    s = 4hk, at both step pairs, extrapolated."""
-    return _new(
-        Vec3,
-        (
-            extrapolate(
-                (((A[0] - B[0]) - C[0]) + D[0]) / s, (((A2[0] - B2[0]) - C2[0]) + D2[0]) / s2
-            ),
-            extrapolate(
-                (((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2
-            ),
-            extrapolate(
-                (((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2
-            ),
-        ),
-    )
 
 
 def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:

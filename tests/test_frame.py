@@ -263,11 +263,13 @@ def counting(curve):
                          ids=[IDS[i] for i in (0, 3, 6, 13)])
 def test_position_evaluations_per_measurement(curve, t):
     counted, calls = counting(curve)
-    # per sample: 1 position + 10 for the curve's stencil, + 8 for an FD frame
-    for mode, want in ((JET_MODE_ANALYTIC, 11), (JET_MODE_FD, 19)):
+    # per sample: the centre and 8 stencil positions, + 8 for an FD frame
+    for mode, want in ((JET_MODE_ANALYTIC, 9), (JET_MODE_FD, 17)):
         calls.clear()
         cv.sample(counted, t, mode)
         assert len(calls) == want, mode
+        # the curve's stencil takes each of its 9 points once
+        assert len(set(calls[:9])) == 9, mode
     calls.clear()
     cv.angle_to_parallel(counted, t, JET_MODE_FD)
     assert len(calls) == 8
