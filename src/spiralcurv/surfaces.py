@@ -9,7 +9,16 @@ orthogonal to p_u and p_v; flipping the orientation flips (e, f, g)
 jointly and leaves the curvature untouched.  The curvature is read off one
 2-jet by curvature_from_jet, which gaussian_curvature calls and which a
 caller already holding the jet calls directly: the verify battery reads
-both orientations' K off one jet per grid point.
+both orientations' K off one jet per grid point.  Both read the forms
+through forms_from_jet, a straight-line float kernel with the bits and
+the raises of first_form, unit_normal and Vec3.dot; it raises
+NumericalBreakdown where e, f, g or K is not finite rather than return
+them.
+
+Jet2 and Frame are tuples of Vec3s with a frozen dataclass's value
+behaviour (vec.Record), as closed_form.CurvatureProfile is; the jet
+builders make them with tuple.__new__.  dataclasses.replace, asdict and
+fields do not apply to them: _replace and _asdict take their place.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
@@ -44,7 +53,8 @@ the map, is called once per stencil point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Tuple
 
@@ -57,9 +67,11 @@ from .numdiff import (
     extrapolated_second,
     fit_steps,
 )
-from .vec import Vec3
+from .vec import Record, Vec3
 
-_new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
+_new = tuple.__new__  # a record from one tuple, as vec's own operators build a Vec3
+_isfinite = math.isfinite
+_sqrt = math.sqrt
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -95,24 +107,16 @@ class Rect:
         return self.u.contains(u) and self.v.contains(v)
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(Record, namedtuple("_Jet2", "p p_u p_v p_uu p_uv p_vv")):
     """Position and partial derivatives through second order at one point."""
 
-    p: Vec3
-    p_u: Vec3
-    p_v: Vec3
-    p_uu: Vec3
-    p_uv: Vec3
-    p_vv: Vec3
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record, namedtuple("_Frame", "p_u p_v")):
     """First partials at one point: the tangent plane of the patch."""
 
-    p_u: Vec3
-    p_v: Vec3
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -247,9 +251,12 @@ def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
         (u + hu, u - hu, u + hu_half, u - hu_half),
         (v + hv, v - hv, v + hv_half, v - hv_half),
     )
-    return Frame(
-        p_u=extrapolated_first(a, b, a2, b2, hu, hu_half),
-        p_v=extrapolated_first(c, d, c2, d2, hv, hv_half),
+    return _new(
+        Frame,
+        (
+            extrapolated_first(a, b, a2, b2, hu, hu_half),
+            extrapolated_first(c, d, c2, d2, hv, hv_half),
+        ),
     )
 
 
@@ -275,18 +282,18 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
         (v + hv, v - hv, v + hv_half, v - hv_half, v + hv2, v - hv2, v + hv2_half, v - hv2_half),
         _CROSS,
     )
-    # the centre is evaluated once, for p and both second differences
-    return Jet2(
-        p=p,
-        p_u=extrapolated_first(*along_u[:4], hu, hu_half),
-        p_v=extrapolated_first(*along_v[:4], hv, hv_half),
-        p_uu=extrapolated_second(
-            p, along_u[4], along_u[5], along_u[6], along_u[7], hu2, hu2_half
-        )[0],
-        p_uv=extrapolated_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
-        p_vv=extrapolated_second(
-            p, along_v[4], along_v[5], along_v[6], along_v[7], hv2, hv2_half
-        )[0],
+    # the centre is evaluated once, for p and both second differences;
+    # the fields in Jet2's order p, p_u, p_v, p_uu, p_uv, p_vv
+    return _new(
+        Jet2,
+        (
+            p,
+            extrapolated_first(*along_u[:4], hu, hu_half),
+            extrapolated_first(*along_v[:4], hv, hv_half),
+            extrapolated_second(p, *along_u[4:], hu2, hu2_half)[0],
+            extrapolated_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
+            extrapolated_second(p, *along_v[4:], hv2, hv2_half)[0],
+        ),
     )
 
 
@@ -376,10 +383,33 @@ def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
 def forms_from_jet(
     jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
 ) -> Tuple[float, float, float, float, float, float]:
-    """(E, F, G, e, f, g) from a 2-jet, the second form oriented by sign."""
-    E, F, G = first_form(jet)
-    n = unit_normal(jet, sign, bound)
-    return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
+    """(E, F, G, e, f, g) from a 2-jet, the second form oriented by sign.
+
+    A straight-line float kernel: first_form, unit_normal and the three
+    Vec3.dot of e, f, g, with the float operations of Vec3.dot, cross,
+    norm and * in their order, so the same bits, and unit_normal's
+    raises.  NumericalBreakdown also when e, f or g is not finite.
+    """
+    if sign not in (1, -1):
+        raise BadParameter("orientation sign must be +1 or -1")
+    _, (x, y, z), (a, b, c), (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
+    E = x * x + y * y + z * z
+    F = x * a + y * b + z * c
+    G = a * a + b * b + c * c
+    cx, cy, cz = y * c - z * b, z * a - x * c, x * b - y * a
+    n = _sqrt(cx * cx + cy * cy + cz * cz)
+    if n < bound:
+        raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
+    if not _isfinite(n):
+        raise NumericalBreakdown("|p_u x p_v| overflows")
+    s = sign / n
+    nx, ny, nz = cx * s, cy * s, cz * s
+    e = -(nx * uu0 + ny * uu1 + nz * uu2)
+    f = -(nx * uv0 + ny * uv1 + nz * uv2)
+    g = -(nx * vv0 + ny * vv1 + nz * vv2)
+    if not (_isfinite(e) and _isfinite(f) and _isfinite(g)):
+        raise NumericalBreakdown(f"second form e={e!r}, f={f!r}, g={g!r} is not finite")
+    return E, F, G, e, f, g
 
 
 def gaussian_curvature(
@@ -394,14 +424,18 @@ def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
     """K = (e*g - f^2) / (E*G - F^2) from a 2-jet, the forms oriented by
     sign; the sign cancels in K.  DegenerateJet when |p_u x p_v| < bound
     (see unit_normal) or the first form is not positive definite,
-    NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows."""
+    NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows, when e, f
+    or g is not finite, or when K is not (e*g - f^2 overflows)."""
     E, F, G, e, f, g = forms_from_jet(jet, sign, bound)
     denom = E * G - F * F
     if denom <= 0.0:
         raise DegenerateJet("first form is not positive definite")
-    if not math.isfinite(denom):
+    if not _isfinite(denom):
         raise NumericalBreakdown("E*G - F^2 overflows")
-    return (e * g - f * f) / denom
+    K = (e * g - f * f) / denom
+    if not _isfinite(K):
+        raise NumericalBreakdown(f"K = (e*g - f^2)/(E*G - F^2) = {K!r} is not finite")
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +484,16 @@ def surface_of_revolution(
             cu, su = math.cos(u), math.sin(u)
             r, r1, r2 = x(v), dx(v), d2x(v)
             h, h1, h2 = z(v), dz(v), d2z(v)
-            return Jet2(
-                p=_new(Vec3, (r * cu, r * su, h)),
-                p_u=_new(Vec3, (-r * su, r * cu, 0.0)),
-                p_v=_new(Vec3, (r1 * cu, r1 * su, h1)),
-                p_uu=_new(Vec3, (-r * cu, -r * su, 0.0)),
-                p_uv=_new(Vec3, (-r1 * su, r1 * cu, 0.0)),
-                p_vv=_new(Vec3, (r2 * cu, r2 * su, h2)),
+            return _new(
+                Jet2,
+                (
+                    _new(Vec3, (r * cu, r * su, h)),
+                    _new(Vec3, (-r * su, r * cu, 0.0)),
+                    _new(Vec3, (r1 * cu, r1 * su, h1)),
+                    _new(Vec3, (-r * cu, -r * su, 0.0)),
+                    _new(Vec3, (-r1 * su, r1 * cu, 0.0)),
+                    _new(Vec3, (r2 * cu, r2 * su, h2)),
+                ),
             )
 
     return SurfacePatch(

@@ -1,19 +1,25 @@
-"""Small fixed-size 3-vector used for surface points and frames.
+"""Small fixed-size 3-vector used for surface points and frames, and the
+value base that it shares with the package's other tuple-backed records.
 
-An immutable tuple of three floats with named components, so jets and
-normals read as p.x, p.y, p.z, and building one costs a single tuple
-allocation.  Its operators treat it as a value: + - * / are vector
-arithmetic, a Vec3 equals only another Vec3 with the same components (never
-a plain tuple), its hash is that of (x, y, z), and it is not ordered.  All
-arithmetic is plain float math.
+Record is the behaviour of a frozen dataclass on a tuple subclass: an
+instance equals only another instance of the same class with equal items
+(never a plain tuple), it is hashed as the tuple of its items, and it is
+not ordered.  Vec3, surfaces.Jet2, surfaces.Frame and verify.Observation
+build on it; the last three take their fields, repr, _replace and _asdict
+from a namedtuple base, as closed_form.CurvatureProfile does.
+
+A Vec3 is an immutable tuple of three floats with named components, so
+jets and normals read as p.x, p.y, p.z, and building one costs a single
+tuple allocation.  Its operators treat it as a value: + - * / are vector
+arithmetic, and all arithmetic is plain float math.
 
 Where it was a frozen dataclass it is now still a tuple underneath: len,
 indexing, iteration and unpacking work; a plain tuple + a Vec3
 concatenates, while a Vec3 + a plain tuple adds componentwise; json and
 numpy read it as a sequence of three floats; and it names its components
 in _fields, as a namedtuple does, so dataclasses.asdict and astuple of a
-dataclass that holds one (a Jet2, a CurveSample) keep it as a Vec3 rather
-than turning it into a dict or tuple of its own.
+dataclass that holds one (a CurveSample) keep it as a Vec3 rather than
+turning it into a dict or tuple of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +30,31 @@ from operator import itemgetter
 _new = tuple.__new__
 
 
-class Vec3(tuple):
+class Record(tuple):
+    """A tuple with a frozen dataclass's value behaviour: equal only to the
+    same class, hashed as its items, and not ordered."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # a plain tuple would otherwise compare equal through tuple.__eq__
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    del _unordered
+
+
+class Vec3(Record):
     __slots__ = ()
     _fields = ("x", "y", "z")
 
@@ -40,24 +70,6 @@ class Vec3(tuple):
 
     def __repr__(self) -> str:
         return f"Vec3(x={self[0]!r}, y={self[1]!r}, z={self[2]!r})"
-
-    def __eq__(self, other):
-        if type(other) is Vec3:
-            return tuple.__eq__(self, other)
-        # a plain tuple would otherwise compare equal through tuple.__eq__
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def _unordered(self, other):
-        raise TypeError("Vec3 values are not ordered")
-
-    # a value, not a sequence: hashed as (x, y, z), and not ordered
-    __hash__ = tuple.__hash__
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
-    del _unordered
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return _new(Vec3, (self[0] + other[0], self[1] + other[1], self[2] + other[2]))

@@ -4,7 +4,9 @@ Each check produces a VerificationReport: a named list of observations
 (input, expected, actual, error) plus one tolerance; the report passes
 exactly when every observation error is at most the tolerance.  Reports are
 deterministic — identical inputs produce identical observation lists — and
-serialize to a line-oriented text form and to JSON.
+serialize to a line-oriented text form and to JSON.  An Observation is a
+tuple, like surfaces.Jet2, with a frozen dataclass's value behaviour
+(vec.Record); its _asdict is the dict that dataclasses.asdict gave.
 
 The checks fall into two groups: structural properties of the closed-form
 curvature (limit behaviour near K = 0, monotonicity and sign pattern in K,
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,6 +46,9 @@ from .surfaces import (
     pseudosphere_patch,
     sphere_patch,
 )
+from .vec import Record
+
+_new = tuple.__new__  # an Observation from one tuple, for the dense grids
 
 SUITES = ("forms", "curves", "liouville", "analysis", "all")
 
@@ -54,12 +60,11 @@ def _linspace(start: float, stop: float, num: int) -> List[float]:
     return [start + i * step for i in range(num - 1)] + [stop]
 
 
-@dataclass(frozen=True)
-class Observation:
-    input: Tuple
-    expected: float
-    actual: float
-    error: float
+class Observation(Record, namedtuple("_Observation", "input expected actual error")):
+    """One point of a check: its input tuple, the expected and the actual
+    value, and the error that the check's tolerance bounds."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,7 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                     err = abs(K - patch.known_K) / abs(patch.known_K)
                 else:
                     err = abs(K)
-                obs.append(Observation(point, patch.known_K, K, err))
+                obs.append(_new(Observation, (point, patch.known_K, K, err)))
                 if i % 4 or j % 4:
                     continue
                 K2 = curvature_from_jet(jet, -sign, bound)
@@ -344,9 +349,7 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                 det = E * G - F * F
                 regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
                 worst = 0.0
-                for name in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"):
-                    va = getattr(an, name)
-                    vf = getattr(fd, name)
+                for va, vf in zip(an, fd):  # p, p_u, p_v, p_uu, p_uv, p_vv
                     diff = (vf - va).norm() / max(1.0, va.norm())
                     worst = max(worst, diff)
                 consistency.append(Observation(point, 0.0, worst, worst))

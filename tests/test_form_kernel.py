@@ -1,0 +1,152 @@
+"""The straight-line form kernel against the Vec3 route it replaces.
+
+forms_from_jet and curvature_from_jet compute E, F, G, the unit normal and
+e, f, g without building a Vec3.  These tests rebuild both from first_form,
+unit_normal and Vec3.dot and require the same bits on every grid of the
+verify battery, in both jet modes and for both orientation signs, and on
+random jets whose sums show their association; and the same exception
+class and message where the Vec3 route raises.  Where the
+second form or K is not finite, the kernel raises NumericalBreakdown.
+"""
+
+import math
+import random
+
+import pytest
+
+from spiralcurv.errors import BadParameter, DegenerateJet, NumericalBreakdown
+from spiralcurv.surfaces import (
+    DEGENERACY_THRESHOLD,
+    JET_MODE_ANALYTIC,
+    JET_MODE_FD,
+    Jet2,
+    curvature_from_jet,
+    eval_jet,
+    first_form,
+    forms_from_jet,
+    fundamental_forms,
+    gaussian_curvature,
+    pseudosphere_patch,
+    sphere_patch,
+    surface_of_revolution,
+    unit_normal,
+)
+from spiralcurv.vec import Vec3
+from spiralcurv.verify import _patches
+
+MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
+BATTERY = _patches()
+
+
+def reference_forms(jet, sign, bound=DEGENERACY_THRESHOLD):
+    E, F, G = first_form(jet)
+    n = unit_normal(jet, sign, bound)
+    return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
+
+
+def reference_curvature(jet, sign, bound=DEGENERACY_THRESHOLD):
+    E, F, G, e, f, g = reference_forms(jet, sign, bound)
+    return (e * g - f * f) / (E * G - F * F)
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("patch,us,vs", BATTERY, ids=[p.name for p, _, _ in BATTERY])
+def test_bits_of_the_vec3_route_on_the_battery_grids(patch, us, vs, mode):
+    bound = patch.degeneracy_bound
+    for u in us:
+        for v in vs:
+            jet = eval_jet(patch, u, v, mode)
+            for sign in (1, -1):
+                got = forms_from_jet(jet, sign, bound)
+                assert hexes(got) == hexes(reference_forms(jet, sign, bound)), (u, v, sign)
+                K = curvature_from_jet(jet, sign, bound)
+                assert K.hex() == reference_curvature(jet, sign, bound).hex(), (u, v, sign)
+
+
+def test_bits_of_the_vec3_route_on_jets_without_zero_components():
+    # the battery's jets are of surfaces of revolution, whose p_u, p_uu and
+    # p_uv have z = 0; here every product of every sum is nonzero, so
+    # the association of each sum shows
+    rng = random.Random(15)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        jet = Jet2(*(Vec3(*(scale * rng.uniform(-1.0, 1.0) for _ in range(3))) for _ in range(6)))
+        for sign in (1, -1):
+            assert hexes(forms_from_jet(jet, sign)) == hexes(reference_forms(jet, sign)), jet
+            assert curvature_from_jet(jet, sign).hex() == reference_curvature(jet, sign).hex(), jet
+
+
+def _raises_as_the_vec3_route(jet, bound, sign, exc_type, match):
+    with pytest.raises(exc_type, match=match) as want:
+        reference_forms(jet, sign, bound)
+    for kernel in (forms_from_jet, curvature_from_jet):
+        with pytest.raises(exc_type) as got:
+            kernel(jet, sign, bound)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -1.5])
+def test_a_bad_sign_raises_bad_parameter(sign):
+    jet = eval_jet(sphere_patch(1.0), 0.3, 1.0)
+    _raises_as_the_vec3_route(jet, DEGENERACY_THRESHOLD, sign, BadParameter,
+                              r"orientation sign must be \+1 or -1")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_pseudosphere_rim_is_degenerate(sign):
+    patch = pseudosphere_patch(1.0)
+    jet = eval_jet(patch, 0.3, math.pi / 2, JET_MODE_ANALYTIC)
+    _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, DegenerateJet,
+                              r"below degeneracy threshold")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_huge_sphere_overflows_the_normal(mode, sign):
+    patch = sphere_patch(1e78)
+    jet = eval_jet(patch, 0.3, 1.0, mode)
+    _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, NumericalBreakdown,
+                              r"^\|p_u x p_v\| overflows$")
+
+
+# A unit sphere whose analytic d2z returns a non-finite value, and one whose
+# position map does at the points of the second-difference stencil (at
+# v = 1 those lie 6e-5 and 1.2e-4 away, the first differences' within 6e-6).
+def _analytic_repro(bad):
+    return surface_of_revolution(
+        math.sin, math.cos, dx=math.cos, d2x=lambda v: -math.sin(v),
+        dz=lambda v: -math.sin(v), d2z=lambda v: bad, v_domain=(0.0, math.pi),
+    )
+
+
+def _fd_repro(bad):
+    return surface_of_revolution(
+        math.sin, lambda v: math.cos(v) if abs(v - 1.0) < 3e-5 else bad,
+        v_domain=(0.0, math.pi),
+    )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("mode,repro", [(JET_MODE_ANALYTIC, _analytic_repro),
+                                        (JET_MODE_FD, _fd_repro)])
+def test_a_non_finite_second_form_raises(mode, repro, bad):
+    patch = repro(bad)
+    with pytest.raises(NumericalBreakdown, match="second form .* is not finite"):
+        gaussian_curvature(patch, 0.3, 1.0, mode)
+    with pytest.raises(NumericalBreakdown, match="second form .* is not finite"):
+        fundamental_forms(patch, 0.3, 1.0, mode)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_overflowing_numerator_raises(sign):
+    # e = g = 1e200 are finite, e*g - f*f is not
+    x, y, p = Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, -1e200)
+    jet = Jet2(Vec3(0.0, 0.0, 0.0), x, y, p, Vec3(0.0, 0.0, 0.0), p)
+    assert hexes(forms_from_jet(jet, sign)) == hexes(reference_forms(jet, sign))
+    assert math.isinf(reference_curvature(jet, sign))
+    with pytest.raises(NumericalBreakdown, match=r"K = .* is not finite"):
+        curvature_from_jet(jet, sign)

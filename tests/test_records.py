@@ -1,0 +1,154 @@
+"""Jet2, Frame and Observation are tuples with a frozen dataclass's value
+behaviour: the fields in order, read-only, a repr by field, equal only to
+the same type, hashed as their fields, not ordered, and they survive pickle
+and copy.  The sequence behaviour of the tuple underneath is pinned too."""
+
+import collections
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from spiralcurv.surfaces import (
+    JET_MODE_ANALYTIC,
+    JET_MODE_FD,
+    Frame,
+    Jet2,
+    eval_frame,
+    eval_jet,
+    sphere_patch,
+)
+from spiralcurv.vec import Record, Vec3
+from spiralcurv.verify import Observation, suite_forms
+
+A, B, C = Vec3(1.0, 2.0, 3.0), Vec3(-0.5, 0.25, 0.0), Vec3(0.0, 0.0, 1.5)
+
+# (the record, its fields in order)
+RECORDS = {
+    "Jet2": (Jet2(A, B, C, A, B, C), ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")),
+    "Frame": (Frame(A, B), ("p_u", "p_v")),
+    "Observation": (Observation((1.0, "tag"), 2.0, 2.5, 0.25),
+                    ("input", "expected", "actual", "error")),
+}
+NAMES = list(RECORDS)
+
+
+def record(name):
+    return RECORDS[name][0]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_in_order(name):
+    rec, fields = RECORDS[name]
+    assert rec._fields == fields
+    assert tuple(rec) == tuple(getattr(rec, f) for f in fields)
+    assert type(rec)(**{f: getattr(rec, f) for f in fields}) == rec
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_cannot_be_assigned(name):
+    rec, fields = RECORDS[name]
+    for f in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, 0.0)
+    assert not hasattr(rec, "__dict__")
+
+
+def test_repr_names_every_field():
+    assert repr(Frame(A, B)) == (
+        "Frame(p_u=Vec3(x=1.0, y=2.0, z=3.0), p_v=Vec3(x=-0.5, y=0.25, z=0.0))"
+    )
+    assert repr(record("Observation")) == (
+        "Observation(input=(1.0, 'tag'), expected=2.0, actual=2.5, error=0.25)"
+    )
+    assert repr(record("Jet2")).startswith("Jet2(p=Vec3(x=1.0, y=2.0, z=3.0), p_u=Vec3(")
+    assert repr(record("Jet2")).endswith(", p_vv=Vec3(x=0.0, y=0.0, z=1.5))")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_only_to_the_same_type(name):
+    rec, fields = RECORDS[name]
+    twin = type(rec)(*tuple(rec))
+    assert rec == twin and not rec != twin
+    first = fields[0]
+    assert rec != rec._replace(**{first: C if first != "input" else (2.0,)})
+    # a plain tuple or a list with the same items is not one, on either side
+    for other in (tuple(rec), list(rec)):
+        assert rec != other and other != rec
+        assert not rec == other and not other == rec
+    # nor is a namedtuple of the same name and fields; on the left, such a
+    # foreign tuple subclass compares its items through tuple.__eq__
+    lookalike = collections.namedtuple(name, fields)(*rec)
+    assert rec != lookalike and not rec == lookalike
+    assert rec != None  # noqa: E711
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_hash_is_that_of_the_fields(name):
+    rec, _ = RECORDS[name]
+    assert hash(rec) == hash(tuple(rec))
+    assert {rec: "a"}[type(rec)(*tuple(rec))] == "a"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_not_ordered(name):
+    rec, _ = RECORDS[name]
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b,
+                    lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError, match="not ordered"):
+            compare(rec, rec)
+        with pytest.raises(TypeError):
+            compare(tuple(rec), rec)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("clone", [
+    *(lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_pickle_and_copy_round_trip(name, clone):
+    rec, _ = RECORDS[name]
+    back = clone(rec)
+    assert type(back) is type(rec) and back == rec
+    assert repr(back) == repr(rec)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_replace_and_asdict(name):
+    rec, fields = RECORDS[name]
+    last = fields[-1]
+    changed = rec._replace(**{last: 9.0})
+    assert type(changed) is type(rec)
+    assert getattr(changed, last) == 9.0
+    assert tuple(changed)[:-1] == tuple(rec)[:-1]
+    d = rec._asdict()
+    assert list(d) == list(fields)
+    assert d == {f: getattr(rec, f) for f in fields}
+    if name != "Observation":  # the Vec3 fields stay Vec3s
+        assert all(type(v) is Vec3 for v in d.values())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sequence_behaviour_of_the_tuple_underneath(name):
+    rec, fields = RECORDS[name]
+    assert isinstance(rec, tuple) and isinstance(rec, Record)
+    assert len(rec) == len(fields)
+    assert list(rec) == [getattr(rec, f) for f in fields]
+    *_, last = rec
+    assert last is getattr(rec, fields[-1])
+    assert not dataclasses.is_dataclass(rec)
+
+
+def test_the_built_records_are_the_keyword_built_ones():
+    patch = sphere_patch(1.0)
+    for mode in (JET_MODE_ANALYTIC, JET_MODE_FD):
+        jet = eval_jet(patch, 0.5, 1.0, mode)
+        assert type(jet) is Jet2 and jet == Jet2(**jet._asdict())
+        assert all(type(v) is Vec3 for v in jet)
+    frame = eval_frame(patch, 0.5, 1.0, JET_MODE_FD)
+    assert type(frame) is Frame and frame == Frame(**frame._asdict())
+    obs = suite_forms()[0].observations
+    assert all(type(o) is Observation for o in obs)
+    assert obs[0] == Observation(**obs[0]._asdict())

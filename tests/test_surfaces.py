@@ -228,9 +228,7 @@ def _wrapped(patch):
 
 
 def _bits(obj):
-    return tuple(
-        float(c).hex() for field in dataclasses.fields(obj) for c in getattr(obj, field.name)
-    )
+    return tuple(float(c).hex() for name in obj._fields for c in getattr(obj, name))
 
 
 def _assert_revolution_kernel_is_generic_route(patch, points):

@@ -113,5 +113,6 @@ def test_asdict_and_astuple_of_a_holder_keep_the_vec3():
     assert type(d["position"]) is Vec3 and d["position"] == s.position
     assert dataclasses.astuple(s)[1] == s.position
     jet = eval_jet(sphere_patch(1.0), 0.5, 1.0)
-    assert dataclasses.asdict(jet) == {f.name: getattr(jet, f.name) for f in dataclasses.fields(jet)}
+    assert jet._asdict() == {name: getattr(jet, name) for name in jet._fields}
+    assert all(type(v) is Vec3 for v in jet._asdict().values())
     assert Vec3._fields == ("x", "y", "z")

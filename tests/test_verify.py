@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -58,7 +57,7 @@ class TestReportMechanics:
 
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
     def test_json_is_that_of_the_asdict_route(self, mode):
-        # the reference serialises each observation through dataclasses.asdict
+        # the reference serialises each observation through its _asdict
         reports = run_suites("all", mode)
         reference = {
             "reports": [
@@ -66,7 +65,7 @@ class TestReportMechanics:
                     "check_name": r.check_name,
                     "passed": r.passed,
                     "tolerance": r.tolerance,
-                    "observations": [dataclasses.asdict(o) for o in r.observations],
+                    "observations": [o._asdict() for o in r.observations],
                 }
                 for r in reports
             ]
