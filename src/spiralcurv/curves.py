@@ -1,24 +1,27 @@
 """Curves on surface patches: constructors, lengths, angles, curvature.
 
 A ChartCurve is a parametrized trace t -> (u, v) drawn on a SurfacePatch.
-The geodesic curvature is measured numerically from the embedded curve
-(central differences of the position with Richardson extrapolation), so it
-serves as an independent cross-check of the closed-form predictions.  A
-straight-line kernel takes the position once at t and at t +- h1, t +- h1/2
-(for gamma'), t +- h2, t +- h2/2 (gamma'') and 2 more per halving of h2,
-in that order, and differences it per component with numdiff's kernels:
-the bits of richardson_first and richardson_second, whose error estimate
-|best - d_half| decides the halvings.
-Every measurement here reads the patch through its first-order frame
-(surfaces.eval_frame): the normal for the curvature, the first form for
-the speed and the angle.  None builds a 2-jet.  Each passes its jet mode
-to eval_frame unchanged, so mode=None picks analytic exactly when the
-patch carries a jet, and takes its difference steps in t from
-numdiff.fit_steps, which raises OutOfDomain where the stencil has no room.
+Its geodesic curvature comes from one 2-jet of the patch (eval_jet, in
+the curve's jet mode) and the trace's derivatives, by the chain rule (do
+Carmo, Differential Geometry of Curves and Surfaces, 4-4):
 
-ChartCurve.point (so each stencil position), the stencil's centre,
-ChartCurve.velocity and _chart_point map trace faults in one place,
-_trace_fault: OverflowError to NumericalBreakdown, ValueError and
+    gamma'  = p_u u' + p_v v'
+    gamma'' = p_uu u'^2 + 2 p_uv u'v' + p_vv v'^2 + p_u u'' + p_v v''
+    k       = <gamma'', N x gamma'> / |gamma'|^3
+
+It reads only the embedding and the trace, never the closed form c(K, r),
+so it cross-checks the closed-form predictions.  Every constructor gives
+(u', v', u'', v'') in closed form; a curve without them takes both orders
+from one Richardson stencil of its trace at t, t +- h and t +- h/2 (h from
+numdiff.fit_steps), and its curvature raises NumericalBreakdown where the
+stencil's correction of (u'', v'') exceeds BREAKDOWN_TOL relative to
+max(|(u'', v'')|, |(u', v')|^2), as at a kink, or where k is not finite.
+
+The speed and the angle read the patch's first-order frame (eval_frame);
+sample reads the position, k and the angle off one 2-jet.  Each passes
+its jet mode on unchanged: mode=None picks analytic exactly when the
+patch carries a jet.  _trace_fault maps every fault of the trace and its
+derivatives: OverflowError to NumericalBreakdown, ValueError and
 ZeroDivisionError to OutOfDomain.
 
 Sign conventions: curvature and angles are measured against the patch's
@@ -40,18 +43,11 @@ from .errors import (
     NumericalBreakdown,
     OutOfDomain,
 )
-from .numdiff import (
-    STEP_FIRST_FINE,
-    STEP_SECOND_FINE,
-    extrapolate,
-    extrapolated_first,
-    extrapolated_second,
-    fit_steps,
-    gauss_kronrod,
-)
+from .numdiff import STEP_SECOND_FINE, extrapolate, fit_steps, gauss_kronrod
 from .surfaces import (
     SurfacePatch,
     eval_frame,
+    eval_jet,
     first_form,
     plane_patch,
     pseudosphere_patch,
@@ -61,7 +57,6 @@ from .surfaces import (
 from .vec import Vec3
 
 BREAKDOWN_TOL = 1e-4
-STEP_HALVINGS = 3  # retries of a second difference that fails BREAKDOWN_TOL
 _TRACE_FAULTS = (OverflowError, ValueError, ZeroDivisionError)  # see _trace_fault
 
 PARALLEL = "parallel"
@@ -73,17 +68,17 @@ class ChartCurve:
     """A curve given by its chart trace on a patch.
 
     trace maps the parameter t to chart coordinates (u, v).  When the
-    velocity of the trace is known in closed form it should be supplied
-    as trace_velocity; otherwise it is recovered by finite differences.
-    center_distance, when present, gives the geodesic distance to the
-    spiral's pole as a function of t.
+    derivatives of the trace are known in closed form they should be
+    supplied as trace_derivatives, t -> (u', v', u'', v''); otherwise they
+    are recovered by finite differences.  center_distance, when present,
+    gives the geodesic distance to the spiral's pole as a function of t.
     """
 
     patch: SurfacePatch
     trace: Callable[[float], Tuple[float, float]]
     t_domain: Tuple[float, float]
     direction_sign: int = 1
-    trace_velocity: Optional[Callable[[float], Tuple[float, float]]] = None
+    trace_derivatives: Optional[Callable[[float], Tuple[float, float, float, float]]] = None
     center_distance: Optional[Callable[[float], float]] = None
     label: str = ""
 
@@ -92,7 +87,7 @@ class ChartCurve:
         return self.t_domain[0] <= t <= self.t_domain[1] and math.isfinite(t)
 
     def point(self, t: float) -> Vec3:
-        """The curve's position in R^3 (unchecked: the curve stencil calls it)."""
+        """The curve's position in R^3 (unchecked: t may lie outside t_domain)."""
         try:
             return self.patch.eval(*self.trace(t))
         except _TRACE_FAULTS as exc:
@@ -100,18 +95,7 @@ class ChartCurve:
 
     def velocity(self, t: float) -> Tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
-        try:
-            if self.trace_velocity is not None:
-                return self.trace_velocity(t)
-            (h,) = fit_steps(t, *self.t_domain, STEP_FIRST_FINE)
-            h2 = h / 2.0
-            a, b, a2, b2 = map(self.trace, (t + h, t - h, t + h2, t - h2))
-            # numdiff.extrapolated_first on the two chart components
-            s, s2 = 2.0 * h, 2.0 * h2
-            du = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
-            return du, extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
-        except _TRACE_FAULTS as exc:
-            raise _trace_fault(exc, "velocity", t) from None
+        return _trace_jet(self, t)[:2]
 
 
 def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | OutOfDomain:
@@ -119,6 +103,31 @@ def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | Ou
     if isinstance(exc, OverflowError):
         return NumericalBreakdown(f"the chart {what} overflows at t={t}")
     return OutOfDomain(f"the chart {what} is undefined at t={t}")
+
+
+def _trace_jet(curve: ChartCurve, t: float) -> Tuple[float, float, float, float, float]:
+    """(u', v', u'', v'', err) of the trace at t, before any direction flip:
+    trace_derivatives with err = 0, or else the trace stencil of the module
+    docstring, err the Richardson correction of (u'', v'') relative to
+    max(|(u'', v'')|, |(u', v')|^2)."""
+    try:
+        if curve.trace_derivatives is not None:
+            return (*curve.trace_derivatives(t), 0.0)
+        (h,) = fit_steps(t, *curve.t_domain, STEP_SECOND_FINE)
+        h2 = h / 2.0
+        (u, v), a, b, a2, b2 = map(curve.trace, (t, t + h, t - h, t + h2, t - h2))
+        s, s2, q, q2 = 2.0 * h, 2.0 * h2, h * h, h2 * h2
+        du = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
+        dv = extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
+        ddu2 = ((a2[0] - 2.0 * u) + b2[0]) / q2
+        ddv2 = ((a2[1] - 2.0 * v) + b2[1]) / q2
+        ddu = extrapolate(((a[0] - 2.0 * u) + b[0]) / q, ddu2)
+        ddv = extrapolate(((a[1] - 2.0 * v) + b[1]) / q, ddv2)
+    except _TRACE_FAULTS as exc:
+        raise _trace_fault(exc, "velocity", t) from None
+    err = math.hypot(ddu - ddu2, ddv - ddv2)
+    scale = max(math.hypot(ddu, ddv), du * du + dv * dv)
+    return du, dv, ddu, ddv, err / scale if scale else err
 
 
 @dataclass(frozen=True)
@@ -155,11 +164,16 @@ def plane_log_spiral(a: float) -> ChartCurve:
     """
     if a == 0.0 or not math.isfinite(a):
         raise BadParameter(f"a={a} must be finite and nonzero (a = 0 gives a circle)")
+
+    def derivatives(t: float) -> Tuple[float, float, float, float]:
+        e = math.exp(-a * t)
+        return 1.0, -a * e, 0.0, a * a * e
+
     return ChartCurve(
         patch=plane_patch(),
         trace=lambda t: (t, math.exp(-a * t)),
         t_domain=(-math.inf, math.inf),
-        trace_velocity=lambda t: (1.0, -a * math.exp(-a * t)),
+        trace_derivatives=derivatives,
         center_distance=lambda t: math.exp(-a * t),
         label=f"plane_log_spiral(a={a:g})",
     )
@@ -176,11 +190,16 @@ def sphere_loxodrome(R: float, a: float) -> ChartCurve:
     patch = sphere_patch(R)
     if not math.isfinite(a):
         raise BadParameter(f"a={a} must be finite")
+
+    def derivatives(t: float) -> Tuple[float, float, float, float]:
+        s = math.sin(2.0 * t)
+        return 2.0 * a / s, -2.0, -4.0 * a * math.cos(2.0 * t) / s / s, 0.0
+
     return ChartCurve(
         patch=patch,
         trace=lambda t: (a * math.log(math.tan(t)), math.pi - 2.0 * t),
         t_domain=(0.0, math.pi / 2.0),
-        trace_velocity=lambda t: (2.0 * a / math.sin(2.0 * t), -2.0),
+        trace_derivatives=derivatives,
         center_distance=lambda t: R * (math.pi - 2.0 * t),
         label=f"sphere_loxodrome(R={R:g}, a={a:g})",
     )
@@ -205,9 +224,9 @@ def pseudosphere_loxodrome(
         raise BadParameter(f"u0={u0} must be finite")
     cot = math.cos(theta) / math.sin(theta)
 
-    def rate(v: float) -> float:
-        s = math.sin(v)
-        return cot * math.cos(v) / (s * s)
+    def derivatives(v: float) -> Tuple[float, float, float, float]:
+        s, c = math.sin(v), math.cos(v)
+        return cot * c / (s * s), 1.0, -cot * (s * s + 2.0 * c * c) / (s * s * s), 0.0
 
     top = math.pi / 2.0
 
@@ -220,7 +239,7 @@ def pseudosphere_loxodrome(
         patch=patch,
         trace=lambda t: (chart_u(t), t),
         t_domain=(v_floor, top),
-        trace_velocity=lambda t: (rate(t), 1.0),
+        trace_derivatives=derivatives,
         label=f"pseudosphere_loxodrome(R={R:g}, theta={theta:g})",
     )
 
@@ -236,7 +255,7 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
             patch=patch,
             trace=lambda t: (t, fixed),
             t_domain=(lo, hi),
-            trace_velocity=lambda t: (1.0, 0.0),
+            trace_derivatives=lambda t: (1.0, 0.0, 0.0, 0.0),
             label=f"{patch.name} parallel v={fixed:g}",
         )
     if kind == MERIDIAN:
@@ -247,7 +266,7 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
             patch=patch,
             trace=lambda t: (fixed, t),
             t_domain=(lo, hi),
-            trace_velocity=lambda t: (0.0, 1.0),
+            trace_derivatives=lambda t: (0.0, 1.0, 0.0, 0.0),
             label=f"{patch.name} meridian u={fixed:g}",
         )
     raise BadParameter(f"kind must be {PARALLEL!r} or {MERIDIAN!r}, got {kind!r}")
@@ -260,8 +279,12 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
-    E, F, G = first_form(eval_frame(curve.patch, *_chart_point(curve, t), mode))
-    du, dv = curve.velocity(t)
+    frame = eval_frame(curve.patch, *_chart_point(curve, t), mode)
+    return _speed(frame, *curve.velocity(t), t)
+
+
+def _speed(frame, du: float, dv: float, t: float) -> float:
+    E, F, G = first_form(frame)
     value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
     if not math.isfinite(value):
         raise NumericalBreakdown(f"the speed overflows at t={t}")
@@ -285,23 +308,16 @@ def arc_length(curve: ChartCurve, t0: float, t1: float, mode: Optional[str] = No
 def geodesic_curvature_numeric(
     curve: ChartCurve, t: float, mode: Optional[str] = None
 ) -> float:
-    """Geodesic curvature measured from the embedded curve.
+    """Geodesic curvature measured by the chain rule of the module
+    docstring, from one 2-jet of the patch (eval_jet) and the trace's
+    derivatives: the signed <gamma'', N x gamma'>/|gamma'|^3.
 
-    The position, taken at 9 points (see the module docstring), is
-    differenced centrally (with one Richardson level) to get gamma' and
-    gamma''; the unit-speed chain rule reduces the signed normal-frame
-    curvature to <gamma'', N x gamma'>/|gamma'|^3.  The Richardson
-    correction of the second derivative serves as an error estimate: while
-    it exceeds 1e-4 relative to the curvature scale, the second-difference
-    step is halved, up to three times, 2 more positions each; if it still
-    does, or the trace overflows inside the stencil, the measurement
-    is rejected with NumericalBreakdown.  The normal N comes from the patch's
-    first-order frame (eval_frame), after the stencil is checked.
+    DegenerateJet where gamma' vanishes or the chart degenerates,
+    NumericalBreakdown where the trace stencil of a curve without
+    trace_derivatives fails BREAKDOWN_TOL or k is not finite.
     """
-    u, v = _chart_point(curve, t)
-    _, d1, d2, sp = _embedded_derivatives(curve, t, u, v)
-    frame = eval_frame(curve.patch, u, v, mode)
-    return _curvature(curve, d1, d2, sp, frame)
+    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
+    return _trace_k(curve, t, jet)[2]
 
 
 def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
@@ -314,83 +330,60 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     first-order frame (eval_frame).
     """
     frame = eval_frame(curve.patch, *_chart_point(curve, t), mode)
-    return _angle(curve, t, frame)
+    return _angle(curve, frame, *curve.velocity(t), t)
 
 
 def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
     """Measure position, curvature and angle at one parameter value.
 
     Gives the values of geodesic_curvature_numeric and angle_to_parallel,
-    with one first-order frame of the patch serving both.
+    with one 2-jet of the patch serving the position and both.
     """
-    u, v = _chart_point(curve, t)
-    position, d1, d2, sp = _embedded_derivatives(curve, t, u, v)
-    frame = eval_frame(curve.patch, u, v, mode)
+    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
+    du, dv, k = _trace_k(curve, t, jet)
     return CurveSample(
         t=t,
-        position=position,
-        k=_curvature(curve, d1, d2, sp, frame),
-        theta=_angle(curve, t, frame),
+        position=jet.p,
+        k=k,
+        theta=_angle(curve, jet, du, dv, t),
         r=curve.center_distance(t) if curve.center_distance is not None else None,
     )
 
 
-def _embedded_derivatives(curve: ChartCurve, t: float, u: float, v: float):
-    """The position gamma(t) at (u, v) = trace(t), gamma'(t), gamma''(t)
-    and the speed |gamma'(t)|, or the exception that rejects the stencil
-    at t.  The straight-line kernel of the module docstring."""
-    try:
-        p = curve.patch.eval(u, v)
-    except _TRACE_FAULTS as exc:
-        raise _trace_fault(exc, "trace", t) from None
-    point = curve.point
-    h1, h = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    half = h1 / 2.0
-    d1 = extrapolated_first(*map(point, (t + h1, t - h1, t + half, t - half)), h1, half)
-    sp = d1.norm()
-    a, b = point(t + h), point(t - h)
-    # near a point where the trace stops being smooth (the sphere
-    # loxodrome's pole) the step sized from |t| is too coarse: halve it,
-    # the half-step positions serving as the next full-step ones
-    for _ in range(STEP_HALVINGS + 1):
-        half = h / 2.0
-        a2, b2 = point(t + half), point(t - half)
-        d2, d_half = extrapolated_second(p, a, b, a2, b2, h, half)
-        err = (d2 - d_half).norm()
-        if sp == 0.0:  # once the first h2 positions are in: their faults come first
-            raise DegenerateJet(f"curve is not regular at t={t}")
-        scale = max(d2.norm(), sp * sp)
-        if err / scale <= BREAKDOWN_TOL:
-            break
-        a, b, h = a2, b2, half
-    if err / scale > BREAKDOWN_TOL:
+def _trace_k(curve: ChartCurve, t: float, jet) -> Tuple[float, float, float]:
+    """The trace's (u', v') at t and the curve's signed k there from jet."""
+    du, dv, ddu, ddv, err = _trace_jet(curve, t)
+    if err > BREAKDOWN_TOL:
         raise NumericalBreakdown(
-            f"second-derivative estimate unreliable at t={t} "
-            f"(relative error ~{err / scale:.2e})"
+            f"second-derivative estimate unreliable at t={t} (relative error ~{err:.2e})"
         )
-    return p, d1, d2, sp
+    return du, dv, curve.direction_sign * _curvature(curve.patch, jet, du, dv, ddu, ddv)
 
 
-def _curvature(curve: ChartCurve, d1: Vec3, d2: Vec3, sp: float, frame) -> float:
-    n = unit_normal(frame, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
-    try:
-        cube = sp**3
-    except OverflowError:
-        cube = math.inf
-    if cube == math.inf:
-        raise NumericalBreakdown("the cube of the curve's speed overflows")
-    k = d2.dot(n.cross(d1)) / cube
-    return curve.direction_sign * k
+def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: float) -> float:
+    """<gamma'', N x gamma'>/|gamma'|^3 for a trace through the point of
+    jet with chart derivatives (du, dv, ddu, ddv), N oriented by patch."""
+    p_u, p_v = jet.p_u, jet.p_v
+    d1 = p_u * du + p_v * dv
+    d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
+          + p_u * ddu + p_v * ddv)
+    sp = d1.norm()
+    if sp == 0.0:
+        raise DegenerateJet("the curve is not regular: gamma' vanishes")
+    n = unit_normal(jet, patch.orientation_sign, patch.degeneracy_bound)
+    k = d2.dot(n.cross(d1)) / sp / sp / sp
+    if not (math.isfinite(k) and math.isfinite(sp)):
+        raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
+    return k
 
 
-def _angle(curve: ChartCurve, t: float, frame) -> float:
+def _angle(curve: ChartCurve, frame, du: float, dv: float, t: float) -> float:
     E, F, G = first_form(frame)
     area2 = E * G - F * F
     if area2 <= 0.0 or E <= 0.0:
         raise DegenerateJet("first form is not positive definite")
     if not math.isfinite(area2):
         raise NumericalBreakdown("E*G - F^2 overflows")
-    du, dv = curve.velocity(t)
     du *= curve.direction_sign
     dv *= curve.direction_sign
     if E * du * du + 2.0 * F * du * dv + G * dv * dv <= 0.0:

@@ -20,17 +20,16 @@ from typing import Optional
 
 from .curves import (
     ChartCurve,
-    MERIDIAN,
-    PARALLEL,
+    _angle,
     _chart_point,
+    _curvature,
+    _speed,
+    _trace_k,
     angle_to_parallel,
-    coordinate_curve,
-    geodesic_curvature_numeric,
-    speed,
 )
 from .errors import NotOrthogonal
 from .numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
-from .surfaces import eval_frame, first_form
+from .surfaces import eval_jet, first_form
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -51,22 +50,25 @@ class LiouvilleBreakdown:
 def liouville_breakdown(
     curve: ChartCurve, t: float, mode: Optional[str] = None
 ) -> LiouvilleBreakdown:
-    """Measure k1, k2, theta, d(theta)/ds and both curvature routes.
+    """Measure k1, k2, theta, d(theta)/ds and both curvature routes, all
+    but d(theta)/ds from one 2-jet: k1 and k2 are the chain rule of curves
+    with the chart derivatives (1, 0, 0, 0) and (0, 1, 0, 0).
 
     Raises NotOrthogonal when |F| >= 1e-10 * sqrt(EG) at the point: the
     decomposition needs an orthogonal chart.
     """
     u, v = _chart_point(curve, t)
-    E, F, G = first_form(eval_frame(curve.patch, u, v, mode))
+    jet = eval_jet(curve.patch, u, v, mode)
+    E, F, G = first_form(jet)
     if abs(F) >= ORTHOGONALITY_TOL * math.sqrt(E * G):
         raise NotOrthogonal(
             f"chart of {curve.patch.name} is not orthogonal at ({u}, {v})"
         )
 
-    k1 = geodesic_curvature_numeric(coordinate_curve(curve.patch, PARALLEL, v), u, mode)
-    k2 = geodesic_curvature_numeric(coordinate_curve(curve.patch, MERIDIAN, u), v, mode)
-    theta = angle_to_parallel(curve, t, mode)
-    k_direct = geodesic_curvature_numeric(curve, t, mode)
+    k1 = _curvature(curve.patch, jet, 1.0, 0.0, 0.0, 0.0)
+    k2 = _curvature(curve.patch, jet, 0.0, 1.0, 0.0, 0.0)
+    du, dv, k_direct = _trace_k(curve, t, jet)
+    theta = _angle(curve, jet, du, dv, t)
 
     (h,) = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE)
 
@@ -80,7 +82,7 @@ def liouville_breakdown(
         return a
 
     dtheta_dparam, _ = richardson_first(unwrapped, t, h)
-    dtheta_ds = dtheta_dparam / speed(curve, t, mode)
+    dtheta_ds = dtheta_dparam / _speed(jet, du, dv, t)
 
     k_liouville = k1 * math.cos(theta) + k2 * math.sin(theta) + dtheta_ds
     return LiouvilleBreakdown(

@@ -8,17 +8,20 @@ second derivatives, and between chart jets and curve kinematics).
 
 fit_steps sizes and fits the steps of every stencil in the package: the
 finite-difference frames and jets of surfaces (once per chart coordinate),
-and the curve stencils of curves and liouville (once per curve parameter).
+and, once per curve parameter, the trace stencil of a curve without
+closed-form derivatives (curves) and the angle stencil of liouville.
 Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
-The straight-line stencil kernels of surfaces and curves take each stencil
-position once and difference the positions with extrapolated_first,
+extrapolate is the one Richardson level that every estimate here takes.
+The straight-line stencil kernels of surfaces take each stencil position
+once and difference the positions with extrapolated_first,
 extrapolated_second and extrapolated_cross, per component in the float
 operations and order of central_first, central_second and the cross
 stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
 richardson_first, richardson_second and richardson on Vec3 positions.
+The trace stencil of curves does the same on the two chart coordinates.
 
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
@@ -79,8 +82,9 @@ def central_second(f: Callable[[float], object], x: float, h: float):
 
 def extrapolate(d_h, d_half):
     """One Richardson level: the h^2 term removed from two central
-    estimates at steps h and h/2.  richardson and the stencil kernels
-    below (once per component) all take it from here."""
+    estimates at steps h and h/2.  richardson, the stencil kernels below
+    and the trace stencil of curves (once per component) all take it
+    from here."""
     return d_half + (d_half - d_h) / 3.0
 
 
@@ -116,21 +120,15 @@ def extrapolated_first(a, b, a2, b2, h: float, h2: float) -> Vec3:
     return _new(Vec3, (x, y, z))
 
 
-def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> tuple[Vec3, tuple]:
+def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> Vec3:
     """Central second differences about the centre p of a = f(x+h),
-    b = f(x-h) and a2, b2 at the half step h2, extrapolated; and the
-    half-step differences as a plain tuple, for the Richardson error."""
+    b = f(x-h) and a2, b2 at the half step h2, extrapolated."""
     s, s2 = h * h, h2 * h2
     px, py, pz = 2.0 * p[0], 2.0 * p[1], 2.0 * p[2]
-    x = ((a2[0] - px) + b2[0]) / s2
-    y = ((a2[1] - py) + b2[1]) / s2
-    z = ((a2[2] - pz) + b2[2]) / s2
-    best = (
-        extrapolate(((a[0] - px) + b[0]) / s, x),
-        extrapolate(((a[1] - py) + b[1]) / s, y),
-        extrapolate(((a[2] - pz) + b[2]) / s, z),
-    )
-    return _new(Vec3, best), (x, y, z)
+    x = extrapolate(((a[0] - px) + b[0]) / s, ((a2[0] - px) + b2[0]) / s2)
+    y = extrapolate(((a[1] - py) + b[1]) / s, ((a2[1] - py) + b2[1]) / s2)
+    z = extrapolate(((a[2] - pz) + b[2]) / s, ((a2[2] - pz) + b2[2]) / s2)
+    return _new(Vec3, (x, y, z))
 
 
 def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:

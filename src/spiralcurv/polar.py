@@ -204,12 +204,17 @@ def embed_polar_trace(
             raise OutOfDomain(f"r={r} outside admissible (0, {m.r_limit})")
         return -(first.u + cot * _advance(K, first.r, r))
 
+    def derivatives(r: float):
+        # u' = -cot/sqrt(G), u'' = cot (sqrt G)_r / G
+        sG = m.sqrtG(r)
+        return -cot / sG, v_scale, cot * m.sqrtG_r(r) / sG / sG, 0.0
+
     return ChartCurve(
         patch=patch,
         trace=lambda t: (chart_u(t), t * v_scale),
         t_domain=(0.0, m.r_limit),
         direction_sign=-1,
-        trace_velocity=lambda t: (-cot / m.sqrtG(t), v_scale),
+        trace_derivatives=derivatives,
         center_distance=lambda t: t,
         label=f"polar trace on {patch.name}",
     )

@@ -290,9 +290,9 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
             p,
             extrapolated_first(*along_u[:4], hu, hu_half),
             extrapolated_first(*along_v[:4], hv, hv_half),
-            extrapolated_second(p, *along_u[4:], hu2, hu2_half)[0],
+            extrapolated_second(p, *along_u[4:], hu2, hu2_half),
             extrapolated_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
-            extrapolated_second(p, *along_v[4:], hv2, hv2_half)[0],
+            extrapolated_second(p, *along_v[4:], hv2, hv2_half),
         ),
     )
 

@@ -1,9 +1,13 @@
-"""The forms suite evaluates one jet per grid point, in the battery's mode.
+"""The forms suite evaluates one jet per grid point, in the battery's mode,
+and each curvature measurement one jet at its curve point.
 
-Per run_suites("all"): 2,800 jets in the battery's mode (7 patches x 400
-grid points) and 175 in the other mode (the other side of jet_consistency
-at every 4th point in u and in v), counted by a wrapper around eval_jet in
-every module that binds it."""
+Per run_suites("all"): 2,800 + 330 jets in the battery's mode and 175 in
+the other mode, counted by a wrapper around eval_jet in every module that
+binds it.  The forms suite takes 2,800 (7 patches x 400 grid points) and
+the 175 (the other side of jet_consistency at every 4th point in u and in
+v); the curve and Liouville checks take 330: 250 numeric_vs_closed_form
+samples, 36 curvatures of orientation_covariance, 32 liouville breakdowns
+and 12 meridian curvatures."""
 
 import collections
 import dataclasses
@@ -54,7 +58,7 @@ def jet_counts(monkeypatch):
 def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode, 1.0 if mode == JET_MODE_ANALYTIC else 100.0)
     assert all(r.passed for r in reports)
-    assert jet_counts == {mode: 2800, OTHER[mode]: 175}
+    assert jet_counts == {mode: 2800 + 330, OTHER[mode]: 175}
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -323,8 +323,6 @@ class TestInputValidation:
         assert err.startswith("domain error:")
 
     @pytest.mark.parametrize("argv", [
-        ["--surface", "plane", "--theta-deg", "90"],
-        ["--surface", "plane", "--theta-deg", "89.9999"],
         ["--surface", "plane", "--theta", "3.5"],
         ["--surface", "sphere", "--theta", "0"],
     ])
@@ -333,6 +331,26 @@ class TestInputValidation:
         assert code == 1
         assert err.startswith("domain error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    @pytest.mark.parametrize("degrees", ["90", "89.9999"])
+    def test_trace_at_a_steep_angle_measures_the_closed_form(self, capsys, degrees, jets):
+        # the trace (t, exp(-a t)) overflowed a step of the old t-stencil
+        # away from each sample, a = tan(theta) being 1.6e16 and 5.7e5
+        code, out, err = run(capsys, "trace", "--surface", "plane", "--theta-deg", degrees,
+                             "--r0", "0.5", "--r1", "2", "--samples", "3", "--jets", jets)
+        assert code == 0, err
+        theta = math.radians(float(degrees))
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(row[5]) for row in rows] == [0.5, 1.0, 2.0]
+        tol = 1e-12 if jets == "analytic" else 1e-9
+        for row in rows:
+            r, k = float(row[5]), float(row[6])
+            assert k == pytest.approx(spiral_curvature(0.0, r, theta), rel=tol)
+        if jets == "analytic":
+            # at r = 1 (t = 0) the chain rule rounds to the closed form
+            # itself: 1.7453292520723307e-06 at 89.9999 degrees
+            assert float(rows[1][6]) == spiral_curvature(0.0, 1.0, theta)
 
     def test_trace_plane_radius_must_be_positive(self, capsys):
         code, _, err = run(capsys, "trace", "--surface", "plane", "--theta", "1", "--r0", "0",
@@ -380,9 +398,6 @@ class TestFloatRangeEdges:
         # |p_u x p_v| and E*G - F^2 overflowed: k printed 0.0 and theta_meas nan
         ["trace", "--surface", "sphere", "--R", "1e100", "--theta", "1", "--r0", "5e99",
          "--r1", "1e100", "--samples", "2"],
-        # |gamma'|^3 raised a bare OverflowError
-        ["trace", "--surface", "plane", "--theta", "1", "--r0", "1e103", "--r1", "2e103",
-         "--samples", "2"],
     ])
     def test_exit_1_without_traceback(self, argv):
         proc = run_cli(*argv)
@@ -390,6 +405,21 @@ class TestFloatRangeEdges:
         assert proc.stderr.startswith("domain error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    def test_plane_trace_where_the_speed_cubed_overflows_exits_0(self, jets):
+        # |gamma'|^3 overflows: it raised a bare OverflowError, then
+        # NumericalBreakdown; k divides by the speed three times now
+        proc = run_cli("trace", "--surface", "plane", "--theta", "1", "--r0", "1e103",
+                       "--r1", "2e103", "--samples", "2", "--jets", jets)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        tol = 1e-12 if jets == "analytic" else 1e-6
+        for row in rows:
+            r, k = float(row[5]), float(row[6])
+            assert k == pytest.approx(math.cos(1.0) / r, rel=tol)
+        if jets == "analytic":
+            assert rows[0][6] == "5.4030230586811846e-104"
 
     def test_flat_polar_trace_at_huge_radii_is_finite(self):
         # max(r, r0) ** 2 raised OverflowError from r ~ 1.3e154 on; the

@@ -68,7 +68,7 @@ def _velocity(curve, t):
 
 
 def _fd_velocity(curve, t):
-    return dataclasses.replace(curve, trace_velocity=None).velocity(t)
+    return dataclasses.replace(curve, trace_derivatives=None).velocity(t)
 
 
 @pytest.mark.parametrize(
@@ -80,11 +80,16 @@ def test_trace_overflow_is_numerical_breakdown(measure):
         measure(plane_log_spiral(1.0), -800.0)
 
 
-@pytest.mark.parametrize("velocity", [lambda t: (1.0, -1.0 / (t * t)), None], ids=["closed", "fd"])
+@pytest.mark.parametrize(
+    "derivatives", [lambda t: (1.0, -1.0 / (t * t), 0.0, 2.0 / (t * t * t)), None],
+    ids=["closed", "fd"],
+)
 @pytest.mark.parametrize("measure", MEASUREMENTS + (liouville_breakdown,))
-def test_trace_dividing_by_zero_is_out_of_domain(measure, velocity):
+def test_trace_dividing_by_zero_is_out_of_domain(measure, derivatives):
     # 1/t raises ZeroDivisionError at t = 0, inside the domain
-    curve = ChartCurve(plane_patch(), lambda t: (t, 1.0 / t), (-1.0, 1.0), trace_velocity=velocity)
+    curve = ChartCurve(
+        plane_patch(), lambda t: (t, 1.0 / t), (-1.0, 1.0), trace_derivatives=derivatives
+    )
     with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
         measure(curve, 0.0)
 
@@ -152,9 +157,10 @@ def test_every_measurement_at_an_end_of_the_domain_is_finite_or_a_geometry_error
 
 @pytest.mark.parametrize("curve,t", ENDS, ids=[f"{c.label}-t={t}" for c, t in ENDS])
 def test_point_and_velocity_at_an_end_of_the_domain(curve, t):
-    # they check no domain (the curve stencil calls point many times per
-    # sample), so an open infinite end may give infinite values; but only a
-    # GeometryError is raised, and a closed end gives finite values
+    # they check no domain (the trace stencil of a curve without closed-form
+    # derivatives takes the trace off t), so an open infinite end may give
+    # infinite values; but only a GeometryError is raised, and a closed end
+    # gives finite values
     for method in (curve.point, curve.velocity):
         try:
             value = method(t)
@@ -174,6 +180,14 @@ def test_undefined_trace_point_and_velocity_are_out_of_domain():
 def test_undefined_trace_is_out_of_domain(mode):
     with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
         sample(sphere_loxodrome(1.0, 1.0), 0.0, mode)
+
+
+@pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+def test_a_sample_next_to_the_closed_end_is_a_geometry_error(mode):
+    # v = pi - 2e-170 rounds to the pole, outside the chart; the t-stencil
+    # raised a bare ZeroDivisionError there, its halved step squared to 0
+    with pytest.raises(OutOfDomain):
+        sample(sphere_loxodrome(1.0, 1.0), 1e-170, mode)
 
 
 def test_overflowing_speed_is_numerical_breakdown():

@@ -23,13 +23,6 @@ from spiralcurv import (
     sphere_patch,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL
-from spiralcurv.numdiff import (
-    STEP_FIRST_FINE,
-    STEP_SECOND_FINE,
-    fit_steps,
-    richardson_first,
-    richardson_second,
-)
 from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD, eval_jet, unit_normal
 
 PI = math.pi
@@ -213,12 +206,14 @@ class TestDiagnostics:
         with pytest.raises(NumericalBreakdown):
             geodesic_curvature_numeric(kink, 0.5)
 
-    def test_stencil_overflow_reports_numerical_breakdown(self):
-        # at theta = 90 degrees a = tan(theta) ~ 1.6e16, and exp(-a t) overflows
-        # one step away from the sample point
-        a = math.tan(math.radians(90.0))
-        with pytest.raises(NumericalBreakdown):
-            geodesic_curvature_numeric(plane_log_spiral(a), -math.log(0.5) / a)
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_steep_spiral_measures_the_closed_form(self, mode):
+        # at theta = 90 degrees a = tan(theta) ~ 1.6e16: exp(-a t) overflowed
+        # one step of the old t-stencil away from the sample point
+        theta = math.radians(90.0)
+        a = math.tan(theta)
+        k = geodesic_curvature_numeric(plane_log_spiral(a), -math.log(0.5) / a, mode)
+        assert k == pytest.approx(math.cos(theta) / 0.5, rel=1e-9)
 
     def test_stationary_point_is_degenerate(self):
         patch = plane_patch()
@@ -233,13 +228,13 @@ class TestDiagnostics:
 
 
 def _k_numeric_ndarray(curve, t, mode):
-    """geodesic_curvature_numeric on ndarray positions with numpy's dot,
-    cross and norm, as the measurement was once computed."""
-    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    position = lambda s: np.array(curve.point(s))
-    d1, _ = richardson_first(position, t, h1)
-    d2, _ = richardson_second(position, t, h2)
+    """geodesic_curvature_numeric by the chain rule on ndarrays, with
+    numpy's dot, cross and norm."""
     jet = eval_jet(curve.patch, *curve.trace(t), mode)
+    p_u, p_v, p_uu, p_uv, p_vv = (np.array(x) for x in jet[1:])
+    du, dv, ddu, ddv = curve.trace_derivatives(t)
+    d1 = p_u * du + p_v * dv
+    d2 = p_uu * du**2 + 2.0 * p_uv * du * dv + p_vv * dv**2 + p_u * ddu + p_v * ddv
     n = np.array(unit_normal(jet, curve.patch.orientation_sign))
     k = float(np.dot(d2, np.cross(n, d1))) / float(np.linalg.norm(d1)) ** 3
     return curve.direction_sign * k

@@ -1,10 +1,11 @@
-"""The first-order frame route: eval_frame against the 2-jet it replaces.
+"""The frame and 2-jet routes of the curve measurements.
 
-Every measurement that needs only the tangent plane (the normal, E, F, G)
-reads surfaces.eval_frame.  These tests rebuild each measurement from a
-full 2-jet (eval_jet and unit_normal) and require the same bits, count
-the position evaluations each route makes, and pin the exception class
-at the edges of the domain.
+The speed and the angle need only the tangent plane (E, F, G) and read
+surfaces.eval_frame; the curvature reads one 2-jet (eval_jet) by the chain
+rule, and sample reads everything off that jet.  These tests rebuild each
+measurement from a full 2-jet, written out from the formulas, and require
+the same bits, count the position evaluations each route makes, and pin
+the exception class at the edges of the domain.
 """
 
 import dataclasses
@@ -18,17 +19,10 @@ from spiralcurv.errors import (
     BadParameter,
     DegenerateJet,
     GeometryError,
-    NumericalBreakdown,
     OutOfDomain,
 )
 from spiralcurv.liouville import LiouvilleBreakdown, liouville_breakdown
-from spiralcurv.numdiff import (
-    STEP_FIRST_FINE,
-    STEP_SECOND_FINE,
-    fit_steps,
-    richardson_first,
-    richardson_second,
-)
+from spiralcurv.numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
 from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
@@ -68,16 +62,20 @@ IDS = [f"{c.label}-t={t}" for c, t in CASES]
 
 
 # ---------------------------------------------------------------------------
-# the 2-jet route, as the curve measurements were written before the frame
+# the 2-jet route, written out from the formulas
 
 
 def two_jet_k(curve, t, mode):
-    h1, h2 = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    d1 = richardson_first(curve.point, t, h1)[0]
-    d2 = richardson_second(curve.point, t, h2)[0]
+    """<gamma'', N x gamma'>/|gamma'|^3, gamma' and gamma'' by the chain rule
+    from the patch's 2-jet and the trace's closed-form derivatives."""
     jet = eval_jet(curve.patch, *curve.trace(t), mode)
+    du, dv, ddu, ddv = curve.trace_derivatives(t)
+    d1 = jet.p_u * du + jet.p_v * dv
+    d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
+          + jet.p_u * ddu + jet.p_v * ddv)
     n = unit_normal(jet, curve.patch.orientation_sign)
-    return curve.direction_sign * (d2.dot(n.cross(d1)) / d1.norm() ** 3)
+    sp = d1.norm()
+    return curve.direction_sign * (d2.dot(n.cross(d1)) / sp / sp / sp)
 
 
 def _first_form(curve, t, mode):
@@ -208,8 +206,8 @@ _FLOOR_LOX = cv.pseudosphere_loxodrome(
 NO_ROOM_SITES = {
     "fd-frame": lambda: eval_frame(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
     "fd-jet": lambda: eval_jet(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
-    "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3),
-    "velocity": lambda: dataclasses.replace(_FLOOR_LOX, trace_velocity=None).velocity(1e-3),
+    "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3, JET_MODE_FD),
+    "velocity": lambda: dataclasses.replace(_FLOOR_LOX, trace_derivatives=None).velocity(1e-3),
     "liouville": lambda: liouville_breakdown(_FLOOR_LOX, 1e-3),
 }
 
@@ -263,13 +261,12 @@ def counting(curve):
                          ids=[IDS[i] for i in (0, 3, 6, 13)])
 def test_position_evaluations_per_measurement(curve, t):
     counted, calls = counting(curve)
-    # per sample: the centre and 8 stencil positions, + 8 for an FD frame
-    for mode, want in ((JET_MODE_ANALYTIC, 9), (JET_MODE_FD, 17)):
+    # per sample: none with analytic jets, an FD 2-jet's 25 with FD jets
+    for mode, want in ((JET_MODE_ANALYTIC, 0), (JET_MODE_FD, 25)):
         calls.clear()
         cv.sample(counted, t, mode)
         assert len(calls) == want, mode
-        # the curve's stencil takes each of its 9 points once
-        assert len(set(calls[:9])) == 9, mode
+        assert len(set(calls)) == want, mode
     calls.clear()
     cv.angle_to_parallel(counted, t, JET_MODE_FD)
     assert len(calls) == 8
@@ -287,22 +284,24 @@ def test_position_evaluations_per_measurement(curve, t):
 
 
 # ---------------------------------------------------------------------------
-# the exception classes at the edges, as the 2-jet route raised them
+# the exception classes at the edges of the tractroid loxodrome's domain
 
 
 _LOX = cv.pseudosphere_loxodrome(1.0, 1.0)
 _RIM = coordinate_curve(pseudosphere_patch(1.0), PARALLEL, PI / 2.0)
 FUNCTIONS = (cv.sample, cv.geodesic_curvature_numeric, cv.angle_to_parallel, cv.speed,
              liouville_breakdown)
-OOD, DJ, BP, NB = OutOfDomain, DegenerateJet, BadParameter, NumericalBreakdown
-# per edge and mode: the outcome of each of FUNCTIONS, None for a finite float
+OOD, DJ, BP = OutOfDomain, DegenerateJet, BadParameter
+# per edge and mode: the outcome of each of FUNCTIONS, None for finite floats
 EDGES = [
     ("rim", _RIM, 0.3, {JET_MODE_ANALYTIC: (DJ, DJ, None, None, DJ),
                         JET_MODE_FD: (OOD,) * 5, "symbolic": (BP,) * 5}),
-    ("top", _LOX, PI / 2.0, {JET_MODE_ANALYTIC: (OOD, OOD, None, None, DJ),
-                             JET_MODE_FD: (OOD,) * 5, "symbolic": (OOD, OOD, BP, BP, BP)}),
-    ("bottom", _LOX, 1e-3, {JET_MODE_ANALYTIC: (OOD, OOD, None, None, NB),
-                            JET_MODE_FD: (OOD,) * 5, "symbolic": (OOD, OOD, BP, BP, BP)}),
+    # the rim is degenerate; at the floor only liouville's angle stencil
+    # in t and the FD stencils find no room
+    ("top", _LOX, PI / 2.0, {JET_MODE_ANALYTIC: (DJ, DJ, None, None, DJ),
+                             JET_MODE_FD: (OOD,) * 5, "symbolic": (BP,) * 5}),
+    ("bottom", _LOX, 1e-3, {JET_MODE_ANALYTIC: (None, None, None, None, OOD),
+                            JET_MODE_FD: (OOD,) * 5, "symbolic": (BP,) * 5}),
     ("outside", _LOX, 2.0, {m: (OOD,) * 5 for m in MODES + ("symbolic",)}),
 ]
 
@@ -312,7 +311,10 @@ def test_edge_exceptions(name, curve, t, table):
     for mode, outcomes in table.items():
         for fn, want in zip(FUNCTIONS, outcomes):
             if want is None:
-                assert math.isfinite(fn(curve, t, mode)), (fn.__name__, mode)
+                value = fn(curve, t, mode)
+                if isinstance(value, cv.CurveSample):
+                    value = value.k + value.theta
+                assert math.isfinite(value), (fn.__name__, mode)
             else:
                 with pytest.raises(want):
                     fn(curve, t, mode)
@@ -330,9 +332,11 @@ def test_patch_without_analytic_jet():
 
 
 def test_fd_measurements_near_the_plane_origin_raise_geometry_errors():
-    # within ~3e-162 of the origin the second FD step squares to 0; the 2-jet
-    # route raised a bare ZeroDivisionError there, the frame needs no second
-    # step and agrees with the analytic jets
+    # within ~3e-162 of the origin the second FD step squares to 0: the
+    # measurements that read a 2-jet (sample, the curvature, liouville)
+    # raise the FD jet's NumericalBreakdown there, never a bare
+    # ZeroDivisionError; the frame needs no second step, so the speed and
+    # the angle agree with the analytic jets
     curve = cv.plane_log_spiral(1.0)
     for t in (371.5, 373.0, 700.0):
         for fn in FUNCTIONS:
@@ -340,6 +344,8 @@ def test_fd_measurements_near_the_plane_origin_raise_geometry_errors():
                 want = repr(fn(curve, t, JET_MODE_ANALYTIC))
             except GeometryError as exc:
                 want = type(exc).__name__
+            if fn in (cv.sample, cv.geodesic_curvature_numeric, liouville_breakdown):
+                want = "NumericalBreakdown"
             try:
                 got = repr(fn(curve, t, JET_MODE_FD))
             except GeometryError as exc:

@@ -3,8 +3,8 @@ NumericalBreakdown instead of returning a wrong finite value or NaN.
 
 On a sphere of radius R, |p_u x p_v| and E*G - F^2 scale as R^2 and R^4,
 and overflow from about R = 1e77, although the constructors admit R up to
-about 1.3e154; the cube of a curve's speed overflows from a speed of about
-5.6e102.  Below those sizes the outputs are unchanged."""
+about 1.3e154; a curvature that overflows raises NumericalBreakdown too.
+Below those sizes the outputs are unchanged."""
 
 import math
 
@@ -82,16 +82,23 @@ def test_every_radius_measures_or_breaks_down(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_fast_curve_breaks_down_where_its_speed_cubed_overflows(mode):
-    # the parallel v = 1e103 of the plane runs at speed 1e103: its frame
-    # and angle are finite, but |gamma'|^3 raised a bare OverflowError
-    curve = coordinate_curve(plane_patch(), PARALLEL, 1e103)
-    assert speed(curve, 0.5, mode) == pytest.approx(1e103, rel=1e-9)
-    assert angle_to_parallel(curve, 0.5, mode) == 0.0
-    with pytest.raises(NumericalBreakdown):
-        geodesic_curvature_numeric(curve, 0.5, mode)
-    with pytest.raises(NumericalBreakdown):
-        sample(curve, 0.5, mode)
-    # a slower parallel still measures its curvature 1/v
-    k = geodesic_curvature_numeric(coordinate_curve(plane_patch(), PARALLEL, 1e100), 0.5, mode)
-    assert abs(k) == pytest.approx(1e-100, rel=1e-6)
+def test_fast_curve_measures_where_its_speed_cubed_overflows(mode):
+    # the parallel v = 1e103 of the plane runs at speed 1e103: |gamma'|^3
+    # overflows, so k divides by the speed three times, and measures 1/v
+    # where the cube raised NumericalBreakdown (before that, a bare
+    # OverflowError)
+    for v in (1e100, 1e103):
+        curve = coordinate_curve(plane_patch(), PARALLEL, v)
+        assert speed(curve, 0.5, mode) == pytest.approx(v, rel=1e-9)
+        assert angle_to_parallel(curve, 0.5, mode) == 0.0
+        assert geodesic_curvature_numeric(curve, 0.5, mode) == pytest.approx(1.0 / v, rel=1e-6)
+        assert sample(curve, 0.5, mode).k == geodesic_curvature_numeric(curve, 0.5, mode)
+
+
+def test_curvature_that_overflows_breaks_down():
+    # a = 1e130: gamma'' ~ 1e260 and <gamma'', N x gamma'> overflows to -inf,
+    # which liouville_breakdown returned as k_direct
+    curve = sphere_loxodrome(1.0, 1e130)
+    for measure in (liouville_breakdown, geodesic_curvature_numeric, sample):
+        with pytest.raises(NumericalBreakdown, match="is not finite"):
+            measure(curve, 0.7)

@@ -5,25 +5,26 @@ The degeneracy bound on |p_u x p_v| is 1e-12 in units of the patch's area
 (SurfacePatch.degeneracy_bound: 1e-12 R^2 on the sphere and the tractroid
 of radius R, the absolute 1e-12 on the plane), so a sphere or a tractroid
 of any radius degenerates at the same chart points, and the plane and the
-unit-radius surfaces keep the absolute bound.  The curve stencil halves
-its second-difference step up to three times before it gives up, which
-carries the loxodrome to within r = 0.05 of the pole."""
+unit-radius surfaces keep the absolute bound.  The curvature reads the
+patch's 2-jet and the trace's closed-form derivatives, so it measures next
+to the sphere loxodrome's pole and far out on the plane spiral, where a
+difference stencil in t lost its accuracy."""
 
 import dataclasses
 import math
 
 import pytest
 
-from spiralcurv import curves
 from spiralcurv.cli import main
 from spiralcurv.closed_form import spiral_curvature
 from spiralcurv.curves import (
     geodesic_curvature_numeric,
+    plane_log_spiral,
     pseudosphere_loxodrome,
     sample,
     sphere_loxodrome,
 )
-from spiralcurv.errors import DegenerateJet, NumericalBreakdown
+from spiralcurv.errors import DegenerateJet
 from spiralcurv.surfaces import (
     DEGENERACY_THRESHOLD,
     JET_MODE_ANALYTIC,
@@ -149,7 +150,7 @@ def test_trace_on_a_tiny_sphere_exits_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the pole retry
+# next to the pole and far out
 
 
 def test_trace_near_the_sphere_pole_exits_0(capsys):
@@ -172,36 +173,44 @@ def test_sample_near_the_pole_matches_the_closed_form(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_retry_is_what_measures_near_the_pole(monkeypatch, mode):
-    theta = 0.6
-    curve = sphere_loxodrome(1.0, math.cos(theta) / math.sin(theta))
-    t = (math.pi - 0.05) / 2.0
-    monkeypatch.setattr(curves, "STEP_HALVINGS", 0)
-    with pytest.raises(NumericalBreakdown):
-        sample(curve, t, mode)
+def test_trace_to_the_pole_of_a_larger_sphere_matches_the_closed_form(capsys, mode):
+    # the t-stencil of the embedded curve failed 5 of these 40 samples (at
+    # r/R <= 0.024 and near the antipode) in both jet modes
+    jets = "analytic" if mode == JET_MODE_ANALYTIC else "fd"
+    code = main(["trace", "--surface", "sphere", "--R", "2.5", "--theta", "0.6", "--r0", "0.05",
+                 "--r1", "6", "--samples", "40", "--jets", jets])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 40
+    for row in rows:
+        v, k = float(row[5]), float(row[6])
+        assert abs(k - spiral_curvature(1.0 / 6.25, 2.5 * v, 0.6)) <= 1e-6
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_sample_that_passes_first_time_is_unchanged(monkeypatch, mode):
-    theta = 0.6
-    curve = sphere_loxodrome(1.0, math.cos(theta) / math.sin(theta))
-    ts = [0.3, 0.8, 1.2, 1.4]
-    with_retry = [sample(curve, t, mode) for t in ts]
-    monkeypatch.setattr(curves, "STEP_HALVINGS", 0)
-    assert [sample(curve, t, mode) for t in ts] == with_retry
-
-
-def test_too_close_to_the_pole_still_breaks_down():
-    # three halvings are not enough at v = 0.001: the stencil reports it
+def test_right_next_to_the_pole_matches_the_closed_form():
+    # v = 0.001: the t-stencil broke down here even after three halvings
     curve = sphere_loxodrome(1.0, 1.0)
-    with pytest.raises(NumericalBreakdown):
-        geodesic_curvature_numeric(curve, (math.pi - 1e-3) / 2.0)
+    s = sample(curve, (math.pi - 1e-3) / 2.0)
+    want = spiral_curvature(1.0, s.r, math.pi / 4.0)
+    assert s.k == pytest.approx(want, rel=1e-14)
+    assert geodesic_curvature_numeric(curve, (math.pi - 1e-3) / 2.0) == s.k
 
 
-@pytest.mark.parametrize("mode, first_try", [(JET_MODE_ANALYTIC, 9), (JET_MODE_FD, 17)])
-def test_each_halving_costs_one_central_difference(mode, first_try):
-    # three halvings at r = 0.05: each reuses the previous half-step
-    # difference and the centre, and evaluates the position 2 more times
+@pytest.mark.parametrize("r", [1e50, 1e100])
+def test_the_plane_spiral_far_out_matches_the_closed_form(r):
+    # the t-stencil's error grew as t^4 with t = -ln(r) / a: 1.7e-5 at
+    # r = 1e50 and 2.8e-4 at r = 1e100
+    theta = math.pi / 4.0
+    s = sample(plane_log_spiral(1.0), -math.log(r), JET_MODE_ANALYTIC)
+    want = math.cos(theta) / s.r
+    assert abs(s.k - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("mode, per_sample", [(JET_MODE_ANALYTIC, 0), (JET_MODE_FD, 25)])
+def test_a_sample_next_to_the_pole_costs_what_it_costs_anywhere(mode, per_sample):
+    # no position with analytic jets, the FD 2-jet's 25 with FD jets, at
+    # r = 0.05 as at the equator
     theta = 0.6
     curve = sphere_loxodrome(1.0, math.cos(theta) / math.sin(theta))
     calls = []
@@ -214,8 +223,7 @@ def test_each_halving_costs_one_central_difference(mode, first_try):
     counted_curve = dataclasses.replace(
         curve, patch=dataclasses.replace(curve.patch, eval=counted)
     )
-    sample(counted_curve, 0.7, mode)
-    assert len(calls) == first_try
-    calls.clear()
-    sample(counted_curve, (math.pi - 0.05) / 2.0, mode)
-    assert len(calls) == first_try + 3 * 2
+    for t in (0.7, (math.pi - 0.05) / 2.0):
+        calls.clear()
+        sample(counted_curve, t, mode)
+        assert len(calls) == per_sample
