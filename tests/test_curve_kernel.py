@@ -6,9 +6,11 @@ the generic numdiff route on the trace, richardson_first and
 richardson_second once per chart component, at the one step that
 fit_steps sizes from STEP_SECOND_FINE.  The closed forms must agree with
 it where the trace is smooth on the step's scale.  A curve without closed
-forms takes both orders from one trace stencil: sample and
-geodesic_curvature_numeric must then give the bits of the generic route,
-or raise its exception with its message, in both jet modes.
+forms takes both orders from one trace stencil.  Either way, sample and
+geodesic_curvature_numeric must give the bits of the chain rule written
+out on eval_jet, or raise its exception with its message, in both jet
+modes and both directions: also next to the sphere loxodrome's pole, the
+tractroid's floor, and where exp nearly overflows in the trace.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import math
 import pytest
 
 from spiralcurv import curves as cv
-from spiralcurv.errors import GeometryError, NumericalBreakdown
+from spiralcurv.errors import DegenerateJet, GeometryError, NumericalBreakdown
 from spiralcurv.numdiff import STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
 from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
@@ -49,9 +51,19 @@ def reference_derivatives(curve, t):
     return du, dv, ddu, ddv, err
 
 
+def chain_rule_derivatives(curve, t):
+    """The closed forms with error 0, or else the generic route."""
+    if curve.trace_derivatives is None:
+        return reference_derivatives(curve, t)
+    try:
+        return (*curve.trace_derivatives(t), 0.0)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise cv._trace_fault(exc, "velocity", t) from None
+
+
 def reference_sample(curve, t, mode):
     jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
-    du, dv, ddu, ddv, err = reference_derivatives(curve, t)
+    du, dv, ddu, ddv, err = chain_rule_derivatives(curve, t)
     if err > cv.BREAKDOWN_TOL:
         raise NumericalBreakdown(
             f"second-derivative estimate unreliable at t={t} (relative error ~{err:.2e})"
@@ -59,12 +71,17 @@ def reference_sample(curve, t, mode):
     d1 = jet.p_u * du + jet.p_v * dv
     d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
           + jet.p_u * ddu + jet.p_v * ddv)
-    n = unit_normal(jet, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
     sp = d1.norm()
+    if sp == 0.0:
+        raise DegenerateJet("the curve is not regular: gamma' vanishes")
+    n = unit_normal(jet, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
+    k = d2.dot(n.cross(d1)) / sp / sp / sp
+    if not (math.isfinite(k) and math.isfinite(sp)):
+        raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
     return cv.CurveSample(
         t=t,
         position=jet.p,
-        k=curve.direction_sign * (d2.dot(n.cross(d1)) / sp / sp / sp),
+        k=curve.direction_sign * k,
         theta=cv._angle(curve, jet, du, dv, t),
         r=curve.center_distance(t) if curve.center_distance is not None else None,
     )
@@ -121,6 +138,32 @@ def test_closed_form_derivatives_match_the_trace(curve, t):
     want = reference_derivatives(curve, t)[:4]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-8 * max(1.0, abs(g)), (got, want)
+
+
+# the constructors' curves, also where the trace stencil could not
+# measure: next to the sphere loxodrome's pole, where exp(-t) comes within
+# 1% of overflowing, and next to the tractroid's floor
+_NEAR_POLE = tuple((PI - r) / 2.0 for r in (0.2, 0.15, 0.05, 0.03, 0.02))
+KERNEL_CURVES = CURVES + [
+    (cv.plane_log_spiral(1.0), (-5.0, -709.7)),
+    (CURVES[2][0], _POLE + _NEAR_POLE),
+    (CURVES[3][0], _POLE),
+    (CURVES[4][0], (0.0012,)),
+    (CURVES[8][0], (0.01,)),
+]
+KERNEL_CASES = [(c, t) for c, ts in KERNEL_CURVES for t in ts]
+KERNEL_IDS = [f"{c.label}-t={t}" for c, t in KERNEL_CASES]
+
+
+@pytest.mark.parametrize("direction", (1, -1), ids=("forward", "backward"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("curve,t", KERNEL_CASES, ids=KERNEL_IDS)
+def test_kernel_gives_the_bits_of_the_generic_route(curve, t, mode, direction):
+    curve = dataclasses.replace(curve, direction_sign=direction)
+    assert outcome(cv.sample, curve, t, mode) == outcome(reference_sample, curve, t, mode)
+    assert outcome(cv.geodesic_curvature_numeric, curve, t, mode) == outcome(
+        reference_k, curve, t, mode
+    )
 
 
 # the same curves without closed-form derivatives, and next to the sphere
