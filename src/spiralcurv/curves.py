@@ -17,12 +17,13 @@ numdiff.fit_steps), and its curvature raises NumericalBreakdown where the
 stencil's correction of (u'', v'') exceeds BREAKDOWN_TOL relative to
 max(|(u'', v'')|, |(u', v')|^2), as at a kink, or where k is not finite.
 
-The speed and the angle read the patch's first-order frame (eval_frame);
-sample reads the position, k and the angle off one 2-jet.  Each passes
-its jet mode on unchanged: mode=None picks analytic exactly when the
-patch carries a jet.  _trace_fault maps every fault of the trace and its
-derivatives: OverflowError to NumericalBreakdown, ValueError and
-ZeroDivisionError to OutOfDomain.
+Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
+point: the speed and the angle its p_u and p_v, sample the position, k
+and the angle off the same jet.  Each passes its jet mode on unchanged:
+mode=None picks analytic exactly when the patch carries a jet.
+_trace_fault maps every fault of the trace and its derivatives:
+OverflowError to NumericalBreakdown, ValueError and ZeroDivisionError to
+OutOfDomain.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
@@ -46,7 +47,6 @@ from .errors import (
 from .numdiff import STEP_SECOND_FINE, extrapolate, fit_steps, gauss_kronrod
 from .surfaces import (
     SurfacePatch,
-    eval_frame,
     eval_jet,
     first_form,
     plane_patch,
@@ -279,12 +279,12 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
-    frame = eval_frame(curve.patch, *_chart_point(curve, t), mode)
-    return _speed(frame, *curve.velocity(t), t)
+    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
+    return _speed(jet, *curve.velocity(t), t)
 
 
-def _speed(frame, du: float, dv: float, t: float) -> float:
-    E, F, G = first_form(frame)
+def _speed(jet, du: float, dv: float, t: float) -> float:
+    E, F, G = first_form(jet)
     value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
     if not math.isfinite(value):
         raise NumericalBreakdown(f"the speed overflows at t={t}")
@@ -327,10 +327,10 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     leg is <gamma', p_u> and the sine leg is the signed area
     orientation_sign * dv * sqrt(EG - F^2), which matches the ambient
     triple product <N, p_u x gamma'>.  E, F, G come from the patch's
-    first-order frame (eval_frame).
+    2-jet (eval_jet).
     """
-    frame = eval_frame(curve.patch, *_chart_point(curve, t), mode)
-    return _angle(curve, frame, *curve.velocity(t), t)
+    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
+    return _angle(curve, jet, *curve.velocity(t), t)
 
 
 def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
@@ -377,8 +377,8 @@ def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: 
     return k
 
 
-def _angle(curve: ChartCurve, frame, du: float, dv: float, t: float) -> float:
-    E, F, G = first_form(frame)
+def _angle(curve: ChartCurve, jet, du: float, dv: float, t: float) -> float:
+    E, F, G = first_form(jet)
     area2 = E * G - F * F
     if area2 <= 0.0 or E <= 0.0:
         raise DegenerateJet("first form is not positive definite")

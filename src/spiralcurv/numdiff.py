@@ -2,14 +2,16 @@
 and adaptive Gauss-Kronrod quadrature.
 
 Derivative values may be floats, Vec3 or numpy arrays; all routines are
-pure.  Step sizes follow the usual epsilon-power scalings, with the exponent
-chosen per call site (truncation/roundoff balance differs between first and
-second derivatives, and between chart jets and curve kinematics).
+pure.  Every stencil in the package takes one Richardson level, so every
+relative step is one of two: STEP_FIRST_FINE = eps**(1/5) for first
+differences and STEP_SECOND_FINE = eps**(1/6) for a stencil that also
+takes second or mixed ones, which balance the extrapolated estimate's
+h^4 truncation against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
-finite-difference frames and jets of surfaces (once per chart coordinate),
-and, once per curve parameter, the trace stencil of a curve without
-closed-form derivatives (curves) and the angle stencil of liouville.
+finite-difference jets of surfaces (once per chart coordinate), and, once
+per curve parameter, the trace stencil of a curve without closed-form
+derivatives (curves) and the angle stencil of liouville.
 Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
@@ -43,9 +45,7 @@ _new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
 
 EPS = sys.float_info.epsilon
 
-# default relative steps
-STEP_FIRST = EPS ** (1.0 / 3.0)       # plain central first difference
-STEP_SECOND = EPS ** 0.25             # plain central second difference
+# relative steps of a stencil with one Richardson level
 STEP_FIRST_FINE = EPS ** 0.2          # Richardson first difference
 STEP_SECOND_FINE = EPS ** (1.0 / 6.0) # Richardson second difference
 

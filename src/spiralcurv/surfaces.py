@@ -1,4 +1,4 @@
-"""Surface patches, frames, 2-jets, fundamental forms, Gaussian curvature.
+"""Surface patches, 2-jets, fundamental forms, Gaussian curvature.
 
 A patch is a map (u, v) -> R^3 on a rectangle, carrying an orientation sign
 that fixes which of the two unit normals the rest of the package uses.  The
@@ -15,39 +15,36 @@ the raises of first_form, unit_normal and Vec3.dot; it raises
 NumericalBreakdown where e, f, g or K is not finite rather than return
 them.
 
-Jet2 and Frame are tuples of Vec3s with a frozen dataclass's value
-behaviour (vec.Record), as closed_form.CurvatureProfile is; the jet
-builders make them with tuple.__new__.  dataclasses.replace, asdict and
-fields do not apply to them: _replace and _asdict take their place.
+Jet2 is a tuple of Vec3s with a frozen dataclass's value behaviour
+(vec.Record), as closed_form.CurvatureProfile is; the jet builders make
+it with tuple.__new__.  dataclasses.replace, asdict and fields do not
+apply to it: _replace and _asdict take their place.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
-Two entry points share one domain and mode gate, which also picks the mode
-of a call that names none (mode=None): analytic exactly when the patch
-carries a jet, else finite differences.  fundamental_forms,
-gaussian_curvature and the curve measurements pass their mode to it
-unchanged.  eval_jet builds the full 2-jet, which only the second
-fundamental form (fundamental_forms, gaussian_curvature) needs; eval_frame
-returns just p_u and p_v, the tangent plane that the unit normal and the
-first form read, which is all the curve measurements use.  With finite
-differences a frame takes the position at 8 stencil points and a 2-jet at
-25, each step fitted into the domain by numdiff.fit_steps: a straight-line
-stencil kernel takes each stencil position once and differences the
-positions with numdiff's per-component kernels (extrapolated_first,
-_second and _cross), which have the bits of its generic central
-differences with one Richardson level.  A jet carries the extrapolated
-values only, no Richardson error estimate.
+eval_jet is the one entry point, and its domain and mode gate also picks
+the mode of a call that names none (mode=None): analytic exactly when the
+patch carries a jet, else finite differences.  fundamental_forms,
+gaussian_curvature and every curve measurement pass their mode to it
+unchanged.  With finite differences a jet takes the position at 25
+stencil points, each step fitted into the domain by numdiff.fit_steps
+from STEP_FIRST_FINE and STEP_SECOND_FINE, the steps of one Richardson
+level: a straight-line stencil kernel takes each stencil position once
+and differences the positions with numdiff's per-component kernels
+(extrapolated_first, _second and _cross), which have the bits of its
+generic central differences with one Richardson level.  A jet carries the
+extrapolated values only, no Richardson error estimate.
 
-The stencil of a frame spans 5 distinct u and 5 distinct v, that of a jet
-9 and 9.  On a surface of revolution (x(v) cos u, x(v) sin u, z(v)) the
-kernel uses this: it takes cos and sin once per distinct u and the profile
-x, z once per distinct v, and builds each stencil position from them with
-the float products of the position map, so the jet has the same bits as
-with a call of the position map per point.  It recognises the surface by
-its position map, which surface_of_revolution builds as a
-functools.partial of _revolution_position over x and z; any other
-position map, such as a chart without that symmetry or a wrapped copy of
-the map, is called once per stencil point.
+The stencil of a jet spans 9 distinct u and 9 distinct v.  On a surface of
+revolution (x(v) cos u, x(v) sin u, z(v)) the kernel uses this: it takes
+cos and sin once per distinct u and the profile x, z once per distinct v,
+and builds each stencil position from them with the float products of the
+position map, so the jet has the same bits as with a call of the position
+map per point.  It recognises the surface by its position map, which
+surface_of_revolution builds as a functools.partial of
+_revolution_position over x and z; any other position map, such as a
+chart without that symmetry or a wrapped copy of the map, is called once
+per stencil point.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
 from .numdiff import (
-    STEP_FIRST,
-    STEP_SECOND,
+    STEP_FIRST_FINE,
+    STEP_SECOND_FINE,
     extrapolated_cross,
     extrapolated_first,
     extrapolated_second,
@@ -109,12 +106,6 @@ class Rect:
 
 class Jet2(Record, namedtuple("_Jet2", "p p_u p_v p_uu p_uv p_vv")):
     """Position and partial derivatives through second order at one point."""
-
-    __slots__ = ()
-
-
-class Frame(Record, namedtuple("_Frame", "p_u p_v")):
-    """First partials at one point: the tangent plane of the patch."""
 
     __slots__ = ()
 
@@ -181,8 +172,9 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
         analytic jet and finite differences otherwise.  Analytic mode
         requires the patch to carry an analytic jet.
         Finite-difference mode uses only the position map: central
-        differences with step cbrt(eps)*max(1,|coord|) for first partials
-        and the fourth root for second partials, one Richardson level each.
+        differences with step eps**(1/5)*max(1,|coord|) for first partials
+        and eps**(1/6)*max(1,|coord|) for second partials, one Richardson
+        level each (numdiff.STEP_FIRST_FINE and STEP_SECOND_FINE).
         The position is taken once at each of the 25 stencil points: on a
         surface of revolution from cos/sin at the stencil's 9 distinct u
         and the profile at its 9 distinct v, with the bits of a call of
@@ -199,71 +191,23 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
         If mode is unknown or "analytic" is requested of a patch without
         an analytic jet.
     """
-    if _analytic(patch, u, v, mode):
-        return patch.jet(u, v)
-    return _fd_jet(patch, u, v)
-
-
-def eval_frame(
-    patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
-) -> Frame | Jet2:
-    """Evaluate the first partials p_u, p_v of a patch at a chart point.
-
-    The tangent plane is all that the unit normal and the first form
-    need.  mode=None picks as in eval_jet.  Analytic mode returns the
-    patch's own Jet2; finite-difference mode differences the position only
-    for p_u and p_v, at 8 stencil points (on a surface of revolution from
-    cos/sin at 5 distinct u and the profile at 5 distinct v), with the
-    steps and arithmetic of eval_jet's first partials, so both modes give
-    the same bits as eval_jet's p_u and p_v.  Raises like eval_jet.
-    """
-    if _analytic(patch, u, v, mode):
-        return patch.jet(u, v)
-    return _fd_frame(patch, u, v)
-
-
-def _analytic(patch: SurfacePatch, u: float, v: float, mode: Optional[str]) -> bool:
-    """The domain and mode gate of eval_jet and eval_frame: True for the
-    analytic jet, False for finite differences.  mode=None picks analytic
-    exactly when the patch carries a jet."""
     if not patch.domain.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
     if mode is None:
-        return patch.jet is not None
+        mode = JET_MODE_FD if patch.jet is None else JET_MODE_ANALYTIC
     if mode == JET_MODE_ANALYTIC:
         if patch.jet is None:
             raise BadParameter(f"{patch.name} has no analytic jet; use finite_difference")
-        return True
+        return patch.jet(u, v)
     if mode != JET_MODE_FD:
         raise BadParameter(f"unknown jet mode {mode!r}")
-    return False
-
-
-def _fd_frame(patch: SurfacePatch, u: float, v: float) -> Frame:
-    dom = patch.domain
-    (hu,) = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST)
-    (hv,) = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST)
-    hu_half, hv_half = hu / 2.0, hv / 2.0
-    (a, b, a2, b2), (c, d, c2, d2) = _positions(
-        patch.eval,
-        u,
-        v,
-        (u + hu, u - hu, u + hu_half, u - hu_half),
-        (v + hv, v - hv, v + hv_half, v - hv_half),
-    )
-    return _new(
-        Frame,
-        (
-            extrapolated_first(a, b, a2, b2, hu, hu_half),
-            extrapolated_first(c, d, c2, d2, hv, hv_half),
-        ),
-    )
+    return _fd_jet(patch, u, v)
 
 
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
     dom = patch.domain
-    hu, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST, STEP_SECOND)
-    hv, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST, STEP_SECOND)
+    hu, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    hv, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
     # the second differences divide by the square of the halved step
     h = min(hu2, hv2) / 2.0
     if h * h == 0.0:
@@ -280,7 +224,6 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
         v,
         (u + hu, u - hu, u + hu_half, u - hu_half, u + hu2, u - hu2, u + hu2_half, u - hu2_half),
         (v + hv, v - hv, v + hv_half, v - hv_half, v + hv2, v - hv2, v + hv2_half, v - hv2_half),
-        _CROSS,
     )
     # the centre is evaluated once, for p and both second differences;
     # the fields in Jet2's order p, p_u, p_v, p_uu, p_uv, p_vv
@@ -303,10 +246,10 @@ def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
 _CROSS = ((4, 4), (4, 5), (5, 4), (5, 5), (6, 6), (6, 7), (7, 6), (7, 7))
 
 
-def _positions(position, u, v, us, vs, cross=None):
-    """The stencil positions, each taken once: at (a, v) for a in us and
-    at (u, b) for b in vs; given cross, also at the centre (u, v), as a
-    Vec3, and at (us[i], vs[j]) for (i, j) in cross.
+def _positions(position, u, v, us, vs):
+    """The stencil positions of a jet, each taken once: at (a, v) for a in
+    us, at (u, b) for b in vs, at the centre (u, v), as a Vec3, and at
+    (us[i], vs[j]) for (i, j) in _CROSS.
 
     A surface of revolution's position map, a partial of
     _revolution_position, is not called: cos and sin are taken once per
@@ -317,9 +260,7 @@ def _positions(position, u, v, us, vs, cross=None):
     if type(position) is not partial or position.func is not _revolution_position:
         along_u = [position(a, v) for a in us]
         along_v = [position(u, b) for b in vs]
-        if cross is None:
-            return along_u, along_v
-        return along_u, along_v, position(u, v), [position(us[i], vs[j]) for i, j in cross]
+        return along_u, along_v, position(u, v), [position(us[i], vs[j]) for i, j in _CROSS]
     x, z = position.args
     r, h, c, s = x(v), z(v), math.cos(u), math.sin(u)
     trig, along_u = [], []
@@ -332,17 +273,15 @@ def _positions(position, u, v, us, vs, cross=None):
         rb, hb = x(b), z(b)
         profile.append((rb, hb))
         along_v.append((rb * c, rb * s, hb))
-    if cross is None:
-        return along_u, along_v
     points = []
-    for i, j in cross:
+    for i, j in _CROSS:
         (ca, sa), (rb, hb) = trig[i], profile[j]
         points.append((rb * ca, rb * sa, hb))
     return along_u, along_v, _new(Vec3, (r * c, r * s, h)), points
 
 
-def unit_normal(jet: Frame | Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:
-    """Unit normal for the given orientation sign, from a Frame or a Jet2.
+def unit_normal(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:
+    """Unit normal for the given orientation sign, from a 2-jet's p_u and p_v.
 
     Raises DegenerateJet when |p_u x p_v| < bound.  The default is the
     absolute 1e-12; the callers that know the patch pass its
@@ -374,9 +313,9 @@ def fundamental_forms(
     return FormCoefficients(*forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound))
 
 
-def first_form(frame: Frame | Jet2) -> Tuple[float, float, float]:
-    """First fundamental form (E, F, G) from a Frame or a Jet2."""
-    p_u, p_v = frame.p_u, frame.p_v
+def first_form(jet: Jet2) -> Tuple[float, float, float]:
+    """First fundamental form (E, F, G) from a 2-jet's p_u and p_v."""
+    p_u, p_v = jet.p_u, jet.p_v
     return p_u.dot(p_u), p_u.dot(p_v), p_v.dot(p_v)
 
 

@@ -1,12 +1,12 @@
-"""Small fixed-size 3-vector used for surface points and frames, and the
+"""Small fixed-size 3-vector used for surface points and jets, and the
 value base that it shares with the package's other tuple-backed records.
 
 Record is the behaviour of a frozen dataclass on a tuple subclass: an
 instance equals only another instance of the same class with equal items
 (never a plain tuple), it is hashed as the tuple of its items, and it is
-not ordered.  Vec3, surfaces.Jet2, surfaces.Frame and verify.Observation
-build on it; the last three take their fields, repr, _replace and _asdict
-from a namedtuple base, as closed_form.CurvatureProfile does.
+not ordered.  Vec3, surfaces.Jet2 and verify.Observation build on it;
+the last two take their fields, repr, _replace and _asdict from a
+namedtuple base, as closed_form.CurvatureProfile does.
 
 A Vec3 is an immutable tuple of three floats with named components, so
 jets and normals read as p.x, p.y, p.z, and building one costs a single

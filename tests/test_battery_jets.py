@@ -1,13 +1,16 @@
 """The forms suite evaluates one jet per grid point, in the battery's mode,
-and each curvature measurement one jet at its curve point.
+and each curve measurement one jet at its curve point.
 
-Per run_suites("all"): 2,800 + 330 jets in the battery's mode and 175 in
-the other mode, counted by a wrapper around eval_jet in every module that
-binds it.  The forms suite takes 2,800 (7 patches x 400 grid points) and
-the 175 (the other side of jet_consistency at every 4th point in u and in
-v); the curve and Liouville checks take 330: 250 numeric_vs_closed_form
-samples, 36 curvatures of orientation_covariance, 32 liouville breakdowns
-and 12 meridian curvatures."""
+Per run_suites("all"): 2,800 + 330 + 653 jets in the battery's mode and
+175 in the other mode, counted by a wrapper around eval_jet in every
+module that binds it.  The forms suite takes 2,800 (7 patches x 400 grid
+points) and the 175 (the other side of jet_consistency at every 4th
+point in u and in v); the curvature measurements take 330: 250
+numeric_vs_closed_form samples, 36 curvatures of orientation_covariance,
+32 liouville breakdowns and 12 meridian curvatures; the speeds and angles
+take 653: 75 speeds (5 arc lengths of one 15-node panel each) and 578
+angles (350 of constant_angle, 100 of embedded_polar_angle and the
+4-point dtheta/dt stencil of the 32 liouville breakdowns)."""
 
 import collections
 import dataclasses
@@ -18,8 +21,8 @@ import pytest
 from spiralcurv import surfaces, verify
 from spiralcurv.errors import NumericalBreakdown
 from spiralcurv.numdiff import (
-    STEP_FIRST,
-    STEP_SECOND,
+    STEP_FIRST_FINE,
+    STEP_SECOND_FINE,
     fit_steps,
     richardson,
     richardson_first,
@@ -58,7 +61,7 @@ def jet_counts(monkeypatch):
 def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode, 1.0 if mode == JET_MODE_ANALYTIC else 100.0)
     assert all(r.passed for r in reports)
-    assert jet_counts == {mode: 2800 + 330, OTHER[mode]: 175}
+    assert jet_counts == {mode: 2800 + 330 + 75 + 578, OTHER[mode]: 175}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -84,8 +87,8 @@ def test_forms_suite_observations_match_gaussian_curvature(mode):
             assert o.actual == gaussian_curvature(patch, u, v, mode)
 
 
-# The finite-difference jet and frame through numdiff's generic routines on
-# Vec3 positions: the reference that surfaces' stencil kernel reproduces.
+# The finite-difference jet through numdiff's generic routines on Vec3
+# positions: the reference that surfaces' stencil kernel reproduces.
 
 
 def _steps(patch, u, v, rel):
@@ -95,19 +98,14 @@ def _steps(patch, u, v, rel):
     return hu, hv
 
 
-def _generic_fd_frame(patch, u, v):
-    hu, hv = _steps(patch, u, v, STEP_FIRST)
-    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
-    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
-    return surfaces.Frame(p_u=p_u, p_v=p_v)
-
-
 def _generic_fd_jet(patch, u, v):
-    hu2, hv2 = _steps(patch, u, v, STEP_SECOND)
+    hu2, hv2 = _steps(patch, u, v, STEP_SECOND_FINE)
     h = min(hu2, hv2) / 2.0
     if h * h == 0.0:
         raise NumericalBreakdown("squared step underflows")
-    frame = _generic_fd_frame(patch, u, v)
+    hu, hv = _steps(patch, u, v, STEP_FIRST_FINE)
+    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
+    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
     p = patch.eval(u, v)
     p_uu = richardson_second(lambda uu: p if uu == u else patch.eval(uu, v), u, hu2)[0]
     p_vv = richardson_second(lambda vv: p if vv == v else patch.eval(u, vv), v, hv2)[0]
@@ -119,7 +117,7 @@ def _generic_fd_jet(patch, u, v):
         )
 
     p_uv = richardson(cross, 1.0)[0]
-    return surfaces.Jet2(p=p, p_u=frame.p_u, p_v=frame.p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
+    return surfaces.Jet2(p=p, p_u=p_u, p_v=p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
 
 
 def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
@@ -133,7 +131,6 @@ def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(surfaces, "_fd_jet", counted(_generic_fd_jet))
-    monkeypatch.setattr(surfaces, "_fd_frame", counted(_generic_fd_frame))
     generic = verify.suite_forms(JET_MODE_FD, 100.0)
     assert calls["_generic_fd_jet"] == 2800
     assert [(r.check_name, r.observations) for r in kernel] == [

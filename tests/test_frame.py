@@ -1,11 +1,12 @@
-"""The frame and 2-jet routes of the curve measurements.
+"""The 2-jet route of the curve measurements.
 
-The speed and the angle need only the tangent plane (E, F, G) and read
-surfaces.eval_frame; the curvature reads one 2-jet (eval_jet) by the chain
-rule, and sample reads everything off that jet.  These tests rebuild each
-measurement from a full 2-jet, written out from the formulas, and require
-the same bits, count the position evaluations each route makes, and pin
-the exception class at the edges of the domain.
+Every curve measurement reads one 2-jet of the patch (eval_jet): the speed
+and the angle its first form (E, F, G), the curvature the whole jet by the
+chain rule, and sample everything off that jet.  These tests rebuild each
+measurement from a 2-jet, written out from the formulas, and require the
+same bits, or the same exception and message, count the position
+evaluations each measurement makes, and pin the exception class at the
+edges of the domain.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from spiralcurv.errors import (
     BadParameter,
     DegenerateJet,
     GeometryError,
+    NumericalBreakdown,
     OutOfDomain,
 )
 from spiralcurv.liouville import LiouvilleBreakdown, liouville_breakdown
@@ -27,8 +29,10 @@ from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
-    Frame,
-    eval_frame,
+    Interval,
+    Jet2,
+    Rect,
+    SurfacePatch,
     eval_jet,
     plane_patch,
     pseudosphere_patch,
@@ -36,6 +40,7 @@ from spiralcurv.surfaces import (
     surface_of_revolution,
     unit_normal,
 )
+from spiralcurv.vec import Vec3
 
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
 PI = math.pi
@@ -79,24 +84,42 @@ def two_jet_k(curve, t, mode):
 
 
 def _first_form(curve, t, mode):
-    jet = eval_jet(curve.patch, *curve.trace(t), mode)
+    """(E, F, G) off the patch's 2-jet at the curve's point, after the
+    domain check of t."""
+    jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
     return jet.p_u.dot(jet.p_u), jet.p_u.dot(jet.p_v), jet.p_v.dot(jet.p_v)
 
 
 def two_jet_theta(curve, t, mode):
+    """atan2(orientation_sign * dv * sqrt(EG - F^2), E du + F dv) in
+    (-pi, pi], (du, dv) the chart velocity in the direction of travel.
+    DegenerateJet where the first form is not positive definite or the
+    velocity vanishes, NumericalBreakdown where EG - F^2 overflows."""
     E, F, G = _first_form(curve, t, mode)
     du, dv = curve.velocity(t)
+    area2 = E * G - F * F
+    if area2 <= 0.0 or E <= 0.0:
+        raise DegenerateJet("first form is not positive definite")
+    if not math.isfinite(area2):
+        raise NumericalBreakdown("E*G - F^2 overflows")
     du *= curve.direction_sign
     dv *= curve.direction_sign
-    sin_leg = curve.patch.orientation_sign * dv * math.sqrt(E * G - F * F)
+    if E * du * du + 2.0 * F * du * dv + G * dv * dv <= 0.0:
+        raise DegenerateJet(f"curve velocity vanishes at t={t}")
+    sin_leg = curve.patch.orientation_sign * dv * math.sqrt(area2)
     theta = math.atan2(sin_leg, E * du + F * dv)
     return theta + 2.0 * PI if theta <= -PI else theta
 
 
 def two_jet_speed(curve, t, mode):
+    """sqrt(E du^2 + 2F du dv + G dv^2); NumericalBreakdown where it
+    overflows."""
     E, F, G = _first_form(curve, t, mode)
     du, dv = curve.velocity(t)
-    return math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    if not math.isfinite(value):
+        raise NumericalBreakdown(f"the speed overflows at t={t}")
+    return value
 
 
 def two_jet_breakdown(curve, t, mode):
@@ -125,42 +148,20 @@ def same_bits(got, want):
     assert repr(got) == repr(want)
 
 
+def outcome(fn, *args):
+    """The repr of the result (every bit of every float, and -0.0), or the
+    exception's class and message."""
+    try:
+        return repr(fn(*args))
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 # ---------------------------------------------------------------------------
-# the frame itself
+# the gate of eval_jet
 
 
-PATCHES = [plane_patch(), sphere_patch(0.5), sphere_patch(2.0), pseudosphere_patch(1.0)]
-
-
-@pytest.mark.parametrize("patch", PATCHES, ids=lambda p: p.name)
-def test_fd_frame_equals_fd_jet_first_partials(patch):
-    dom = patch.domain.v
-    lo = dom.lo if math.isfinite(dom.lo) else -3.0
-    hi = min(dom.hi, 3.0)
-    # interior points and points next to the edges, where fit_steps shrinks the steps
-    for v in (lo + 1e-9, lo + 1e-3, (lo + hi) / 2.0, hi - 1e-3, hi - 1e-9):
-        for u in (-2.0, 0.0, 0.7, 40.0):
-            frame = eval_frame(patch, u, v, JET_MODE_FD)
-            jet = eval_jet(patch, u, v, JET_MODE_FD)
-            assert isinstance(frame, Frame)
-            same_bits(frame.p_u, jet.p_u)
-            same_bits(frame.p_v, jet.p_v)
-
-
-@pytest.mark.parametrize("patch", PATCHES, ids=lambda p: p.name)
-def test_analytic_frame_is_the_analytic_jet(patch):
-    assert eval_frame(patch, 0.4, 1.0, JET_MODE_ANALYTIC) == patch.jet(0.4, 1.0)
-
-
-def test_unit_normal_reads_a_frame_like_a_jet():
-    patch = sphere_patch(1.0)
-    for mode in MODES:
-        jet = eval_jet(patch, 0.3, 1.2, mode)
-        frame = eval_frame(patch, 0.3, 1.2, mode)
-        same_bits(unit_normal(frame, -1), unit_normal(jet, -1))
-
-
-def test_frame_shares_the_gate_of_eval_jet():
+def test_the_gate_of_eval_jet():
     nojet = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
     ps = pseudosphere_patch(1.0)
     for args, exc in [
@@ -175,24 +176,18 @@ def test_frame_shares_the_gate_of_eval_jet():
     ]:
         with pytest.raises(exc):
             eval_jet(*args)
-        with pytest.raises(exc):
-            eval_frame(*args)
-    frame, jet = eval_frame(nojet, 0.5, 1.0, JET_MODE_FD), eval_jet(nojet, 0.5, 1.0, JET_MODE_FD)
-    same_bits((frame.p_u, frame.p_v), (jet.p_u, jet.p_v))
 
 
 def test_no_mode_picks_analytic_exactly_when_the_patch_has_a_jet():
     sphere = sphere_patch(1.0)
     assert eval_jet(sphere, 0.3, 1.2) == sphere.jet(0.3, 1.2)
-    assert eval_frame(sphere, 0.3, 1.2) == sphere.jet(0.3, 1.2)
     # a patch without an analytic jet gets finite differences, bit for bit,
     # where naming "analytic" still raises
     nojet = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
-    for fn in (eval_jet, eval_frame):
-        same_bits(fn(nojet, 0.5, 1.0), fn(nojet, 0.5, 1.0, JET_MODE_FD))
-        same_bits(fn(nojet, 0.5, 1.0, None), fn(nojet, 0.5, 1.0, JET_MODE_FD))
-        with pytest.raises(BadParameter):
-            fn(nojet, 0.5, 1.0, JET_MODE_ANALYTIC)
+    same_bits(eval_jet(nojet, 0.5, 1.0), eval_jet(nojet, 0.5, 1.0, JET_MODE_FD))
+    same_bits(eval_jet(nojet, 0.5, 1.0, None), eval_jet(nojet, 0.5, 1.0, JET_MODE_FD))
+    with pytest.raises(BadParameter):
+        eval_jet(nojet, 0.5, 1.0, JET_MODE_ANALYTIC)
 
 
 # the floor v = 1e-3 of the tractroid is a closed edge: inside the domain of
@@ -204,8 +199,9 @@ _FLOOR_LOX = cv.pseudosphere_loxodrome(
     1.0, PI / 3.0, u0=(1.0 / math.sin(1e-3) - 1.0) / math.sqrt(3.0)
 )
 NO_ROOM_SITES = {
-    "fd-frame": lambda: eval_frame(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
     "fd-jet": lambda: eval_jet(pseudosphere_patch(1.0), 0.3, 1e-3, JET_MODE_FD),
+    "speed": lambda: cv.speed(_FLOOR_LOX, 1e-3, JET_MODE_FD),
+    "angle": lambda: cv.angle_to_parallel(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "velocity": lambda: dataclasses.replace(_FLOOR_LOX, trace_derivatives=None).velocity(1e-3),
     "liouville": lambda: liouville_breakdown(_FLOOR_LOX, 1e-3),
@@ -219,7 +215,7 @@ def test_every_stencil_site_raises_the_one_no_room_error(site):
 
 
 # ---------------------------------------------------------------------------
-# every tangent-plane measurement gives the bits of the 2-jet route
+# every curve measurement gives the bits of the 2-jet route
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -232,6 +228,56 @@ def test_measurements_equal_the_two_jet_route(curve, t, mode):
     same_bits(cv.speed(curve, t, mode), two_jet_speed(curve, t, mode))
     s = cv.sample(curve, t, mode)
     same_bits((s.t, s.position, s.k, s.theta), (t, curve.point(t), k, theta))
+
+
+def _skew_curve():
+    """A line on a curved chart that is not orthogonal (F = 0.5 + 0.09 uv),
+    with an analytic jet, so every term of the first form counts."""
+    def jet(u, v):
+        return Jet2(Vec3(u + 0.5 * v, v, 0.3 * u * v), Vec3(1.0, 0.0, 0.3 * v),
+                    Vec3(0.5, 1.0, 0.3 * u), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.3),
+                    Vec3(0.0, 0.0, 0.0))
+
+    patch = SurfacePatch(
+        eval=lambda u, v: Vec3(u + 0.5 * v, v, 0.3 * u * v),
+        domain=Rect(Interval(-3.0, 3.0), Interval(-3.0, 3.0)),
+        jet=jet,
+        name="skew",
+    )
+    return cv.ChartCurve(patch=patch, trace=lambda t: (t, 0.4 + 0.7 * t), t_domain=(-2.0, 2.0),
+                         trace_derivatives=lambda t: (1.0, 0.7, 0.0, 0.0), label="skew line")
+
+
+# the smooth cases, a non-orthogonal chart, the same curves without
+# closed-form trace derivatives, and the edges: next to the sphere
+# loxodrome's pole, the plane spiral where exp(-t) nearly overflows and
+# where E = exp(-2t) underflows, the tractroid loxodrome next to its floor
+# and on its rim, and outside the parameter domain
+_SKEW = [(_skew_curve(), t) for t in (-0.5, 0.3, 1.2)]
+_BARE = [(dataclasses.replace(c, trace_derivatives=None), t) for c, t in CASES[::3] + _SKEW]
+_EDGES = [
+    *((CURVES[2][0], (PI - r) / 2.0) for r in (0.1, 1e-3, 1e-6)),
+    *((cv.plane_log_spiral(1.0), t) for t in (-709.7, 371.5, 373.0)),
+    (CURVES[4][0], 0.0012),
+    (CURVES[4][0], PI / 2.0),
+    (CURVES[0][0], math.inf),
+    (CURVES[2][0], 2.0),
+]
+TANGENT_CASES = CASES + _SKEW + _BARE + _EDGES
+TANGENT_IDS = IDS + [f"{c.label}-t={t}" for c, t in _SKEW] + [
+    f"bare {c.label}-t={t}" for c, t in _BARE
+] + [f"{c.label}-t={t}" for c, t in _EDGES]
+
+
+@pytest.mark.parametrize("direction", (1, -1), ids=("forward", "backward"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("curve,t", TANGENT_CASES, ids=TANGENT_IDS)
+def test_speed_and_angle_give_the_bits_of_the_two_jet_route(curve, t, mode, direction):
+    curve = dataclasses.replace(curve, direction_sign=direction)
+    assert outcome(cv.speed, curve, t, mode) == outcome(two_jet_speed, curve, t, mode)
+    assert outcome(cv.angle_to_parallel, curve, t, mode) == outcome(
+        two_jet_theta, curve, t, mode
+    )
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -261,19 +307,14 @@ def counting(curve):
                          ids=[IDS[i] for i in (0, 3, 6, 13)])
 def test_position_evaluations_per_measurement(curve, t):
     counted, calls = counting(curve)
-    # per sample: none with analytic jets, an FD 2-jet's 25 with FD jets
-    for mode, want in ((JET_MODE_ANALYTIC, 0), (JET_MODE_FD, 25)):
-        calls.clear()
-        cv.sample(counted, t, mode)
-        assert len(calls) == want, mode
-        assert len(set(calls)) == want, mode
-    calls.clear()
-    cv.angle_to_parallel(counted, t, JET_MODE_FD)
-    assert len(calls) == 8
+    # per measurement: none with analytic jets, an FD 2-jet's 25 with FD jets
+    for fn in (cv.sample, cv.geodesic_curvature_numeric, cv.speed, cv.angle_to_parallel):
+        for mode, want in ((JET_MODE_ANALYTIC, 0), (JET_MODE_FD, 25)):
+            calls.clear()
+            fn(counted, t, mode)
+            assert len(calls) == want, (fn.__name__, mode)
+            assert len(set(calls)) == want, (fn.__name__, mode)
     u, v = curve.trace(t)
-    calls.clear()
-    eval_frame(counted.patch, u, v, JET_MODE_FD)
-    assert len(calls) == 8
     # a full FD jet: 1 centre + 8 first + 8 second (the centre shared) + 8 mixed
     calls.clear()
     eval_jet(counted.patch, u, v, JET_MODE_FD)
@@ -332,22 +373,22 @@ def test_patch_without_analytic_jet():
 
 
 def test_fd_measurements_near_the_plane_origin_raise_geometry_errors():
-    # within ~3e-162 of the origin the second FD step squares to 0: the
-    # measurements that read a 2-jet (sample, the curvature, liouville)
-    # raise the FD jet's NumericalBreakdown there, never a bare
-    # ZeroDivisionError; the frame needs no second step, so the speed and
-    # the angle agree with the analytic jets
+    # within ~3e-162 of the origin the second FD step squares to 0: every
+    # measurement reads a 2-jet, so each raises the FD jet's
+    # NumericalBreakdown there, never a bare ZeroDivisionError
     curve = cv.plane_log_spiral(1.0)
     for t in (371.5, 373.0, 700.0):
         for fn in FUNCTIONS:
-            try:
-                want = repr(fn(curve, t, JET_MODE_ANALYTIC))
-            except GeometryError as exc:
-                want = type(exc).__name__
-            if fn in (cv.sample, cv.geodesic_curvature_numeric, liouville_breakdown):
-                want = "NumericalBreakdown"
-            try:
-                got = repr(fn(curve, t, JET_MODE_FD))
-            except GeometryError as exc:
-                got = type(exc).__name__
-            assert got == want, (t, fn.__name__)
+            with pytest.raises(NumericalBreakdown, match="second-difference step"):
+                fn(curve, t, JET_MODE_FD)
+
+
+def test_liouville_where_the_first_form_underflows_is_degenerate():
+    # at t = 373 the plane spiral's v = exp(-t) ~ 1e-162, so E = v^2
+    # underflows to 0 in an orthogonal chart: liouville_breakdown raises
+    # the DegenerateJet of angle_to_parallel there, not NotOrthogonal
+    curve = cv.plane_log_spiral(1.0)
+    for t in (373.0, 700.0):
+        want = outcome(cv.angle_to_parallel, curve, t, JET_MODE_ANALYTIC)
+        assert want == "DegenerateJet: first form is not positive definite"
+        assert outcome(liouville_breakdown, curve, t, JET_MODE_ANALYTIC) == want

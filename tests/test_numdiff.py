@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from spiralcurv.errors import OutOfDomain
 from spiralcurv.numdiff import (
     EPS,
-    STEP_FIRST,
     STEP_FIRST_FINE,
-    STEP_SECOND,
     STEP_SECOND_FINE,
     central_first,
     central_second,
@@ -83,7 +81,7 @@ def test_fit_steps_clips_to_available_room():
     # only 0.05 of room above: the step must shrink below that
     assert 0.0 < h < 0.05
     # twice the smallest subnormal is room for a (subnormal) step
-    assert fit_steps(1e-323, 0.0, 1.0, STEP_FIRST) == [5e-324]
+    assert fit_steps(1e-323, 0.0, 1.0, STEP_FIRST_FINE) == [5e-324]
 
 
 def test_fit_steps_unbounded_room_keeps_steps():
@@ -112,7 +110,7 @@ def _old_fit_step(h, x, lo, hi):
     lo=st.floats(allow_nan=False),
     hi=st.floats(allow_nan=False),
     rels=st.lists(
-        st.sampled_from([STEP_FIRST, STEP_SECOND, STEP_FIRST_FINE, STEP_SECOND_FINE])
+        st.sampled_from([STEP_FIRST_FINE, STEP_SECOND_FINE])
         | st.floats(min_value=1e-12, max_value=1.0),
         min_size=1,
         max_size=3,
@@ -138,7 +136,7 @@ def test_fit_steps_is_the_fitted_scaled_step(x, lo, hi, rels):
 def test_fit_steps_rejects_no_room(x):
     message = rf"^no room for a difference stencil at {x} inside \(0\.0, 1\.0\)$"
     with pytest.raises(OutOfDomain, match=message):
-        fit_steps(x, 0.0, 1.0, STEP_FIRST, STEP_SECOND)
+        fit_steps(x, 0.0, 1.0, STEP_FIRST_FINE, STEP_SECOND_FINE)
 
 
 def test_richardson_error_for_floats_vectors_and_arrays():

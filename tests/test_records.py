@@ -1,4 +1,4 @@
-"""Jet2, Frame and Observation are tuples with a frozen dataclass's value
+"""Jet2 and Observation are tuples with a frozen dataclass's value
 behaviour: the fields in order, read-only, a repr by field, equal only to
 the same type, hashed as their fields, not ordered, and they survive pickle
 and copy.  The sequence behaviour of the tuple underneath is pinned too."""
@@ -13,9 +13,7 @@ import pytest
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
-    Frame,
     Jet2,
-    eval_frame,
     eval_jet,
     sphere_patch,
 )
@@ -27,7 +25,6 @@ A, B, C = Vec3(1.0, 2.0, 3.0), Vec3(-0.5, 0.25, 0.0), Vec3(0.0, 0.0, 1.5)
 # (the record, its fields in order)
 RECORDS = {
     "Jet2": (Jet2(A, B, C, A, B, C), ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")),
-    "Frame": (Frame(A, B), ("p_u", "p_v")),
     "Observation": (Observation((1.0, "tag"), 2.0, 2.5, 0.25),
                     ("input", "expected", "actual", "error")),
 }
@@ -56,9 +53,6 @@ def test_fields_cannot_be_assigned(name):
 
 
 def test_repr_names_every_field():
-    assert repr(Frame(A, B)) == (
-        "Frame(p_u=Vec3(x=1.0, y=2.0, z=3.0), p_v=Vec3(x=-0.5, y=0.25, z=0.0))"
-    )
     assert repr(record("Observation")) == (
         "Observation(input=(1.0, 'tag'), expected=2.0, actual=2.5, error=0.25)"
     )
@@ -147,8 +141,6 @@ def test_the_built_records_are_the_keyword_built_ones():
         jet = eval_jet(patch, 0.5, 1.0, mode)
         assert type(jet) is Jet2 and jet == Jet2(**jet._asdict())
         assert all(type(v) is Vec3 for v in jet)
-    frame = eval_frame(patch, 0.5, 1.0, JET_MODE_FD)
-    assert type(frame) is Frame and frame == Frame(**frame._asdict())
     obs = suite_forms()[0].observations
     assert all(type(o) is Observation for o in obs)
     assert obs[0] == Observation(**obs[0]._asdict())
