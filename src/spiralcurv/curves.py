@@ -11,11 +11,13 @@ Carmo, Differential Geometry of Curves and Surfaces, 4-4):
 
 It reads only the embedding and the trace, never the closed form c(K, r),
 so it cross-checks the closed-form predictions.  Every constructor gives
-(u', v', u'', v'') in closed form; a curve without them takes both orders
-from one Richardson stencil of its trace at t, t +- h and t +- h/2 (h from
-numdiff.fit_steps), and its curvature raises NumericalBreakdown where the
-stencil's correction of (u'', v'') exceeds BREAKDOWN_TOL relative to
-max(|(u'', v'')|, |(u', v')|^2), as at a kink, or where k is not finite.
+(u', v', u'', v'') in closed form; a curve without them takes its trace
+once at each of t, t +- h and t +- h/2 (h from numdiff.fit_steps) and reads
+both orders of both chart coordinates off those five values with
+numdiff.richardson_first and richardson_second; its curvature raises
+NumericalBreakdown where the stencil's correction of (u'', v'') exceeds
+BREAKDOWN_TOL relative to max(|(u'', v'')|, |(u', v')|^2), as at a kink,
+or where k is not finite.
 
 Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
 point: the speed and the angle its p_u and p_v, sample the position, k
@@ -44,7 +46,13 @@ from .errors import (
     NumericalBreakdown,
     OutOfDomain,
 )
-from .numdiff import STEP_SECOND_FINE, extrapolate, fit_steps, gauss_kronrod
+from .numdiff import (
+    STEP_SECOND_FINE,
+    fit_steps,
+    gauss_kronrod,
+    richardson_first,
+    richardson_second,
+)
 from .surfaces import (
     SurfacePatch,
     eval_jet,
@@ -115,17 +123,13 @@ def _trace_jet(curve: ChartCurve, t: float) -> Tuple[float, float, float, float,
             return (*curve.trace_derivatives(t), 0.0)
         (h,) = fit_steps(t, *curve.t_domain, STEP_SECOND_FINE)
         h2 = h / 2.0
-        (u, v), a, b, a2, b2 = map(curve.trace, (t, t + h, t - h, t + h2, t - h2))
-        s, s2, q, q2 = 2.0 * h, 2.0 * h2, h * h, h2 * h2
-        du = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
-        dv = extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
-        ddu2 = ((a2[0] - 2.0 * u) + b2[0]) / q2
-        ddv2 = ((a2[1] - 2.0 * v) + b2[1]) / q2
-        ddu = extrapolate(((a[0] - 2.0 * u) + b[0]) / q, ddu2)
-        ddv = extrapolate(((a[1] - 2.0 * v) + b[1]) / q, ddv2)
+        trace = {x: curve.trace(x) for x in (t, t + h, t - h, t + h2, t - h2)}
+        u, v = (lambda x: trace[x][0]), (lambda x: trace[x][1])
+        (du, _), (dv, _) = richardson_first(u, t, h), richardson_first(v, t, h)
+        (ddu, err_u), (ddv, err_v) = richardson_second(u, t, h), richardson_second(v, t, h)
     except _TRACE_FAULTS as exc:
         raise _trace_fault(exc, "velocity", t) from None
-    err = math.hypot(ddu - ddu2, ddv - ddv2)
+    err = math.hypot(err_u, err_v)
     scale = max(math.hypot(ddu, ddv), du * du + dv * dv)
     return du, dv, ddu, ddv, err / scale if scale else err
 

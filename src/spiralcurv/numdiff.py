@@ -1,17 +1,18 @@
 """Central-difference derivatives with one level of Richardson extrapolation,
 and adaptive Gauss-Kronrod quadrature.
 
-Derivative values may be floats, Vec3 or numpy arrays; all routines are
-pure.  Every stencil in the package takes one Richardson level, so every
-relative step is one of two: STEP_FIRST_FINE = eps**(1/5) for first
-differences and STEP_SECOND_FINE = eps**(1/6) for a stencil that also
-takes second or mixed ones, which balance the extrapolated estimate's
-h^4 truncation against its rounding.
+Derivative values may be floats or Vec3; all routines are pure.  Every
+stencil in the package takes one Richardson level, so every relative
+step is one of two: STEP_FIRST_FINE = eps**(1/5) for first differences
+and STEP_SECOND_FINE = eps**(1/6) for a stencil that also takes second
+or mixed ones, which balance the extrapolated estimate's h^4 truncation
+against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
-finite-difference jets of surfaces (once per chart coordinate), and, once
-per curve parameter, the trace stencil of a curve without closed-form
-derivatives (curves) and the angle stencil of liouville.
+finite-difference jets of surfaces (once per chart coordinate); once per
+curve parameter, the trace stencil of a curve without closed-form
+derivatives (curves) and the angle stencil of liouville; and verify's
+K-derivative check at K = 0 and its Jacobi check, once per point.
 Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
@@ -23,7 +24,9 @@ extrapolated_second and extrapolated_cross, per component in the float
 operations and order of central_first, central_second and the cross
 stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
 richardson_first, richardson_second and richardson on Vec3 positions.
-The trace stencil of curves does the same on the two chart coordinates.
+Every scalar derivative goes through richardson itself: the trace
+stencil of curves calls richardson_first/richardson_second once per
+chart coordinate, as liouville's angle stencil and verify's checks do.
 
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
@@ -57,10 +60,11 @@ def fit_steps(x: float, lo: float, hi: float, *rels: float) -> list[float]:
     to a representable offset of x, then shrunk to at most 0.45 of the room
     min(x - lo, hi - x), so its whole stencil [x-h, x+h] stays inside
     (lo, hi).  An infinite room keeps the steps.  OutOfDomain when there
-    is no room: x on or outside an end, or 0.45 of the room underflows."""
+    is no room: x not finite, on or outside an end, or 0.45 of the room
+    underflows."""
     room = min(x - lo, hi - x)
     cap = 0.45 * room if math.isfinite(room) else math.inf
-    if cap <= 0.0:
+    if cap <= 0.0 or not math.isfinite(x):
         raise OutOfDomain(f"no room for a difference stencil at {x} inside ({lo}, {hi})")
     m = max(1.0, abs(x))
     steps = []
@@ -82,9 +86,8 @@ def central_second(f: Callable[[float], object], x: float, h: float):
 
 def extrapolate(d_h, d_half):
     """One Richardson level: the h^2 term removed from two central
-    estimates at steps h and h/2.  richardson, the stencil kernels below
-    and the trace stencil of curves (once per component) all take it
-    from here."""
+    estimates at steps h and h/2.  richardson and the stencil kernels
+    below take it from here."""
     return d_half + (d_half - d_h) / 3.0
 
 
@@ -138,24 +141,6 @@ def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:
     y = extrapolate((((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2)
     z = extrapolate((((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2)
     return _new(Vec3, (x, y, z))
-
-
-def richardson_sequence(estimates, steps):
-    """Neville tableau in h^2 for a list of same-order central estimates.
-
-    estimates[i] computed at steps[i]; steps need not halve.  Returns the
-    highest-order corner of the tableau.
-    """
-    work = list(estimates)
-    hh = [s * s for s in steps]
-    n = len(work)
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            w = hh[i] / hh[i + level]
-            nxt.append((w * work[i + 1] - work[i]) / (w - 1.0))
-        work = nxt
-    return work[0]
 
 
 # Kronrod nodes on [-1, 1] (the odd-indexed ones are the Gauss nodes), with
@@ -230,7 +215,4 @@ def _gk15(f, lo: float, hi: float):
 def _mag(v) -> float:
     if isinstance(v, Vec3):
         return v.norm()
-    if isinstance(v, (int, float)):
-        return abs(float(v))
-    # a numpy array: the value np.linalg.norm returns for a real vector
-    return math.sqrt(float(v.dot(v)))
+    return abs(float(v))

@@ -327,7 +327,8 @@ def forms_from_jet(
     A straight-line float kernel: first_form, unit_normal and the three
     Vec3.dot of e, f, g, with the float operations of Vec3.dot, cross,
     norm and * in their order, so the same bits, and unit_normal's
-    raises.  NumericalBreakdown also when e, f or g is not finite.
+    raises.  NumericalBreakdown also when e, f or g, or else E, F or G,
+    is not finite.
     """
     if sign not in (1, -1):
         raise BadParameter("orientation sign must be +1 or -1")
@@ -348,6 +349,8 @@ def forms_from_jet(
     g = -(nx * vv0 + ny * vv1 + nz * vv2)
     if not (_isfinite(e) and _isfinite(f) and _isfinite(g)):
         raise NumericalBreakdown(f"second form e={e!r}, f={f!r}, g={g!r} is not finite")
+    if not (_isfinite(E) and _isfinite(F) and _isfinite(G)):
+        raise NumericalBreakdown(f"first form E={E!r}, F={F!r}, G={G!r} is not finite")
     return E, F, G, e, f, g
 
 

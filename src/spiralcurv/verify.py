@@ -29,11 +29,12 @@ from . import polar as pl
 from .errors import BadParameter, DomainError, PreconditionFailed
 from .liouville import liouville_breakdown
 from .numdiff import (
+    STEP_FIRST_FINE,
     STEP_SECOND_FINE,
     fit_steps,
     gauss_kronrod,
+    richardson_first,
     richardson_second,
-    richardson_sequence,
 )
 from .surfaces import (
     JET_MODE_ANALYTIC,
@@ -54,8 +55,8 @@ SUITES = ("forms", "curves", "liouville", "analysis", "all")
 
 
 def _linspace(start: float, stop: float, num: int) -> List[float]:
-    """num evenly spaced points from start to stop, rounded as
-    numpy.linspace rounds them: start + i*step, and stop itself last."""
+    """num evenly spaced points from start to stop: start + i*step, and
+    stop itself last."""
     step = (stop - start) / (num - 1)
     return [start + i * step for i in range(num - 1)] + [stop]
 
@@ -148,25 +149,16 @@ def verify_ratio_limit(
     return VerificationReport("analysis.ratio_limit", obs, 1.0)
 
 
-def verify_derivative_at_zero(
-    r: float, theta: float, h_sequence: Sequence[float] = (8e-3, 4e-3, 2e-3, 1e-3)
-) -> VerificationReport:
+def verify_derivative_at_zero(r: float, theta: float) -> VerificationReport:
     """The K-derivative of the spiral curvature at K = 0 is -(r/3)cos(theta).
 
-    Measured by central differences in K over h_sequence, extrapolated with
-    a Neville tableau in h^2; the extrapolated value must agree with the
-    closed form to 1e-8 relative (1e-12 absolute when cos(theta) ~ 0).
+    Measured by richardson_first in K about 0, at the step that fit_steps
+    sizes from STEP_FIRST_FINE (about 7.4e-4); the estimate must agree
+    with the closed form to 1e-8 relative (1e-12 absolute when
+    cos(theta) ~ 0).
     """
-    hs = list(h_sequence)
-    if len(hs) < 2 or any(h <= 0.0 for h in hs):
-        raise BadParameter("need at least two positive steps")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise BadParameter("h_sequence must be strictly decreasing")
-    diffs = [
-        (cf.spiral_curvature(h, r, theta) - cf.spiral_curvature(-h, r, theta)) / (2.0 * h)
-        for h in hs
-    ]
-    estimate = richardson_sequence(diffs, hs)
+    (h,) = fit_steps(0.0, -math.inf, math.inf, STEP_FIRST_FINE)
+    estimate, _ = richardson_first(lambda K: cf.spiral_curvature(K, r, theta), 0.0, h)
     target = -(r / 3.0) * math.cos(theta)
     if abs(math.cos(theta)) < 1e-12:
         error = abs(estimate)

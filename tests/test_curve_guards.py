@@ -71,6 +71,13 @@ def _fd_velocity(curve, t):
     return dataclasses.replace(curve, trace_derivatives=None).velocity(t)
 
 
+@pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan])
+def test_fd_velocity_at_a_non_finite_parameter_is_out_of_domain(t):
+    # no step fits about a parameter that is not finite
+    with pytest.raises(OutOfDomain, match="no room for a difference stencil"):
+        _fd_velocity(plane_log_spiral(1.0), t)
+
+
 @pytest.mark.parametrize(
     "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity, _fd_velocity)
 )

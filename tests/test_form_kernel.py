@@ -5,7 +5,7 @@ e, f, g without building a Vec3.  These tests rebuild both from first_form,
 unit_normal and Vec3.dot and require the same bits on every grid of the
 verify battery, in both jet modes and for both orientation signs, and on
 random jets whose sums show their association; and the same exception
-class and message where the Vec3 route raises.  Where the
+class and message where the Vec3 route raises.  Where the first or
 second form or K is not finite, the kernel raises NumericalBreakdown.
 """
 
@@ -41,6 +41,8 @@ BATTERY = _patches()
 def reference_forms(jet, sign, bound=DEGENERACY_THRESHOLD):
     E, F, G = first_form(jet)
     n = unit_normal(jet, sign, bound)
+    if not all(map(math.isfinite, (E, F, G))):
+        raise NumericalBreakdown(f"first form E={E!r}, F={F!r}, G={G!r} is not finite")
     return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
 
 
@@ -139,6 +141,27 @@ def test_a_non_finite_second_form_raises(mode, repro, bad):
         gaussian_curvature(patch, 0.3, 1.0, mode)
     with pytest.raises(NumericalBreakdown, match="second form .* is not finite"):
         fundamental_forms(patch, 0.3, 1.0, mode)
+
+
+# A surface of revolution at radius 1e155: |p_u x p_v| = 1e155 * 1e-160 is
+# finite and above the degeneracy bound, E = |p_u|^2 = 1e310 is not.
+def _huge_radius_repro():
+    return surface_of_revolution(
+        lambda v: 1e155, lambda v: 1e-160 * v, dx=lambda v: 0.0, d2x=lambda v: 0.0,
+        dz=lambda v: 1e-160, d2z=lambda v: 0.0, v_domain=(0.0, 1.0),
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_non_finite_first_form_raises(mode):
+    patch = _huge_radius_repro()
+    for measure in (fundamental_forms, gaussian_curvature):
+        with pytest.raises(NumericalBreakdown, match=r"^first form E=inf, .* is not finite$"):
+            measure(patch, 0.3, 0.5, mode)
+    jet = eval_jet(patch, 0.3, 0.5, mode)
+    for sign in (1, -1):
+        _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, NumericalBreakdown,
+                                  r"^first form E=inf, .* is not finite$")
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from spiralcurv.numdiff import (
     richardson,
     richardson_first,
     richardson_second,
-    richardson_sequence,
 )
 from spiralcurv.vec import Vec3
 
@@ -39,27 +37,12 @@ def test_richardson_single_level_formula():
     value, err = richardson(d, 1.0)
     assert value == 2.5 + (2.5 - 3.0) / 3.0
     assert err == abs(value - 2.5)
-    vec = {0.5: np.array([1.0, 2.0, 2.0]), 1.0: np.array([4.0, 2.0, -2.0])}.__getitem__
-    value, err = richardson(vec, 1.0)
-    assert np.array_equal(value, vec(0.5) + (vec(0.5) - vec(1.0)) / 3.0)
-    assert err == float(np.linalg.norm(value - vec(0.5)))
 
 
 def test_richardson_second():
     d2, err = richardson_second(math.cos, 0.4, 1e-3)
     assert d2 == pytest.approx(-math.cos(0.4), rel=1e-9)
     assert err < 1e-5
-
-
-def test_richardson_sequence_extrapolates_h_squared():
-    # D(h) = f'(x) + c h^2 + O(h^4) for central differences
-    x = 0.9
-    hs = [8e-3, 4e-3, 2e-3, 1e-3]
-    diffs = [(math.tan(x + h) - math.tan(x - h)) / (2.0 * h) for h in hs]
-    est = richardson_sequence(diffs, hs)
-    exact = 1.0 / math.cos(x) ** 2
-    assert est == pytest.approx(exact, rel=1e-12)
-    assert abs(est - exact) < abs(diffs[-1] - exact) / 1e3
 
 
 def test_scaled_step_is_representable():
@@ -131,23 +114,22 @@ def test_fit_steps_is_the_fitted_scaled_step(x, lo, hi, rels):
 
 
 # x on or past an end, or a subnormal room: 0.45 of the smallest subnormal
-# underflows to 0
-@pytest.mark.parametrize("x", [5e-324, 0.0, 1.0, 2.0])
+# underflows to 0; or x not finite
+@pytest.mark.parametrize("x", [5e-324, 0.0, 1.0, 2.0, math.inf, -math.inf, math.nan])
 def test_fit_steps_rejects_no_room(x):
     message = rf"^no room for a difference stencil at {x} inside \(0\.0, 1\.0\)$"
     with pytest.raises(OutOfDomain, match=message):
         fit_steps(x, 0.0, 1.0, STEP_FIRST_FINE, STEP_SECOND_FINE)
 
 
-def test_richardson_error_for_floats_vectors_and_arrays():
+def test_richardson_error_for_floats_and_vectors():
     # the error estimate is |correction| for a float and its Euclidean norm
-    # for a Vec3 or an ndarray, the latter as np.linalg.norm computes it
+    # for a Vec3
     f = lambda x: (math.sin(x), math.exp(x), x**3)
     _, err_float = richardson_first(lambda x: f(x)[1], 0.3, 1e-2)
     _, err_vec = richardson_first(lambda x: Vec3(*f(x)), 0.3, 1e-2)
-    _, err_arr = richardson_first(lambda x: np.array(f(x)), 0.3, 1e-2)
     assert err_float > 0.0
-    assert err_vec == pytest.approx(err_arr, rel=1e-15)
-    v = np.array([3.0, -4.0, 12.0])
-    _, err = richardson(lambda h: v * h * h, 1.0)
-    assert err == math.sqrt(float(np.dot(v, v))) / 4.0
+    assert err_vec >= err_float
+    v = Vec3(3.0, -4.0, 12.0)
+    _, err = richardson(lambda h: v * (h * h), 1.0)
+    assert err == 13.0 / 4.0

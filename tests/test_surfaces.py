@@ -54,7 +54,8 @@ def _probe(patch):
 
 
 def _fd_jet_ndarray(patch, u, v):
-    """The finite-difference jet with every position taken as an ndarray."""
+    """The finite-difference jet with every position taken as an ndarray,
+    each component differenced and extrapolated by the scalar routines."""
     dom = patch.domain
     hu1, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
     hv1, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
@@ -68,13 +69,16 @@ def _fd_jet_ndarray(patch, u, v):
             4.0 * h * k
         )
 
+    def each(rich, f, *at):
+        return np.array([rich(lambda s: f(s)[i], *at)[0] for i in range(3)])
+
     return {
         "p": e(u, v),
-        "p_u": richardson_first(fu, u, hu1)[0],
-        "p_v": richardson_first(fv, v, hv1)[0],
-        "p_uu": richardson_second(fu, u, hu2)[0],
-        "p_uv": richardson(cross, 1.0)[0],
-        "p_vv": richardson_second(fv, v, hv2)[0],
+        "p_u": each(richardson_first, fu, u, hu1),
+        "p_v": each(richardson_first, fv, v, hv1),
+        "p_uu": each(richardson_second, fu, u, hu2),
+        "p_uv": each(richardson, cross, 1.0),
+        "p_vv": each(richardson_second, fv, v, hv2),
     }
 
 

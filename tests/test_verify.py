@@ -16,6 +16,7 @@ from spiralcurv import (
     verify_sign_pattern,
 )
 from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD
+from spiralcurv import verify
 from spiralcurv.verify import Observation, VerificationReport, suite_analysis
 
 PI = math.pi
@@ -122,11 +123,15 @@ class TestDerivativeAtZero:
         assert rep.tolerance == 1e-12
         assert rep.passed
 
-    def test_bad_steps(self):
-        with pytest.raises(BadParameter):
-            verify_derivative_at_zero(1.0, PI / 3.0, h_sequence=[1e-3])
-        with pytest.raises(BadParameter):
-            verify_derivative_at_zero(1.0, PI / 3.0, h_sequence=[1e-3, 2e-3])
+    def test_a_slope_of_1e_6_fails(self, monkeypatch):
+        # the check has power: a curvature off by 1e-6 * K moves dk/dK at 0
+        # by 1e-6, far past the 1e-8 relative tolerance
+        exact = verify.cf.spiral_curvature
+        monkeypatch.setattr(
+            verify.cf, "spiral_curvature", lambda K, r, theta: exact(K, r, theta) + 1e-6 * K
+        )
+        for theta in (PI / 3.0, PI / 2.0):
+            assert not verify_derivative_at_zero(1.0, theta).passed
 
 
 class TestMonotone:
