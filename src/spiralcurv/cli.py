@@ -216,6 +216,7 @@ def _build_trace_curve(args, theta: float):
 
 def cmd_trace(args, parser: _Parser) -> int:
     from . import curves as cv
+    from .closed_form import _linspace
 
     if args.samples < 2:
         parser.error("--samples must be at least 2")
@@ -225,8 +226,7 @@ def cmd_trace(args, parser: _Parser) -> int:
 
     rows = []
     positions = []
-    for i in range(args.samples):
-        t = t0 + (t1 - t0) * i / (args.samples - 1)
+    for t in _linspace(t0, t1, args.samples):
         s = cv.sample(curve, t, mode)
         u, v = curve.trace(t)
         p = s.position

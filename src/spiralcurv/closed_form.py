@@ -24,6 +24,7 @@ import math
 from collections import namedtuple
 
 from .errors import BadParameter, DomainError
+from .vec import Record
 
 # Taylor coefficients of x*cot(x) in powers of x^2 (valid for both signs of
 # K through x^2 = K*r^2):  1 - y/3 - y^2/45 - 2 y^3/945 - y^4/4725 - ...
@@ -50,11 +51,14 @@ METHOD_CLOSED_FORM = "closed_form"
 METHOD_SERIES = "series"
 
 
-class CurvatureProfile(namedtuple("_Fields", "axis samples theta fixed_value method sample_methods")):
+class CurvatureProfile(
+    Record, namedtuple("_Fields", "axis samples theta fixed_value method sample_methods")
+):
     """A 1-D sweep of spiral curvature along r (fixed K) or K (fixed r):
     samples lists (x, k) and sample_methods the per-sample tags.  A tuple
-    with a frozen dataclass's value behaviour: read-only fields, a repr by
-    field, and equal only to a CurvatureProfile with equal fields."""
+    with a frozen dataclass's value behaviour (vec.Record): read-only
+    fields, a repr by field, equal only to a CurvatureProfile with equal
+    fields, and not ordered."""
 
     __slots__ = ()
 
@@ -62,16 +66,15 @@ class CurvatureProfile(namedtuple("_Fields", "axis samples theta fixed_value met
         tags = [] if sample_methods is None else sample_methods
         return tuple.__new__(cls, (axis, samples, theta, fixed_value, method, tags))
 
-    def __eq__(self, other):
-        if type(other) is CurvatureProfile:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = tuple.__hash__
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """The one sampling grid of the package: num >= 2 points
+    start + i*(stop - start)/(num - 1), with stop itself last, so a sweep
+    never ends an ulp past its end."""
+    span, last = stop - start, num - 1
+    xs = [start + i * span / last for i in range(num)]
+    xs[-1] = stop
+    return xs
 
 
 def _require_admissible(K: float, r: float) -> None:
@@ -248,9 +251,7 @@ def profile(
     if not x_min < x_max:
         raise BadParameter(f"need x_min < x_max, got [{x_min}, {x_max}]")
 
-    xs = [x_min + i * (x_max - x_min) / (steps - 1) for i in range(steps)]
-    xs[-1] = x_max
-
+    xs = _linspace(x_min, x_max, steps)
     _require_angle(theta)
     c = math.cos(theta)
     samples: list[tuple[float, float]] = []

@@ -29,7 +29,9 @@ OutOfDomain.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
-and negates both the measured angle's sine and the curvature.
+and negates both the measured angle's sine and the curvature.  A curve
+checks that its direction sign is +1 or -1 when it is built, as its patch
+does for its orientation sign.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class ChartCurve:
     trace_derivatives: Optional[Callable[[float], Tuple[float, float, float, float]]] = None
     center_distance: Optional[Callable[[float], float]] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.direction_sign not in (1, -1):
+            raise BadParameter(f"direction sign must be +1 or -1, got {self.direction_sign!r}")
 
     def contains(self, t: float) -> bool:
         """Whether t lies in t_domain; an infinite end is open."""
@@ -374,7 +380,7 @@ def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: 
     sp = d1.norm()
     if sp == 0.0:
         raise DegenerateJet("the curve is not regular: gamma' vanishes")
-    n = unit_normal(jet, patch.orientation_sign, patch.degeneracy_bound)
+    n = unit_normal(jet, patch)
     k = d2.dot(n.cross(d1)) / sp / sp / sp
     if not (math.isfinite(k) and math.isfinite(sp)):
         raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")

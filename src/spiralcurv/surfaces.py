@@ -1,7 +1,11 @@
 """Surface patches, 2-jets, fundamental forms, Gaussian curvature.
 
 A patch is a map (u, v) -> R^3 on a rectangle, carrying an orientation sign
-that fixes which of the two unit normals the rest of the package uses.  The
+that fixes which of the two unit normals the rest of the package uses, and
+a degeneracy bound on |p_u x p_v| in units of its area.  The patch owns
+both: it checks the sign once, when it is built (dataclasses.replace
+builds anew), and the jet readers unit_normal, forms_from_jet and
+curvature_from_jet take (jet, patch) and read both off it.  The
 second-form coefficients are read off the unit normal N and the second
 partials, e = -<N, p_uu>, f = -<N, p_uv>, g = -<N, p_vv>, which is the
 convention e = <N_u, p_u>, f = <N_u, p_v>, g = <N_v, p_v> because N is
@@ -161,6 +165,12 @@ class SurfacePatch:
         K = self.known_K
         return DEGENERACY_THRESHOLD / abs(K) if K else DEGENERACY_THRESHOLD
 
+    def __post_init__(self) -> None:
+        # the one check of the sign: dataclasses.replace runs it too, and
+        # the jet readers trust the field
+        if self.orientation_sign not in (1, -1):
+            raise BadParameter(f"orientation sign must be +1 or -1, got {self.orientation_sign!r}")
+
 
 def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None) -> Jet2:
     """Evaluate the 2-jet of a patch at a chart point.
@@ -280,24 +290,22 @@ def _positions(position, u, v, us, vs):
     return along_u, along_v, _new(Vec3, (r * c, r * s, h)), points
 
 
-def unit_normal(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> Vec3:
-    """Unit normal for the given orientation sign, from a 2-jet's p_u and p_v.
+def unit_normal(jet: Jet2, patch: SurfacePatch) -> Vec3:
+    """Unit normal of patch at the point of its 2-jet, from p_u and p_v,
+    oriented by patch.orientation_sign.
 
-    Raises DegenerateJet when |p_u x p_v| < bound.  The default is the
-    absolute 1e-12; the callers that know the patch pass its
-    degeneracy_bound, which grows with the square of the surface's size.
-    Raises NumericalBreakdown when |p_u x p_v| overflows, which it does
-    on a sphere or tractroid of radius above about 1e77.
+    Raises DegenerateJet when |p_u x p_v| < patch.degeneracy_bound, which
+    grows with the square of the surface's size.  Raises
+    NumericalBreakdown when |p_u x p_v| overflows, which it does on a
+    sphere or tractroid of radius above about 1e77.
     """
-    if sign not in (1, -1):
-        raise BadParameter("orientation sign must be +1 or -1")
     c = jet.p_u.cross(jet.p_v)
     n = c.norm()
-    if n < bound:
+    if n < patch.degeneracy_bound:
         raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
     if not math.isfinite(n):
         raise NumericalBreakdown("|p_u x p_v| overflows")
-    return c * (sign / n)
+    return c * (patch.orientation_sign / n)
 
 
 def fundamental_forms(
@@ -310,7 +318,7 @@ def fundamental_forms(
     finite-difference jets.  mode is eval_jet's.
     """
     jet = eval_jet(patch, u, v, mode)
-    return FormCoefficients(*forms_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound))
+    return FormCoefficients(*forms_from_jet(jet, patch))
 
 
 def first_form(jet: Jet2) -> Tuple[float, float, float]:
@@ -320,9 +328,10 @@ def first_form(jet: Jet2) -> Tuple[float, float, float]:
 
 
 def forms_from_jet(
-    jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD
+    jet: Jet2, patch: SurfacePatch
 ) -> Tuple[float, float, float, float, float, float]:
-    """(E, F, G, e, f, g) from a 2-jet, the second form oriented by sign.
+    """(E, F, G, e, f, g) from a 2-jet of patch, the second form oriented
+    by patch.orientation_sign.
 
     A straight-line float kernel: first_form, unit_normal and the three
     Vec3.dot of e, f, g, with the float operations of Vec3.dot, cross,
@@ -330,19 +339,17 @@ def forms_from_jet(
     raises.  NumericalBreakdown also when e, f or g, or else E, F or G,
     is not finite.
     """
-    if sign not in (1, -1):
-        raise BadParameter("orientation sign must be +1 or -1")
     _, (x, y, z), (a, b, c), (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
     E = x * x + y * y + z * z
     F = x * a + y * b + z * c
     G = a * a + b * b + c * c
     cx, cy, cz = y * c - z * b, z * a - x * c, x * b - y * a
     n = _sqrt(cx * cx + cy * cy + cz * cz)
-    if n < bound:
+    if n < patch.degeneracy_bound:
         raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
     if not _isfinite(n):
         raise NumericalBreakdown("|p_u x p_v| overflows")
-    s = sign / n
+    s = patch.orientation_sign / n
     nx, ny, nz = cx * s, cy * s, cz * s
     e = -(nx * uu0 + ny * uu1 + nz * uu2)
     f = -(nx * uv0 + ny * uv1 + nz * uv2)
@@ -359,16 +366,17 @@ def gaussian_curvature(
 ) -> float:
     """K = (e*g - f^2) / (E*G - F^2)."""
     jet = eval_jet(patch, u, v, mode)
-    return curvature_from_jet(jet, patch.orientation_sign, patch.degeneracy_bound)
+    return curvature_from_jet(jet, patch)
 
 
-def curvature_from_jet(jet: Jet2, sign: int, bound: float = DEGENERACY_THRESHOLD) -> float:
-    """K = (e*g - f^2) / (E*G - F^2) from a 2-jet, the forms oriented by
-    sign; the sign cancels in K.  DegenerateJet when |p_u x p_v| < bound
-    (see unit_normal) or the first form is not positive definite,
+def curvature_from_jet(jet: Jet2, patch: SurfacePatch) -> float:
+    """K = (e*g - f^2) / (E*G - F^2) from a 2-jet of patch, the forms
+    oriented by patch.orientation_sign, which cancels in K.  DegenerateJet
+    when |p_u x p_v| < patch.degeneracy_bound (see unit_normal) or the
+    first form is not positive definite,
     NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows, when e, f
     or g is not finite, or when K is not (e*g - f^2 overflows)."""
-    E, F, G, e, f, g = forms_from_jet(jet, sign, bound)
+    E, F, G, e, f, g = forms_from_jet(jet, patch)
     denom = E * G - F * F
     if denom <= 0.0:
         raise DegenerateJet("first form is not positive definite")

@@ -12,6 +12,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import curves as cv
+from .closed_form import _linspace
 from .errors import BadParameter
 from .surfaces import pseudosphere_patch, sphere_patch
 from .vec import Vec3
@@ -30,19 +31,13 @@ class Canvas:
     """Deferred-layout SVG canvas in data coordinates (y up)."""
 
     def __init__(self) -> None:
-        self._polylines: List[Tuple[List[Point], str, float, float]] = []
+        self._polylines: List[Tuple[List[Point], str, float]] = []
         self._texts: List[Tuple[float, float, str, int, str, str]] = []
         self._circles: List[Tuple[float, float, float, str]] = []
 
-    def polyline(
-        self,
-        pts: Sequence[Point],
-        stroke: str = "#333333",
-        width: float = 1.3,
-        opacity: float = 1.0,
-    ) -> None:
+    def polyline(self, pts: Sequence[Point], stroke: str = "#333333", width: float = 1.3) -> None:
         if len(pts) >= 2:
-            self._polylines.append(([tuple(p) for p in pts], stroke, width, opacity))
+            self._polylines.append(([tuple(p) for p in pts], stroke, width))
 
     def line(self, a: Point, b: Point, stroke: str = "#333333", width: float = 1.0) -> None:
         self.polyline([a, b], stroke, width)
@@ -97,12 +92,12 @@ class Canvas:
                 f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">'
             ),
         ]
-        for pts, stroke, w, opacity in self._polylines:
+        for pts, stroke, w in self._polylines:
             coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-            style = f'fill="none" stroke="{stroke}" stroke-width="{_fmt(w)}"'
-            if opacity != 1.0:
-                style += f' stroke-opacity="{_fmt(opacity)}"'
-            out.append(f"<polyline {style} points=\"{coords}\"/>")
+            out.append(
+                f'<polyline fill="none" stroke="{stroke}" stroke-width="{_fmt(w)}" '
+                f'points="{coords}"/>'
+            )
         for x, y, r, fill in self._circles:
             out.append(
                 f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="{_fmt(r)}" fill="{fill}"/>'
@@ -137,20 +132,14 @@ def _wireframe(canvas: Canvas, patch, us, vs, proj, stroke="#bbbbbb") -> None:
 
 
 def _curve_points(curve, t0: float, t1: float, n: int, proj) -> List[Point]:
-    pts = []
-    for i in range(n):
-        t = t0 + (t1 - t0) * i / (n - 1)
-        pts.append(proj(curve.point(t)))
-    return pts
+    return [proj(curve.point(t)) for t in _linspace(t0, t1, n)]
 
 
 def figure_spiral() -> str:
     canvas = Canvas()
     a = 0.14
-    n = 900
     pts = []
-    for i in range(n):
-        t = 12.0 * math.pi * i / (n - 1)
+    for t in _linspace(0.0, 12.0 * math.pi, 900):
         r = math.exp(-a * t)
         pts.append((r * math.cos(t), r * math.sin(t)))
     canvas.line((-1.1, 0.0), (1.1, 0.0), stroke="#dddddd")
@@ -164,8 +153,8 @@ def figure_pseudosphere() -> str:
     canvas = Canvas()
     patch = pseudosphere_patch(1.0)
     proj = _project(0.55, 0.32)
-    us = [2.0 * math.pi * k / 16.0 for k in range(17)]
-    vs = [0.16 + (math.pi / 2.0 - 0.16) * k / 23.0 for k in range(24)]
+    us = _linspace(0.0, 2.0 * math.pi, 17)
+    vs = _linspace(0.16, math.pi / 2.0, 24)
     _wireframe(canvas, patch, us, vs, proj, stroke="#888888")
     return canvas.render()
 
@@ -174,8 +163,8 @@ def figure_sphere_loxodrome() -> str:
     canvas = Canvas()
     patch = sphere_patch(1.0)
     proj = _project(0.55, 0.32)
-    us = [2.0 * math.pi * k / 12.0 for k in range(13)]
-    vs = [0.08 + (math.pi - 0.16) * k / 17.0 for k in range(18)]
+    us = _linspace(0.0, 2.0 * math.pi, 13)
+    vs = _linspace(0.08, math.pi - 0.08, 18)
     _wireframe(canvas, patch, us, vs, proj)
     curve = cv.sphere_loxodrome(1.0, 6.0)
     pts = _curve_points(curve, 0.04, math.pi / 2.0 - 0.04, 1400, proj)
@@ -187,8 +176,8 @@ def figure_pseudosphere_loxodrome() -> str:
     canvas = Canvas()
     patch = pseudosphere_patch(1.0)
     proj = _project(0.55, 0.32)
-    us = [2.0 * math.pi * k / 16.0 for k in range(17)]
-    vs = [0.16 + (math.pi / 2.0 - 0.16) * k / 23.0 for k in range(24)]
+    us = _linspace(0.0, 2.0 * math.pi, 17)
+    vs = _linspace(0.16, math.pi / 2.0, 24)
     _wireframe(canvas, patch, us, vs, proj)
     curve = cv.pseudosphere_loxodrome(1.0, math.pi / 6.0)
     pts = _curve_points(curve, 0.12, math.pi / 2.0, 1200, proj)
@@ -237,12 +226,10 @@ def figure_k_surface() -> str:
 
     palette = ("#1f77b4", "#2ca02c", "#ff7f0e", "#d62728", "#9467bd")
     levels = (0.8, 1.2, 2.0, 3.0, 4.5)
-    n = 161
     for level, color in zip(levels, palette):
         pts: List[Point] = []
         segments: List[List[Point]] = []
-        for i in range(n):
-            K = k_lo + (k_hi - k_lo) * i / (n - 1)
+        for K in _linspace(k_lo, k_hi, 161):
             r = _iso_radius(K, level)
             if r is None or r > r_cap:
                 if pts:

@@ -4,9 +4,11 @@ value base that it shares with the package's other tuple-backed records.
 Record is the behaviour of a frozen dataclass on a tuple subclass: an
 instance equals only another instance of the same class with equal items
 (never a plain tuple), it is hashed as the tuple of its items, and it is
-not ordered.  Vec3, surfaces.Jet2 and verify.Observation build on it;
-the last two take their fields, repr, _replace and _asdict from a
-namedtuple base, as closed_form.CurvatureProfile does.
+not ordered.  Vec3, surfaces.Jet2, verify.Observation and
+closed_form.CurvatureProfile build on it; the last three take their
+fields, repr, _replace and _asdict from a namedtuple base.  The module
+imports only math and operator, so the closed-form path of the CLI
+loads it without dataclasses, inspect or typing.
 
 A Vec3 is an immutable tuple of three floats with named components, so
 jets and normals read as p.x, p.y, p.z, and building one costs a single

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import closed_form as cf
 from . import curves as cv
 from . import polar as pl
+from .closed_form import _linspace
 from .errors import BadParameter, DomainError, PreconditionFailed
 from .liouville import liouville_breakdown
 from .numdiff import (
@@ -52,13 +53,6 @@ from .vec import Record
 _new = tuple.__new__  # an Observation from one tuple, for the dense grids
 
 SUITES = ("forms", "curves", "liouville", "analysis", "all")
-
-
-def _linspace(start: float, stop: float, num: int) -> List[float]:
-    """num evenly spaced points from start to stop: start + i*step, and
-    stop itself last."""
-    step = (stop - start) / (num - 1)
-    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 class Observation(Record, namedtuple("_Observation", "input expected actual error")):
@@ -316,14 +310,14 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
     reports = []
     orientation, regularity, consistency = [], [], []
     for patch, us, vs in _patches():
-        sign, bound = patch.orientation_sign, patch.degeneracy_bound
+        flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         relative = patch.known_K != 0.0
         obs = []
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
                 point = (patch.name, u, v)
                 jet = eval_jet(patch, u, v, mode)
-                K = curvature_from_jet(jet, sign, bound)
+                K = curvature_from_jet(jet, patch)
                 if relative:
                     err = abs(K - patch.known_K) / abs(patch.known_K)
                 else:
@@ -331,7 +325,7 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                 obs.append(_new(Observation, (point, patch.known_K, K, err)))
                 if i % 4 or j % 4:
                     continue
-                K2 = curvature_from_jet(jet, -sign, bound)
+                K2 = curvature_from_jet(jet, flipped)
                 orientation.append(Observation(point, K, K2, abs(K - K2)))
                 if mode == JET_MODE_ANALYTIC:
                     an, fd = jet, eval_jet(patch, u, v, JET_MODE_FD)

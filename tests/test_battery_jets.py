@@ -70,9 +70,9 @@ def test_one_jet_gives_both_orientations_bit_for_bit(mode):
         flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         for u, v in ((us[0], vs[0]), (us[4], vs[8]), (us[-1], vs[-1])):
             jet = eval_jet(patch, u, v, mode)
-            K = curvature_from_jet(jet, patch.orientation_sign)
+            K = curvature_from_jet(jet, patch)
             assert K == gaussian_curvature(patch, u, v, mode)
-            assert curvature_from_jet(jet, -patch.orientation_sign) == K
+            assert curvature_from_jet(jet, flipped) == K
             assert gaussian_curvature(flipped, u, v, mode) == K
 
 

@@ -163,6 +163,21 @@ class TestTrace:
         for k in ks:
             assert k == pytest.approx(-0.5, abs=1e-5)
 
+    def test_descending_onto_the_tractroid_floor(self, capsys):
+        # the last sample is the floor v = 1e-3 itself, not the ulp below it
+        # that r0 + (r1 - r0) rounds to; the ascending request measures too
+        for r0, r1 in (("1.326570320789366", "0.001"), ("0.001", "1.326570320789366")):
+            code, out, err = run(
+                capsys,
+                "trace", "--surface", "pseudosphere", "--theta", "1", "--r0", r0, "--r1", r1,
+                "--samples", "2",
+            )
+            assert (code, err) == (0, "")
+            rows = list(csv.DictReader(out.splitlines()))
+            assert [r["v"] for r in rows] == [r0, r1]
+            for row in rows:
+                assert float(row["k"]) == pytest.approx(-math.cos(1.0), rel=1e-12)
+
     def test_polar_flat_matches_spiral_curvature(self, capsys):
         code, out, _ = run(
             capsys,

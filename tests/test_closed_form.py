@@ -24,6 +24,7 @@ from spiralcurv.closed_form import (
     METHOD_CLOSED_FORM,
     METHOD_SERIES,
     SERIES_WINDOW,
+    _linspace,
 )
 
 PI = math.pi
@@ -224,6 +225,22 @@ class TestProfile:
     def test_bad_arguments(self, axis, steps, lo, hi):
         with pytest.raises(BadParameter):
             profile(axis, 0.0, lo, hi, steps, PI / 4.0)
+
+
+@pytest.mark.parametrize("start,stop,num", [
+    (0.1, 2.0, 1000),
+    (-1.0, 1.0, 9),
+    (-1.0, -4.0, 13),
+    (0.08, PI - 0.08, 18),
+    # descending onto the tractroid's floor: start + (stop - start) is
+    # 0.0009999999999998899, below the floor
+    (1.326570320789366, 0.001, 2),
+])
+def test_linspace_is_the_profile_grid_with_stop_last(start, stop, num):
+    xs = _linspace(start, stop, num)
+    assert len(xs) == num and xs[0] == start and xs[-1] == stop
+    # the points before stop have the bits of profile's own former formula
+    assert xs[:-1] == [start + i * (stop - start) / (num - 1) for i in range(num - 1)]
 
 
 

@@ -1,7 +1,8 @@
 """Curve measurements at parameters where the trace is not usable: an
 infinite t, or a t where the trace is undefined, raises OutOfDomain, and a
 trace (or speed) that overflows at a finite t raises NumericalBreakdown,
-never a bare ValueError or OverflowError."""
+never a bare ValueError or OverflowError.  A curve with a direction sign
+other than +1 or -1 is refused when it is built."""
 
 import dataclasses
 import math
@@ -22,7 +23,7 @@ from spiralcurv.curves import (
     speed,
     sphere_loxodrome,
 )
-from spiralcurv.errors import GeometryError, NumericalBreakdown, OutOfDomain
+from spiralcurv.errors import BadParameter, GeometryError, NumericalBreakdown, OutOfDomain
 from spiralcurv.liouville import liouville_breakdown
 from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
@@ -204,3 +205,14 @@ def test_overflowing_speed_is_numerical_breakdown():
         speed(spiral, -700.0)
     with pytest.raises(NumericalBreakdown):
         arc_length(spiral, -700.0, 0.0)
+
+
+@pytest.mark.parametrize("sign", [0, 2])
+def test_a_bad_direction_sign_is_refused_when_built(sign):
+    # a direction sign of 2 doubled k without an error
+    lox = sphere_loxodrome(1.0, 1.0)
+    match = r"^direction sign must be \+1 or -1, got "
+    with pytest.raises(BadParameter, match=match):
+        dataclasses.replace(lox, direction_sign=sign)
+    with pytest.raises(BadParameter, match=match):
+        ChartCurve(patch=lox.patch, trace=lox.trace, t_domain=lox.t_domain, direction_sign=sign)

@@ -74,7 +74,7 @@ def reference_sample(curve, t, mode):
     sp = d1.norm()
     if sp == 0.0:
         raise DegenerateJet("the curve is not regular: gamma' vanishes")
-    n = unit_normal(jet, curve.patch.orientation_sign, curve.patch.degeneracy_bound)
+    n = unit_normal(jet, curve.patch)
     k = d2.dot(n.cross(d1)) / sp / sp / sp
     if not (math.isfinite(k) and math.isfinite(sp)):
         raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")

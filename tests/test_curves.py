@@ -235,7 +235,7 @@ def _k_numeric_ndarray(curve, t, mode):
     du, dv, ddu, ddv = curve.trace_derivatives(t)
     d1 = p_u * du + p_v * dv
     d2 = p_uu * du**2 + 2.0 * p_uv * du * dv + p_vv * dv**2 + p_u * ddu + p_v * ddv
-    n = np.array(unit_normal(jet, curve.patch.orientation_sign))
+    n = np.array(unit_normal(jet, curve.patch))
     k = float(np.dot(d2, np.cross(n, d1))) / float(np.linalg.norm(d1)) ** 3
     return curve.direction_sign * k
 

@@ -7,8 +7,11 @@ verify battery, in both jet modes and for both orientation signs, and on
 random jets whose sums show their association; and the same exception
 class and message where the Vec3 route raises.  Where the first or
 second form or K is not finite, the kernel raises NumericalBreakdown.
+Every reader takes its orientation sign and degeneracy bound from the
+patch, which checks the sign once, when it is built.
 """
 
+import dataclasses
 import math
 import random
 
@@ -20,12 +23,14 @@ from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
     Jet2,
+    SurfacePatch,
     curvature_from_jet,
     eval_jet,
     first_form,
     forms_from_jet,
     fundamental_forms,
     gaussian_curvature,
+    plane_patch,
     pseudosphere_patch,
     sphere_patch,
     surface_of_revolution,
@@ -36,18 +41,26 @@ from spiralcurv.verify import _patches
 
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
 BATTERY = _patches()
+# the patch for jets that belong to none: the plane, whose bound is the
+# absolute 1e-12 because it has no length of its own
+FREE = plane_patch()
+assert FREE.degeneracy_bound == DEGENERACY_THRESHOLD
 
 
-def reference_forms(jet, sign, bound=DEGENERACY_THRESHOLD):
+def oriented(patch, sign):
+    return dataclasses.replace(patch, orientation_sign=sign)
+
+
+def reference_forms(jet, patch):
     E, F, G = first_form(jet)
-    n = unit_normal(jet, sign, bound)
+    n = unit_normal(jet, patch)
     if not all(map(math.isfinite, (E, F, G))):
         raise NumericalBreakdown(f"first form E={E!r}, F={F!r}, G={G!r} is not finite")
     return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
 
 
-def reference_curvature(jet, sign, bound=DEGENERACY_THRESHOLD):
-    E, F, G, e, f, g = reference_forms(jet, sign, bound)
+def reference_curvature(jet, patch):
+    E, F, G, e, f, g = reference_forms(jet, patch)
     return (e * g - f * f) / (E * G - F * F)
 
 
@@ -58,15 +71,15 @@ def hexes(values):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("patch,us,vs", BATTERY, ids=[p.name for p, _, _ in BATTERY])
 def test_bits_of_the_vec3_route_on_the_battery_grids(patch, us, vs, mode):
-    bound = patch.degeneracy_bound
     for u in us:
         for v in vs:
             jet = eval_jet(patch, u, v, mode)
             for sign in (1, -1):
-                got = forms_from_jet(jet, sign, bound)
-                assert hexes(got) == hexes(reference_forms(jet, sign, bound)), (u, v, sign)
-                K = curvature_from_jet(jet, sign, bound)
-                assert K.hex() == reference_curvature(jet, sign, bound).hex(), (u, v, sign)
+                signed = oriented(patch, sign)
+                got = forms_from_jet(jet, signed)
+                assert hexes(got) == hexes(reference_forms(jet, signed)), (u, v, sign)
+                K = curvature_from_jet(jet, signed)
+                assert K.hex() == reference_curvature(jet, signed).hex(), (u, v, sign)
 
 
 def test_bits_of_the_vec3_route_on_jets_without_zero_components():
@@ -78,31 +91,40 @@ def test_bits_of_the_vec3_route_on_jets_without_zero_components():
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         jet = Jet2(*(Vec3(*(scale * rng.uniform(-1.0, 1.0) for _ in range(3))) for _ in range(6)))
         for sign in (1, -1):
-            assert hexes(forms_from_jet(jet, sign)) == hexes(reference_forms(jet, sign)), jet
-            assert curvature_from_jet(jet, sign).hex() == reference_curvature(jet, sign).hex(), jet
+            patch = oriented(FREE, sign)
+            assert hexes(forms_from_jet(jet, patch)) == hexes(reference_forms(jet, patch)), jet
+            K = curvature_from_jet(jet, patch)
+            assert K.hex() == reference_curvature(jet, patch).hex(), jet
 
 
-def _raises_as_the_vec3_route(jet, bound, sign, exc_type, match):
+def _raises_as_the_vec3_route(jet, patch, sign, exc_type, match):
+    patch = oriented(patch, sign)
     with pytest.raises(exc_type, match=match) as want:
-        reference_forms(jet, sign, bound)
+        reference_forms(jet, patch)
     for kernel in (forms_from_jet, curvature_from_jet):
         with pytest.raises(exc_type) as got:
-            kernel(jet, sign, bound)
+            kernel(jet, patch)
         assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("sign", [0, 2, -1.5])
 def test_a_bad_sign_raises_bad_parameter(sign):
-    jet = eval_jet(sphere_patch(1.0), 0.3, 1.0)
-    _raises_as_the_vec3_route(jet, DEGENERACY_THRESHOLD, sign, BadParameter,
-                              r"orientation sign must be \+1 or -1")
+    # the patch checks its sign when it is built, so no reader sees one
+    patch = sphere_patch(1.0)
+    match = r"orientation sign must be \+1 or -1"
+    with pytest.raises(BadParameter, match=match):
+        oriented(patch, sign)
+    with pytest.raises(BadParameter, match=match):
+        SurfacePatch(eval=patch.eval, domain=patch.domain, orientation_sign=sign)
+    with pytest.raises(BadParameter, match=match):
+        surface_of_revolution(math.sin, math.cos, v_domain=(0.0, math.pi), orientation_sign=sign)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_the_pseudosphere_rim_is_degenerate(sign):
     patch = pseudosphere_patch(1.0)
     jet = eval_jet(patch, 0.3, math.pi / 2, JET_MODE_ANALYTIC)
-    _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, DegenerateJet,
+    _raises_as_the_vec3_route(jet, patch, sign, DegenerateJet,
                               r"below degeneracy threshold")
 
 
@@ -111,7 +133,7 @@ def test_the_pseudosphere_rim_is_degenerate(sign):
 def test_a_huge_sphere_overflows_the_normal(mode, sign):
     patch = sphere_patch(1e78)
     jet = eval_jet(patch, 0.3, 1.0, mode)
-    _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, NumericalBreakdown,
+    _raises_as_the_vec3_route(jet, patch, sign, NumericalBreakdown,
                               r"^\|p_u x p_v\| overflows$")
 
 
@@ -160,7 +182,7 @@ def test_a_non_finite_first_form_raises(mode):
             measure(patch, 0.3, 0.5, mode)
     jet = eval_jet(patch, 0.3, 0.5, mode)
     for sign in (1, -1):
-        _raises_as_the_vec3_route(jet, patch.degeneracy_bound, sign, NumericalBreakdown,
+        _raises_as_the_vec3_route(jet, patch, sign, NumericalBreakdown,
                                   r"^first form E=inf, .* is not finite$")
 
 
@@ -169,7 +191,8 @@ def test_an_overflowing_numerator_raises(sign):
     # e = g = 1e200 are finite, e*g - f*f is not
     x, y, p = Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, -1e200)
     jet = Jet2(Vec3(0.0, 0.0, 0.0), x, y, p, Vec3(0.0, 0.0, 0.0), p)
-    assert hexes(forms_from_jet(jet, sign)) == hexes(reference_forms(jet, sign))
-    assert math.isinf(reference_curvature(jet, sign))
+    patch = oriented(FREE, sign)
+    assert hexes(forms_from_jet(jet, patch)) == hexes(reference_forms(jet, patch))
+    assert math.isinf(reference_curvature(jet, patch))
     with pytest.raises(NumericalBreakdown, match=r"K = .* is not finite"):
-        curvature_from_jet(jet, sign)
+        curvature_from_jet(jet, patch)

@@ -78,7 +78,7 @@ def two_jet_k(curve, t, mode):
     d1 = jet.p_u * du + jet.p_v * dv
     d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
           + jet.p_u * ddu + jet.p_v * ddv)
-    n = unit_normal(jet, curve.patch.orientation_sign)
+    n = unit_normal(jet, curve.patch)
     sp = d1.norm()
     return curve.direction_sign * (d2.dot(n.cross(d1)) / sp / sp / sp)
 

@@ -135,7 +135,7 @@ def test_light_subcommands_load_no_dataclasses_inspect_or_typing(argv):
     assert {"spiralcurv.cli", "spiralcurv.closed_form"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "typing"}
     assert not {m for m in loaded if m.startswith("spiralcurv.")} - {
-        "spiralcurv.cli", "spiralcurv.closed_form", "spiralcurv.errors"
+        "spiralcurv.cli", "spiralcurv.closed_form", "spiralcurv.errors", "spiralcurv.vec"
     }
 
 

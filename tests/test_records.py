@@ -1,7 +1,8 @@
-"""Jet2 and Observation are tuples with a frozen dataclass's value
-behaviour: the fields in order, read-only, a repr by field, equal only to
-the same type, hashed as their fields, not ordered, and they survive pickle
-and copy.  The sequence behaviour of the tuple underneath is pinned too."""
+"""Jet2, Observation and CurvatureProfile are tuples with a frozen
+dataclass's value behaviour: the fields in order, read-only, a repr by
+field, equal only to the same type, hashed as their fields, not ordered,
+and they survive pickle and copy.  The sequence behaviour of the tuple
+underneath is pinned too."""
 
 import collections
 import copy
@@ -10,6 +11,7 @@ import pickle
 
 import pytest
 
+from spiralcurv.closed_form import METHOD_SERIES, CurvatureProfile
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -27,6 +29,12 @@ RECORDS = {
     "Jet2": (Jet2(A, B, C, A, B, C), ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")),
     "Observation": (Observation((1.0, "tag"), 2.0, 2.5, 0.25),
                     ("input", "expected", "actual", "error")),
+    # tuple samples and tags, so that the profile hashes
+    "CurvatureProfile": (
+        CurvatureProfile("K", ((0.5, 1.0), (2.0, 0.25)), 0.5, 2.0, METHOD_SERIES,
+                         ("series", "series")),
+        ("axis", "samples", "theta", "fixed_value", "method", "sample_methods"),
+    ),
 }
 NAMES = list(RECORDS)
 
@@ -120,7 +128,7 @@ def test_replace_and_asdict(name):
     d = rec._asdict()
     assert list(d) == list(fields)
     assert d == {f: getattr(rec, f) for f in fields}
-    if name != "Observation":  # the Vec3 fields stay Vec3s
+    if name == "Jet2":  # the Vec3 fields stay Vec3s
         assert all(type(v) is Vec3 for v in d.values())
 
 

@@ -68,9 +68,7 @@ def test_degeneracy_does_not_depend_on_the_radius(make, points):
         patch = make(R)
         for u, v in points:
             jet = eval_jet(patch, u, v, JET_MODE_ANALYTIC)
-            normal = _outcome(
-                lambda: unit_normal(jet, patch.orientation_sign, patch.degeneracy_bound).norm()
-            )
+            normal = _outcome(lambda: unit_normal(jet, patch).norm())
             K = _outcome(lambda: gaussian_curvature(patch, u, v, JET_MODE_ANALYTIC))
             outcomes.setdefault((u, v), set()).add((normal, K))
     assert all(len(seen) == 1 for seen in outcomes.values()), outcomes
@@ -100,7 +98,7 @@ def test_tractroid_rim_still_degenerates(R):
         gaussian_curvature(patch, 0.3, math.pi / 2.0, JET_MODE_ANALYTIC)
     jet = eval_jet(patch, 0.3, math.pi / 2.0)
     with pytest.raises(DegenerateJet):
-        unit_normal(jet, patch.orientation_sign, patch.degeneracy_bound)
+        unit_normal(jet, patch)
 
 
 def test_the_bound_is_absolute_on_the_plane_and_at_unit_radius():
@@ -108,12 +106,12 @@ def test_the_bound_is_absolute_on_the_plane_and_at_unit_radius():
     assert sphere_patch(1.0).degeneracy_bound == DEGENERACY_THRESHOLD
     assert pseudosphere_patch(1.0).degeneracy_bound == DEGENERACY_THRESHOLD
     assert sphere_patch(1e-7).degeneracy_bound == pytest.approx(1e-26, rel=1e-15)
-    # unit_normal without a bound keeps the absolute 1e-12
+    # the normal reads the bound off the patch, so it measures where the
+    # curvature does
     patch = sphere_patch(1e-7)
     jet = eval_jet(patch, 0.5, 1.0)
-    with pytest.raises(DegenerateJet):
-        unit_normal(jet, patch.orientation_sign)
-    assert unit_normal(jet, patch.orientation_sign, patch.degeneracy_bound).norm() == pytest.approx(1.0)
+    assert unit_normal(jet, patch).norm() == pytest.approx(1.0)
+    assert gaussian_curvature(patch, 0.5, 1.0) == pytest.approx(1e14, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -229,7 +229,7 @@ class TestJets:
         jet = eval_jet(patch, 0.3, math.pi / 2.0)
         assert math.isfinite(jet.p.x)
         with pytest.raises(DegenerateJet):
-            unit_normal(jet, patch.orientation_sign)
+            unit_normal(jet, patch)
         with pytest.raises(DegenerateJet):
             gaussian_curvature(patch, 0.3, math.pi / 2.0)
 
@@ -324,14 +324,14 @@ class TestRevolutionKernel:
 class TestNormals:
     def test_plane_normal_up(self):
         jet = eval_jet(plane_patch(), 0.4, 1.3)
-        n = unit_normal(jet, plane_patch().orientation_sign)
+        n = unit_normal(jet, plane_patch())
         assert (n - Vec3(0.0, 0.0, 1.0)).norm() < 1e-14
 
     def test_sphere_normal_outward(self):
         patch = sphere_patch(2.0)
         u, v = 0.7, 1.0
         jet = eval_jet(patch, u, v)
-        n = unit_normal(jet, patch.orientation_sign)
+        n = unit_normal(jet, patch)
         radial = jet.p / 2.0
         assert (n - radial).norm() < 1e-13
 
@@ -339,7 +339,7 @@ class TestNormals:
         patch = pseudosphere_patch(1.0)
         u, v = 0.0, 0.7
         jet = eval_jet(patch, u, v)
-        n = unit_normal(jet, patch.orientation_sign)
+        n = unit_normal(jet, patch)
         want = Vec3(math.cos(v), 0.0, -math.sin(v))
         assert (n - want).norm() < 1e-12
 
