@@ -19,6 +19,11 @@ NumericalBreakdown where the stencil's correction of (u'', v'') exceeds
 BREAKDOWN_TOL relative to max(|(u'', v'')|, |(u', v')|^2), as at a kink,
 or where k is not finite.
 
+The chain rule, _curvature, is a straight-line float kernel: it unpacks
+the jet once and forms gamma', gamma'', |gamma'|, N x gamma' and the
+quotient in the float operations and order of the Vec3 route it
+replaced, so it has that route's bits and raises.
+
 Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
 point: the speed and the angle its p_u and p_v, sample the position, k
 and the angle off the same jet.  Each passes its jet mode on unchanged:
@@ -62,11 +67,13 @@ from .surfaces import (
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
-    unit_normal,
+    _normal,
 )
 from .vec import Vec3
 
 BREAKDOWN_TOL = 1e-4
+_isfinite = math.isfinite
+_sqrt = math.sqrt
 _TRACE_FAULTS = (OverflowError, ValueError, ZeroDivisionError)  # see _trace_fault
 
 PARALLEL = "parallel"
@@ -372,17 +379,22 @@ def _trace_k(curve: ChartCurve, t: float, jet) -> Tuple[float, float, float]:
 
 def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: float) -> float:
     """<gamma'', N x gamma'>/|gamma'|^3 for a trace through the point of
-    jet with chart derivatives (du, dv, ddu, ddv), N oriented by patch."""
-    p_u, p_v = jet.p_u, jet.p_v
-    d1 = p_u * du + p_v * dv
-    d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
-          + p_u * ddu + p_v * ddv)
-    sp = d1.norm()
+    jet with chart derivatives (du, dv, ddu, ddv), N oriented by patch
+    (surfaces._normal): the chain-rule kernel of the module docstring."""
+    _, p_u, p_v, (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
+    x, y, z = p_u
+    a, b, c = p_v
+    tx, ty, tz = x * du + a * dv, y * du + b * dv, z * du + c * dv
+    sp = _sqrt(tx * tx + ty * ty + tz * tz)
     if sp == 0.0:
         raise DegenerateJet("the curve is not regular: gamma' vanishes")
-    n = unit_normal(jet, patch)
-    k = d2.dot(n.cross(d1)) / sp / sp / sp
-    if not (math.isfinite(k) and math.isfinite(sp)):
+    nx, ny, nz = _normal(p_u, p_v, patch)
+    duu, duv, dvv = du * du, 2.0 * du * dv, dv * dv
+    k = ((uu0 * duu + uv0 * duv + vv0 * dvv + x * ddu + a * ddv) * (ny * tz - nz * ty)
+         + (uu1 * duu + uv1 * duv + vv1 * dvv + y * ddu + b * ddv) * (nz * tx - nx * tz)
+         + (uu2 * duu + uv2 * duv + vv2 * dvv + z * ddu + c * ddv) * (nx * ty - ny * tx)
+         ) / sp / sp / sp
+    if not (_isfinite(k) and _isfinite(sp)):
         raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
     return k
 

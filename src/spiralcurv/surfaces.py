@@ -17,7 +17,11 @@ both orientations' K off one jet per grid point.  Both read the forms
 through forms_from_jet, a straight-line float kernel with the bits and
 the raises of first_form, unit_normal and Vec3.dot; it raises
 NumericalBreakdown where e, f, g or K is not finite rather than return
-them.
+them.  The oriented unit normal has one owner, the private float helper
+_normal: p_u x p_v, its norm, the degeneracy and overflow raises and the
+orientation sign, in the float operations of Vec3.cross, norm and *.
+unit_normal wraps it in a Vec3; forms_from_jet and the curves' chain-rule
+kernel read its floats, with the same bits.
 
 Jet2 is a tuple of Vec3s with a frozen dataclass's value behaviour
 (vec.Record), as closed_form.CurvatureProfile is; the jet builders make
@@ -299,13 +303,23 @@ def unit_normal(jet: Jet2, patch: SurfacePatch) -> Vec3:
     NumericalBreakdown when |p_u x p_v| overflows, which it does on a
     sphere or tractroid of radius above about 1e77.
     """
-    c = jet.p_u.cross(jet.p_v)
-    n = c.norm()
+    return _new(Vec3, _normal(jet.p_u, jet.p_v, patch))
+
+
+def _normal(p_u, p_v, patch: SurfacePatch) -> Tuple[float, float, float]:
+    """The components of unit_normal, with its raises: p_u.cross(p_v), its
+    norm() and the scale by orientation_sign / norm in the float
+    operations of Vec3, so the same bits."""
+    x, y, z = p_u
+    a, b, c = p_v
+    cx, cy, cz = y * c - z * b, z * a - x * c, x * b - y * a
+    n = _sqrt(cx * cx + cy * cy + cz * cz)
     if n < patch.degeneracy_bound:
         raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
-    if not math.isfinite(n):
+    if not _isfinite(n):
         raise NumericalBreakdown("|p_u x p_v| overflows")
-    return c * (patch.orientation_sign / n)
+    s = patch.orientation_sign / n
+    return cx * s, cy * s, cz * s
 
 
 def fundamental_forms(
@@ -322,9 +336,11 @@ def fundamental_forms(
 
 
 def first_form(jet: Jet2) -> Tuple[float, float, float]:
-    """First fundamental form (E, F, G) from a 2-jet's p_u and p_v."""
-    p_u, p_v = jet.p_u, jet.p_v
-    return p_u.dot(p_u), p_u.dot(p_v), p_v.dot(p_v)
+    """First fundamental form (E, F, G) from a 2-jet's p_u and p_v, in the
+    float operations of Vec3.dot."""
+    x, y, z = jet.p_u
+    a, b, c = jet.p_v
+    return x * x + y * y + z * z, x * a + y * b + z * c, a * a + b * b + c * c
 
 
 def forms_from_jet(
@@ -333,24 +349,14 @@ def forms_from_jet(
     """(E, F, G, e, f, g) from a 2-jet of patch, the second form oriented
     by patch.orientation_sign.
 
-    A straight-line float kernel: first_form, unit_normal and the three
-    Vec3.dot of e, f, g, with the float operations of Vec3.dot, cross,
-    norm and * in their order, so the same bits, and unit_normal's
-    raises.  NumericalBreakdown also when e, f or g, or else E, F or G,
-    is not finite.
+    A straight-line float kernel: first_form, the normal of unit_normal
+    and the three Vec3.dot of e, f, g in the float operations of Vec3.dot,
+    so the same bits, and unit_normal's raises.  NumericalBreakdown also
+    when e, f or g, or else E, F or G, is not finite.
     """
-    _, (x, y, z), (a, b, c), (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
-    E = x * x + y * y + z * z
-    F = x * a + y * b + z * c
-    G = a * a + b * b + c * c
-    cx, cy, cz = y * c - z * b, z * a - x * c, x * b - y * a
-    n = _sqrt(cx * cx + cy * cy + cz * cz)
-    if n < patch.degeneracy_bound:
-        raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
-    if not _isfinite(n):
-        raise NumericalBreakdown("|p_u x p_v| overflows")
-    s = patch.orientation_sign / n
-    nx, ny, nz = cx * s, cy * s, cz * s
+    _, p_u, p_v, (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
+    E, F, G = first_form(jet)
+    nx, ny, nz = _normal(p_u, p_v, patch)
     e = -(nx * uu0 + ny * uu1 + nz * uu2)
     f = -(nx * uv0 + ny * uv1 + nz * uv2)
     g = -(nx * vv0 + ny * vv1 + nz * vv2)

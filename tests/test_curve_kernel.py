@@ -10,7 +10,11 @@ forms takes both orders from one trace stencil.  Either way, sample and
 geodesic_curvature_numeric must give the bits of the chain rule written
 out on eval_jet, or raise its exception with its message, in both jet
 modes and both directions: also next to the sphere loxodrome's pole, the
-tractroid's floor, and where exp nearly overflows in the trace.
+tractroid's floor, and where exp nearly overflows in the trace, and at
+one input per raise of the kernel.  The route written out uses Vec3's
+operators only: its normal, first form and angle do not call the
+package's float kernels.  liouville_breakdown's k1, k2 and theta are
+pinned against it too.
 """
 
 import dataclasses
@@ -20,6 +24,7 @@ import pytest
 
 from spiralcurv import curves as cv
 from spiralcurv.errors import DegenerateJet, GeometryError, NumericalBreakdown
+from spiralcurv.liouville import liouville_breakdown
 from spiralcurv.numdiff import STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
 from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
 from spiralcurv.surfaces import (
@@ -29,8 +34,9 @@ from spiralcurv.surfaces import (
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
-    unit_normal,
 )
+
+from test_form_kernel import reference_first_form, reference_normal
 
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
 PI = math.pi
@@ -61,6 +67,39 @@ def chain_rule_derivatives(curve, t):
         raise cv._trace_fault(exc, "velocity", t) from None
 
 
+def reference_curvature(jet, patch, du, dv, ddu, ddv):
+    """<gamma'', N x gamma'>/|gamma'|^3 on Vec3 operators, with the normal
+    of the form kernel's Vec3 reference."""
+    d1 = jet.p_u * du + jet.p_v * dv
+    d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
+          + jet.p_u * ddu + jet.p_v * ddv)
+    sp = d1.norm()
+    if sp == 0.0:
+        raise DegenerateJet("the curve is not regular: gamma' vanishes")
+    n = reference_normal(jet, patch)
+    k = d2.dot(n.cross(d1)) / sp / sp / sp
+    if not (math.isfinite(k) and math.isfinite(sp)):
+        raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
+    return k
+
+
+def reference_angle(curve, jet, du, dv, t):
+    """The angle to the parallel from E, F, G by Vec3.dot on p_u and p_v."""
+    E, F, G = reference_first_form(jet)
+    area2 = E * G - F * F
+    if area2 <= 0.0 or E <= 0.0:
+        raise DegenerateJet("first form is not positive definite")
+    if not math.isfinite(area2):
+        raise NumericalBreakdown("E*G - F^2 overflows")
+    du *= curve.direction_sign
+    dv *= curve.direction_sign
+    if E * du * du + 2.0 * F * du * dv + G * dv * dv <= 0.0:
+        raise DegenerateJet(f"curve velocity vanishes at t={t}")
+    sin_leg = curve.patch.orientation_sign * dv * math.sqrt(area2)
+    theta = math.atan2(sin_leg, E * du + F * dv)
+    return theta + 2.0 * PI if theta <= -PI else theta
+
+
 def reference_sample(curve, t, mode):
     jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
     du, dv, ddu, ddv, err = chain_rule_derivatives(curve, t)
@@ -68,21 +107,12 @@ def reference_sample(curve, t, mode):
         raise NumericalBreakdown(
             f"second-derivative estimate unreliable at t={t} (relative error ~{err:.2e})"
         )
-    d1 = jet.p_u * du + jet.p_v * dv
-    d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
-          + jet.p_u * ddu + jet.p_v * ddv)
-    sp = d1.norm()
-    if sp == 0.0:
-        raise DegenerateJet("the curve is not regular: gamma' vanishes")
-    n = unit_normal(jet, curve.patch)
-    k = d2.dot(n.cross(d1)) / sp / sp / sp
-    if not (math.isfinite(k) and math.isfinite(sp)):
-        raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
+    k = reference_curvature(jet, curve.patch, du, dv, ddu, ddv)
     return cv.CurveSample(
         t=t,
         position=jet.p,
         k=curve.direction_sign * k,
-        theta=cv._angle(curve, jet, du, dv, t),
+        theta=reference_angle(curve, jet, du, dv, t),
         r=curve.center_distance(t) if curve.center_distance is not None else None,
     )
 
@@ -151,7 +181,20 @@ KERNEL_CURVES = CURVES + [
     (CURVES[4][0], (0.0012,)),
     (CURVES[8][0], (0.01,)),
 ]
-KERNEL_CASES = [(c, t) for c, ts in KERNEL_CURVES for t in ts]
+# and each raise of the kernel: the tractroid's rim, where the normal
+# degenerates (FD: the stencil does not fit), a trace standing still, and
+# a loxodrome so steep that k overflows (FD: the jet's normal underflows)
+RAISES = [
+    (cv.pseudosphere_loxodrome(1.0, 1.0), PI / 2.0,
+     ("DegenerateJet: |p_u x p_v| = 6.123e-17 below degeneracy threshold", "OutOfDomain: ")),
+    (dataclasses.replace(cv.plane_log_spiral(0.5), trace_derivatives=lambda t: (0.0,) * 4,
+                         label="standing trace"), 0.2,
+     ("DegenerateJet: the curve is not regular: gamma' vanishes",) * 2),
+    (cv.sphere_loxodrome(1.0, 1e130), 0.7,
+     ("NumericalBreakdown: the curvature -inf at speed 2e+130 is not finite",
+      "DegenerateJet: |p_u x p_v| = ")),
+]
+KERNEL_CASES = [(c, t) for c, ts in KERNEL_CURVES for t in ts] + [(c, t) for c, t, _ in RAISES]
 KERNEL_IDS = [f"{c.label}-t={t}" for c, t in KERNEL_CASES]
 
 
@@ -164,6 +207,42 @@ def test_kernel_gives_the_bits_of_the_generic_route(curve, t, mode, direction):
     assert outcome(cv.geodesic_curvature_numeric, curve, t, mode) == outcome(
         reference_k, curve, t, mode
     )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("curve,t,want", RAISES, ids=[c.label for c, _, _ in RAISES])
+def test_the_raising_cases_reach_their_raise(curve, t, want, mode):
+    for direction in (1, -1):
+        curve = dataclasses.replace(curve, direction_sign=direction)
+        for measure in (cv.sample, cv.geodesic_curvature_numeric):
+            assert outcome(measure, curve, t, mode).startswith(want[mode == JET_MODE_FD])
+
+
+# k1, k2 and theta of liouville_breakdown on the liouville suite's families
+LIOUVILLE = [
+    (cv.plane_log_spiral(1.0), (-0.5, 0.6, 1.5)),
+    (cv.sphere_loxodrome(1.0, 1.0), (0.8, 1.1, 1.35)),
+    (cv.pseudosphere_loxodrome(1.0, PI / 3.0), (0.4, 0.9, 1.3)),
+    (cv.coordinate_curve(sphere_patch(1.0), cv.PARALLEL, 0.9), (0.0, 2.5, 5.0)),
+]
+LIOUVILLE_CASES = [(c, t) for c, ts in LIOUVILLE for t in ts]
+
+
+def reference_liouville_terms(curve, t, mode):
+    jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
+    du, dv = chain_rule_derivatives(curve, t)[:2]
+    return (reference_curvature(jet, curve.patch, 1.0, 0.0, 0.0, 0.0),
+            reference_curvature(jet, curve.patch, 0.0, 1.0, 0.0, 0.0),
+            reference_angle(curve, jet, du, dv, t))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "curve,t", LIOUVILLE_CASES, ids=[f"{c.label}-t={t}" for c, t in LIOUVILLE_CASES]
+)
+def test_liouville_terms_give_the_bits_of_the_generic_route(curve, t, mode):
+    b = liouville_breakdown(curve, t, mode)
+    assert repr((b.k1, b.k2, b.theta)) == repr(reference_liouville_terms(curve, t, mode))
 
 
 # the same curves without closed-form derivatives, and next to the sphere

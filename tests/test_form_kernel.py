@@ -1,10 +1,11 @@
 """The straight-line form kernel against the Vec3 route it replaces.
 
 forms_from_jet and curvature_from_jet compute E, F, G, the unit normal and
-e, f, g without building a Vec3.  These tests rebuild both from first_form,
-unit_normal and Vec3.dot and require the same bits on every grid of the
-verify battery, in both jet modes and for both orientation signs, and on
-random jets whose sums show their association; and the same exception
+e, f, g without building a Vec3, as first_form and unit_normal do.  These
+tests rebuild all four from Vec3's dot, cross, norm and * and require
+the same bits on every grid of the verify battery, in both jet modes and
+for both orientation signs, and on random jets whose sums show their
+association; and the same exception
 class and message where the Vec3 route raises.  Where the first or
 second form or K is not finite, the kernel raises NumericalBreakdown.
 Every reader takes its orientation sign and degeneracy bound from the
@@ -51,9 +52,25 @@ def oriented(patch, sign):
     return dataclasses.replace(patch, orientation_sign=sign)
 
 
+# the Vec3 route of first_form and unit_normal, which tests/test_curve_kernel.py
+# also reads
+def reference_first_form(jet):
+    return jet.p_u.dot(jet.p_u), jet.p_u.dot(jet.p_v), jet.p_v.dot(jet.p_v)
+
+
+def reference_normal(jet, patch):
+    c = jet.p_u.cross(jet.p_v)
+    n = c.norm()
+    if n < patch.degeneracy_bound:
+        raise DegenerateJet(f"|p_u x p_v| = {n:.3e} below degeneracy threshold")
+    if not math.isfinite(n):
+        raise NumericalBreakdown("|p_u x p_v| overflows")
+    return c * (patch.orientation_sign / n)
+
+
 def reference_forms(jet, patch):
-    E, F, G = first_form(jet)
-    n = unit_normal(jet, patch)
+    E, F, G = reference_first_form(jet)
+    n = reference_normal(jet, patch)
     if not all(map(math.isfinite, (E, F, G))):
         raise NumericalBreakdown(f"first form E={E!r}, F={F!r}, G={G!r} is not finite")
     return E, F, G, -n.dot(jet.p_uu), -n.dot(jet.p_uv), -n.dot(jet.p_vv)
@@ -92,19 +109,25 @@ def test_bits_of_the_vec3_route_on_jets_without_zero_components():
         jet = Jet2(*(Vec3(*(scale * rng.uniform(-1.0, 1.0) for _ in range(3))) for _ in range(6)))
         for sign in (1, -1):
             patch = oriented(FREE, sign)
+            assert hexes(first_form(jet)) == hexes(reference_first_form(jet)), jet
+            assert hexes(unit_normal(jet, patch)) == hexes(reference_normal(jet, patch)), jet
             assert hexes(forms_from_jet(jet, patch)) == hexes(reference_forms(jet, patch)), jet
             K = curvature_from_jet(jet, patch)
             assert K.hex() == reference_curvature(jet, patch).hex(), jet
 
 
-def _raises_as_the_vec3_route(jet, patch, sign, exc_type, match):
+def _raises_as_the_vec3_route(jet, patch, sign, exc_type, match,
+                              kernels=(forms_from_jet, curvature_from_jet)):
     patch = oriented(patch, sign)
     with pytest.raises(exc_type, match=match) as want:
         reference_forms(jet, patch)
-    for kernel in (forms_from_jet, curvature_from_jet):
+    for kernel in kernels:
         with pytest.raises(exc_type) as got:
             kernel(jet, patch)
         assert str(got.value) == str(want.value)
+
+
+NORMAL_READERS = (forms_from_jet, curvature_from_jet, unit_normal)
 
 
 @pytest.mark.parametrize("sign", [0, 2, -1.5])
@@ -125,7 +148,7 @@ def test_the_pseudosphere_rim_is_degenerate(sign):
     patch = pseudosphere_patch(1.0)
     jet = eval_jet(patch, 0.3, math.pi / 2, JET_MODE_ANALYTIC)
     _raises_as_the_vec3_route(jet, patch, sign, DegenerateJet,
-                              r"below degeneracy threshold")
+                              r"below degeneracy threshold", NORMAL_READERS)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -134,7 +157,7 @@ def test_a_huge_sphere_overflows_the_normal(mode, sign):
     patch = sphere_patch(1e78)
     jet = eval_jet(patch, 0.3, 1.0, mode)
     _raises_as_the_vec3_route(jet, patch, sign, NumericalBreakdown,
-                              r"^\|p_u x p_v\| overflows$")
+                              r"^\|p_u x p_v\| overflows$", NORMAL_READERS)
 
 
 # A unit sphere whose analytic d2z returns a non-finite value, and one whose
