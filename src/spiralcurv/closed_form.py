@@ -77,6 +77,12 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return xs
 
 
+def _require_finite_K(K: float) -> None:
+    """The gate's check of K alone: K finite, else DomainError."""
+    if not math.isfinite(K):
+        raise DomainError(f"K={K} must be finite")
+
+
 def _require_admissible(K: float, r: float) -> None:
     """The admissibility gate for (K, r), shared by every module.
 
@@ -85,8 +91,7 @@ def _require_admissible(K: float, r: float) -> None:
     (the conjugate radius).  Else DomainError.  Past the gate no branch
     divides by zero or overflows.
     """
-    if not math.isfinite(K):
-        raise DomainError(f"K={K} must be finite")
+    _require_finite_K(K)
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius r={r} must be positive and finite")
     if K > 0.0 and r * math.sqrt(K) >= math.pi:
@@ -224,7 +229,8 @@ def spiral_curvature_abs_dK(K: float, r: float, theta: float) -> float:
 
 def first_positive_circle_zero(K: float) -> float:
     """Smallest r > 0 where the circle curvature vanishes (K > 0 only);
-    +inf for K <= 0."""
+    +inf for K <= 0.  DomainError for a K that is not finite."""
+    _require_finite_K(K)
     if K > 0.0:
         return math.pi / (2.0 * math.sqrt(K))
     return math.inf

@@ -21,8 +21,8 @@ or where k is not finite.
 
 The chain rule, _curvature, is a straight-line float kernel: it unpacks
 the jet once and forms gamma', gamma'', |gamma'|, N x gamma' and the
-quotient in the float operations and order of the Vec3 route it
-replaced, so it has that route's bits and raises.
+quotient in the float operations and order of Vec3's *, +, norm, cross
+and dot, so it has their bits.
 
 Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
 point: the speed and the angle its p_u and p_v, sample the position, k
@@ -360,7 +360,7 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     du, dv, k = _trace_k(curve, t, jet)
     return CurveSample(
         t=t,
-        position=jet.p,
+        position=Vec3(*jet.p),
         k=k,
         theta=_angle(curve, jet, du, dv, t),
         r=curve.center_distance(t) if curve.center_distance is not None else None,

@@ -1,11 +1,12 @@
 """Central-difference derivatives with one level of Richardson extrapolation,
 and adaptive Gauss-Kronrod quadrature.
 
-Derivative values may be floats or Vec3; all routines are pure.  Every
-stencil in the package takes one Richardson level, so every relative
-step is one of two: STEP_FIRST_FINE = eps**(1/5) for first differences
-and STEP_SECOND_FINE = eps**(1/6) for a stencil that also takes second
-or mixed ones, which balance the extrapolated estimate's h^4 truncation
+Derivatives are scalar-only: every routine takes and returns floats (the
+stencil kernels below, float triples), and all are pure.  Every stencil
+in the package takes one Richardson level, so every relative step is one
+of two: STEP_FIRST_FINE = eps**(1/5) for first differences and
+STEP_SECOND_FINE = eps**(1/6) for a stencil that also takes second or
+mixed ones, which balance the extrapolated estimate's h^4 truncation
 against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
@@ -20,13 +21,14 @@ from x to the nearer finite end of its interval, so that the stencil
 extrapolate is the one Richardson level that every estimate here takes.
 The straight-line stencil kernels of surfaces take each stencil position
 once and difference the positions with extrapolated_first,
-extrapolated_second and extrapolated_cross, per component in the float
-operations and order of central_first, central_second and the cross
-stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
-richardson_first, richardson_second and richardson on Vec3 positions.
-Every scalar derivative goes through richardson itself: the trace
-stencil of curves calls richardson_first/richardson_second once per
-chart coordinate, as liouville's angle stencil and verify's checks do.
+extrapolated_second and extrapolated_cross, which return float triples:
+each component in the float operations and order of central_first,
+central_second and the cross stencil (((A - B) - C) + D) / (4hk), then
+extrapolate, so the bits of richardson_first, richardson_second and
+richardson on that component alone.  Every other derivative goes
+through richardson itself: the trace stencil of curves calls
+richardson_first/richardson_second once per chart coordinate, as
+liouville's angle stencil and verify's checks do.
 
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It
@@ -42,9 +44,6 @@ import sys
 from typing import Callable
 
 from .errors import NumericalBreakdown, OutOfDomain
-from .vec import Vec3
-
-_new = tuple.__new__  # a Vec3 from one tuple, as vec's own operators build it
 
 EPS = sys.float_info.epsilon
 
@@ -76,11 +75,11 @@ def fit_steps(x: float, lo: float, hi: float, *rels: float) -> list[float]:
     return steps
 
 
-def central_first(f: Callable[[float], object], x: float, h: float):
+def central_first(f: Callable[[float], float], x: float, h: float):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def central_second(f: Callable[[float], object], x: float, h: float):
+def central_second(f: Callable[[float], float], x: float, h: float):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
@@ -91,7 +90,7 @@ def extrapolate(d_h, d_half):
     return d_half + (d_half - d_h) / 3.0
 
 
-def richardson(d: Callable[[float], object], h: float):
+def richardson(d: Callable[[float], float], h: float):
     """One Richardson level on a central estimate d(step), and its error.
 
     d must have an even error expansion in the step, so combining d(h)
@@ -100,7 +99,7 @@ def richardson(d: Callable[[float], object], h: float):
     """
     d_h, d_half = d(h), d(h / 2.0)
     best = extrapolate(d_h, d_half)
-    return best, _mag(best - d_half)
+    return best, abs(best - d_half)
 
 
 def richardson_first(f, x, h):
@@ -113,17 +112,17 @@ def richardson_second(f, x, h):
     return richardson(lambda s: central_second(f, x, s), h)
 
 
-def extrapolated_first(a, b, a2, b2, h: float, h2: float) -> Vec3:
+def extrapolated_first(a, b, a2, b2, h: float, h2: float) -> tuple:
     """Central first differences of a = f(x+h), b = f(x-h) and a2, b2 at
     the half step h2, extrapolated."""
     s, s2 = 2.0 * h, 2.0 * h2
     x = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
     y = extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
     z = extrapolate((a[2] - b[2]) / s, (a2[2] - b2[2]) / s2)
-    return _new(Vec3, (x, y, z))
+    return x, y, z
 
 
-def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> Vec3:
+def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> tuple:
     """Central second differences about the centre p of a = f(x+h),
     b = f(x-h) and a2, b2 at the half step h2, extrapolated."""
     s, s2 = h * h, h2 * h2
@@ -131,16 +130,16 @@ def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> Vec3:
     x = extrapolate(((a[0] - px) + b[0]) / s, ((a2[0] - px) + b2[0]) / s2)
     y = extrapolate(((a[1] - py) + b[1]) / s, ((a2[1] - py) + b2[1]) / s2)
     z = extrapolate(((a[2] - pz) + b[2]) / s, ((a2[2] - pz) + b2[2]) / s2)
-    return _new(Vec3, (x, y, z))
+    return x, y, z
 
 
-def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> Vec3:
+def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> tuple:
     """Cross stencils f(+h,+k) - f(+h,-k) - f(-h,+k) + f(-h,-k) over
     s = 4hk, at both step pairs, extrapolated."""
     x = extrapolate((((A[0] - B[0]) - C[0]) + D[0]) / s, (((A2[0] - B2[0]) - C2[0]) + D2[0]) / s2)
     y = extrapolate((((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2)
     z = extrapolate((((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2)
-    return _new(Vec3, (x, y, z))
+    return x, y, z
 
 
 # Kronrod nodes on [-1, 1] (the odd-indexed ones are the Gauss nodes), with
@@ -210,9 +209,3 @@ def _gk15(f, lo: float, hi: float):
         if j % 2:
             gauss += _WG[j // 2] * pair
     return half * kronrod, abs(half * (kronrod - gauss)), lo, hi
-
-
-def _mag(v) -> float:
-    if isinstance(v, Vec3):
-        return v.norm()
-    return abs(float(v))

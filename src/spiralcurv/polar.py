@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .closed_form import _require_admissible
+from .closed_form import _require_admissible, _require_finite_K
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
 from .surfaces import SurfacePatch
@@ -52,9 +52,11 @@ class PolarTracePoint:
 
 
 def polar_metric(K: float) -> PolarMetric:
-    """Geodesic polar metric for constant curvature K.  sqrtG and sqrtG_r
-    take the radii closed_form's gate admits, and raise DomainError where
-    a value leaves the float range (r*sqrt(-K) above about 710)."""
+    """Geodesic polar metric for constant curvature K, DomainError if K is
+    not finite.  sqrtG and sqrtG_r take the radii closed_form's gate admits,
+    and raise DomainError where a value leaves the float range (r*sqrt(-K)
+    above about 710)."""
+    _require_finite_K(K)
     r_limit = math.pi / math.sqrt(K) if K > 0.0 else math.inf
 
     def hyperbolic(fn: Callable[[float], float], r: float, scale: float) -> float:

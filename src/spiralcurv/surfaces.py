@@ -10,23 +10,23 @@ second-form coefficients are read off the unit normal N and the second
 partials, e = -<N, p_uu>, f = -<N, p_uv>, g = -<N, p_vv>, which is the
 convention e = <N_u, p_u>, f = <N_u, p_v>, g = <N_v, p_v> because N is
 orthogonal to p_u and p_v; flipping the orientation flips (e, f, g)
-jointly and leaves the curvature untouched.  The curvature is read off one
-2-jet by curvature_from_jet, which gaussian_curvature calls and which a
-caller already holding the jet calls directly: the verify battery reads
-both orientations' K off one jet per grid point.  Both read the forms
-through forms_from_jet, a straight-line float kernel with the bits and
-the raises of first_form, unit_normal and Vec3.dot; it raises
-NumericalBreakdown where e, f, g or K is not finite rather than return
-them.  The oriented unit normal has one owner, the private float helper
-_normal: p_u x p_v, its norm, the degeneracy and overflow raises and the
-orientation sign, in the float operations of Vec3.cross, norm and *.
-unit_normal wraps it in a Vec3; forms_from_jet and the curves' chain-rule
-kernel read its floats, with the same bits.
+jointly and leaves the curvature untouched.  gaussian_curvature reads K
+off one 2-jet through curvature_from_jet, which the verify battery calls
+directly, for both orientations, on the one jet of each grid point.  It
+reads the forms through forms_from_jet, a straight-line float kernel with
+the bits and the raises of first_form, unit_normal and Vec3.dot; it
+raises NumericalBreakdown where e, f, g or K is not finite rather than
+return them.  The oriented unit normal has one owner, the private float
+helper _normal: p_u x p_v, its norm, the degeneracy and overflow raises
+and the orientation sign, in the float operations of Vec3.cross, norm
+and *.  unit_normal wraps it in a Vec3; forms_from_jet and the curves'
+chain-rule kernel read its floats, with the same bits.
 
-Jet2 is a tuple of Vec3s with a frozen dataclass's value behaviour
-(vec.Record), as closed_form.CurvatureProfile is; the jet builders make
-it with tuple.__new__.  dataclasses.replace, asdict and fields do not
-apply to it: _replace and _asdict take their place.
+Jet2 is a tuple of six plain float triples with a frozen dataclass's
+value behaviour (vec.Record); _replace and _asdict take the place of
+dataclasses.replace and asdict.  A Vec3 is built only where a point
+leaves the package: by a surface of revolution's position map and by
+unit_normal.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
@@ -74,7 +74,7 @@ from .numdiff import (
 )
 from .vec import Record, Vec3
 
-_new = tuple.__new__  # a record from one tuple, as vec's own operators build a Vec3
+_new = tuple.__new__  # a record from one tuple
 _isfinite = math.isfinite
 _sqrt = math.sqrt
 
@@ -262,19 +262,14 @@ _CROSS = ((4, 4), (4, 5), (5, 4), (5, 5), (6, 6), (6, 7), (7, 6), (7, 7))
 
 def _positions(position, u, v, us, vs):
     """The stencil positions of a jet, each taken once: at (a, v) for a in
-    us, at (u, b) for b in vs, at the centre (u, v), as a Vec3, and at
-    (us[i], vs[j]) for (i, j) in _CROSS.
-
-    A surface of revolution's position map, a partial of
-    _revolution_position, is not called: cos and sin are taken once per
-    distinct u and x, z once per distinct v, and each position is built
-    with the float products of _revolution_position.  Any other position
-    map, including a wrapped one, is called at each point.
-    """
+    us, at (u, b) for b in vs, at the centre (u, v) as a float triple, and
+    at (us[i], vs[j]) for (i, j) in _CROSS.  A surface of revolution's
+    position map is not called: the positions are built from cos/sin per
+    distinct u and x, z per distinct v (see the module docstring)."""
     if type(position) is not partial or position.func is not _revolution_position:
         along_u = [position(a, v) for a in us]
         along_v = [position(u, b) for b in vs]
-        return along_u, along_v, position(u, v), [position(us[i], vs[j]) for i, j in _CROSS]
+        return along_u, along_v, tuple(position(u, v)), [position(us[i], vs[j]) for i, j in _CROSS]
     x, z = position.args
     r, h, c, s = x(v), z(v), math.cos(u), math.sin(u)
     trig, along_u = [], []
@@ -291,7 +286,7 @@ def _positions(position, u, v, us, vs):
     for i, j in _CROSS:
         (ca, sa), (rb, hb) = trig[i], profile[j]
         points.append((rb * ca, rb * sa, hb))
-    return along_u, along_v, _new(Vec3, (r * c, r * s, h)), points
+    return along_u, along_v, (r * c, r * s, h), points
 
 
 def unit_normal(jet: Jet2, patch: SurfacePatch) -> Vec3:
@@ -443,12 +438,12 @@ def surface_of_revolution(
             return _new(
                 Jet2,
                 (
-                    _new(Vec3, (r * cu, r * su, h)),
-                    _new(Vec3, (-r * su, r * cu, 0.0)),
-                    _new(Vec3, (r1 * cu, r1 * su, h1)),
-                    _new(Vec3, (-r * cu, -r * su, 0.0)),
-                    _new(Vec3, (-r1 * su, r1 * cu, 0.0)),
-                    _new(Vec3, (r2 * cu, r2 * su, h2)),
+                    (r * cu, r * su, h),
+                    (-r * su, r * cu, 0.0),
+                    (r1 * cu, r1 * su, h1),
+                    (-r * cu, -r * su, 0.0),
+                    (-r1 * su, r1 * cu, 0.0),
+                    (r2 * cu, r2 * su, h2),
                 ),
             )
 

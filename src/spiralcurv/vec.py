@@ -1,5 +1,5 @@
-"""Small fixed-size 3-vector used for surface points and jets, and the
-value base that it shares with the package's other tuple-backed records.
+"""A 3-vector for the points that leave the package, and the value base
+it shares with the package's other tuple-backed records.
 
 Record is the behaviour of a frozen dataclass on a tuple subclass: an
 instance equals only another instance of the same class with equal items
@@ -10,18 +10,18 @@ fields, repr, _replace and _asdict from a namedtuple base.  The module
 imports only math and operator, so the closed-form path of the CLI
 loads it without dataclasses, inspect or typing.
 
-A Vec3 is an immutable tuple of three floats with named components, so
-jets and normals read as p.x, p.y, p.z, and building one costs a single
-tuple allocation.  Its operators treat it as a value: + - * / are vector
-arithmetic, and all arithmetic is plain float math.
+A Vec3 is an immutable tuple of three floats with named components
+p.x, p.y, p.z.  The geometry core works on plain float triples; a Vec3
+is a point handed back to a caller: by a patch's position map,
+ChartCurve.point, CurveSample.position and surfaces.unit_normal.  Its
+public operators are vector arithmetic in plain float math, which the
+tests' reference routes use.
 
-Where it was a frozen dataclass it is now still a tuple underneath: len,
-indexing, iteration and unpacking work; a plain tuple + a Vec3
-concatenates, while a Vec3 + a plain tuple adds componentwise; json and
-numpy read it as a sequence of three floats; and it names its components
-in _fields, as a namedtuple does, so dataclasses.asdict and astuple of a
-dataclass that holds one (a CurveSample) keep it as a Vec3 rather than
-turning it into a dict or tuple of its own.
+As a tuple, len, indexing, iteration and unpacking work; a plain
+tuple + a Vec3 concatenates, while a Vec3 + a plain tuple adds
+componentwise; json and numpy read it as three floats; and it names its
+components in _fields, as a namedtuple does, so dataclasses.asdict and
+astuple of a dataclass that holds one (a CurveSample) keep it as a Vec3.
 """
 
 from __future__ import annotations

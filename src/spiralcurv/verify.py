@@ -335,9 +335,10 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                 det = E * G - F * F
                 regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
                 worst = 0.0
-                for va, vf in zip(an, fd):  # p, p_u, p_v, p_uu, p_uv, p_vv
-                    diff = (vf - va).norm() / max(1.0, va.norm())
-                    worst = max(worst, diff)
+                for (a0, a1, a2), (f0, f1, f2) in zip(an, fd):  # |fd - an| / max(1, |an|)
+                    d0, d1, d2 = f0 - a0, f1 - a1, f2 - a2
+                    scale = max(1.0, math.sqrt(a0 * a0 + a1 * a1 + a2 * a2))
+                    worst = max(worst, math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) / scale)
                 consistency.append(Observation(point, 0.0, worst, worst))
         tol = (1e-6 if relative else 1e-8) * tol_scale
         reports.append(VerificationReport(f"forms.curvature_constancy.{patch.name}", obs, tol))

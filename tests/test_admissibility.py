@@ -14,6 +14,7 @@ from spiralcurv import (
     GeometryError,
     NumericalBreakdown,
     circle_curvature,
+    first_positive_circle_zero,
     fundamental_forms,
     gaussian_curvature,
     geodesic_circle_curvature,
@@ -104,6 +105,24 @@ def test_gate_is_shared():
                 fn(K, r)
         with pytest.raises(DomainError):
             spiral_chart_trace(K, theta, r, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_K_is_rejected_by_the_gate(K):
+    # first_positive_circle_zero gave inf at nan and 0.0 at inf; polar_metric
+    # built a metric with r_limit inf at nan and 0.0 at inf, which failed
+    # only at sqrtG
+    message = f"^K={K} must be finite$"
+    with pytest.raises(DomainError, match=message):
+        first_positive_circle_zero(K)
+    with pytest.raises(DomainError, match=message):
+        polar_metric(K)
+
+
+@pytest.mark.parametrize("K,zero,r_limit", [(4.0, PI / 4.0, PI / 2.0), (-1.0, math.inf, math.inf)])
+def test_a_finite_K_passes_the_gate(K, zero, r_limit):
+    assert first_positive_circle_zero(K) == zero
+    assert polar_metric(K).r_limit == r_limit
 
 
 class TestPolarOverflow:

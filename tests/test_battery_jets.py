@@ -36,6 +36,8 @@ from spiralcurv.surfaces import (
     gaussian_curvature,
 )
 
+from test_form_kernel import vec3_jet
+
 MODES = [JET_MODE_ANALYTIC, JET_MODE_FD]
 OTHER = {JET_MODE_ANALYTIC: JET_MODE_FD, JET_MODE_FD: JET_MODE_ANALYTIC}
 
@@ -87,8 +89,26 @@ def test_forms_suite_observations_match_gaussian_curvature(mode):
             assert o.actual == gaussian_curvature(patch, u, v, mode)
 
 
-# The finite-difference jet through numdiff's generic routines on Vec3
-# positions: the reference that surfaces' stencil kernel reproduces.
+@pytest.mark.parametrize("mode", MODES)
+def test_jet_consistency_is_the_vec3_route(mode):
+    # each observation is the largest |fd - an| / max(1, |an|) over the six
+    # fields, by Vec3's - and norm on the fields wrapped in Vec3
+    patches = {patch.name: patch for patch, _, _ in verify._patches()}
+    (report,) = [r for r in verify.suite_forms(mode) if r.check_name == "forms.jet_consistency"]
+    assert len(report.observations) == 175
+    for o in report.observations:
+        name, u, v = o.input
+        an = vec3_jet(eval_jet(patches[name], u, v, JET_MODE_ANALYTIC))
+        fd = vec3_jet(eval_jet(patches[name], u, v, JET_MODE_FD))
+        worst = 0.0
+        for a, f in zip(an, fd):
+            worst = max(worst, (f - a).norm() / max(1.0, a.norm()))
+        assert repr((o.actual, o.error)) == repr((worst, worst)), o.input
+
+
+# The finite-difference jet through numdiff's generic scalar routines, one
+# component of the positions at a time: the reference that surfaces'
+# stencil kernel reproduces.
 
 
 def _steps(patch, u, v, rel):
@@ -104,20 +124,24 @@ def _generic_fd_jet(patch, u, v):
     if h * h == 0.0:
         raise NumericalBreakdown("squared step underflows")
     hu, hv = _steps(patch, u, v, STEP_FIRST_FINE)
-    p_u = richardson_first(lambda uu: patch.eval(uu, v), u, hu)[0]
-    p_v = richardson_first(lambda vv: patch.eval(u, vv), v, hv)[0]
-    p = patch.eval(u, v)
-    p_uu = richardson_second(lambda uu: p if uu == u else patch.eval(uu, v), u, hu2)[0]
-    p_vv = richardson_second(lambda vv: p if vv == v else patch.eval(u, vv), v, hv2)[0]
+    e = patch.eval
 
-    def cross(c):
-        e, h, k = patch.eval, c * hu2, c * hv2
-        return (e(u + h, v + k) - e(u + h, v - k) - e(u - h, v + k) + e(u - h, v - k)) / (
-            4.0 * h * k
-        )
+    def cross(i, c):
+        h, k = c * hu2, c * hv2
+        return (e(u + h, v + k)[i] - e(u + h, v - k)[i] - e(u - h, v + k)[i]
+                + e(u - h, v - k)[i]) / (4.0 * h * k)
 
-    p_uv = richardson(cross, 1.0)[0]
-    return surfaces.Jet2(p=p, p_u=p_u, p_v=p_v, p_uu=p_uu, p_uv=p_uv, p_vv=p_vv)
+    def each(derivative):
+        return tuple(derivative(i)[0] for i in range(3))
+
+    return surfaces.Jet2(
+        p=tuple(e(u, v)),
+        p_u=each(lambda i: richardson_first(lambda uu: e(uu, v)[i], u, hu)),
+        p_v=each(lambda i: richardson_first(lambda vv: e(u, vv)[i], v, hv)),
+        p_uu=each(lambda i: richardson_second(lambda uu: e(uu, v)[i], u, hu2)),
+        p_uv=each(lambda i: richardson(lambda c: cross(i, c), 1.0)),
+        p_vv=each(lambda i: richardson_second(lambda vv: e(u, vv)[i], v, hv2)),
+    )
 
 
 def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):

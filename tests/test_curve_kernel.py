@@ -11,9 +11,9 @@ geodesic_curvature_numeric must give the bits of the chain rule written
 out on eval_jet, or raise its exception with its message, in both jet
 modes and both directions: also next to the sphere loxodrome's pole, the
 tractroid's floor, and where exp nearly overflows in the trace, and at
-one input per raise of the kernel.  The route written out uses Vec3's
-operators only: its normal, first form and angle do not call the
-package's float kernels.  liouville_breakdown's k1, k2 and theta are
+one input per raise of the kernel.  The route written out wraps the jet's
+float triples in Vec3 and uses Vec3's operators only: its normal, first
+form and angle do not call the package's float kernels.  liouville_breakdown's k1, k2 and theta are
 pinned against it too.
 """
 
@@ -36,7 +36,7 @@ from spiralcurv.surfaces import (
     sphere_patch,
 )
 
-from test_form_kernel import reference_first_form, reference_normal
+from test_form_kernel import reference_first_form, reference_normal, vec3_jet
 
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
 PI = math.pi
@@ -101,7 +101,7 @@ def reference_angle(curve, jet, du, dv, t):
 
 
 def reference_sample(curve, t, mode):
-    jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
+    jet = vec3_jet(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
     du, dv, ddu, ddv, err = chain_rule_derivatives(curve, t)
     if err > cv.BREAKDOWN_TOL:
         raise NumericalBreakdown(
@@ -229,7 +229,7 @@ LIOUVILLE_CASES = [(c, t) for c, ts in LIOUVILLE for t in ts]
 
 
 def reference_liouville_terms(curve, t, mode):
-    jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
+    jet = vec3_jet(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
     du, dv = chain_rule_derivatives(curve, t)[:2]
     return (reference_curvature(jet, curve.patch, 1.0, 0.0, 0.0, 0.0),
             reference_curvature(jet, curve.patch, 0.0, 1.0, 0.0, 0.0),

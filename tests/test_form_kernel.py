@@ -1,9 +1,9 @@
-"""The straight-line form kernel against the Vec3 route it replaces.
+"""The straight-line form kernel against Vec3's operators.
 
 forms_from_jet and curvature_from_jet compute E, F, G, the unit normal and
-e, f, g without building a Vec3, as first_form and unit_normal do.  These
-tests rebuild all four from Vec3's dot, cross, norm and * and require
-the same bits on every grid of the verify battery, in both jet modes and
+e, f, g on plain floats, as first_form and unit_normal do.  These tests
+wrap the jet's float triples in Vec3 (vec3_jet), rebuild all four from
+Vec3's dot, cross, norm and * and require the same bits on every grid of the verify battery, in both jet modes and
 for both orientation signs, and on random jets whose sums show their
 association; and the same exception
 class and message where the Vec3 route raises.  Where the first or
@@ -52,13 +52,21 @@ def oriented(patch, sign):
     return dataclasses.replace(patch, orientation_sign=sign)
 
 
+def vec3_jet(jet):
+    """The jet with each field wrapped in a Vec3, for the reference routes
+    on Vec3's operators."""
+    return Jet2(*(Vec3(*field) for field in jet))
+
+
 # the Vec3 route of first_form and unit_normal, which tests/test_curve_kernel.py
 # also reads
 def reference_first_form(jet):
+    jet = vec3_jet(jet)
     return jet.p_u.dot(jet.p_u), jet.p_u.dot(jet.p_v), jet.p_v.dot(jet.p_v)
 
 
 def reference_normal(jet, patch):
+    jet = vec3_jet(jet)
     c = jet.p_u.cross(jet.p_v)
     n = c.norm()
     if n < patch.degeneracy_bound:
@@ -69,6 +77,7 @@ def reference_normal(jet, patch):
 
 
 def reference_forms(jet, patch):
+    jet = vec3_jet(jet)
     E, F, G = reference_first_form(jet)
     n = reference_normal(jet, patch)
     if not all(map(math.isfinite, (E, F, G))):

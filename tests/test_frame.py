@@ -3,8 +3,8 @@
 Every curve measurement reads one 2-jet of the patch (eval_jet): the speed
 and the angle its first form (E, F, G), the curvature the whole jet by the
 chain rule, and sample everything off that jet.  These tests rebuild each
-measurement from a 2-jet, written out from the formulas, and require the
-same bits, or the same exception and message, count the position
+measurement from a 2-jet, written out from the formulas on Vec3's
+operators over the jet's fields (vec3_jet), and require the same bits, or the same exception and message, count the position
 evaluations each measurement makes, and pin the exception class at the
 edges of the domain.
 """
@@ -42,6 +42,8 @@ from spiralcurv.surfaces import (
 )
 from spiralcurv.vec import Vec3
 
+from test_form_kernel import vec3_jet
+
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
 PI = math.pi
 
@@ -73,7 +75,7 @@ IDS = [f"{c.label}-t={t}" for c, t in CASES]
 def two_jet_k(curve, t, mode):
     """<gamma'', N x gamma'>/|gamma'|^3, gamma' and gamma'' by the chain rule
     from the patch's 2-jet and the trace's closed-form derivatives."""
-    jet = eval_jet(curve.patch, *curve.trace(t), mode)
+    jet = vec3_jet(eval_jet(curve.patch, *curve.trace(t), mode))
     du, dv, ddu, ddv = curve.trace_derivatives(t)
     d1 = jet.p_u * du + jet.p_v * dv
     d2 = (jet.p_uu * (du * du) + jet.p_uv * (2.0 * du * dv) + jet.p_vv * (dv * dv)
@@ -86,7 +88,7 @@ def two_jet_k(curve, t, mode):
 def _first_form(curve, t, mode):
     """(E, F, G) off the patch's 2-jet at the curve's point, after the
     domain check of t."""
-    jet = eval_jet(curve.patch, *cv._chart_point(curve, t), mode)
+    jet = vec3_jet(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
     return jet.p_u.dot(jet.p_u), jet.p_u.dot(jet.p_v), jet.p_v.dot(jet.p_v)
 
 

@@ -16,7 +16,6 @@ from spiralcurv.numdiff import (
     richardson_first,
     richardson_second,
 )
-from spiralcurv.vec import Vec3
 
 
 def test_central_first_on_exp():
@@ -122,14 +121,10 @@ def test_fit_steps_rejects_no_room(x):
         fit_steps(x, 0.0, 1.0, STEP_FIRST_FINE, STEP_SECOND_FINE)
 
 
-def test_richardson_error_for_floats_and_vectors():
-    # the error estimate is |correction| for a float and its Euclidean norm
-    # for a Vec3
-    f = lambda x: (math.sin(x), math.exp(x), x**3)
-    _, err_float = richardson_first(lambda x: f(x)[1], 0.3, 1e-2)
-    _, err_vec = richardson_first(lambda x: Vec3(*f(x)), 0.3, 1e-2)
-    assert err_float > 0.0
-    assert err_vec >= err_float
-    v = Vec3(3.0, -4.0, 12.0)
-    _, err = richardson(lambda h: v * (h * h), 1.0)
-    assert err == 13.0 / 4.0
+def test_richardson_error_is_the_size_of_the_correction():
+    # the error estimate is |correction|, also where the correction is
+    # negative
+    _, err = richardson_first(math.exp, 0.3, 1e-2)
+    assert err > 0.0
+    best, err = richardson(lambda h: 13.0 * (h * h), 1.0)
+    assert best == 0.0 and err == 13.0 / 4.0
