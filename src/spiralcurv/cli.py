@@ -46,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -129,7 +119,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--jets", choices=tuple(_JETS), default="analytic")
-    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.add_argument("--format", choices=("report-text", "report-json"), default="report-text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -246,9 +235,7 @@ def cmd_trace(args, parser: _Parser) -> int:
 def cmd_verify(args, parser: _Parser) -> int:
     from . import verify as vf
 
-    mode = _JETS[args.jets]
-    scale = args.tol_scale * (100.0 if args.jets == "fd" else 1.0)
-    reports = vf.run_suites(args.suite, mode, scale)
+    reports = vf.run_suites(args.suite, _JETS[args.jets])
     if args.format == "report-json":
         _write_text(args.out, vf.reports_to_json(reports) + "\n")
     else:

@@ -67,6 +67,7 @@ from .surfaces import (
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
+    _first_form_det,
     _normal,
 )
 from .vec import Vec3
@@ -401,11 +402,7 @@ def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: 
 
 def _angle(curve: ChartCurve, jet, du: float, dv: float, t: float) -> float:
     E, F, G = first_form(jet)
-    area2 = E * G - F * F
-    if area2 <= 0.0 or E <= 0.0:
-        raise DegenerateJet("first form is not positive definite")
-    if not math.isfinite(area2):
-        raise NumericalBreakdown("E*G - F^2 overflows")
+    area2 = _first_form_det(E, F, G)
     du *= curve.direction_sign
     dv *= curve.direction_sign
     if E * du * du + 2.0 * F * du * dv + G * dv * dv <= 0.0:

@@ -370,6 +370,18 @@ def gaussian_curvature(
     return curvature_from_jet(jet, patch)
 
 
+def _first_form_det(E: float, F: float, G: float) -> float:
+    """E*G - F^2 of a first form: DegenerateJet when it or E is not
+    positive (the form is not positive definite), NumericalBreakdown when
+    it overflows."""
+    det = E * G - F * F
+    if det <= 0.0 or E <= 0.0:
+        raise DegenerateJet("first form is not positive definite")
+    if not _isfinite(det):
+        raise NumericalBreakdown("E*G - F^2 overflows")
+    return det
+
+
 def curvature_from_jet(jet: Jet2, patch: SurfacePatch) -> float:
     """K = (e*g - f^2) / (E*G - F^2) from a 2-jet of patch, the forms
     oriented by patch.orientation_sign, which cancels in K.  DegenerateJet
@@ -378,12 +390,7 @@ def curvature_from_jet(jet: Jet2, patch: SurfacePatch) -> float:
     NumericalBreakdown when |p_u x p_v| or E*G - F^2 overflows, when e, f
     or g is not finite, or when K is not (e*g - f^2 overflows)."""
     E, F, G, e, f, g = forms_from_jet(jet, patch)
-    denom = E * G - F * F
-    if denom <= 0.0:
-        raise DegenerateJet("first form is not positive definite")
-    if not _isfinite(denom):
-        raise NumericalBreakdown("E*G - F^2 overflows")
-    K = (e * g - f * f) / denom
+    K = (e * g - f * f) / _first_form_det(E, F, G)
     if not _isfinite(K):
         raise NumericalBreakdown(f"K = (e*g - f^2)/(E*G - F^2) = {K!r} is not finite")
     return K

@@ -11,7 +11,9 @@ tuple, like surfaces.Jet2, with a frozen dataclass's value behaviour
 The checks fall into two groups: structural properties of the closed-form
 curvature (limit behaviour near K = 0, monotonicity and sign pattern in K,
 series/direct seam agreement, the radial metric ODE) and cross-validation
-of the numeric curve machinery against the closed forms.
+of the numeric curve machinery against the closed forms.  The geometric
+checks run with analytic or with finite-difference jets; each check states
+one tolerance, which holds in both modes.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def _patches() -> List[Tuple[SurfacePatch, List[float], List[float]]]:
     return out
 
 
-def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
+def suite_forms(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     """One pass per patch: the curvature at every grid point, and at every
     4th point in u and in v its orientation flip, the regularity of the
     first form and the analytic-vs-FD jet agreement.  Each grid point
@@ -340,13 +342,11 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[V
                     scale = max(1.0, math.sqrt(a0 * a0 + a1 * a1 + a2 * a2))
                     worst = max(worst, math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) / scale)
                 consistency.append(Observation(point, 0.0, worst, worst))
-        tol = (1e-6 if relative else 1e-8) * tol_scale
+        tol = 1e-6 if relative else 1e-8
         reports.append(VerificationReport(f"forms.curvature_constancy.{patch.name}", obs, tol))
-    reports.append(
-        VerificationReport("forms.orientation_invariance", orientation, 1e-12 * tol_scale)
-    )
+    reports.append(VerificationReport("forms.orientation_invariance", orientation, 1e-12))
     reports.append(VerificationReport("forms.regularity", regularity, 0.0))
-    reports.append(VerificationReport("forms.jet_consistency", consistency, 1e-6 * tol_scale))
+    reports.append(VerificationReport("forms.jet_consistency", consistency, 1e-6))
     return reports
 
 
@@ -365,7 +365,7 @@ def _angle_families() -> List[Tuple[cv.ChartCurve, float, List[float]]]:
     return fams
 
 
-def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
+def suite_curves(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     reports = []
     families = _angle_families()
 
@@ -376,7 +376,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
             obs.append(
                 Observation((curve.label, t), theta, measured, abs(measured - theta))
             )
-    reports.append(VerificationReport("curves.constant_angle", obs, 1e-7 * tol_scale))
+    reports.append(VerificationReport("curves.constant_angle", obs, 1e-7))
 
     obs = []
     for curve, _, ts in families[:4]:
@@ -395,7 +395,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
             )
             obs.append(Observation((curve.label, t, "orientation"), 0.0, k + k_o, abs(k + k_o)))
             obs.append(Observation((curve.label, t, "direction"), 0.0, k + k_d, abs(k + k_d)))
-    reports.append(VerificationReport("curves.orientation_covariance", obs, 1e-9 * tol_scale))
+    reports.append(VerificationReport("curves.orientation_covariance", obs, 1e-9))
 
     for args in (
         ("plane", 1.0, math.pi / 4.0),
@@ -406,9 +406,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
     ):
         rep = verify_numeric_vs_closed_form(*args, sample_count=50, mode=mode)
         name = f"{rep.check_name}.R={args[1]:g}.theta={args[2]:.3f}"
-        reports.append(
-            dataclasses.replace(rep, check_name=name, tolerance=rep.tolerance * tol_scale)
-        )
+        reports.append(dataclasses.replace(rep, check_name=name))
 
     obs = []
     spiral = cv.plane_log_spiral(1.0)
@@ -425,7 +423,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
     obs.append(
         Observation(("sphere equator",), 2.0 * math.pi, Le, abs(Le - 2.0 * math.pi))
     )
-    reports.append(VerificationReport("curves.arc_length", obs, 1e-10 * tol_scale))
+    reports.append(VerificationReport("curves.arc_length", obs, 1e-10))
 
     obs = []
     for patch, K, theta, reference in (
@@ -443,12 +441,12 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[
             obs.append(
                 Observation((patch.name, t), theta, measured, abs(measured - theta))
             )
-    reports.append(VerificationReport("curves.embedded_polar_angle", obs, 1e-7 * tol_scale))
+    reports.append(VerificationReport("curves.embedded_polar_angle", obs, 1e-7))
 
     return reports
 
 
-def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> List[VerificationReport]:
+def suite_liouville(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     reports = []
 
     families = [
@@ -465,7 +463,7 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
         for t in ts:
             b = liouville_breakdown(curve, t, mode)
             obs.append(Observation((curve.label, t), b.k_direct, b.k_liouville, b.residual))
-    reports.append(VerificationReport("liouville.residual", obs, 1e-5 * tol_scale))
+    reports.append(VerificationReport("liouville.residual", obs, 1e-5))
 
     obs = []
     for patch, vs in (
@@ -478,7 +476,7 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0) -> Li
         for v in vs:
             k2 = cv.geodesic_curvature_numeric(meridian, v, mode)
             obs.append(Observation((patch.name, v), 0.0, k2, abs(k2)))
-    reports.append(VerificationReport("liouville.meridian_geodesic", obs, 1e-8 * tol_scale))
+    reports.append(VerificationReport("liouville.meridian_geodesic", obs, 1e-8))
 
     return reports
 
@@ -489,7 +487,7 @@ def _jacobi_grid(K: float) -> List[float]:
     return _linspace(0.05, 2.0, 100)
 
 
-def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
+def suite_analysis() -> List[VerificationReport]:
     reports = []
 
     rs_coarse = [10.0 ** (-e) for e in (1.0, 1.5, 2.0, 2.5, 3.0)]
@@ -526,9 +524,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
         for theta in (math.pi / 6.0, math.pi / 3.0, 3.0 * math.pi / 4.0):
             rep = verify_derivative_at_zero(r, theta)
             name = f"analysis.derivative_at_zero.r={r:g}.theta={theta:.3f}"
-            reports.append(
-                dataclasses.replace(rep, check_name=name, tolerance=rep.tolerance * tol_scale)
-            )
+            reports.append(dataclasses.replace(rep, check_name=name))
 
     for r in (0.25, 1.0, 4.0):
         t_max = (math.pi / r - 1e-3) ** 2
@@ -567,7 +563,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
                         (K, r), direct, series, abs(series - direct) / abs(direct)
                     )
                 )
-    reports.append(VerificationReport("analysis.seam_agreement", obs, 1e-12 * tol_scale))
+    reports.append(VerificationReport("analysis.seam_agreement", obs, 1e-12))
 
     obs = []
     r, theta = 1.5, math.pi / 3.0
@@ -589,7 +585,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             )
         )
         prev = gap
-    reports.append(VerificationReport("analysis.seam_continuity", obs, 1e-12 * tol_scale))
+    reports.append(VerificationReport("analysis.seam_continuity", obs, 1e-12))
 
     obs = []
     for K in (-4.0, -1.0, 0.0, 1.0, 4.0):
@@ -599,7 +595,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             d2, _ = richardson_second(metric.sqrtG, r, h)
             residual = abs(d2 + K * metric.sqrtG(r))
             obs.append(Observation((K, r), 0.0, d2, residual))
-    reports.append(VerificationReport("analysis.jacobi_residual", obs, 1e-6 * tol_scale))
+    reports.append(VerificationReport("analysis.jacobi_residual", obs, 1e-6))
 
     obs = []
     for K in (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0):
@@ -608,7 +604,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             a = pl.circle_curvature(K, r)
             b = cf.geodesic_circle_curvature(K, r)
             obs.append(Observation((K, r), b, a, abs(a - b) / abs(b)))
-    reports.append(VerificationReport("analysis.circle_consistency", obs, 1e-13 * tol_scale))
+    reports.append(VerificationReport("analysis.circle_consistency", obs, 1e-13))
 
     # the quadrature of 1/sqrt(G) is the independent route to the closed trace
     obs = []
@@ -622,7 +618,7 @@ def suite_analysis(tol_scale: float = 1.0) -> List[VerificationReport]:
             obs.append(
                 Observation((K, r0, r1), cot * integral, closed, abs(closed - cot * integral))
             )
-    reports.append(VerificationReport("analysis.polar_trace_quadrature", obs, 1e-10 * tol_scale))
+    reports.append(VerificationReport("analysis.polar_trace_quadrature", obs, 1e-10))
 
     return reports
 
@@ -632,17 +628,26 @@ def run_suites(
 ) -> List[VerificationReport]:
     """Run one named suite ("forms", "curves", "liouville", "analysis") or
     "all".  mode selects analytic or finite-difference jets for the
-    geometry-dependent checks; with finite-difference jets callers should
-    relax tol_scale by 1e2."""
+    geometry-dependent checks; each check has one tolerance, which holds
+    in both modes.  Every report's tolerance is multiplied by tol_scale
+    (1.0 leaves it bit for bit).  BadParameter for an unknown suite or
+    mode, or a tol_scale that is not a positive finite number."""
     if suite not in SUITES:
         raise BadParameter(f"unknown suite {suite!r}")
+    if mode not in (JET_MODE_ANALYTIC, JET_MODE_FD):
+        raise BadParameter(f"unknown jet mode {mode!r}")
+    if not 0.0 < tol_scale < math.inf:
+        raise BadParameter(f"tol_scale must be a positive finite number, got {tol_scale!r}")
     reports: List[VerificationReport] = []
     if suite in ("forms", "all"):
-        reports.extend(suite_forms(mode, tol_scale))
+        reports.extend(suite_forms(mode))
     if suite in ("curves", "all"):
-        reports.extend(suite_curves(mode, tol_scale))
+        reports.extend(suite_curves(mode))
     if suite in ("liouville", "all"):
-        reports.extend(suite_liouville(mode, tol_scale))
+        reports.extend(suite_liouville(mode))
     if suite in ("analysis", "all"):
-        reports.extend(suite_analysis(tol_scale))
-    return reports
+        reports.extend(suite_analysis())
+    return [
+        VerificationReport(r.check_name, r.observations, r.tolerance * tol_scale)
+        for r in reports
+    ]

@@ -61,7 +61,7 @@ def jet_counts(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_battery_jet_counts(jet_counts, mode):
-    reports = verify.run_suites("all", mode, 1.0 if mode == JET_MODE_ANALYTIC else 100.0)
+    reports = verify.run_suites("all", mode)
     assert all(r.passed for r in reports)
     assert jet_counts == {mode: 2800 + 330 + 75 + 578, OTHER[mode]: 175}
 
@@ -145,7 +145,7 @@ def _generic_fd_jet(patch, u, v):
 
 
 def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
-    kernel = verify.suite_forms(JET_MODE_FD, 100.0)
+    kernel = verify.suite_forms(JET_MODE_FD)
     calls = collections.Counter()
 
     def counted(fn):
@@ -155,7 +155,7 @@ def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(surfaces, "_fd_jet", counted(_generic_fd_jet))
-    generic = verify.suite_forms(JET_MODE_FD, 100.0)
+    generic = verify.suite_forms(JET_MODE_FD)
     assert calls["_generic_fd_jet"] == 2800
     assert [(r.check_name, r.observations) for r in kernel] == [
         (r.check_name, r.observations) for r in generic

@@ -245,12 +245,30 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == len(out.strip().splitlines())
 
-    def test_failure_exits_two(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--suite", "analysis", "--tol-scale", "1e-30"
+    def test_failure_exits_two(self, capsys, monkeypatch):
+        from spiralcurv import verify
+
+        failing = verify.VerificationReport(
+            "analysis.failing", [verify.Observation((), 0.0, 1.0, 1.0)], 0.5
         )
+        monkeypatch.setattr(verify, "run_suites", lambda suite, mode: [failing])
+        code, out, _ = run(capsys, "verify", "--suite", "analysis")
         assert code == 2
         assert "FAIL" in out
+
+    def test_fd_jets_keep_every_tolerance(self, capsys):
+        # one tolerance per check, whichever jets the battery reads
+        docs = {}
+        for jets in ("analytic", "fd"):
+            code, out, _ = run(
+                capsys, "verify", "--suite", "all", "--jets", jets, "--format", "report-json"
+            )
+            assert code == 0
+            docs[jets] = json.loads(out)["reports"]
+        assert [(r["check_name"], r["tolerance"]) for r in docs["fd"]] == [
+            (r["check_name"], r["tolerance"]) for r in docs["analytic"]
+        ]
+        assert all(r["passed"] for r in docs["fd"])
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -373,11 +391,10 @@ class TestInputValidation:
         assert code == 1
         assert err.startswith("domain error:")
 
-    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf", "-1e-3", "abc"])
-    def test_tol_scale_must_be_positive_and_finite(self, capsys, scale):
-        code, _, err = run(capsys, "verify", "--suite", "analysis", "--tol-scale", scale)
+    def test_tol_scale_is_not_an_option(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "analysis", "--tol-scale", "2")
         assert code == 3
-        assert "--tol-scale" in err
+        assert "unrecognized arguments: --tol-scale" in err
 
 
 def test_parser_names_match_the_library():

@@ -197,10 +197,22 @@ class TestSuites:
         reports = run_suites("analysis")
         assert reports and all(r.passed for r in reports)
 
-    def test_scaled_tolerances_propagate(self):
-        loose = run_suites("analysis", tol_scale=100.0)
-        strict = {r.check_name: r for r in run_suites("analysis")}
-        for rep in loose:
-            base = strict[rep.check_name]
-            if base.tolerance > 0.0 and base.check_name != "analysis.ratio_limit.slope":
-                assert rep.tolerance >= base.tolerance
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_scaled_tolerances_propagate(self, mode):
+        # every report, ratio_limit and sign_pattern included, in one place
+        strict = run_suites("all", mode)
+        loose = run_suites("all", mode, 10.0)
+        assert [r.check_name for r in loose] == [r.check_name for r in strict]
+        for rep, base in zip(loose, strict):
+            assert rep.tolerance == 10.0 * base.tolerance
+            assert rep.observations == base.observations
+
+    @pytest.mark.parametrize("scale", [math.nan, 0.0, -1.0, math.inf])
+    def test_tol_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(BadParameter, match="tol_scale"):
+            run_suites("analysis", JET_MODE_ANALYTIC, scale)
+
+    def test_unknown_mode(self):
+        # analysis reads no jets, yet the mode is still checked
+        with pytest.raises(BadParameter, match="unknown jet mode"):
+            run_suites("analysis", "bogus")
