@@ -17,7 +17,7 @@ import math
 import re
 import sys
 
-from .errors import DomainError, GeometryError
+from .errors import GeometryError
 
 # Each subcommand imports the modules it uses when it runs, so that a call
 # loads only what it computes with (the package needs neither numpy nor
@@ -104,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--surface", choices=("plane", "sphere", "pseudosphere", "polar"), required=True
     )
-    p.add_argument("--K", type=float, default=None, help="curvature for --surface polar")
+    p.add_argument("--K", type=float, default=0.0, help="curvature for --surface polar")
     p.add_argument("--R", type=float, default=1.0, help="radius scale of the surface")
     add_theta(p)
     radius = "geodesic distance from the pole (tractroid colatitude v for pseudosphere)"
@@ -168,39 +168,12 @@ def cmd_profile(args, parser: _Parser) -> int:
 
 
 def _build_trace_curve(args, theta: float):
-    from . import closed_form as cf
-    from . import curves as cv
-
-    cf._require_angle(theta)
-    if args.surface == "plane":
-        a = math.tan(theta)
-        curve = cv.plane_log_spiral(a)
-        for r in (args.r0, args.r1):
-            cf._require_admissible(curve.patch.known_K, r)
-        return curve, -math.log(args.r0) / a, -math.log(args.r1) / a
-    if args.surface == "sphere":
-        a = math.cos(theta) / math.sin(theta)
-        curve = cv.sphere_loxodrome(args.R, a)
-        for r in (args.r0, args.r1):
-            cf._require_admissible(curve.patch.known_K, r)
-        return curve, (math.pi - args.r0 / args.R) / 2.0, (math.pi - args.r1 / args.R) / 2.0
-    if args.surface == "pseudosphere":
-        curve = cv.pseudosphere_loxodrome(args.R, theta)
-        return curve, args.r0, args.r1
-    # intrinsic polar trace, embedded into the matching model surface
-    from . import polar as pl
-    from . import surfaces as sf
-    K = args.K if args.K is not None else 0.0
-    if K < 0.0:
-        raise DomainError("polar traces embed only for K >= 0")
-    patch = sf.plane_patch() if K == 0.0 else sf.sphere_patch(1.0 / math.sqrt(K))
-    # the embedding fits the closed-form trace through these four points;
-    # --samples only controls the emitted rows
-    lo, hi = sorted((args.r0, args.r1))
-    rs = (lo, lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0, hi)
-    pts = [pl.spiral_chart_trace(K, theta, lo, 0.0, r) for r in rs]
-    curve = pl.embed_polar_trace(patch, pts)
-    return curve, args.r0, args.r1
+    if args.surface == "polar":
+        from .polar import _embedded_spiral
+        return _embedded_spiral(args.K, theta, args.r0, args.r1), args.r0, args.r1
+    from .curves import _spiral_on
+    curve, t_at = _spiral_on(args.surface, args.R, theta)
+    return curve, t_at(args.r0), t_at(args.r1)
 
 
 def cmd_trace(args, parser: _Parser) -> int:

@@ -42,10 +42,10 @@ does for its orientation sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
-from .closed_form import _require_angle
+from .closed_form import _require_admissible, _require_angle
 from .errors import (
     BadParameter,
     DegenerateJet,
@@ -260,6 +260,33 @@ def pseudosphere_loxodrome(
         trace_derivatives=derivatives,
         label=f"pseudosphere_loxodrome(R={R:g}, theta={theta:g})",
     )
+
+
+def _spiral_on(surface: str, R: float, theta: float):
+    """The spiral at angle theta in (0, pi) on the plane, the sphere or the
+    pseudosphere (tractroid) of radius R, and t_at(r), its parameter at
+    pole distance r (the colatitude v on the tractroid, which has no pole).
+    DomainError for theta, and from t_at for an r that closed_form's gate
+    refuses.  Past pi/2 the plane's spiral runs backwards, so that it
+    measures theta, not arctan(tan theta) = theta - pi."""
+    _require_angle(theta)
+    if surface == "pseudosphere":
+        return pseudosphere_loxodrome(R, theta), lambda r: r
+    if surface == "plane":
+        a = math.tan(theta)
+        curve = plane_log_spiral(a)
+        if a < 0.0:
+            curve = replace(curve, direction_sign=-1)
+    elif surface == "sphere":
+        curve = sphere_loxodrome(R, math.cos(theta) / math.sin(theta))
+    else:
+        raise BadParameter(f"unknown surface {surface!r}")
+
+    def t_at(r: float) -> float:
+        _require_admissible(curve.patch.known_K, r)
+        return -math.log(r) / a if surface == "plane" else (math.pi - r / R) / 2.0
+
+    return curve, t_at
 
 
 def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve:

@@ -27,9 +27,9 @@ from .curves import (
     _trace_k,
     angle_to_parallel,
 )
-from .errors import DegenerateJet, NotOrthogonal
+from .errors import NotOrthogonal
 from .numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
-from .surfaces import eval_jet, first_form
+from .surfaces import _first_form_det, eval_jet, first_form
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -54,17 +54,15 @@ def liouville_breakdown(
     but d(theta)/ds from one 2-jet: k1 and k2 are the chain rule of curves
     with the chart derivatives (1, 0, 0, 0) and (0, 1, 0, 0).
 
-    Raises DegenerateJet where E*G is not positive (as where it
-    underflows), as angle_to_parallel does there, and NotOrthogonal when
-    |F| >= 1e-10 * sqrt(EG) at the point: the decomposition needs an
-    orthogonal chart.
+    The first form passes angle_to_parallel's gate, surfaces._first_form_det
+    (DegenerateJet, as where E*G underflows, or NumericalBreakdown); then
+    NotOrthogonal when |F| >= 1e-10 * sqrt(EG) at the point: the
+    decomposition needs an orthogonal chart.
     """
     u, v = _chart_point(curve, t)
     jet = eval_jet(curve.patch, u, v, mode)
     E, F, G = first_form(jet)
-    if not E * G > 0.0:
-        # an orthogonal chart whose E*G underflows is degenerate, not skew
-        raise DegenerateJet("first form is not positive definite")
+    _first_form_det(E, F, G)
     if abs(F) >= ORTHOGONALITY_TOL * math.sqrt(E * G):
         raise NotOrthogonal(
             f"chart of {curve.patch.name} is not orthogonal at ({u}, {v})"

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .closed_form import _require_admissible, _require_finite_K
+from .closed_form import _require_admissible, _require_angle, _require_finite_K
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, plane_patch, sphere_patch
 
 THETA_CLAMP = 1e-3
 TRACE_TOL = 1e-9
@@ -220,3 +220,16 @@ def embed_polar_trace(
         center_distance=lambda t: t,
         label=f"polar trace on {patch.name}",
     )
+
+
+def _embedded_spiral(K: float, theta: float, r_lo: float, r_hi: float) -> ChartCurve:
+    """The intrinsic spiral at angle theta through (min(r_lo, r_hi), 0),
+    embedded in the model surface of K from four points spread evenly
+    between the radii; t = r.  DomainError for theta, then for K < 0."""
+    _require_angle(theta)
+    if K < 0.0:
+        raise DomainError("polar traces embed only for K >= 0")
+    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
+    lo, hi = sorted((r_lo, r_hi))
+    rs = (lo, lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0, hi)
+    return embed_polar_trace(patch, [spiral_chart_trace(K, theta, lo, 0.0, r) for r in rs])

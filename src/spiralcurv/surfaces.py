@@ -426,17 +426,21 @@ def surface_of_revolution(
     """Surface of revolution (x(v) cos u, x(v) sin u, z(v)).
 
     When all four profile derivatives are supplied the patch carries an
-    analytic jet; otherwise only finite-difference jets are available.
-    Domains may be Interval instances or plain (lo, hi) pairs, which are
-    taken as open intervals.
+    analytic jet, when none only finite-difference jets; some alone are a
+    BadParameter.  Domains may be Interval instances or plain (lo, hi)
+    pairs, which are taken as open intervals.
     """
+    names, fns = ("dx", "d2x", "dz", "d2z"), (dx, d2x, dz, d2z)
+    missing = [name for name, fn in zip(names, fns) if fn is None]
+    if 0 < len(missing) < 4:
+        raise BadParameter(f"pass all four profile derivatives or none: no {', '.join(missing)}")
     if not isinstance(v_domain, Interval):
         v_domain = Interval(*v_domain)
     if not isinstance(u_domain, Interval):
         u_domain = Interval(*u_domain)
 
     jet = None
-    if all(fn is not None for fn in (dx, d2x, dz, d2z)):
+    if not missing:
 
         def jet(u: float, v: float) -> Jet2:
             cu, su = math.cos(u), math.sin(u)

@@ -251,31 +251,23 @@ def verify_numeric_vs_closed_form(
     """Numeric geodesic curvature of a constant-angle curve against the
     closed-form prediction, at sample_count parameter values.
 
-    surface is "plane", "sphere" or "pseudosphere"; theta is the
-    constant angle (for the plane it must lie in (-pi/2, pi/2) \\ {0},
-    the winding angle of the spiral arctan(a); for the sphere and the
-    tractroid in (0, pi)).  BadParameter for a theta outside its range."""
+    surface is "plane", "sphere" or "pseudosphere"; on each, theta in
+    (0, pi) is the spiral's angle to the parallels (curves._spiral_on).
+    BadParameter for a theta outside (0, pi) or an unknown surface."""
     if sample_count < 2:
         raise BadParameter("sample_count must be at least 2")
+    try:
+        curve, _ = cv._spiral_on(surface, R, theta)
+    except DomainError as exc:
+        raise BadParameter(str(exc)) from None
     if surface == "plane":
-        if not -math.pi / 2.0 < theta < math.pi / 2.0 or theta == 0.0:
-            raise BadParameter(f"theta={theta} outside (-pi/2, pi/2) \\ {{0}}")
-        curve = cv.plane_log_spiral(math.tan(theta))
         ts = _linspace(0.0, 2.0, sample_count)
     elif surface == "sphere":
-        try:
-            cf._require_angle(theta)
-        except DomainError as exc:
-            raise BadParameter(str(exc)) from None
-        curve = cv.sphere_loxodrome(R, math.cos(theta) / math.sin(theta))
         ts = [(math.pi - x) / 2.0 for x in _linspace(0.4, 1.2, sample_count)]
-    elif surface == "pseudosphere":
+    else:
         # no pole: the loxodrome crosses horocycles, whose curvature is
         # the r -> inf limit of the coth branch
-        curve = cv.pseudosphere_loxodrome(R, theta)
         ts = _linspace(0.35, 1.35, sample_count)
-    else:
-        raise BadParameter(f"unknown surface {surface!r}")
     obs = []
     for t in ts:
         if curve.center_distance is None:
@@ -426,21 +418,12 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     reports.append(VerificationReport("curves.arc_length", obs, 1e-10))
 
     obs = []
-    for patch, K, theta, reference in (
-        (plane_patch(), 0.0, math.pi / 4.0, cv.plane_log_spiral(1.0)),
-        (sphere_patch(1.0), 1.0, math.atan2(1.0, 1.0), cv.sphere_loxodrome(1.0, 1.0)),
-    ):
-        r_lo, r_hi = 0.5, 2.0
-        if K > 0.0:
-            r_hi = 2.6
-        # the embedding fits the trace through its first and last points
-        pts = [pl.spiral_chart_trace(K, theta, r_lo, 0.0, r) for r in _linspace(r_lo, r_hi, 4)]
-        emb = pl.embed_polar_trace(patch, pts)
+    theta, r_lo = math.pi / 4.0, 0.5
+    for K, r_hi in ((0.0, 2.0), (1.0, 2.6)):
+        emb = pl._embedded_spiral(K, theta, r_lo, r_hi)
         for t in _linspace(r_lo + 0.1, r_hi - 0.1, 50):
             measured = cv.angle_to_parallel(emb, t, mode)
-            obs.append(
-                Observation((patch.name, t), theta, measured, abs(measured - theta))
-            )
+            obs.append(Observation((emb.patch.name, t), theta, measured, abs(measured - theta)))
     reports.append(VerificationReport("curves.embedded_polar_angle", obs, 1e-7))
 
     return reports

@@ -385,6 +385,30 @@ class TestInputValidation:
             # itself: 1.7453292520723307e-06 at 89.9999 degrees
             assert float(rows[1][6]) == spiral_curvature(0.0, 1.0, theta)
 
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    @pytest.mark.parametrize("theta", [2.0, 3.0])
+    def test_obtuse_plane_trace_measures_theta_and_the_closed_form(self, capsys, theta, jets):
+        # plane_log_spiral(tan theta) winds at arctan(tan theta) = theta - pi;
+        # the trace runs it backwards, so it measures theta and cos(theta)/r
+        code, out, err = run(capsys, "trace", "--surface", "plane", "--theta", str(theta),
+                             "--r0", "0.5", "--r1", "1.2", "--samples", "3", "--jets", jets)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        tol = 1e-12 if jets == "analytic" else 1e-9
+        for row in rows:
+            assert abs(float(row["theta_meas"]) - theta) <= 1e-12
+            want = spiral_curvature(0.0, float(row["v"]), theta)
+            assert float(row["k"]) == pytest.approx(want, rel=tol)
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    @pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere", "polar"])
+    def test_every_surface_reads_its_angle_back(self, capsys, surface, theta):
+        code, out, err = run(capsys, "trace", "--surface", surface, "--theta", str(theta),
+                             "--r0", "0.5", "--r1", "1.2", "--samples", "3")
+        assert (code, err) == (0, "")
+        for row in csv.DictReader(out.splitlines()):
+            assert abs(float(row["theta_meas"]) - theta) <= 1e-12
+
     def test_trace_plane_radius_must_be_positive(self, capsys):
         code, _, err = run(capsys, "trace", "--surface", "plane", "--theta", "1", "--r0", "0",
                            "--r1", "2", "--samples", "3")

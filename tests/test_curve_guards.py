@@ -25,7 +25,7 @@ from spiralcurv.curves import (
 )
 from spiralcurv.errors import BadParameter, GeometryError, NumericalBreakdown, OutOfDomain
 from spiralcurv.liouville import liouville_breakdown
-from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
+from spiralcurv.polar import _embedded_spiral
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -107,9 +107,8 @@ def test_arc_length_from_an_overflowing_end_is_numerical_breakdown():
         arc_length(plane_log_spiral(1.0), -800.0, 0.0)
 
 
-def _polar(K, patch, r1):
-    rs = [0.5 + i * (r1 - 0.5) / 4.0 for i in range(5)]
-    return embed_polar_trace(patch, [spiral_chart_trace(K, 1.0, 0.5, 0.2, r) for r in rs])
+def _polar(K, r1):
+    return _embedded_spiral(K, 1.0, 0.5, r1)
 
 
 CURVES = [
@@ -118,8 +117,8 @@ CURVES = [
     sphere_loxodrome(2.0, -0.5),
     pseudosphere_loxodrome(1.0, 1.0),
     pseudosphere_loxodrome(2.0, 2.5, 0.3, 0.01),
-    _polar(0.0, plane_patch(), 2.0),
-    _polar(1.0, sphere_patch(1.0), 2.5),
+    _polar(0.0, 2.0),
+    _polar(1.0, 2.5),
 ] + [
     coordinate_curve(patch, kind, fixed)
     for patch in (plane_patch(), sphere_patch(1.0), pseudosphere_patch(1.0))

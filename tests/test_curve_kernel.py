@@ -26,12 +26,11 @@ from spiralcurv import curves as cv
 from spiralcurv.errors import DegenerateJet, GeometryError, NumericalBreakdown
 from spiralcurv.liouville import liouville_breakdown
 from spiralcurv.numdiff import STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
-from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
+from spiralcurv.polar import _embedded_spiral
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
     eval_jet,
-    plane_patch,
     pseudosphere_patch,
     sphere_patch,
 )
@@ -135,9 +134,7 @@ def outcome(fn, *args):
 
 
 def _polar(K, theta):
-    pts = [spiral_chart_trace(K, theta, 0.3, 0.0, r) for r in (0.3, 0.6, 0.9, 1.2)]
-    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
-    return embed_polar_trace(patch, pts)
+    return _embedded_spiral(K, theta, 0.3, 1.2)
 
 
 # t = (pi - r) / 2 on the sphere loxodrome lies at distance r from the pole

@@ -25,7 +25,7 @@ from spiralcurv.errors import (
 )
 from spiralcurv.liouville import LiouvilleBreakdown, liouville_breakdown
 from spiralcurv.numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
-from spiralcurv.polar import embed_polar_trace, spiral_chart_trace
+from spiralcurv.polar import _embedded_spiral
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -49,9 +49,7 @@ PI = math.pi
 
 
 def _polar(K, theta):
-    pts = [spiral_chart_trace(K, theta, 0.3, 0.0, r) for r in (0.3, 0.6, 0.9, 1.2)]
-    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
-    return embed_polar_trace(patch, pts)
+    return _embedded_spiral(K, theta, 0.3, 1.2)
 
 
 CURVES = [
@@ -394,3 +392,18 @@ def test_liouville_where_the_first_form_underflows_is_degenerate():
         want = outcome(cv.angle_to_parallel, curve, t, JET_MODE_ANALYTIC)
         assert want == "DegenerateJet: first form is not positive definite"
         assert outcome(liouville_breakdown, curve, t, JET_MODE_ANALYTIC) == want
+
+
+@pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+@pytest.mark.parametrize("R", [1e78, 1e150])
+def test_liouville_where_the_first_form_overflows_is_the_angle_outcome(R, mode):
+    # on a sphere of R >= 1e78, E*G ~ R^4 overflows: liouville_breakdown
+    # passes the first form through angle_to_parallel's gate, so both raise
+    # its NumericalBreakdown, not the normal's "|p_u x p_v| overflows"
+    for curve, t in (
+        (cv.sphere_loxodrome(R, 1.0), 0.7),
+        (coordinate_curve(sphere_patch(R), PARALLEL, 0.9), 0.3),
+    ):
+        want = outcome(cv.angle_to_parallel, curve, t, mode)
+        assert want == "NumericalBreakdown: E*G - F^2 overflows"
+        assert outcome(liouville_breakdown, curve, t, mode) == want

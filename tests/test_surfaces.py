@@ -400,6 +400,17 @@ class TestBuilder:
         )
         assert abs(gaussian_curvature(patch, 1.0, 1.5)) < 1e-12
 
+    @pytest.mark.parametrize("given,missing", [
+        (("dx", "dz"), "d2x, d2z"),
+        (("dx", "d2x", "dz"), "d2z"),
+        (("d2z",), "dx, d2x, dz"),
+    ])
+    def test_some_profile_derivatives_alone_are_a_bad_parameter(self, given, missing):
+        # it used to build a patch with FD jets only, dropping those given
+        derivatives = {name: (lambda v: 0.0) for name in given}
+        with pytest.raises(BadParameter, match=f"none: no {missing}$"):
+            surface_of_revolution(math.sin, math.cos, v_domain=(0.1, 3.0), **derivatives)
+
 
 class TestInterval:
     def test_open_closed_endpoints(self):

@@ -175,12 +175,20 @@ class TestNumericVsClosedForm:
         with pytest.raises(BadParameter):
             verify_numeric_vs_closed_form("plane", 1.0, PI / 4.0, sample_count=1)
 
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_obtuse_plane_spiral_passes(self, mode):
+        # the plane's theta is its angle to the circles in (0, pi), as on
+        # the sphere and the tractroid, not the winding angle arctan(a)
+        rep = verify_numeric_vs_closed_form("plane", 1.0, 2.0, mode=mode)
+        assert rep.passed, rep.to_text_line()
+
     @pytest.mark.parametrize(
         "surface,R,theta",
         [
             ("sphere", 1.0, 0.0),  # cos(theta) / sin(theta) divides by zero
             ("sphere", 1.0, math.inf),  # math domain error in cos and sin
             ("plane", 1.0, math.inf),  # math domain error in tan
+            ("plane", 1.0, -0.5),  # a winding angle, not an angle in (0, pi)
         ],
     )
     def test_angle_outside_range_rejected(self, surface, R, theta):
