@@ -168,9 +168,8 @@ def embed_polar_trace(
     first and last points through the closed-form advance of
     spiral_chart_trace, and every point must lie on that one trace to
     TRACE_TOL (relative to max(1, |u|) at the ends), else BadParameter.
-    The returned curve evaluates the closed form on the whole admissible
-    range 0 < r < r_limit, is parametrized by t = r, and carries
-    direction_sign = -1 so it is traversed toward the pole.
+    Only this route fits points: _embedded_spiral builds the same
+    _polar_curve from K and theta as given.
     """
     K = patch.known_K
     if K is None:
@@ -185,12 +184,11 @@ def embed_polar_trace(
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise BadParameter("trace points must be strictly increasing in r")
 
-    v_scale = math.sqrt(K) if K > 0.0 else 1.0  # v = r / R on the sphere
+    v_scale = math.sqrt(K) if K > 0.0 else 1.0
     for r in (rs[0], rs[-1]):
         if not patch.domain.v.contains(r * v_scale):
             raise OutOfDomain(f"r={r} maps outside the chart of {patch.name}")
 
-    m = polar_metric(K)
     first, last = points[0], points[-1]
     cot = (last.u - first.u) / _advance(K, first.r, last.r)
     tol = TRACE_TOL * max(1.0, abs(first.u), abs(last.u))
@@ -200,11 +198,20 @@ def embed_polar_trace(
                 f"point (r={p.r}, u={p.u}) is not on the constant-angle trace "
                 "through the first and last points"
             )
+    return _polar_curve(patch, K, cot, first.r, first.u)
+
+
+def _polar_curve(patch: SurfacePatch, K: float, cot: float, r0: float, u0: float) -> ChartCurve:
+    """u(r) = u0 + cot * int_r0^r dr/sqrt(G) on the model patch of K, with K
+    and cot as given: the closed form on the whole admissible range
+    0 < r < r_limit, t = r, direction_sign = -1 (traversed toward the pole)."""
+    m = polar_metric(K)
+    v_scale = math.sqrt(K) if K > 0.0 else 1.0  # v = r / R on the sphere
 
     def chart_u(r: float) -> float:
         if not 0.0 < r < m.r_limit:
             raise OutOfDomain(f"r={r} outside admissible (0, {m.r_limit})")
-        return -(first.u + cot * _advance(K, first.r, r))
+        return -(u0 + cot * _advance(K, r0, r))
 
     def derivatives(r: float):
         # u' = -cot/sqrt(G), u'' = cot (sqrt G)_r / G
@@ -223,13 +230,13 @@ def embed_polar_trace(
 
 
 def _embedded_spiral(K: float, theta: float, r_lo: float, r_hi: float) -> ChartCurve:
-    """The intrinsic spiral at angle theta through (min(r_lo, r_hi), 0),
-    embedded in the model surface of K from four points spread evenly
-    between the radii; t = r.  DomainError for theta, then for K < 0."""
+    """The intrinsic spiral at angle theta through (min(r_lo, r_hi), 0) on
+    the model surface of K, built from K and theta as given; t = r.
+    DomainError for theta, then K < 0, then as spiral_chart_trace raises."""
     _require_angle(theta)
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
     patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
     lo, hi = sorted((r_lo, r_hi))
-    rs = (lo, lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0, hi)
-    return embed_polar_trace(patch, [spiral_chart_trace(K, theta, lo, 0.0, r) for r in rs])
+    spiral_chart_trace(K, theta, lo, 0.0, hi)
+    return _polar_curve(patch, K, math.cos(theta) / math.sin(theta), lo, 0.0)

@@ -137,11 +137,8 @@ def _curve_points(curve, t0: float, t1: float, n: int, proj) -> List[Point]:
 
 def figure_spiral() -> str:
     canvas = Canvas()
-    a = 0.14
-    pts = []
-    for t in _linspace(0.0, 12.0 * math.pi, 900):
-        r = math.exp(-a * t)
-        pts.append((r * math.cos(t), r * math.sin(t)))
+    spiral = cv.plane_log_spiral(0.14)
+    pts = [spiral.point(t)[:2] for t in _linspace(0.0, 12.0 * math.pi, 900)]
     canvas.line((-1.1, 0.0), (1.1, 0.0), stroke="#dddddd")
     canvas.line((0.0, -1.1), (0.0, 1.1), stroke="#dddddd")
     canvas.polyline(pts, stroke="#1f77b4", width=1.6)

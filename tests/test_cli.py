@@ -409,6 +409,29 @@ class TestInputValidation:
         for row in csv.DictReader(out.splitlines()):
             assert abs(float(row["theta_meas"]) - theta) <= 1e-12
 
+    @pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere", "polar"])
+    def test_equal_end_radii_give_identical_rows(self, capsys, surface):
+        code, out, err = run(capsys, "trace", "--surface", surface, "--K", "1", "--theta", "1",
+                             "--r0", "1", "--r1", "1", "--samples", "2")
+        assert (code, err) == (0, "")
+        # equal as numbers: on the plane t = -ln(1)/tan(1) is -0.0, which
+        # the first row prints as 0.0
+        first, second = ([float(x) for x in row.split(",")] for row in out.splitlines()[1:])
+        assert first == second
+        assert abs(first[-1] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("r1", ["1.81379936", "1.8137993640528378"])
+    def test_polar_trace_next_to_the_conjugate_radius(self, capsys, r1):
+        # pi/sqrt(3) = 1.8137993642342178; the curve takes K = 3 as given,
+        # not as 1/R^2 of the model sphere, which is one ulp below 3
+        code, out, err = run(capsys, "trace", "--surface", "polar", "--K", "3", "--theta", "1",
+                             "--r0", "0.5", "--r1", r1, "--samples", "3")
+        assert (code, err) == (0, "")
+        for row in csv.DictReader(out.splitlines()):
+            want = spiral_curvature(3.0, float(row["t"]), 1.0)
+            assert abs(float(row["theta_meas"]) - 1.0) <= 1e-12
+            assert abs(float(row["k"]) - want) <= 1e-12 * abs(want)
+
     def test_trace_plane_radius_must_be_positive(self, capsys):
         code, _, err = run(capsys, "trace", "--surface", "plane", "--theta", "1", "--r0", "0",
                            "--r1", "2", "--samples", "3")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spiralcurv import (
+    JET_MODE_ANALYTIC,
+    JET_MODE_FD,
     BadParameter,
     DomainError,
     OutOfDomain,
@@ -17,10 +19,14 @@ from spiralcurv import (
     plane_patch,
     polar_metric,
     pseudosphere_patch,
+    sample,
     spiral_chart_trace,
+    spiral_curvature,
     sphere_loxodrome,
     sphere_patch,
 )
+from spiralcurv.closed_form import _require_admissible
+from spiralcurv.polar import _embedded_spiral
 
 PI = math.pi
 
@@ -240,6 +246,61 @@ class TestEmbedding:
             emb.trace(0.0)
         with pytest.raises(OutOfDomain):
             emb.trace(PI)
+
+
+def _near_conjugate_radii(K):
+    """1e-6, 1e-10 and 1e-14 relative below pi/sqrt(K), and the float just
+    below it, where the gate admits them."""
+    conj = PI / math.sqrt(K)
+    radii = [(1.0 - 10.0**-e) * conj for e in (6, 10, 14)] + [math.nextafter(conj, 0.0)]
+    admitted = []
+    for r in radii:
+        try:
+            _require_admissible(K, r)
+        except DomainError:
+            continue
+        admitted.append(r)
+    return admitted
+
+
+class TestEmbeddedSpiral:
+    def test_builds_from_K_and_theta_up_to_the_conjugate_radius(self):
+        # next to the conjugate radius one ulp of K or of cot(theta) moves
+        # theta and k by ~1e-9, so the curve must take both as given
+        failures = []
+        for K in np.logspace(-2.0, 2.0, 41):
+            K = float(K)
+            for r_hi in _near_conjugate_radii(K):
+                r = r_hi / 2.0
+                try:
+                    s = sample(_embedded_spiral(K, 1.0, r, r_hi), r, JET_MODE_ANALYTIC)
+                except DomainError as exc:
+                    failures.append((K, r_hi, repr(exc)))
+                    continue
+                want = spiral_curvature(K, r, 1.0)
+                if not (abs(s.theta - 1.0) <= 1e-12 and abs(s.k - want) <= 1e-12 * abs(want)):
+                    failures.append((K, r_hi, s.theta, s.k, want))
+        assert failures == []
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("K", [0.0, 0.25, 1.0, 4.0])
+    def test_same_curve_as_the_fitted_embedding(self, K, theta, mode):
+        # K whose model sphere gives K back exactly, so the fitted route
+        # sees the same K and the same cot to an ulp (at K = 1, theta = 0.3
+        # it is one ulp off); FD jets turn that ulp of the chart u into
+        # ~1e-11 of k and theta, the stencil's rounding error
+        tol = 1e-15 if mode == JET_MODE_ANALYTIC else 1e-10
+        lo, hi = 0.3, 1.2
+        patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
+        pts = [spiral_chart_trace(K, theta, lo, 0.0, float(r)) for r in np.linspace(lo, hi, 4)]
+        fitted = embed_polar_trace(patch, pts)
+        direct = _embedded_spiral(K, theta, lo, hi)
+        for r in np.linspace(lo, hi, 5):
+            a, b = sample(fitted, float(r), mode), sample(direct, float(r), mode)
+            assert abs(a.k - b.k) <= tol * abs(a.k)
+            assert abs(a.theta - b.theta) <= tol * a.theta
+            assert np.linalg.norm(np.subtract(a.position, b.position)) <= 1e-15 * np.linalg.norm(a.position)
 
 
 class TestHugeRadii:
