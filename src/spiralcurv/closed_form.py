@@ -69,11 +69,16 @@ class CurvatureProfile(
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """The one sampling grid of the package: num >= 2 points
-    start + i*(stop - start)/(num - 1), with stop itself last, so a sweep
-    never ends an ulp past its end."""
+    start + i*(stop - start)/(num - 1), with start itself first and stop
+    itself last, so a sweep never ends an ulp past its end and keeps the
+    sign of a zero end.  Where stop - start overflows between finite ends,
+    the points are (1 - t)*start + t*stop at t = i/(num - 1) instead."""
     span, last = stop - start, num - 1
-    xs = [start + i * span / last for i in range(num)]
-    xs[-1] = stop
+    if math.isinf(span) and math.isfinite(start) and math.isfinite(stop):
+        xs = [(1.0 - i / last) * start + i / last * stop for i in range(num)]
+    else:
+        xs = [start + i * span / last for i in range(num)]
+    xs[0], xs[-1] = start, stop
     return xs
 
 

@@ -37,22 +37,24 @@ gaussian_curvature and every curve measurement pass their mode to it
 unchanged.  With finite differences a jet takes the position at 25
 stencil points, each step fitted into the domain by numdiff.fit_steps
 from STEP_FIRST_FINE and STEP_SECOND_FINE, the steps of one Richardson
-level: a straight-line stencil kernel takes each stencil position once
-and differences the positions with numdiff's per-component kernels
+level, and differences the positions with numdiff's per-component kernels
 (extrapolated_first, _second and _cross), which have the bits of its
 generic central differences with one Richardson level.  A jet carries the
 extrapolated values only, no Richardson error estimate.
 
-The stencil of a jet spans 9 distinct u and 9 distinct v.  On a surface of
-revolution (x(v) cos u, x(v) sin u, z(v)) the kernel uses this: it takes
-cos and sin once per distinct u and the profile x, z once per distinct v,
-and builds each stencil position from them with the float products of the
-position map, so the jet has the same bits as with a call of the position
-map per point.  It recognises the surface by its position map, which
+An FD jet is two axes and their combination.  An axis (_fd_axis) holds
+what depends on one chart coordinate alone: its fitted steps, the 9
+abscissae of the stencil along it and, on a surface of revolution
+(x(v) cos u, x(v) sin u, z(v)), cos and sin at the 9 u or the profile
+x, z at the 9 v.  The straight-line combination (_fd_combine) builds
+each of the 25 stencil positions once from them, with the float
+products of the position map and so the bits of a call of it, and
+differences them.  It recognises the surface by its position map, which
 surface_of_revolution builds as a functools.partial of
 _revolution_position over x and z; any other position map, such as a
 chart without that symmetry or a wrapped copy of the map, is called once
-per stencil point.
+per stencil point.  _jet_grid, the forms battery's source of jets, builds
+each axis once per distinct grid coordinate instead of once per point.
 """
 
 from __future__ import annotations
@@ -189,11 +191,9 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
         differences with step eps**(1/5)*max(1,|coord|) for first partials
         and eps**(1/6)*max(1,|coord|) for second partials, one Richardson
         level each (numdiff.STEP_FIRST_FINE and STEP_SECOND_FINE).
-        The position is taken once at each of the 25 stencil points: on a
-        surface of revolution from cos/sin at the stencil's 9 distinct u
-        and the profile at its 9 distinct v, with the bits of a call of
-        the position map (see the module docstring).  The jet holds the
-        extrapolated derivatives and no Richardson error estimate.
+        The position is taken once at each of the 25 stencil points, from
+        an axis of u and one of v (see the module docstring).  The jet
+        holds the extrapolated derivatives and no Richardson error estimate.
 
     Raises
     ------
@@ -218,75 +218,108 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
     return _fd_jet(patch, u, v)
 
 
+def _jet_grid(patch: SurfacePatch, us, vs, mode: Optional[str]) -> list:
+    """[eval_jet(patch, u, v, mode) for u in us for v in vs], bit for bit.
+
+    With finite differences each _fd_axis is built once per distinct grid
+    coordinate and combined per point.  fit_steps raises at every coordinate
+    outside the domain; where anything raises, the row-major loop of
+    eval_jet runs instead and raises what it raises first."""
+    if mode == JET_MODE_FD:
+        (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
+        try:
+            axes_u = [_fd_axis(u, dom.u, *f_u) for u in us]
+            axes_v = [_fd_axis(v, dom.v, *f_v) for v in vs]
+            return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
+        except Exception:  # any: the position map and profile are the caller's
+            pass
+    return [eval_jet(patch, u, v, mode) for u in us for v in vs]
+
+
 def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
-    dom = patch.domain
-    hu, hu2 = fit_steps(u, dom.u.lo, dom.u.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    hv, hv2 = fit_steps(v, dom.v.lo, dom.v.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
+    return _fd_combine(patch, _fd_axis(u, dom.u, *f_u), _fd_axis(v, dom.v, *f_v))
+
+
+def _fd_axis_values(patch: SurfacePatch) -> tuple:
+    """The functions the _fd_axis of u and of v take at their abscissae:
+    cos, sin and x, z on a surface_of_revolution patch, else none."""
+    position = patch.eval
+    if type(position) is partial and position.func is _revolution_position:
+        return (math.cos, math.sin), position.args
+    return (), ()
+
+
+def _fd_axis(x: float, interval: Interval, f=None, g=None) -> tuple:
+    """The axis of an FD jet at chart coordinate x: the steps h, h2 fitted
+    into interval (numdiff.fit_steps) and their halves, the 9 abscissae
+    x, x + h, x - h, x + h/2, x - h/2 and the same at h2, and f and g at
+    each abscissa (see _fd_axis_values), or None where f is."""
+    h, h2 = fit_steps(x, interval.lo, interval.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    h_half, h2_half = h / 2.0, h2 / 2.0
+    xs = (x, x + h, x - h, x + h_half, x - h_half, x + h2, x - h2, x + h2_half, x - h2_half)
+    if f is None:
+        return h, h_half, h2, h2_half, xs, None, None
+    return h, h_half, h2, h2_half, xs, tuple(map(f, xs)), tuple(map(g, xs))
+
+
+def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
+    """The FD jet at (u, v) from the _fd_axis of u and of v: the 25 stencil
+    positions, each taken once (see the module docstring), differenced by
+    numdiff's per-component kernels."""
+    hu, hu_half, hu2, hu2_half, us, cu, su = axis_u
+    hv, hv_half, hv2, hv2_half, vs, rv, zv = axis_v
+    u, v = us[0], vs[0]
     # the second differences divide by the square of the halved step
     h = min(hu2, hv2) / 2.0
     if h * h == 0.0:
         raise NumericalBreakdown(
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
+    if cu is None:
+        e = patch.eval
+        a1, a2, a3, a4, a5, a6, a7, a8 = [e(a, v) for a in us[1:]]
+        b1, b2, b3, b4, b5, b6, b7, b8 = [e(u, b) for b in vs[1:]]
+        p = tuple(e(u, v))
+        x1, x2, x3, x4, x5, x6, x7, x8 = [e(us[i], vs[j]) for i, j in _CROSS]
+    else:
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = cu
+        s0, s1, s2, s3, s4, s5, s6, s7, s8 = su
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = rv
+        z0, z1, z2, z3, z4, z5, z6, z7, z8 = zv
+        p = (r0 * c0, r0 * s0, z0)
+        a1, a2, a3 = (r0 * c1, r0 * s1, z0), (r0 * c2, r0 * s2, z0), (r0 * c3, r0 * s3, z0)
+        a4, a5, a6 = (r0 * c4, r0 * s4, z0), (r0 * c5, r0 * s5, z0), (r0 * c6, r0 * s6, z0)
+        a7, a8 = (r0 * c7, r0 * s7, z0), (r0 * c8, r0 * s8, z0)
+        b1, b2, b3 = (r1 * c0, r1 * s0, z1), (r2 * c0, r2 * s0, z2), (r3 * c0, r3 * s0, z3)
+        b4, b5, b6 = (r4 * c0, r4 * s0, z4), (r5 * c0, r5 * s0, z5), (r6 * c0, r6 * s0, z6)
+        b7, b8 = (r7 * c0, r7 * s0, z7), (r8 * c0, r8 * s0, z8)
+        # the cross stencil, as listed in _CROSS
+        x1, x2, x3 = (r5 * c5, r5 * s5, z5), (r6 * c5, r6 * s5, z6), (r5 * c6, r5 * s6, z5)
+        x4, x5, x6 = (r6 * c6, r6 * s6, z6), (r7 * c7, r7 * s7, z7), (r8 * c7, r8 * s7, z8)
+        x7, x8 = (r7 * c8, r7 * s8, z7), (r8 * c8, r8 * s8, z8)
     # the mixed stencil halves both steps together, to the second
     # differences' half steps (numdiff.richardson's 0.5 * h is h / 2.0
-    # exactly)
-    hu_half, hv_half, hu2_half, hv2_half = hu / 2.0, hv / 2.0, hu2 / 2.0, hv2 / 2.0
-    along_u, along_v, p, cross = _positions(
-        patch.eval,
-        u,
-        v,
-        (u + hu, u - hu, u + hu_half, u - hu_half, u + hu2, u - hu2, u + hu2_half, u - hu2_half),
-        (v + hv, v - hv, v + hv_half, v - hv_half, v + hv2, v - hv2, v + hv2_half, v - hv2_half),
-    )
-    # the centre is evaluated once, for p and both second differences;
-    # the fields in Jet2's order p, p_u, p_v, p_uu, p_uv, p_vv
+    # exactly); the fields in Jet2's order p, p_u, p_v, p_uu, p_uv, p_vv
     return _new(
         Jet2,
         (
             p,
-            extrapolated_first(*along_u[:4], hu, hu_half),
-            extrapolated_first(*along_v[:4], hv, hv_half),
-            extrapolated_second(p, *along_u[4:], hu2, hu2_half),
-            extrapolated_cross(*cross, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half),
-            extrapolated_second(p, *along_v[4:], hv2, hv2_half),
+            extrapolated_first(a1, a2, a3, a4, hu, hu_half),
+            extrapolated_first(b1, b2, b3, b4, hv, hv_half),
+            extrapolated_second(p, a5, a6, a7, a8, hu2, hu2_half),
+            extrapolated_cross(
+                x1, x2, x3, x4, x5, x6, x7, x8, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half
+            ),
+            extrapolated_second(p, b5, b6, b7, b8, hv2, hv2_half),
         ),
     )
 
 
-# The cross stencil of a jet, as (i, j) into its abscissae us and vs:
-# (+h, +k), (+h, -k), (-h, +k), (-h, -k) at the second-difference steps,
-# then at their halves.
-_CROSS = ((4, 4), (4, 5), (5, 4), (5, 5), (6, 6), (6, 7), (7, 6), (7, 7))
-
-
-def _positions(position, u, v, us, vs):
-    """The stencil positions of a jet, each taken once: at (a, v) for a in
-    us, at (u, b) for b in vs, at the centre (u, v) as a float triple, and
-    at (us[i], vs[j]) for (i, j) in _CROSS.  A surface of revolution's
-    position map is not called: the positions are built from cos/sin per
-    distinct u and x, z per distinct v (see the module docstring)."""
-    if type(position) is not partial or position.func is not _revolution_position:
-        along_u = [position(a, v) for a in us]
-        along_v = [position(u, b) for b in vs]
-        return along_u, along_v, tuple(position(u, v)), [position(us[i], vs[j]) for i, j in _CROSS]
-    x, z = position.args
-    r, h, c, s = x(v), z(v), math.cos(u), math.sin(u)
-    trig, along_u = [], []
-    for a in us:
-        ca, sa = math.cos(a), math.sin(a)
-        trig.append((ca, sa))
-        along_u.append((r * ca, r * sa, h))
-    profile, along_v = [], []
-    for b in vs:
-        rb, hb = x(b), z(b)
-        profile.append((rb, hb))
-        along_v.append((rb * c, rb * s, hb))
-    points = []
-    for i, j in _CROSS:
-        (ca, sa), (rb, hb) = trig[i], profile[j]
-        points.append((rb * ca, rb * sa, hb))
-    return along_u, along_v, (r * c, r * s, h), points
+# The cross stencil of a jet, as (i, j) into the abscissae of its u and v
+# axes: (+h, +k), (+h, -k), (-h, +k), (-h, -k) at the second-difference
+# steps, then at their halves.
+_CROSS = ((5, 5), (5, 6), (6, 5), (6, 6), (7, 7), (7, 8), (8, 7), (8, 8))
 
 
 def unit_normal(jet: Jet2, patch: SurfacePatch) -> Vec3:
@@ -404,7 +437,7 @@ def _revolution_position(x, z, u: float, v: float) -> Vec3:
     """The point (x(v) cos u, x(v) sin u, z(v)) of the surface of
     revolution with profile x, z.  surface_of_revolution's position map
     is this function with x and z bound by functools.partial, which the
-    FD stencil kernel (_positions) recognises."""
+    FD jets recognise (_fd_axis_values)."""
     r = x(v)
     return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
 

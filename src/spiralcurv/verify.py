@@ -23,6 +23,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from . import closed_form as cf
@@ -43,8 +44,8 @@ from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
     SurfacePatch,
+    _jet_grid,
     curvature_from_jet,
-    eval_jet,
     first_form,
     plane_patch,
     pseudosphere_patch,
@@ -173,29 +174,17 @@ def verify_monotone_in_K(r: float, t_grid: Sequence[float]) -> VerificationRepor
     ts = list(t_grid)
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise BadParameter("t_grid must be strictly increasing")
-    obs = []
-    prev = None
+    obs, prev = [], None
     for t in ts:
-        fp = cf.geodesic_circle_curvature_dK(t, r)
-        obs.append(
-            Observation(
-                input=(t, r),
-                expected=0.0,
-                actual=fp,
-                error=0.0 if fp < 0.0 else max(abs(fp), 5e-324),
-            )
-        )
-        val = cf.geodesic_circle_curvature(t, r)
+        cf._require_admissible(t, r)
+        fp = cf._circle_dK(t, r)
+        error = 0.0 if fp < 0.0 else max(abs(fp), 5e-324)
+        obs.append(_new(Observation, ((t, r), 0.0, fp, error)))
+        val = cf._circle_value(t, r)[0]
         if prev is not None:
             step = val - prev[1]
-            obs.append(
-                Observation(
-                    input=(prev[0], t, r),
-                    expected=0.0,
-                    actual=step,
-                    error=0.0 if step < 0.0 else max(abs(step), 5e-324),
-                )
-            )
+            error = 0.0 if step < 0.0 else max(abs(step), 5e-324)
+            obs.append(_new(Observation, ((prev[0], t, r), 0.0, step, error)))
         prev = (t, val)
     return VerificationReport("analysis.monotonicity", obs, 0.0)
 
@@ -299,41 +288,40 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     """One pass per patch: the curvature at every grid point, and at every
     4th point in u and in v its orientation flip, the regularity of the
     first form and the analytic-vs-FD jet agreement.  Each grid point
-    evaluates one jet in the battery's mode, which serves both
-    orientations and its own side of the jet agreement."""
+    takes one jet in the battery's mode, which serves both orientations
+    and its own side of the jet agreement, and every 4th point one in the
+    other mode, both from surfaces._jet_grid (once per grid coordinate)."""
     reports = []
     orientation, regularity, consistency = [], [], []
+    other = JET_MODE_FD if mode == JET_MODE_ANALYTIC else JET_MODE_ANALYTIC
     for patch, us, vs in _patches():
         flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         relative = patch.known_K != 0.0
+        others = iter(_jet_grid(patch, us[::4], vs[::4], other))
         obs = []
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                point = (patch.name, u, v)
-                jet = eval_jet(patch, u, v, mode)
-                K = curvature_from_jet(jet, patch)
-                if relative:
-                    err = abs(K - patch.known_K) / abs(patch.known_K)
-                else:
-                    err = abs(K)
-                obs.append(_new(Observation, (point, patch.known_K, K, err)))
-                if i % 4 or j % 4:
-                    continue
-                K2 = curvature_from_jet(jet, flipped)
-                orientation.append(Observation(point, K, K2, abs(K - K2)))
-                if mode == JET_MODE_ANALYTIC:
-                    an, fd = jet, eval_jet(patch, u, v, JET_MODE_FD)
-                else:
-                    an, fd = eval_jet(patch, u, v, JET_MODE_ANALYTIC), jet
-                E, F, G = first_form(an)
-                det = E * G - F * F
-                regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
-                worst = 0.0
-                for (a0, a1, a2), (f0, f1, f2) in zip(an, fd):  # |fd - an| / max(1, |an|)
-                    d0, d1, d2 = f0 - a0, f1 - a1, f2 - a2
-                    scale = max(1.0, math.sqrt(a0 * a0 + a1 * a1 + a2 * a2))
-                    worst = max(worst, math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) / scale)
-                consistency.append(Observation(point, 0.0, worst, worst))
+        points = product(enumerate(us), enumerate(vs))
+        for ((i, u), (j, v)), jet in zip(points, _jet_grid(patch, us, vs, mode)):
+            point = (patch.name, u, v)
+            K = curvature_from_jet(jet, patch)
+            if relative:
+                err = abs(K - patch.known_K) / abs(patch.known_K)
+            else:
+                err = abs(K)
+            obs.append(_new(Observation, (point, patch.known_K, K, err)))
+            if i % 4 or j % 4:
+                continue
+            K2 = curvature_from_jet(jet, flipped)
+            orientation.append(Observation(point, K, K2, abs(K - K2)))
+            an, fd = (jet, next(others)) if mode == JET_MODE_ANALYTIC else (next(others), jet)
+            E, F, G = first_form(an)
+            det = E * G - F * F
+            regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))
+            worst = 0.0
+            for (a0, a1, a2), (f0, f1, f2) in zip(an, fd):  # |fd - an| / max(1, |an|)
+                d0, d1, d2 = f0 - a0, f1 - a1, f2 - a2
+                scale = max(1.0, math.sqrt(a0 * a0 + a1 * a1 + a2 * a2))
+                worst = max(worst, math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) / scale)
+            consistency.append(Observation(point, 0.0, worst, worst))
         tol = 1e-6 if relative else 1e-8
         reports.append(VerificationReport(f"forms.curvature_constancy.{patch.name}", obs, tol))
     reports.append(VerificationReport("forms.orientation_invariance", orientation, 1e-12))

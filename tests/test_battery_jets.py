@@ -1,16 +1,19 @@
-"""The forms suite evaluates one jet per grid point, in the battery's mode,
+"""The forms suite takes one jet per grid point, in the battery's mode,
 and each curve measurement one jet at its curve point.
 
 Per run_suites("all"): 2,800 + 330 + 653 jets in the battery's mode and
-175 in the other mode, counted by a wrapper around eval_jet in every
-module that binds it.  The forms suite takes 2,800 (7 patches x 400 grid
+175 in the other mode.  The forms suite takes its jets from
+surfaces._jet_grid, a grid at a time: the 2,800 (7 patches x 400 grid
 points) and the 175 (the other side of jet_consistency at every 4th
-point in u and in v); the curvature measurements take 330: 250
-numeric_vs_closed_form samples, 36 curvatures of orientation_covariance,
-32 liouville breakdowns and 12 meridian curvatures; the speeds and angles
-take 653: 75 speeds (5 arc lengths of one 15-node panel each) and 578
-angles (350 of constant_angle, 100 of embedded_polar_angle and the
-4-point dtheta/dt stencil of the 32 liouville breakdowns)."""
+point in u and in v).  Every other jet is one call of eval_jet: the
+curvature measurements take 330: 250 numeric_vs_closed_form samples, 36
+curvatures of orientation_covariance, 32 liouville breakdowns and 12
+meridian curvatures; the speeds and angles take 653: 75 speeds (5 arc
+lengths of one 15-node panel each) and 578 angles (350 of
+constant_angle, 100 of embedded_polar_angle and the 4-point dtheta/dt
+stencil of the 32 liouville breakdowns).  Wrappers around _jet_grid and
+eval_jet in every module that binds them count the jets per route; an
+eval_jet call inside _jet_grid counts for the grid alone."""
 
 import collections
 import dataclasses
@@ -45,17 +48,29 @@ OTHER = {JET_MODE_ANALYTIC: JET_MODE_FD, JET_MODE_FD: JET_MODE_ANALYTIC}
 @pytest.fixture
 def jet_counts(monkeypatch):
     counts = collections.Counter()
-    original = surfaces.eval_jet
+    original, original_grid = surfaces.eval_jet, surfaces._jet_grid
+    inside_grid = []
 
     def counted(patch, u, v, mode=JET_MODE_ANALYTIC):
-        counts[mode] += 1
+        if not inside_grid:
+            counts["eval_jet", mode] += 1
         return original(patch, u, v, mode)
+
+    def counted_grid(patch, us, vs, mode):
+        counts["_jet_grid", mode] += len(us) * len(vs)
+        inside_grid.append(mode)
+        try:
+            return original_grid(patch, us, vs, mode)
+        finally:
+            inside_grid.pop()
 
     for name, module in list(sys.modules.items()):
         if name == "spiralcurv" or name.startswith("spiralcurv."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+                elif value is original_grid:
+                    monkeypatch.setattr(module, attr, counted_grid)
     return counts
 
 
@@ -63,7 +78,11 @@ def jet_counts(monkeypatch):
 def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode)
     assert all(r.passed for r in reports)
-    assert jet_counts == {mode: 2800 + 330 + 75 + 578, OTHER[mode]: 175}
+    assert jet_counts == {
+        ("_jet_grid", mode): 2800,
+        ("eval_jet", mode): 330 + 75 + 578,
+        ("_jet_grid", OTHER[mode]): 175,
+    }
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -144,17 +163,27 @@ def _generic_fd_jet(patch, u, v):
     )
 
 
+def _hex(jets):
+    return [tuple(c.hex() for field in jet for c in field) for jet in jets]
+
+
 def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
+    # every FD jet of the battery's grids has the generic routines' bits
+    for patch, us, vs in verify._patches():
+        grid = surfaces._jet_grid(patch, us, vs, JET_MODE_FD)
+        assert _hex(grid) == _hex(_generic_fd_jet(patch, u, v) for u in us for v in vs)
+    # and so does the suite built on them
     kernel = verify.suite_forms(JET_MODE_FD)
     calls = collections.Counter()
+    original_grid = surfaces._jet_grid
 
-    def counted(fn):
-        def wrapper(patch, u, v):
-            calls[fn.__name__] += 1
-            return fn(patch, u, v)
-        return wrapper
+    def generic_grid(patch, us, vs, mode):
+        if mode != JET_MODE_FD:
+            return original_grid(patch, us, vs, mode)
+        calls["_generic_fd_jet"] += len(us) * len(vs)
+        return [_generic_fd_jet(patch, u, v) for u in us for v in vs]
 
-    monkeypatch.setattr(surfaces, "_fd_jet", counted(_generic_fd_jet))
+    monkeypatch.setattr(verify, "_jet_grid", generic_grid)
     generic = verify.suite_forms(JET_MODE_FD)
     assert calls["_generic_fd_jet"] == 2800
     assert [(r.check_name, r.observations) for r in kernel] == [

@@ -414,11 +414,11 @@ class TestInputValidation:
         code, out, err = run(capsys, "trace", "--surface", surface, "--K", "1", "--theta", "1",
                              "--r0", "1", "--r1", "1", "--samples", "2")
         assert (code, err) == (0, "")
-        # equal as numbers: on the plane t = -ln(1)/tan(1) is -0.0, which
-        # the first row prints as 0.0
-        first, second = ([float(x) for x in row.split(",")] for row in out.splitlines()[1:])
+        # equal as printed: on the plane t = -ln(1)/tan(1) is -0.0, which
+        # both rows print as -0.0
+        first, second = out.splitlines()[1:]
         assert first == second
-        assert abs(first[-1] - 1.0) <= 1e-12
+        assert abs(float(first.split(",")[-1]) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("r1", ["1.81379936", "1.8137993640528378"])
     def test_polar_trace_next_to_the_conjugate_radius(self, capsys, r1):

@@ -243,6 +243,48 @@ def test_linspace_is_the_profile_grid_with_stop_last(start, stop, num):
     assert xs[:-1] == [start + i * (stop - start) / (num - 1) for i in range(num - 1)]
 
 
+@pytest.mark.parametrize("start,stop", [(-0.0, -0.0), (-0.0, 1.0), (-0.0, -2.0), (0.0, -0.0)])
+def test_linspace_keeps_the_sign_of_a_zero_end(start, stop):
+    xs = _linspace(start, stop, 5)
+    assert (xs[0].hex(), xs[-1].hex()) == (start.hex(), stop.hex())
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False), st.integers(2, 60))
+def test_linspace_keeps_the_bits_of_every_finite_span(start, stop, num):
+    assume(math.isfinite(stop - start))
+    xs = _linspace(start, stop, num)
+    # the former grid, start + i*span/last with stop itself last, but
+    # start itself first: before, a start of -0.0 came out as +0.0
+    former = [start + i * (stop - start) / (num - 1) for i in range(num)]
+    former[0], former[-1] = start, stop
+    assert [x.hex() for x in xs] == [x.hex() for x in former]
+
+
+@pytest.mark.parametrize("start,stop,num", [
+    (-1e308, 1e308, 3),
+    (-1.7976931348623157e308, 1.7976931348623157e308, 1000),
+    (1e308, -1.5e308, 7),
+])
+def test_linspace_is_finite_where_the_span_overflows(start, stop, num):
+    # stop - start is inf; before, _linspace(-1e308, 1e308, 3) was
+    # [nan, inf, 1e308]
+    xs = _linspace(start, stop, num)
+    assert len(xs) == num and xs[0] == start and xs[-1] == stop
+    assert all(map(math.isfinite, xs))
+    sign = 1.0 if stop > start else -1.0
+    assert all(sign * (b - a) > 0.0 for a, b in zip(xs, xs[1:]))
+
+
+def test_profile_along_K_over_the_whole_float_range():
+    # K from -1e308 to 1e308 at r = 1e-160 stays inside the conjugate
+    # radius; before, the grid's first K was nan
+    prof = profile("K", 1e-160, -1e308, 1e308, 3, 1.0)
+    assert [K for K, _ in prof.samples] == [-1e308, 0.0, 1e308]
+    for K, k in prof.samples:
+        assert k == spiral_curvature(K, 1e-160, 1.0)
+
+
 
 class TestCurvatureProfileValue:
     """The tuple-backed CurvatureProfile behaves as the frozen dataclass it was."""

@@ -30,8 +30,8 @@ from spiralcurv.numdiff import (
     richardson_second,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
-from spiralcurv.errors import GeometryError
-from spiralcurv.surfaces import Interval, Rect, SurfacePatch
+from spiralcurv.errors import GeometryError, NumericalBreakdown
+from spiralcurv.surfaces import Interval, Rect, SurfacePatch, _jet_grid
 
 from test_form_kernel import vec3_jet
 
@@ -91,6 +91,22 @@ def _assert_fd_kernel_is_ndarray_stencil(patch, points):
         jet = eval_jet(patch, u, v, JET_MODE_FD)
         for field, want in ref.items():
             assert tuple(np.array(getattr(jet, field))) == tuple(want), (u, v, field)
+
+
+# a chart without the symmetry of a surface of revolution: on one, some
+# stencil sums are exactly 0 (the cross stencil of z), so this chart varies
+# every component with both u and v
+SKEW = SurfacePatch(
+    eval=lambda u, v: Vec3(
+        math.exp(0.3 * u) * math.cos(v) + u * v,
+        math.sin(u * v) + v * v * v,
+        u * u * v - math.cos(u + 2.0 * v),
+    ),
+    domain=Rect(Interval(-2.0, 2.0), Interval(0.1, 3.0)),
+    name="skew",
+)
+SKEW_US = (-1.9, -0.7, 0.0, 0.45, 1.3, 2.0 - 1e-3)
+SKEW_VS = (0.1 + 1e-3, 0.6, 1.7, 2.9)
 
 
 class TestGaussianCurvature:
@@ -186,18 +202,8 @@ class TestJets:
         # on a surface of revolution some stencil sums are exactly 0 (the
         # cross stencil of z), so this chart varies every component with
         # both u and v
-        patch = SurfacePatch(
-            eval=lambda u, v: Vec3(
-                math.exp(0.3 * u) * math.cos(v) + u * v,
-                math.sin(u * v) + v * v * v,
-                u * u * v - math.cos(u + 2.0 * v),
-            ),
-            domain=Rect(Interval(-2.0, 2.0), Interval(0.1, 3.0)),
-            name="skew",
-        )
-        grid = [(u, v) for u in (-1.9, -0.7, 0.0, 0.45, 1.3, 2.0 - 1e-3)
-                for v in (0.1 + 1e-3, 0.6, 1.7, 2.9)]
-        _assert_fd_kernel_is_ndarray_stencil(patch, grid)
+        grid = [(u, v) for u in SKEW_US for v in SKEW_VS]
+        _assert_fd_kernel_is_ndarray_stencil(SKEW, grid)
 
     @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES], ids=lambda p: p.name)
     def test_fd_stencil_evaluates_each_point_once(self, patch):
@@ -321,6 +327,97 @@ class TestRevolutionKernel:
         assert _bits(eval_jet(wrapped, u, v, JET_MODE_FD)) == _bits(
             eval_jet(patch, u, v, JET_MODE_FD))
         assert len(calls) == 25
+
+
+def _row_major(patch, us, vs, mode):
+    """The jets of eval_jet over the grid, row-major, or the type and
+    message of the first exception it raises."""
+    try:
+        return [_bits(eval_jet(patch, u, v, mode)) for u in us for v in vs]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _grid(patch, us, vs, mode):
+    try:
+        return [_bits(jet) for jet in _jet_grid(patch, us, vs, mode)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestJetGrid:
+    """_jet_grid gives the jets of eval_jet at every point of a grid, bit
+    for bit, and raises what the row-major loop of eval_jet raises first."""
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_eval_jet_on_the_battery_grids(self, mode):
+        for patch, us, vs in verify._patches():
+            want = _row_major(patch, us, vs, mode)
+            assert len(want) == len(us) * len(vs) == 400
+            assert _grid(patch, us, vs, mode) == want, patch.name
+
+    @pytest.mark.parametrize(
+        "patch,us,vs",
+        [
+            (SKEW, SKEW_US, SKEW_VS),
+            (_wrapped(sphere_patch(2.0)), (0.0, 1.5, 6.0), (1e-3, 0.4, 2.0, math.pi - 1e-9)),
+            (_wrapped(pseudosphere_patch(1.0)), (-3.0, 0.2), (1e-3 + 1e-9, 0.7, math.pi / 2 - 1e-6)),
+            (NOJET, (-1.0, 0.0, 2.5), (1e-6, 1.5, 3.0 - 1e-6)),
+        ],
+        ids=["skew", "wrapped-sphere", "wrapped-pseudosphere", "nojet"],
+    )
+    def test_eval_jet_on_other_charts(self, patch, us, vs):
+        want = _row_major(patch, us, vs, JET_MODE_FD)
+        assert len(want) == len(us) * len(vs)
+        assert _grid(patch, us, vs, JET_MODE_FD) == want
+
+    @pytest.mark.parametrize(
+        "patch,us,vs,kinds",
+        [
+            # u outside the chart, and v outside it at the first u, which
+            # the row-major loop meets first
+            (SKEW, (0.0, 2.5), (0.5,), (BadParameter, OutOfDomain)),
+            (SKEW, (0.0, 2.5), (0.5, 3.5), (BadParameter, OutOfDomain)),
+            # v below the tractroid's floor; on its rim, the point is in the
+            # domain but no FD stencil fits
+            (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, 1e-4, math.pi / 2),
+             (OutOfDomain, OutOfDomain)),
+            (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, math.pi / 2), (None, OutOfDomain)),
+            (_wrapped(pseudosphere_patch(1.0)), (0.5,), (1.0, math.pi / 2), (None, OutOfDomain)),
+            # a step that underflows when squared, next to the plane's origin
+            (plane_patch(), (0.0, 1.0), (1.0, 1e-200), (None, NumericalBreakdown)),
+            (sphere_patch(1.0), (0.0, math.nan), (1.0,), (OutOfDomain, OutOfDomain)),
+        ],
+        ids=["u", "v-before-u", "v-floor", "rim", "wrapped-rim", "underflow", "nan"],
+    )
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_raises_what_the_row_major_loop_raises_first(self, patch, us, vs, kinds, mode):
+        want = _row_major(patch, us, vs, mode)
+        kind = kinds[mode == JET_MODE_FD]
+        if kind is None:
+            assert len(want) == len(us) * len(vs)
+        else:
+            assert want[0] is kind
+        assert _grid(patch, us, vs, mode) == want
+
+    def test_profile_evaluated_9_times_per_distinct_grid_v(self):
+        seen = {"x": [], "z": []}
+
+        def counted(name, f):
+            def g(v):
+                seen[name].append(v)
+                return f(v)
+            return g
+
+        patch = surface_of_revolution(
+            counted("x", lambda v: 2.0 + math.cos(v)), counted("z", math.sin),
+            v_domain=(0.0, 3.0),
+        )
+        us, vs = (0.0, 0.7, 1.4, 2.1, 2.8), (0.5, 1.0, 1.5, 2.0)
+        jets = _jet_grid(patch, us, vs, JET_MODE_FD)
+        assert len(jets) == 20
+        for name in ("x", "z"):
+            assert len(seen[name]) == len(set(seen[name])) == 9 * len(vs), name
 
 
 class TestNormals:

@@ -5,6 +5,7 @@ import pytest
 
 from spiralcurv import (
     BadParameter,
+    DomainError,
     PreconditionFailed,
     reports_to_json,
     reports_to_text,
@@ -16,7 +17,9 @@ from spiralcurv import (
     verify_sign_pattern,
 )
 from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD
+from spiralcurv import closed_form as cf
 from spiralcurv import verify
+from spiralcurv.closed_form import _linspace
 from spiralcurv.verify import Observation, VerificationReport, suite_analysis
 
 PI = math.pi
@@ -144,6 +147,41 @@ class TestMonotone:
     def test_grid_must_increase(self):
         with pytest.raises(BadParameter):
             verify_monotone_in_K(1.0, [1.0, 0.5])
+
+    @staticmethod
+    def two_gates(r, ts):
+        """The observations as the public closed forms give them, each of
+        which passes (t, r) through the admissibility gate."""
+        obs, prev = [], None
+        for t in ts:
+            fp = cf.geodesic_circle_curvature_dK(t, r)
+            error = 0.0 if fp < 0.0 else max(abs(fp), 5e-324)
+            obs.append(Observation(input=(t, r), expected=0.0, actual=fp, error=error))
+            val = cf.geodesic_circle_curvature(t, r)
+            if prev is not None:
+                step = val - prev[1]
+                error = 0.0 if step < 0.0 else max(abs(step), 5e-324)
+                obs.append(Observation(input=(prev[0], t, r), expected=0.0, actual=step, error=error))
+            prev = (t, val)
+        return obs
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 4.0])
+    def test_observations_of_the_public_closed_forms_bit_for_bit(self, r):
+        # the battery's grids, through the seam window at K = 0
+        ts = _linspace(-25.0, (PI / r - 1e-3) ** 2, 1000)
+        got = verify_monotone_in_K(r, ts).observations
+        want = self.two_gates(r, ts)
+        assert all(type(o) is Observation for o in got)
+        assert [repr(o) for o in got] == [repr(o) for o in want]
+
+    def test_past_the_conjugate_radius_raises_the_gate_error(self):
+        ts = [0.0, 1.0, PI * PI, 10.0]
+        with pytest.raises(DomainError) as want:
+            self.two_gates(1.0, ts)
+        with pytest.raises(DomainError) as got:
+            verify_monotone_in_K(1.0, ts)
+        assert str(got.value) == str(want.value)
+        assert "conjugate radius" in str(got.value)
 
 
 class TestSignPattern:
