@@ -42,8 +42,9 @@ does for its orientation sign.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
 
 from .closed_form import _require_admissible, _require_angle
 from .errors import (
@@ -70,7 +71,7 @@ from .surfaces import (
     _first_form_det,
     _normal,
 )
-from .vec import Vec3
+from .vec import Record, Vec3
 
 BREAKDOWN_TOL = 1e-4
 _isfinite = math.isfinite
@@ -93,11 +94,11 @@ class ChartCurve:
     """
 
     patch: SurfacePatch
-    trace: Callable[[float], Tuple[float, float]]
-    t_domain: Tuple[float, float]
+    trace: Callable[[float], tuple[float, float]]
+    t_domain: tuple[float, float]
     direction_sign: int = 1
-    trace_derivatives: Optional[Callable[[float], Tuple[float, float, float, float]]] = None
-    center_distance: Optional[Callable[[float], float]] = None
+    trace_derivatives: Callable[[float], tuple[float, float, float, float]] | None = None
+    center_distance: Callable[[float], float] | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -115,7 +116,7 @@ class ChartCurve:
         except _TRACE_FAULTS as exc:
             raise _trace_fault(exc, "trace", t) from None
 
-    def velocity(self, t: float) -> Tuple[float, float]:
+    def velocity(self, t: float) -> tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip."""
         return _trace_jet(self, t)[:2]
 
@@ -127,7 +128,7 @@ def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | Ou
     return OutOfDomain(f"the chart {what} is undefined at t={t}")
 
 
-def _trace_jet(curve: ChartCurve, t: float) -> Tuple[float, float, float, float, float]:
+def _trace_jet(curve: ChartCurve, t: float) -> tuple[float, float, float, float, float]:
     """(u', v', u'', v'', err) of the trace at t, before any direction flip:
     trace_derivatives with err = 0, or else the trace stencil of the module
     docstring, err the Richardson correction of (u'', v'') relative to
@@ -148,18 +149,14 @@ def _trace_jet(curve: ChartCurve, t: float) -> Tuple[float, float, float, float,
     return du, dv, ddu, ddv, err / scale if scale else err
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One measured point of a curve."""
+class CurveSample(Record, namedtuple("_CurveSample", "t position k theta r", defaults=(None,))):
+    """One measured point of a curve: t, its position (a Vec3), k, theta
+    and r, the pole distance (None for a curve without center_distance)."""
 
-    t: float
-    position: Vec3
-    k: float
-    theta: float
-    r: Optional[float] = None
+    __slots__ = ()
 
 
-def _chart_point(curve: ChartCurve, t: float) -> Tuple[float, float]:
+def _chart_point(curve: ChartCurve, t: float) -> tuple[float, float]:
     """The chart point (u, v) at t, after the domain check."""
     if not curve.contains(t):
         raise OutOfDomain(f"t={t} outside parameter domain {curve.t_domain}")
@@ -183,7 +180,7 @@ def plane_log_spiral(a: float) -> ChartCurve:
     if a == 0.0 or not math.isfinite(a):
         raise BadParameter(f"a={a} must be finite and nonzero (a = 0 gives a circle)")
 
-    def derivatives(t: float) -> Tuple[float, float, float, float]:
+    def derivatives(t: float) -> tuple[float, float, float, float]:
         e = math.exp(-a * t)
         return 1.0, -a * e, 0.0, a * a * e
 
@@ -209,7 +206,7 @@ def sphere_loxodrome(R: float, a: float) -> ChartCurve:
     if not math.isfinite(a):
         raise BadParameter(f"a={a} must be finite")
 
-    def derivatives(t: float) -> Tuple[float, float, float, float]:
+    def derivatives(t: float) -> tuple[float, float, float, float]:
         s = math.sin(2.0 * t)
         return 2.0 * a / s, -2.0, -4.0 * a * math.cos(2.0 * t) / s / s, 0.0
 
@@ -242,7 +239,7 @@ def pseudosphere_loxodrome(
         raise BadParameter(f"u0={u0} must be finite")
     cot = math.cos(theta) / math.sin(theta)
 
-    def derivatives(v: float) -> Tuple[float, float, float, float]:
+    def derivatives(v: float) -> tuple[float, float, float, float]:
         s, c = math.sin(v), math.cos(v)
         return cot * c / (s * s), 1.0, -cot * (s * s + 2.0 * c * c) / (s * s * s), 0.0
 
@@ -321,7 +318,7 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 # measurements
 
 
-def speed(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
+def speed(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
@@ -336,7 +333,7 @@ def _speed(jet, du: float, dv: float, t: float) -> float:
     return value
 
 
-def arc_length(curve: ChartCurve, t0: float, t1: float, mode: Optional[str] = None) -> float:
+def arc_length(curve: ChartCurve, t0: float, t1: float, mode: str | None = None) -> float:
     """Arc length: the speed integrated by numdiff.gauss_kronrod, the
     adaptive G7/K15 rule, to max(1e-12, 1e-10 * |L|) in at most 200 panels.
 
@@ -350,9 +347,7 @@ def arc_length(curve: ChartCurve, t0: float, t1: float, mode: Optional[str] = No
     return value
 
 
-def geodesic_curvature_numeric(
-    curve: ChartCurve, t: float, mode: Optional[str] = None
-) -> float:
+def geodesic_curvature_numeric(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """Geodesic curvature measured by the chain rule of the module
     docstring, from one 2-jet of the patch (eval_jet) and the trace's
     derivatives: the signed <gamma'', N x gamma'>/|gamma'|^3.
@@ -365,7 +360,7 @@ def geodesic_curvature_numeric(
     return _trace_k(curve, t, jet)[2]
 
 
-def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -> float:
+def angle_to_parallel(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """Signed angle in (-pi, pi] from the parallel direction to the curve.
 
     Measured in-chart through the first fundamental form: the cosine
@@ -378,7 +373,7 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: Optional[str] = None) -
     return _angle(curve, jet, *curve.velocity(t), t)
 
 
-def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSample:
+def sample(curve: ChartCurve, t: float, mode: str | None = None) -> CurveSample:
     """Measure position, curvature and angle at one parameter value.
 
     Gives the values of geodesic_curvature_numeric and angle_to_parallel,
@@ -387,15 +382,12 @@ def sample(curve: ChartCurve, t: float, mode: Optional[str] = None) -> CurveSamp
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
     du, dv, k = _trace_k(curve, t, jet)
     return CurveSample(
-        t=t,
-        position=Vec3(*jet.p),
-        k=k,
-        theta=_angle(curve, jet, du, dv, t),
-        r=curve.center_distance(t) if curve.center_distance is not None else None,
+        t, Vec3(*jet.p), k, _angle(curve, jet, du, dv, t),
+        curve.center_distance(t) if curve.center_distance is not None else None,
     )
 
 
-def _trace_k(curve: ChartCurve, t: float, jet) -> Tuple[float, float, float]:
+def _trace_k(curve: ChartCurve, t: float, jet) -> tuple[float, float, float]:
     """The trace's (u', v') at t and the curve's signed k there from jet."""
     du, dv, ddu, ddv, err = _trace_jet(curve, t)
     if err > BREAKDOWN_TOL:

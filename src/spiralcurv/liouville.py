@@ -15,8 +15,7 @@ consistency check tying the curve machinery together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .curves import (
     ChartCurve,
@@ -30,25 +29,23 @@ from .curves import (
 from .errors import NotOrthogonal
 from .numdiff import STEP_FIRST_FINE, fit_steps, richardson_first
 from .surfaces import _first_form_det, eval_jet, first_form
+from .vec import Record
 
 ORTHOGONALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LiouvilleBreakdown:
-    """All terms of the decomposition at one curve point."""
+class LiouvilleBreakdown(
+    Record,
+    namedtuple("_LiouvilleBreakdown", "k1 k2 theta dtheta_dt k_liouville k_direct residual"),
+):
+    """All terms of the decomposition at one curve point; dtheta_dt is
+    taken with respect to arc length."""
 
-    k1: float
-    k2: float
-    theta: float
-    dtheta_dt: float          # with respect to arc length
-    k_liouville: float
-    k_direct: float
-    residual: float
+    __slots__ = ()
 
 
 def liouville_breakdown(
-    curve: ChartCurve, t: float, mode: Optional[str] = None
+    curve: ChartCurve, t: float, mode: str | None = None
 ) -> LiouvilleBreakdown:
     """Measure k1, k2, theta, d(theta)/ds and both curvature routes, all
     but d(theta)/ds from one 2-jet: k1 and k2 are the chain rule of curves
@@ -88,12 +85,5 @@ def liouville_breakdown(
     dtheta_ds = dtheta_dparam / _speed(jet, du, dv, t)
 
     k_liouville = k1 * math.cos(theta) + k2 * math.sin(theta) + dtheta_ds
-    return LiouvilleBreakdown(
-        k1=k1,
-        k2=k2,
-        theta=theta,
-        dtheta_dt=dtheta_ds,
-        k_liouville=k_liouville,
-        k_direct=k_direct,
-        residual=abs(k_liouville - k_direct),
-    )
+    residual = abs(k_liouville - k_direct)
+    return LiouvilleBreakdown(k1, k2, theta, dtheta_ds, k_liouville, k_direct, residual)

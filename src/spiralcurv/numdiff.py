@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import NumericalBreakdown, OutOfDomain
 

@@ -19,36 +19,31 @@ r and traversed toward the pole, which makes the measured angle equal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .closed_form import _require_admissible, _require_angle, _require_finite_K
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
 from .surfaces import SurfacePatch, plane_patch, sphere_patch
+from .vec import Record
 
 THETA_CLAMP = 1e-3
 TRACE_TOL = 1e-9
 _SERIES_Q = 1e-6
 
 
-@dataclass(frozen=True)
-class PolarMetric:
+class PolarMetric(Record, namedtuple("_PolarMetric", "K sqrtG sqrtG_r r_limit")):
     """Radial metric data: sqrt(G) and its r-derivative, plus the first
     conjugate radius (pi/sqrt(K) for K > 0, else +inf)."""
 
-    K: float
-    sqrtG: Callable[[float], float]
-    sqrtG_r: Callable[[float], float]
-    r_limit: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PolarTracePoint:
+class PolarTracePoint(Record, namedtuple("_PolarTracePoint", "r u")):
     """One point of an intrinsic polar trace."""
 
-    r: float
-    u: float
+    __slots__ = ()
 
 
 def polar_metric(K: float) -> PolarMetric:

@@ -23,10 +23,11 @@ and *.  unit_normal wraps it in a Vec3; forms_from_jet and the curves'
 chain-rule kernel read its floats, with the same bits.
 
 Jet2 is a tuple of six plain float triples with a frozen dataclass's
-value behaviour (vec.Record); _replace and _asdict take the place of
-dataclasses.replace and asdict.  A Vec3 is built only where a point
-leaves the package: by a surface of revolution's position map and by
-unit_normal.
+value behaviour (vec.Record), as are Interval, Rect and FormCoefficients;
+_replace and _asdict take the place of dataclasses.replace and asdict.
+SurfacePatch stays a frozen dataclass, so that every copy passes the
+sign check.  A Vec3 is built only where a point leaves the package: by
+a surface of revolution's position map and by unit_normal.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
 its profile functions) or by pure central differences of the position map.
@@ -61,9 +62,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
 from .numdiff import (
@@ -86,14 +87,12 @@ JET_MODE_ANALYTIC = "analytic"
 JET_MODE_FD = "finite_difference"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(
+    Record, namedtuple("_Interval", "lo hi closed_lo closed_hi", defaults=(False, False))
+):
     """Closed/open interval; infinite endpoints are always open."""
 
-    lo: float
-    hi: float
-    closed_lo: bool = False
-    closed_hi: bool = False
+    __slots__ = ()
 
     def contains(self, x: float) -> bool:
         if not self.lo <= x <= self.hi:  # also False for nan
@@ -105,10 +104,10 @@ class Interval:
         return True
 
 
-@dataclass(frozen=True)
-class Rect:
-    u: Interval
-    v: Interval
+class Rect(Record, namedtuple("_Rect", "u v")):
+    """A chart rectangle: an Interval in u and one in v."""
+
+    __slots__ = ()
 
     def contains(self, u: float, v: float) -> bool:
         return self.u.contains(u) and self.v.contains(v)
@@ -120,16 +119,10 @@ class Jet2(Record, namedtuple("_Jet2", "p p_u p_v p_uu p_uv p_vv")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FormCoefficients:
+class FormCoefficients(Record, namedtuple("_FormCoefficients", "E F G e f g")):
     """First (E, F, G) and second (e, f, g) fundamental form coefficients."""
 
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -156,8 +149,8 @@ class SurfacePatch:
     eval: Callable[[float, float], Vec3]
     domain: Rect
     orientation_sign: int = 1
-    jet: Optional[Callable[[float, float], Jet2]] = None
-    known_K: Optional[float] = None
+    jet: Callable[[float, float], Jet2] | None = None
+    known_K: float | None = None
     name: str = "patch"
 
     @property
@@ -178,7 +171,7 @@ class SurfacePatch:
             raise BadParameter(f"orientation sign must be +1 or -1, got {self.orientation_sign!r}")
 
 
-def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None) -> Jet2:
+def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -> Jet2:
     """Evaluate the 2-jet of a patch at a chart point.
 
     Parameters
@@ -218,7 +211,7 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
     return _fd_jet(patch, u, v)
 
 
-def _jet_grid(patch: SurfacePatch, us, vs, mode: Optional[str]) -> list:
+def _jet_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[eval_jet(patch, u, v, mode) for u in us for v in vs], bit for bit.
 
     With finite differences each _fd_axis is built once per distinct grid
@@ -334,7 +327,7 @@ def unit_normal(jet: Jet2, patch: SurfacePatch) -> Vec3:
     return _new(Vec3, _normal(jet.p_u, jet.p_v, patch))
 
 
-def _normal(p_u, p_v, patch: SurfacePatch) -> Tuple[float, float, float]:
+def _normal(p_u, p_v, patch: SurfacePatch) -> tuple[float, float, float]:
     """The components of unit_normal, with its raises: p_u.cross(p_v), its
     norm() and the scale by orientation_sign / norm in the float
     operations of Vec3, so the same bits."""
@@ -351,7 +344,7 @@ def _normal(p_u, p_v, patch: SurfacePatch) -> Tuple[float, float, float]:
 
 
 def fundamental_forms(
-    patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
+    patch: SurfacePatch, u: float, v: float, mode: str | None = None
 ) -> FormCoefficients:
     """First and second fundamental form coefficients at a chart point.
 
@@ -363,7 +356,7 @@ def fundamental_forms(
     return FormCoefficients(*forms_from_jet(jet, patch))
 
 
-def first_form(jet: Jet2) -> Tuple[float, float, float]:
+def first_form(jet: Jet2) -> tuple[float, float, float]:
     """First fundamental form (E, F, G) from a 2-jet's p_u and p_v, in the
     float operations of Vec3.dot."""
     x, y, z = jet.p_u
@@ -373,7 +366,7 @@ def first_form(jet: Jet2) -> Tuple[float, float, float]:
 
 def forms_from_jet(
     jet: Jet2, patch: SurfacePatch
-) -> Tuple[float, float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float]:
     """(E, F, G, e, f, g) from a 2-jet of patch, the second form oriented
     by patch.orientation_sign.
 
@@ -395,9 +388,7 @@ def forms_from_jet(
     return E, F, G, e, f, g
 
 
-def gaussian_curvature(
-    patch: SurfacePatch, u: float, v: float, mode: Optional[str] = None
-) -> float:
+def gaussian_curvature(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -> float:
     """K = (e*g - f^2) / (E*G - F^2)."""
     jet = eval_jet(patch, u, v, mode)
     return curvature_from_jet(jet, patch)
@@ -446,14 +437,14 @@ def surface_of_revolution(
     x: Callable[[float], float],
     z: Callable[[float], float],
     *,
-    dx: Optional[Callable[[float], float]] = None,
-    d2x: Optional[Callable[[float], float]] = None,
-    dz: Optional[Callable[[float], float]] = None,
-    d2z: Optional[Callable[[float], float]] = None,
+    dx: Callable[[float], float] | None = None,
+    d2x: Callable[[float], float] | None = None,
+    dz: Callable[[float], float] | None = None,
+    d2z: Callable[[float], float] | None = None,
     v_domain,
     u_domain=Interval(-math.inf, math.inf),
     orientation_sign: int = 1,
-    known_K: Optional[float] = None,
+    known_K: float | None = None,
     name: str = "revolution",
 ) -> SurfacePatch:
     """Surface of revolution (x(v) cos u, x(v) sin u, z(v)).
@@ -467,10 +458,6 @@ def surface_of_revolution(
     missing = [name for name, fn in zip(names, fns) if fn is None]
     if 0 < len(missing) < 4:
         raise BadParameter(f"pass all four profile derivatives or none: no {', '.join(missing)}")
-    if not isinstance(v_domain, Interval):
-        v_domain = Interval(*v_domain)
-    if not isinstance(u_domain, Interval):
-        u_domain = Interval(*u_domain)
 
     jet = None
     if not missing:
@@ -493,7 +480,7 @@ def surface_of_revolution(
 
     return SurfacePatch(
         eval=partial(_revolution_position, x, z),
-        domain=Rect(u=u_domain, v=v_domain),
+        domain=Rect(Interval(*u_domain), Interval(*v_domain)),  # an Interval or a (lo, hi)
         orientation_sign=orientation_sign,
         jet=jet,
         known_K=known_K,

@@ -9,7 +9,7 @@ viewBox is the drawing's bounding box plus a 5% margin.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
 from . import curves as cv
 from .closed_form import _linspace
@@ -19,7 +19,7 @@ from .vec import Vec3
 
 _TARGET = 600.0
 
-Point = Tuple[float, float]
+Point = tuple[float, float]
 
 
 def _fmt(v: float) -> str:
@@ -31,9 +31,9 @@ class Canvas:
     """Deferred-layout SVG canvas in data coordinates (y up)."""
 
     def __init__(self) -> None:
-        self._polylines: List[Tuple[List[Point], str, float]] = []
-        self._texts: List[Tuple[float, float, str, int, str, str]] = []
-        self._circles: List[Tuple[float, float, float, str]] = []
+        self._polylines: list[tuple[list[Point], str, float]] = []
+        self._texts: list[tuple[float, float, str, int, str, str]] = []
+        self._circles: list[tuple[float, float, float, str]] = []
 
     def polyline(self, pts: Sequence[Point], stroke: str = "#333333", width: float = 1.3) -> None:
         if len(pts) >= 2:
@@ -56,8 +56,8 @@ class Canvas:
         self._texts.append((pos[0], pos[1], s, size, anchor, fill))
 
     def render(self) -> str:
-        xs: List[float] = []
-        ys: List[float] = []
+        xs: list[float] = []
+        ys: list[float] = []
         for pts, *_ in self._polylines:
             xs.extend(p[0] for p in pts)
             ys.extend(p[1] for p in pts)
@@ -131,7 +131,7 @@ def _wireframe(canvas: Canvas, patch, us, vs, proj, stroke="#bbbbbb") -> None:
         canvas.polyline(pts, stroke=stroke, width=0.8)
 
 
-def _curve_points(curve, t0: float, t1: float, n: int, proj) -> List[Point]:
+def _curve_points(curve, t0: float, t1: float, n: int, proj) -> list[Point]:
     return [proj(curve.point(t)) for t in _linspace(t0, t1, n)]
 
 
@@ -182,7 +182,7 @@ def figure_pseudosphere_loxodrome() -> str:
     return canvas.render()
 
 
-def _iso_radius(K: float, level: float) -> Optional[float]:
+def _iso_radius(K: float, level: float) -> float | None:
     """Radius where the circle curvature c(K, r) equals `level` > 0, or None.
 
     c is inverted in closed form: atan(sqrt(K)/L)/sqrt(K), 1/L, or
@@ -224,8 +224,8 @@ def figure_k_surface() -> str:
     palette = ("#1f77b4", "#2ca02c", "#ff7f0e", "#d62728", "#9467bd")
     levels = (0.8, 1.2, 2.0, 3.0, 4.5)
     for level, color in zip(levels, palette):
-        pts: List[Point] = []
-        segments: List[List[Point]] = []
+        pts: list[Point] = []
+        segments: list[list[Point]] = []
         for K in _linspace(k_lo, k_hi, 161):
             r = _iso_radius(K, level)
             if r is None or r > r_cap:
@@ -244,7 +244,7 @@ def figure_k_surface() -> str:
     return canvas.render()
 
 
-FIGURES: Dict[str, Callable[[], str]] = {
+FIGURES: dict[str, Callable[[], str]] = {
     "spiral": figure_spiral,
     "pseudosphere": figure_pseudosphere,
     "sphere-loxodrome": figure_sphere_loxodrome,

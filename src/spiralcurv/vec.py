@@ -4,11 +4,17 @@ it shares with the package's other tuple-backed records.
 Record is the behaviour of a frozen dataclass on a tuple subclass: an
 instance equals only another instance of the same class with equal items
 (never a plain tuple), it is hashed as the tuple of its items, and it is
-not ordered.  Vec3, surfaces.Jet2, verify.Observation and
-closed_form.CurvatureProfile build on it; the last three take their
-fields, repr, _replace and _asdict from a namedtuple base.  The module
-imports only math and operator, so the closed-form path of the CLI
-loads it without dataclasses, inspect or typing.
+not ordered.  Vec3 is defined on it here; every other public record is
+class X(Record, namedtuple("_X", ...)), whose base brings its fields,
+defaults, repr, _replace and _asdict: surfaces.Jet2, Interval, Rect and
+FormCoefficients, closed_form.CurvatureProfile, curves.CurveSample,
+liouville.LiouvilleBreakdown, polar.PolarMetric and PolarTracePoint, and
+verify.Observation and VerificationReport.  The two public types that
+check a sign when built, surfaces.SurfacePatch and curves.ChartCurve,
+stay frozen dataclasses: dataclasses.replace runs that check, where a
+namedtuple's _replace would skip it.  The module imports only math and
+operator, so the closed-form path of the CLI loads it without
+dataclasses, inspect or typing.
 
 A Vec3 is an immutable tuple of three floats with named components
 p.x, p.y, p.z.  The geometry core works on plain float triples; a Vec3
@@ -20,8 +26,7 @@ tests' reference routes use.
 As a tuple, len, indexing, iteration and unpacking work; a plain
 tuple + a Vec3 concatenates, while a Vec3 + a plain tuple adds
 componentwise; json and numpy read it as three floats; and it names its
-components in _fields, as a namedtuple does, so dataclasses.asdict and
-astuple of a dataclass that holds one (a CurveSample) keep it as a Vec3.
+components in _fields, as a namedtuple does.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Each check produces a VerificationReport: a named list of observations
 (input, expected, actual, error) plus one tolerance; the report passes
 exactly when every observation error is at most the tolerance.  Reports are
 deterministic — identical inputs produce identical observation lists — and
-serialize to a line-oriented text form and to JSON.  An Observation is a
-tuple, like surfaces.Jet2, with a frozen dataclass's value behaviour
-(vec.Record); its _asdict is the dict that dataclasses.asdict gave.
+serialize to a line-oriented text form and to JSON; only the JSON form
+imports json.  An Observation and a VerificationReport are tuples, like
+surfaces.Jet2, with a frozen dataclass's value behaviour (vec.Record); a
+suite renames a report with _replace(check_name=...).
 
 The checks fall into two groups: structural properties of the closed-form
 curvature (limit behaviour near K = 0, monotonicity and sign pattern in K,
@@ -19,12 +20,10 @@ one tolerance, which holds in both modes.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
 
 from . import closed_form as cf
 from . import curves as cv
@@ -65,11 +64,13 @@ class Observation(Record, namedtuple("_Observation", "input expected actual erro
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check_name: str
-    observations: List[Observation]
-    tolerance: float
+class VerificationReport(
+    Record, namedtuple("_VerificationReport", "check_name observations tolerance")
+):
+    """A named list of observations and the one tolerance that bounds
+    their errors."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -81,10 +82,7 @@ class VerificationReport:
             "check_name": self.check_name,
             "passed": self.passed,
             "tolerance": self.tolerance,
-            "observations": [
-                {"input": o.input, "expected": o.expected, "actual": o.actual, "error": o.error}
-                for o in self.observations
-            ],
+            "observations": [o._asdict() for o in self.observations],
         }
 
     def to_text_line(self) -> str:
@@ -101,6 +99,8 @@ def reports_to_text(reports: Sequence[VerificationReport]) -> str:
 
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
+    import json  # here, so that the text format never loads it
+
     return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
 
 
@@ -235,16 +235,17 @@ def verify_numeric_vs_closed_form(
     R: float,
     theta: float,
     sample_count: int = 50,
-    mode: Optional[str] = None,
+    mode: str | None = None,
 ) -> VerificationReport:
     """Numeric geodesic curvature of a constant-angle curve against the
     closed-form prediction, at sample_count parameter values.
 
     surface is "plane", "sphere" or "pseudosphere"; on each, theta in
     (0, pi) is the spiral's angle to the parallels (curves._spiral_on).
-    BadParameter for a theta outside (0, pi) or an unknown surface."""
-    if sample_count < 2:
-        raise BadParameter("sample_count must be at least 2")
+    BadParameter for a sample_count that is not an int >= 2, a theta
+    outside (0, pi) or an unknown surface."""
+    if not isinstance(sample_count, int) or sample_count < 2:
+        raise BadParameter(f"sample_count={sample_count!r} must be an int >= 2")
     try:
         curve, _ = cv._spiral_on(surface, R, theta)
     except DomainError as exc:
@@ -274,7 +275,7 @@ def verify_numeric_vs_closed_form(
 # suites
 
 
-def _patches() -> List[Tuple[SurfacePatch, List[float], List[float]]]:
+def _patches() -> list[tuple[SurfacePatch, list[float], list[float]]]:
     """The battery's patches, each with its (u, v) grid."""
     us = _linspace(0.0, 6.0, 20)
     out = [(plane_patch(), us, _linspace(0.2, 3.0, 20))]
@@ -284,7 +285,7 @@ def _patches() -> List[Tuple[SurfacePatch, List[float], List[float]]]:
     return out
 
 
-def suite_forms(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
+def suite_forms(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
     """One pass per patch: the curvature at every grid point, and at every
     4th point in u and in v its orientation flip, the regularity of the
     first form and the analytic-vs-FD jet agreement.  Each grid point
@@ -330,7 +331,7 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     return reports
 
 
-def _angle_families() -> List[Tuple[cv.ChartCurve, float, List[float]]]:
+def _angle_families() -> list[tuple[cv.ChartCurve, float, list[float]]]:
     fams = []
     for a in (0.5, 2.0, -1.0):
         fams.append((cv.plane_log_spiral(a), math.atan(a), _linspace(-1.0, 2.0, 50)))
@@ -345,7 +346,7 @@ def _angle_families() -> List[Tuple[cv.ChartCurve, float, List[float]]]:
     return fams
 
 
-def suite_curves(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
+def suite_curves(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
     reports = []
     families = _angle_families()
 
@@ -386,7 +387,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     ):
         rep = verify_numeric_vs_closed_form(*args, sample_count=50, mode=mode)
         name = f"{rep.check_name}.R={args[1]:g}.theta={args[2]:.3f}"
-        reports.append(dataclasses.replace(rep, check_name=name))
+        reports.append(rep._replace(check_name=name))
 
     obs = []
     spiral = cv.plane_log_spiral(1.0)
@@ -417,7 +418,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     return reports
 
 
-def suite_liouville(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
+def suite_liouville(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
     reports = []
 
     families = [
@@ -452,23 +453,19 @@ def suite_liouville(mode: str = JET_MODE_ANALYTIC) -> List[VerificationReport]:
     return reports
 
 
-def _jacobi_grid(K: float) -> List[float]:
+def _jacobi_grid(K: float) -> list[float]:
     if K > 0.0:
         return _linspace(0.03, 0.97 * math.pi / math.sqrt(K), 100)
     return _linspace(0.05, 2.0, 100)
 
 
-def suite_analysis() -> List[VerificationReport]:
+def suite_analysis() -> list[VerificationReport]:
     reports = []
 
     rs_coarse = [10.0 ** (-e) for e in (1.0, 1.5, 2.0, 2.5, 3.0)]
     reports.append(verify_ratio_limit(4.0, -4.0, math.pi / 4.0, rs_coarse))
-    reports.append(
-        dataclasses.replace(
-            verify_ratio_limit(1.0, 0.0, math.pi / 3.0, rs_coarse),
-            check_name="analysis.ratio_limit.vs_flat",
-        )
-    )
+    rep = verify_ratio_limit(1.0, 0.0, math.pi / 3.0, rs_coarse)
+    reports.append(rep._replace(check_name="analysis.ratio_limit.vs_flat"))
 
     # least-squares slope of log|ratio - 1| against log r, r from 1e-1 to 1e-4
     xs, ys = [], []
@@ -495,14 +492,12 @@ def suite_analysis() -> List[VerificationReport]:
         for theta in (math.pi / 6.0, math.pi / 3.0, 3.0 * math.pi / 4.0):
             rep = verify_derivative_at_zero(r, theta)
             name = f"analysis.derivative_at_zero.r={r:g}.theta={theta:.3f}"
-            reports.append(dataclasses.replace(rep, check_name=name))
+            reports.append(rep._replace(check_name=name))
 
     for r in (0.25, 1.0, 4.0):
         t_max = (math.pi / r - 1e-3) ** 2
         rep = verify_monotone_in_K(r, _linspace(-25.0, t_max, 1000))
-        reports.append(
-            dataclasses.replace(rep, check_name=f"analysis.monotonicity.r={r:g}")
-        )
+        reports.append(rep._replace(check_name=f"analysis.monotonicity.r={r:g}"))
 
     obs = []
     for r in (0.25, 1.0, 4.0):
@@ -514,9 +509,7 @@ def suite_analysis() -> List[VerificationReport]:
     thetas = (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0)
     for K in (-4.0, 0.0, 4.0):
         rep = verify_sign_pattern(K, thetas, 1e-2)
-        reports.append(
-            dataclasses.replace(rep, check_name=f"analysis.sign_pattern.K={K:g}")
-        )
+        reports.append(rep._replace(check_name=f"analysis.sign_pattern.K={K:g}"))
 
     obs = []
     theta = math.pi / 3.0
@@ -596,7 +589,7 @@ def suite_analysis() -> List[VerificationReport]:
 
 def run_suites(
     suite: str, mode: str = JET_MODE_ANALYTIC, tol_scale: float = 1.0
-) -> List[VerificationReport]:
+) -> list[VerificationReport]:
     """Run one named suite ("forms", "curves", "liouville", "analysis") or
     "all".  mode selects analytic or finite-difference jets for the
     geometry-dependent checks; each check has one tolerance, which holds
@@ -609,7 +602,7 @@ def run_suites(
         raise BadParameter(f"unknown jet mode {mode!r}")
     if not 0.0 < tol_scale < math.inf:
         raise BadParameter(f"tol_scale must be a positive finite number, got {tol_scale!r}")
-    reports: List[VerificationReport] = []
+    reports: list[VerificationReport] = []
     if suite in ("forms", "all"):
         reports.extend(suite_forms(mode))
     if suite in ("curves", "all"):
@@ -618,7 +611,4 @@ def run_suites(
         reports.extend(suite_liouville(mode))
     if suite in ("analysis", "all"):
         reports.extend(suite_analysis())
-    return [
-        VerificationReport(r.check_name, r.observations, r.tolerance * tol_scale)
-        for r in reports
-    ]
+    return [r._replace(tolerance=r.tolerance * tol_scale) for r in reports]

@@ -50,7 +50,7 @@ def fields(record):
         names = ("k", "theta") if record.r is None else ("k", "theta", "r")
         yield from ((record, name) for name in names)
     else:
-        yield from ((record, name) for name in type(record).__dataclass_fields__)
+        yield from ((record, name) for name in record._fields)
 
 
 def record_is_finite_or_geometry_error(fn, *args):

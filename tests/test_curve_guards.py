@@ -130,9 +130,7 @@ ENDS = [(curve, t) for curve in CURVES for t in curve.t_domain]
 def _finite(value):
     if isinstance(value, float):
         return math.isfinite(value)
-    if dataclasses.is_dataclass(value):
-        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
+    if isinstance(value, tuple):  # a Vec3, CurveSample or LiouvilleBreakdown too
         return all(_finite(c) for c in value)
     return value is None  # a CurveSample without a center distance
 

@@ -111,9 +111,12 @@ def test_every_subcommand_runs_with_numpy_and_scipy_blocked(tmp_path):
 
 
 def modules_after_main(argv, *flags: str) -> set:
-    """The modules a fresh interpreter holds after cli.main(argv) returns 0."""
+    """The modules a fresh interpreter holds after cli.main(argv) returns 0;
+    the checkout goes on sys.path by hand, as -I ignores PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(spiralcurv.__file__))
     out = run_fresh(
         "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
         "from spiralcurv.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
@@ -147,3 +150,20 @@ def test_csv_trace_off_the_polar_surface_loads_neither_svg_nor_polar(surface):
     )
     assert "spiralcurv.curves" in loaded
     assert not loaded & {"spiralcurv.svg", "spiralcurv.polar"}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["trace", "--surface", surface, "--theta", "1", "--r0", "0.5", "--r1", "1.2",
+       "--samples", "5"] for surface in ("plane", "sphere", "pseudosphere", "polar")),
+    ["figure", "--name", "k-surface", "--out", "{tmp}"],
+    ["verify", "--suite", "all"],
+    ["verify", "--suite", "all", "--format", "report-json"],
+], ids=lambda argv: " ".join(argv[:3]) + (" json" if "report-json" in argv else ""))
+def test_geometry_subcommands_load_no_typing_and_text_verify_no_json(argv, tmp_path):
+    # -I -S: no site and no environment, so only the program imports anything
+    argv = [a.replace("{tmp}", str(tmp_path / "figure.svg")) for a in argv]
+    loaded = modules_after_main(argv, "-I", "-S")
+    assert "spiralcurv.curves" in loaded
+    assert "typing" not in loaded
+    # the JSON report is the one that loads json, so the check can see it
+    assert ("json" in loaded) == ("report-json" in argv)

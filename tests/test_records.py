@@ -1,26 +1,36 @@
-"""Jet2, Observation and CurvatureProfile are tuples with a frozen
-dataclass's value behaviour: the fields in order, read-only, a repr by
-field, equal only to the same type, hashed as their fields, not ordered,
-and they survive pickle and copy.  The sequence behaviour of the tuple
-underneath is pinned too."""
+"""The package's value records are tuples with a frozen dataclass's value
+behaviour: the fields in order, read-only, a repr by field, equal only to
+the same type, hashed as their fields, not ordered, and they survive
+pickle and copy.  The sequence behaviour of the tuple underneath is
+pinned too.  Eight of them were frozen dataclasses; each keeps the repr
+the dataclass printed.  The two public types that stay dataclasses check
+a sign when built, which a namedtuple's _replace would skip."""
 
 import collections
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
 
+import spiralcurv
 from spiralcurv.closed_form import METHOD_SERIES, CurvatureProfile
+from spiralcurv.curves import CurveSample
+from spiralcurv.liouville import LiouvilleBreakdown
+from spiralcurv.polar import PolarMetric, PolarTracePoint
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
+    FormCoefficients,
+    Interval,
     Jet2,
+    Rect,
     eval_jet,
     sphere_patch,
 )
 from spiralcurv.vec import Record, Vec3
-from spiralcurv.verify import Observation, suite_forms
+from spiralcurv.verify import Observation, VerificationReport, suite_forms
 
 # a jet's fields are plain float triples, as the built-in jets give them
 A, B, C = (1.0, 2.0, 3.0), (-0.5, 0.25, 0.0), (0.0, 0.0, 1.5)
@@ -36,8 +46,52 @@ RECORDS = {
                          ("series", "series")),
         ("axis", "samples", "theta", "fixed_value", "method", "sample_methods"),
     ),
+    "Interval": (Interval(0.0, 1.0, True), ("lo", "hi", "closed_lo", "closed_hi")),
+    "Rect": (Rect(Interval(-math.inf, math.inf), Interval(0.0, 1.0, True, True)), ("u", "v")),
+    "FormCoefficients": (FormCoefficients(1.0, 0.0, 0.25, -0.5, 0.0, 0.125),
+                         ("E", "F", "G", "e", "f", "g")),
+    "CurveSample": (CurveSample(0.5, Vec3(1.0, 2.0, 3.0), 0.25, 0.75),
+                    ("t", "position", "k", "theta", "r")),
+    "LiouvilleBreakdown": (
+        LiouvilleBreakdown(0.5, -0.25, 1.0, 0.125, 0.75, 0.75, 0.0),
+        ("k1", "k2", "theta", "dtheta_dt", "k_liouville", "k_direct", "residual"),
+    ),
+    # module-level functions, so that the metric pickles
+    "PolarMetric": (PolarMetric(1.0, math.sin, math.cos, math.pi),
+                    ("K", "sqrtG", "sqrtG_r", "r_limit")),
+    "PolarTracePoint": (PolarTracePoint(0.5, -1.25), ("r", "u")),
+    # a tuple of observations, so that the report hashes
+    "VerificationReport": (
+        VerificationReport(
+            "forms.regularity", (Observation(("plane", 0.0, 0.2), 0.0, 1.0, 0.0),), 0.0
+        ),
+        ("check_name", "observations", "tolerance"),
+    ),
 }
 NAMES = list(RECORDS)
+
+# the repr each of these printed as a frozen dataclass, before it was a Record
+DATACLASS_REPRS = {
+    "Interval": "Interval(lo=0.0, hi=1.0, closed_lo=True, closed_hi=False)",
+    "Rect": "Rect(u=Interval(lo=-inf, hi=inf, closed_lo=False, closed_hi=False), "
+            "v=Interval(lo=0.0, hi=1.0, closed_lo=True, closed_hi=True))",
+    "FormCoefficients": "FormCoefficients(E=1.0, F=0.0, G=0.25, e=-0.5, f=0.0, g=0.125)",
+    "CurveSample": "CurveSample(t=0.5, position=Vec3(x=1.0, y=2.0, z=3.0), k=0.25, "
+                   "theta=0.75, r=None)",
+    "LiouvilleBreakdown": "LiouvilleBreakdown(k1=0.5, k2=-0.25, theta=1.0, dtheta_dt=0.125, "
+                          "k_liouville=0.75, k_direct=0.75, residual=0.0)",
+    "PolarMetric": "PolarMetric(K=1.0, sqrtG=<built-in function sin>, "
+                   "sqrtG_r=<built-in function cos>, r_limit=3.141592653589793)",
+    "PolarTracePoint": "PolarTracePoint(r=0.5, u=-1.25)",
+    "VerificationReport": "VerificationReport(check_name='forms.regularity', "
+                          "observations=(Observation(input=('plane', 0.0, 0.2), expected=0.0, "
+                          "actual=1.0, error=0.0),), tolerance=0.0)",
+}
+
+# the public types that stay frozen dataclasses: each checks its sign in
+# __post_init__, which dataclasses.replace runs and a namedtuple's _replace
+# would not
+DATACLASSES = {"ChartCurve", "SurfacePatch"}
 
 
 def record(name):
@@ -67,6 +121,32 @@ def test_repr_names_every_field():
     )
     assert repr(record("Jet2")).startswith("Jet2(p=(1.0, 2.0, 3.0), p_u=(-0.5, ")
     assert repr(record("Jet2")).endswith(", p_vv=(0.0, 0.0, 1.5))")
+
+
+@pytest.mark.parametrize("name", list(DATACLASS_REPRS))
+def test_repr_is_the_one_the_dataclass_printed(name):
+    assert repr(record(name)) == DATACLASS_REPRS[name]
+
+
+def test_defaults_are_the_dataclass_defaults():
+    assert Interval(0.0, 1.0) == Interval(0.0, 1.0, False, False)
+    assert CurveSample(0.5, Vec3(1.0, 2.0, 3.0), 0.25, 0.75).r is None
+    assert Interval._field_defaults == {"closed_lo": False, "closed_hi": False}
+    assert CurveSample._field_defaults == {"r": None}
+
+
+def test_every_public_record_is_a_record_but_the_two_dataclasses():
+    classes = {
+        name: value for name in spiralcurv.__all__
+        if isinstance(value := getattr(spiralcurv, name), type)
+        and not issubclass(value, Exception)
+    }
+    assert set(RECORDS) | {"Vec3"} | DATACLASSES == set(classes)
+    for name, cls in classes.items():
+        if name in DATACLASSES:
+            assert dataclasses.is_dataclass(cls) and not issubclass(cls, tuple), name
+        else:
+            assert issubclass(cls, Record) and not dataclasses.is_dataclass(cls), name
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -212,6 +212,10 @@ class TestNumericVsClosedForm:
     def test_sample_count_validated(self):
         with pytest.raises(BadParameter):
             verify_numeric_vs_closed_form("plane", 1.0, PI / 4.0, sample_count=1)
+        # a non-int count was a bare TypeError from the grid
+        for count in (2.5, 50.0, "50", None):
+            with pytest.raises(BadParameter, match="must be an int >= 2"):
+                verify_numeric_vs_closed_form("plane", 1.0, PI / 4.0, sample_count=count)
 
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
     def test_obtuse_plane_spiral_passes(self, mode):
