@@ -6,8 +6,12 @@ battery), figure (regenerate a named SVG).
 
 Exit codes: 0 success, 1 inadmissible input ("domain error: ..." on
 stderr), 2 verification failure, 3 malformed flags or an unwritable
---out path.  All output is deterministic; floats are written in shortest
-round-trip form (17 significant digits suffice to re-read them exactly).
+--out path.  argparse owns every flag rule: --theta and --theta-deg are
+one exclusive group (required by trace, pi/4 elsewhere), --steps and
+--samples are ints of at least 2, and --terms is one of 2..6; each
+command reads only the parsed values.  All output is deterministic;
+floats are written in shortest round-trip form (17 significant digits
+suffice to re-read them exactly).
 """
 
 from __future__ import annotations
@@ -62,32 +66,32 @@ def _write_text(path: str | None, text: str) -> None:
         raise SystemExit(3) from None
 
 
-def _resolve_theta(args, parser: _Parser, default: float | None) -> float:
-    if getattr(args, "theta_deg", None) is not None:
-        if args.theta is not None:
-            parser.error("--theta and --theta-deg are mutually exclusive")
-        return math.radians(args.theta_deg)
-    if args.theta is not None:
-        return args.theta
-    if default is None:
-        parser.error("one of --theta or --theta-deg is required")
-    return default
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="spiralcurv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_theta(p):
-        p.add_argument("--theta", type=float, default=None, help="angle in radians")
-        p.add_argument("--theta-deg", type=float, default=None, help="angle in degrees")
+    # argparse names a type in its message for a value it cannot read:
+    # "invalid count value: 'x'"
+    def count(text: str) -> int:
+        if (n := int(text)) < 2:
+            raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+        return n
+
+    def degrees(text: str) -> float:
+        return math.radians(float(text))
+
+    def add_theta(p, default=None):
+        theta = p.add_mutually_exclusive_group(required=default is None)
+        theta.add_argument("--theta", type=float, default=default, help="angle in radians")
+        theta.add_argument("--theta-deg", dest="theta", type=degrees, metavar="THETA_DEG",
+                           help="angle in degrees")
 
     p = sub.add_parser("curvature", help="evaluate the spiral curvature at one point")
     p.add_argument("--K", type=float, default=0.0, help="ambient Gaussian curvature")
     p.add_argument("--r", type=float, default=1.0, help="geodesic radius")
-    add_theta(p)
+    add_theta(p, default=math.pi / 4.0)
     p.add_argument("--series", action="store_true", help="force the series branch")
-    p.add_argument("--terms", type=int, default=4, help="series term count (2..6)")
+    p.add_argument("--terms", type=int, choices=range(2, 7), default=4, help="series term count")
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("profile", help="sweep curvature along r or K to CSV")
@@ -95,8 +99,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fixed", type=float, required=True, help="value of the non-swept variable")
     p.add_argument("--min", dest="x_min", type=float, required=True)
     p.add_argument("--max", dest="x_max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    add_theta(p)
+    p.add_argument("--steps", type=count, required=True)
+    add_theta(p, default=math.pi / 4.0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_profile)
 
@@ -110,7 +114,7 @@ def build_parser() -> _Parser:
     radius = "geodesic distance from the pole (tractroid colatitude v for pseudosphere)"
     p.add_argument("--r0", type=float, required=True, help=f"first sample: {radius}")
     p.add_argument("--r1", type=float, required=True, help=f"last sample: {radius}")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=count, required=True)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--jets", choices=tuple(_JETS), default="analytic")
     p.add_argument("--out", default=None)
@@ -141,25 +145,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def cmd_curvature(args, parser: _Parser) -> int:
+def cmd_curvature(args) -> int:
     from . import closed_form as cf
 
-    theta = _resolve_theta(args, parser, default=math.pi / 4.0)
     if args.series:
-        k = cf.spiral_curvature_series(args.K, args.r, theta, args.terms)
+        k = cf.spiral_curvature_series(args.K, args.r, args.theta, args.terms)
     else:
-        k = cf.spiral_curvature(args.K, args.r, theta)
+        k = cf.spiral_curvature(args.K, args.r, args.theta)
     print(f"{k:.17g}")
     return 0
 
 
-def cmd_profile(args, parser: _Parser) -> int:
+def cmd_profile(args) -> int:
     from . import closed_form as cf
 
-    if args.steps < 2:
-        parser.error("--steps must be at least 2")
-    theta = _resolve_theta(args, parser, default=math.pi / 4.0)
-    prof = cf.profile(args.axis, args.fixed, args.x_min, args.x_max, args.steps, theta)
+    prof = cf.profile(args.axis, args.fixed, args.x_min, args.x_max, args.steps, args.theta)
     lines = ["x,k,method"]
     for (x, k), method in zip(prof.samples, prof.sample_methods):
         lines.append(f"{_fmt(x)},{_fmt(k)},{method}")
@@ -167,24 +167,21 @@ def cmd_profile(args, parser: _Parser) -> int:
     return 0
 
 
-def _build_trace_curve(args, theta: float):
+def _build_trace_curve(args):
     if args.surface == "polar":
         from .polar import _embedded_spiral
-        return _embedded_spiral(args.K, theta, args.r0, args.r1), args.r0, args.r1
+        return _embedded_spiral(args.K, args.theta, args.r0, args.r1), args.r0, args.r1
     from .curves import _spiral_on
-    curve, t_at = _spiral_on(args.surface, args.R, theta)
+    curve, t_at = _spiral_on(args.surface, args.R, args.theta)
     return curve, t_at(args.r0), t_at(args.r1)
 
 
-def cmd_trace(args, parser: _Parser) -> int:
+def cmd_trace(args) -> int:
     from . import curves as cv
     from .closed_form import _linspace
 
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
-    theta = _resolve_theta(args, parser, default=None)
     mode = _JETS[args.jets]
-    curve, t0, t1 = _build_trace_curve(args, theta)
+    curve, t0, t1 = _build_trace_curve(args)
 
     rows = []
     positions = []
@@ -205,7 +202,7 @@ def cmd_trace(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser: _Parser) -> int:
+def cmd_verify(args) -> int:
     from . import verify as vf
 
     reports = vf.run_suites(args.suite, _JETS[args.jets])
@@ -216,7 +213,7 @@ def cmd_verify(args, parser: _Parser) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
-def cmd_figure(args, parser: _Parser) -> int:
+def cmd_figure(args) -> int:
     from . import svg
 
     _write_text(args.out, svg.render_figure(args.name))
@@ -230,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except GeometryError as exc:

@@ -227,11 +227,12 @@ def _polar_curve(patch: SurfacePatch, K: float, cot: float, r0: float, u0: float
 def _embedded_spiral(K: float, theta: float, r_lo: float, r_hi: float) -> ChartCurve:
     """The intrinsic spiral at angle theta through (min(r_lo, r_hi), 0) on
     the model surface of K, built from K and theta as given; t = r.
-    DomainError for theta, then K < 0, then as spiral_chart_trace raises."""
+    DomainError for theta, then K < 0, then as spiral_chart_trace (a K
+    that is not finite among them) and then the model patch of K raise."""
     _require_angle(theta)
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
-    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
     lo, hi = sorted((r_lo, r_hi))
     spiral_chart_trace(K, theta, lo, 0.0, hi)
+    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
     return _polar_curve(patch, K, math.cos(theta) / math.sin(theta), lo, 0.0)

@@ -4,16 +4,16 @@ it shares with the package's other tuple-backed records.
 Record is the behaviour of a frozen dataclass on a tuple subclass: an
 instance equals only another instance of the same class with equal items
 (never a plain tuple), it is hashed as the tuple of its items, and it is
-not ordered.  Vec3 is defined on it here; every other public record is
-class X(Record, namedtuple("_X", ...)), whose base brings its fields,
-defaults, repr, _replace and _asdict: surfaces.Jet2, Interval, Rect and
+not ordered.  Every public record is class X(Record, namedtuple("_X",
+...)), whose base brings its fields, defaults, repr, pickling, _make,
+_replace and _asdict: Vec3 here, surfaces.Jet2, Interval, Rect and
 FormCoefficients, closed_form.CurvatureProfile, curves.CurveSample,
 liouville.LiouvilleBreakdown, polar.PolarMetric and PolarTracePoint, and
 verify.Observation and VerificationReport.  The two public types that
 check a sign when built, surfaces.SurfacePatch and curves.ChartCurve,
 stay frozen dataclasses: dataclasses.replace runs that check, where a
 namedtuple's _replace would skip it.  The module imports only math and
-operator, so the closed-form path of the CLI loads it without
+collections, so the closed-form path of the CLI loads it without
 dataclasses, inspect or typing.
 
 A Vec3 is an immutable tuple of three floats with named components
@@ -25,14 +25,13 @@ tests' reference routes use.
 
 As a tuple, len, indexing, iteration and unpacking work; a plain
 tuple + a Vec3 concatenates, while a Vec3 + a plain tuple adds
-componentwise; json and numpy read it as three floats; and it names its
-components in _fields, as a namedtuple does.
+componentwise; and json and numpy read it as three floats.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from collections import namedtuple
 
 _new = tuple.__new__
 
@@ -61,22 +60,8 @@ class Record(tuple):
     del _unordered
 
 
-class Vec3(Record):
+class Vec3(Record, namedtuple("_Vec3", "x y z")):
     __slots__ = ()
-    _fields = ("x", "y", "z")
-
-    def __new__(cls, x: float, y: float, z: float) -> "Vec3":
-        return _new(cls, (x, y, z))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    x = property(itemgetter(0), doc="first component")
-    y = property(itemgetter(1), doc="second component")
-    z = property(itemgetter(2), doc="third component")
-
-    def __repr__(self) -> str:
-        return f"Vec3(x={self[0]!r}, y={self[1]!r}, z={self[2]!r})"
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return _new(Vec3, (self[0] + other[0], self[1] + other[1], self[2] + other[2]))

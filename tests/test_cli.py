@@ -438,10 +438,59 @@ class TestInputValidation:
         assert code == 1
         assert err.startswith("domain error:")
 
+    @pytest.mark.parametrize("K", ["nan", "inf"])
+    def test_polar_non_finite_K_is_named_as_given(self, capsys, K):
+        # the closed-form gate answers before the model sphere of radius
+        # 1/sqrt(K) is built, so the message names K, not a radius
+        code, out, err = run(capsys, "trace", "--surface", "polar", "--K", K, "--theta", "1",
+                             "--r0", "0.5", "--r1", "1.2", "--samples", "3")
+        assert (code, out) == (1, "")
+        assert err == f"domain error: K={K} must be finite\n"
+
     def test_tol_scale_is_not_an_option(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "analysis", "--tol-scale", "2")
         assert code == 3
         assert "unrecognized arguments: --tol-scale" in err
+
+
+class TestFlagRules:
+    # argparse owns every flag rule: a malformed value exits 3 with one
+    # line that names the flag, before any command runs
+    @pytest.mark.parametrize("terms", ["7", "1"])
+    def test_terms_out_of_range_exits_3(self, capsys, terms):
+        code, out, err = run(capsys, "curvature", "--series", "--terms", terms)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"spiralcurv curvature: error: argument --terms: invalid choice: {terms}")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["curvature", "--theta", "1", "--theta-deg", "30"],
+         "argument --theta-deg: not allowed with argument --theta"),
+        (["trace", "--surface", "plane", "--r0", "1", "--r1", "2", "--samples", "3"],
+         "one of the arguments --theta --theta-deg is required"),
+        (["curvature", "--theta-deg", "abc"], "argument --theta-deg: invalid degrees value: 'abc'"),
+        (["profile", "--axis", "r", "--fixed", "0", "--min", "0.5", "--max", "1", "--steps", "1"],
+         "argument --steps: must be at least 2, got 1"),
+        (["profile", "--axis", "r", "--fixed", "0", "--min", "0.5", "--max", "1", "--steps", "x"],
+         "argument --steps: invalid count value: 'x'"),
+        (["trace", "--surface", "plane", "--theta", "1", "--r0", "1", "--r1", "2", "--samples", "1"],
+         "argument --samples: must be at least 2, got 1"),
+        (["curvature", "--series", "--terms", "7"], "argument --terms: invalid choice: 7"),
+    ])
+    def test_message_names_the_flag_without_a_traceback(self, argv, message):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"spiralcurv {argv[0]}: error: {message}")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_theta_is_one_value_in_radians(self):
+        from spiralcurv.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["curvature", "--theta-deg", "60"])
+        assert args.theta == math.radians(60.0) and not hasattr(args, "theta_deg")
+        assert parser.parse_args(["profile", "--axis", "r", "--fixed", "0", "--min", "1",
+                                  "--max", "2", "--steps", "2"]).theta == PI / 4.0
 
 
 def test_parser_names_match_the_library():
