@@ -47,7 +47,6 @@ _EXPORTS = {
         "NotOrthogonal",
         "NumericalBreakdown",
         "OutOfDomain",
-        "PreconditionFailed",
         "Unsupported",
     ),
     "liouville": ("LiouvilleBreakdown", "liouville_breakdown"),
@@ -83,11 +82,6 @@ _EXPORTS = {
         "reports_to_json",
         "reports_to_text",
         "run_suites",
-        "verify_derivative_at_zero",
-        "verify_monotone_in_K",
-        "verify_numeric_vs_closed_form",
-        "verify_ratio_limit",
-        "verify_sign_pattern",
     ),
 }
 

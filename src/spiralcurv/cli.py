@@ -21,7 +21,7 @@ import math
 import re
 import sys
 
-from .errors import GeometryError
+from .errors import DomainError, GeometryError
 
 # Each subcommand imports the modules it uses when it runs, so that a call
 # loads only what it computes with (the package needs neither numpy nor
@@ -77,8 +77,16 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
         return n
 
+    # closed_form's angle gate, in a domain error that names the degrees
     def degrees(text: str) -> float:
-        return math.radians(float(text))
+        from .closed_form import _require_angle
+
+        theta = math.radians(float(text))
+        try:
+            _require_angle(theta)
+        except DomainError:
+            raise DomainError(f"theta-deg={text} outside (0, 180)") from None
+        return theta
 
     def add_theta(p, default=None):
         theta = p.add_mutually_exclusive_group(required=default is None)
@@ -221,12 +229,8 @@ def cmd_figure(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

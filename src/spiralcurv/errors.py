@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a GeometryError, which
+the CLI prints after "domain error: " (exit 1).  A failed verification
+check raises none; its VerificationReport does not pass."""
 
 
 class GeometryError(Exception):
@@ -35,7 +37,3 @@ class NotOrthogonal(GeometryError):
 
 class Unsupported(GeometryError):
     """The requested combination is deliberately not implemented."""
-
-
-class PreconditionFailed(GeometryError):
-    """A verification routine was called outside the regime it certifies."""

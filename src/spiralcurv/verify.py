@@ -15,6 +15,10 @@ series/direct seam agreement, the radial metric ODE) and cross-validation
 of the numeric curve machinery against the closed forms.  The geometric
 checks run with analytic or with finite-difference jets; each check states
 one tolerance, which holds in both modes.
+
+Every check runs at inputs fixed here: _ratio_limit and its kin are steps
+of their suites and take their inputs unchecked.  The public surface is
+run_suites, the suite_* functions, the two records and the two writers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from . import closed_form as cf
 from . import curves as cv
 from . import polar as pl
 from .closed_form import _linspace
-from .errors import BadParameter, DomainError, PreconditionFailed
+from .errors import BadParameter
 from .liouville import liouville_breakdown
 from .numdiff import (
     STEP_FIRST_FINE,
@@ -86,7 +90,9 @@ class VerificationReport(
         }
 
     def to_text_line(self) -> str:
-        worst = max((o.error for o in self.observations), default=0.0)
+        # max skips a nan that is not the first error; a nan fails, so it shows
+        errors = [o.error for o in self.observations]
+        worst = math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status} {self.check_name}: {len(self.observations)} observations, "
@@ -105,75 +111,44 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# core checks
+# the battery's steps, each at the inputs that its suite passes
 
 
-def verify_ratio_limit(
-    K: float, K2: float, theta: float, r_sequence: Sequence[float]
-) -> VerificationReport:
+def _ratio_limit(K: float, K2: float, theta: float, rs: list[float]) -> VerificationReport:
     """Spiral curvatures at two different ambient curvatures become equal
     as r -> 0: the ratio tends to 1 like |K - K2| r^2 / 3.
 
     Each observation stores the ratio and its deviation from 1 divided by
     the envelope 1.5 * |K - K2| r^2 / 3, so the report's tolerance is the
-    dimensionless 1.0; errors shrink quadratically with r.  BadParameter
-    when the envelope at some r is not a positive finite float (it
-    underflows to 0 for a tiny r or |K - K2|).
+    dimensionless 1.0; errors shrink quadratically with r.
     """
-    rs = list(r_sequence)
-    if not rs or any(r <= 0.0 for r in rs):
-        raise BadParameter("r_sequence must be positive")
-    if any(b >= a for a, b in zip(rs, rs[1:])):
-        raise BadParameter("r_sequence must be strictly decreasing")
-    if K == K2:
-        raise BadParameter("the two curvatures must differ")
     obs = []
     for r in rs:
         envelope = abs(K - K2) * r * r / 3.0 * 1.5
-        if not 0.0 < envelope < math.inf:
-            raise BadParameter(
-                f"envelope 1.5*|K - K2|*r^2/3 = {envelope} at r={r} is not a positive finite float"
-            )
         ratio = cf.spiral_curvature(K, r, theta) / cf.spiral_curvature(K2, r, theta)
-        obs.append(
-            Observation(
-                input=(K, K2, theta, r),
-                expected=1.0,
-                actual=ratio,
-                error=abs(ratio - 1.0) / envelope,
-            )
-        )
+        obs.append(Observation((K, K2, theta, r), 1.0, ratio, abs(ratio - 1.0) / envelope))
     return VerificationReport("analysis.ratio_limit", obs, 1.0)
 
 
-def verify_derivative_at_zero(r: float, theta: float) -> VerificationReport:
+def _derivative_at_zero(r: float, theta: float) -> VerificationReport:
     """The K-derivative of the spiral curvature at K = 0 is -(r/3)cos(theta).
 
     Measured by richardson_first in K about 0, at the step that fit_steps
     sizes from STEP_FIRST_FINE (about 7.4e-4); the estimate must agree
-    with the closed form to 1e-8 relative (1e-12 absolute when
-    cos(theta) ~ 0).
+    with the closed form to 1e-8 relative.
     """
     (h,) = fit_steps(0.0, -math.inf, math.inf, STEP_FIRST_FINE)
     estimate, _ = richardson_first(lambda K: cf.spiral_curvature(K, r, theta), 0.0, h)
     target = -(r / 3.0) * math.cos(theta)
-    if abs(math.cos(theta)) < 1e-12:
-        error = abs(estimate)
-        tol = 1e-12
-    else:
-        error = abs(estimate - target) / abs(target)
-        tol = 1e-8
-    obs = [Observation(input=(r, theta), expected=target, actual=estimate, error=error)]
-    return VerificationReport("analysis.derivative_at_zero", obs, tol)
+    error = abs(estimate - target) / abs(target)
+    obs = [Observation((r, theta), target, estimate, error)]
+    return VerificationReport(f"analysis.derivative_at_zero.r={r:g}.theta={theta:.3f}", obs, 1e-8)
 
 
-def verify_monotone_in_K(r: float, t_grid: Sequence[float]) -> VerificationReport:
+def _monotone_in_K(r: float, ts: list[float]) -> VerificationReport:
     """The circle curvature is strictly decreasing in the ambient
-    curvature: its K-derivative is negative at every grid point and the
-    values themselves decrease along the grid."""
-    ts = list(t_grid)
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise BadParameter("t_grid must be strictly increasing")
+    curvature: its K-derivative is negative at every point of the
+    increasing grid ts and the values themselves decrease along it."""
     obs, prev = [], None
     for t in ts:
         cf._require_admissible(t, r)
@@ -186,78 +161,43 @@ def verify_monotone_in_K(r: float, t_grid: Sequence[float]) -> VerificationRepor
             error = 0.0 if step < 0.0 else max(abs(step), 5e-324)
             obs.append(_new(Observation, ((prev[0], t, r), 0.0, step, error)))
         prev = (t, val)
-    return VerificationReport("analysis.monotonicity", obs, 0.0)
+    return VerificationReport(f"analysis.monotonicity.r={r:g}", obs, 0.0)
 
 
-def verify_sign_pattern(
-    K: float, theta_grid: Sequence[float], r: float
-) -> VerificationReport:
-    """Sign pattern of the spiral curvature and of d|k|/dK.
-
-    Requires the circle curvature at (K, r) to be positive (r inside the
-    first zero), else PreconditionFailed.  For theta away from pi/2 the
+def _sign_pattern(K: float, thetas: tuple[float, ...], r: float) -> VerificationReport:
+    """Sign pattern of the spiral curvature and of d|k|/dK, at an r inside
+    the first zero of the circle curvature.  For theta away from pi/2 the
     curvature has the sign of cos(theta) and |k| is strictly decreasing
     in K; at theta = pi/2 both quantities vanish to within 1e-12.
     """
-    if cf.geodesic_circle_curvature(K, r) <= 0.0:
-        raise PreconditionFailed(
-            f"circle curvature not positive at K={K}, r={r}; "
-            f"first zero at r={cf.first_positive_circle_zero(K)}"
-        )
     obs = []
-    for theta in theta_grid:
+    for theta in thetas:
         k = cf.spiral_curvature(K, r, theta)
         d = cf.spiral_curvature_abs_dK(K, r, theta)
-        c = math.cos(theta)
         if abs(theta - math.pi / 2.0) < 1e-9:
-            obs.append(Observation((K, r, theta, "k"), 0.0, k, abs(k)))
-            obs.append(Observation((K, r, theta, "d|k|/dK"), 0.0, d, abs(d)))
+            k_error, d_error = abs(k), abs(d)
         else:
-            sign_ok = (k > 0.0) if c > 0.0 else (k < 0.0)
-            obs.append(
-                Observation(
-                    (K, r, theta, "k"), 0.0, k, 0.0 if sign_ok else 1.0 + abs(k)
-                )
-            )
-            obs.append(
-                Observation(
-                    (K, r, theta, "d|k|/dK"),
-                    0.0,
-                    d,
-                    0.0 if d < 0.0 else 1.0 + abs(d),
-                )
-            )
-    return VerificationReport("analysis.sign_pattern", obs, 1e-12)
+            sign_ok = (k > 0.0) if math.cos(theta) > 0.0 else (k < 0.0)
+            k_error = 0.0 if sign_ok else 1.0 + abs(k)
+            d_error = 0.0 if d < 0.0 else 1.0 + abs(d)
+        obs.append(Observation((K, r, theta, "k"), 0.0, k, k_error))
+        obs.append(Observation((K, r, theta, "d|k|/dK"), 0.0, d, d_error))
+    return VerificationReport(f"analysis.sign_pattern.K={K:g}", obs, 1e-12)
 
 
-def verify_numeric_vs_closed_form(
-    surface: str,
-    R: float,
-    theta: float,
-    sample_count: int = 50,
-    mode: str | None = None,
-) -> VerificationReport:
-    """Numeric geodesic curvature of a constant-angle curve against the
-    closed-form prediction, at sample_count parameter values.
-
-    surface is "plane", "sphere" or "pseudosphere"; on each, theta in
-    (0, pi) is the spiral's angle to the parallels (curves._spiral_on).
-    BadParameter for a sample_count that is not an int >= 2, a theta
-    outside (0, pi) or an unknown surface."""
-    if not isinstance(sample_count, int) or sample_count < 2:
-        raise BadParameter(f"sample_count={sample_count!r} must be an int >= 2")
-    try:
-        curve, _ = cv._spiral_on(surface, R, theta)
-    except DomainError as exc:
-        raise BadParameter(str(exc)) from None
+def _numeric_vs_closed_form(surface: str, R: float, theta: float, mode: str) -> VerificationReport:
+    """Numeric geodesic curvature of the spiral at angle theta on the
+    surface of radius R (curves._spiral_on) against the closed-form
+    prediction, at 50 parameter values."""
+    curve, _ = cv._spiral_on(surface, R, theta)
     if surface == "plane":
-        ts = _linspace(0.0, 2.0, sample_count)
+        ts = _linspace(0.0, 2.0, 50)
     elif surface == "sphere":
-        ts = [(math.pi - x) / 2.0 for x in _linspace(0.4, 1.2, sample_count)]
+        ts = [(math.pi - x) / 2.0 for x in _linspace(0.4, 1.2, 50)]
     else:
         # no pole: the loxodrome crosses horocycles, whose curvature is
         # the r -> inf limit of the coth branch
-        ts = _linspace(0.35, 1.35, sample_count)
+        ts = _linspace(0.35, 1.35, 50)
     obs = []
     for t in ts:
         if curve.center_distance is None:
@@ -268,7 +208,8 @@ def verify_numeric_vs_closed_form(
         actual = cv.geodesic_curvature_numeric(curve, t, mode)
         err = abs(actual - expected) / abs(expected)
         obs.append(Observation((surface, R, theta, t), expected, actual, err))
-    return VerificationReport(f"curves.numeric_vs_closed_form.{surface}", obs, 1e-5)
+    name = f"curves.numeric_vs_closed_form.{surface}.R={R:g}.theta={theta:.3f}"
+    return VerificationReport(name, obs, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +326,7 @@ def suite_curves(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
         ("pseudosphere", 1.0, math.pi / 3.0),
         ("pseudosphere", 0.5, 2.0 * math.pi / 3.0),
     ):
-        rep = verify_numeric_vs_closed_form(*args, sample_count=50, mode=mode)
-        name = f"{rep.check_name}.R={args[1]:g}.theta={args[2]:.3f}"
-        reports.append(rep._replace(check_name=name))
+        reports.append(_numeric_vs_closed_form(*args, mode))
 
     obs = []
     spiral = cv.plane_log_spiral(1.0)
@@ -463,8 +402,8 @@ def suite_analysis() -> list[VerificationReport]:
     reports = []
 
     rs_coarse = [10.0 ** (-e) for e in (1.0, 1.5, 2.0, 2.5, 3.0)]
-    reports.append(verify_ratio_limit(4.0, -4.0, math.pi / 4.0, rs_coarse))
-    rep = verify_ratio_limit(1.0, 0.0, math.pi / 3.0, rs_coarse)
+    reports.append(_ratio_limit(4.0, -4.0, math.pi / 4.0, rs_coarse))
+    rep = _ratio_limit(1.0, 0.0, math.pi / 3.0, rs_coarse)
     reports.append(rep._replace(check_name="analysis.ratio_limit.vs_flat"))
 
     # least-squares slope of log|ratio - 1| against log r, r from 1e-1 to 1e-4
@@ -491,14 +430,10 @@ def suite_analysis() -> list[VerificationReport]:
 
     for r in (0.5, 1.0, 3.0):
         for theta in (math.pi / 6.0, math.pi / 3.0, 3.0 * math.pi / 4.0):
-            rep = verify_derivative_at_zero(r, theta)
-            name = f"analysis.derivative_at_zero.r={r:g}.theta={theta:.3f}"
-            reports.append(rep._replace(check_name=name))
+            reports.append(_derivative_at_zero(r, theta))
 
     for r in (0.25, 1.0, 4.0):
-        t_max = (math.pi / r - 1e-3) ** 2
-        rep = verify_monotone_in_K(r, _linspace(-25.0, t_max, 1000))
-        reports.append(rep._replace(check_name=f"analysis.monotonicity.r={r:g}"))
+        reports.append(_monotone_in_K(r, _linspace(-25.0, (math.pi / r - 1e-3) ** 2, 1000)))
 
     obs = []
     for r in (0.25, 1.0, 4.0):
@@ -509,8 +444,7 @@ def suite_analysis() -> list[VerificationReport]:
 
     thetas = (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0)
     for K in (-4.0, 0.0, 4.0):
-        rep = verify_sign_pattern(K, thetas, 1e-2)
-        reports.append(rep._replace(check_name=f"analysis.sign_pattern.K={K:g}"))
+        reports.append(_sign_pattern(K, thetas, 1e-2))
 
     obs = []
     theta = math.pi / 3.0

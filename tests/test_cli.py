@@ -365,6 +365,25 @@ class TestInputValidation:
         assert err.startswith("domain error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,given", [
+        (["curvature", "--theta-deg", "-30"], "-30"),
+        (["profile", "--axis", "r", "--fixed", "1", "--min", "0.5", "--max", "1", "--steps", "3",
+          "--theta-deg", "200"], "200"),
+        (["trace", "--surface", "plane", "--theta-deg", "0", "--r0", "1", "--r1", "2",
+          "--samples", "2"], "0"),
+        (["trace", "--surface", "polar", "--theta-deg", "180", "--r0", "1", "--r1", "2",
+          "--samples", "2"], "180"),
+    ])
+    def test_an_angle_in_degrees_is_named_in_degrees(self, capsys, argv, given):
+        # the message named the radians, theta=-0.5235987755982988 for -30
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"domain error: theta-deg={given} outside (0, 180)\n"
+
+    def test_an_angle_in_radians_is_named_in_radians(self, capsys):
+        code, _, err = run(capsys, "curvature", "--theta", "-0.5")
+        assert (code, err) == (1, "domain error: theta=-0.5 outside (0, pi)\n")
+
     @pytest.mark.parametrize("jets", ["analytic", "fd"])
     @pytest.mark.parametrize("degrees", ["90", "89.9999"])
     def test_trace_at_a_steep_angle_measures_the_closed_form(self, capsys, degrees, jets):

@@ -13,6 +13,7 @@ from spiralcurv.curves import (
     MERIDIAN,
     PARALLEL,
     ChartCurve,
+    _spiral_on,
     angle_to_parallel,
     arc_length,
     coordinate_curve,
@@ -23,7 +24,13 @@ from spiralcurv.curves import (
     speed,
     sphere_loxodrome,
 )
-from spiralcurv.errors import BadParameter, GeometryError, NumericalBreakdown, OutOfDomain
+from spiralcurv.errors import (
+    BadParameter,
+    DomainError,
+    GeometryError,
+    NumericalBreakdown,
+    OutOfDomain,
+)
 from spiralcurv.liouville import liouville_breakdown
 from spiralcurv.polar import _embedded_spiral
 from spiralcurv.surfaces import (
@@ -213,3 +220,24 @@ def test_a_bad_direction_sign_is_refused_when_built(sign):
         dataclasses.replace(lox, direction_sign=sign)
     with pytest.raises(BadParameter, match=match):
         ChartCurve(patch=lox.patch, trace=lox.trace, t_domain=lox.t_domain, direction_sign=sign)
+
+
+@pytest.mark.parametrize(
+    "surface,R,theta",
+    [
+        ("sphere", 1.0, 0.0),  # cos(theta) / sin(theta) divides by zero
+        ("sphere", 1.0, math.inf),  # math domain error in cos and sin
+        ("plane", 1.0, math.inf),  # math domain error in tan
+        ("plane", 1.0, -0.5),  # a winding angle, not an angle in (0, pi)
+        ("pseudosphere", 1.0, math.pi),
+    ],
+)
+def test_a_spiral_angle_outside_zero_to_pi_is_a_domain_error(surface, R, theta):
+    # the spiral that trace and the verify battery build on each surface
+    with pytest.raises(DomainError, match=f"theta={theta} outside"):
+        _spiral_on(surface, R, theta)
+
+
+def test_a_spiral_on_an_unknown_surface_is_refused():
+    with pytest.raises(BadParameter, match="unknown surface 'torus'"):
+        _spiral_on("torus", 1.0, math.pi / 4.0)

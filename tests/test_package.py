@@ -43,7 +43,7 @@ def test_submodule_attributes_resolve_on_first_access():
 
 
 def test_every_public_name_resolves_to_its_definition():
-    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 64
+    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 58
     for name in spiralcurv.__all__:
         module = importlib.import_module(f"spiralcurv.{spiralcurv._ORIGIN[name]}")
         assert getattr(spiralcurv, name) is getattr(module, name), name

@@ -71,6 +71,9 @@ COMMANDS = [
     "trace --surface pseudosphere --jets fd --theta 1 --r0 0.001 --r1 0.5 --samples 3",
     *(f"trace --surface polar --K {K} --theta 1 --r0 0.5 --r1 1.2 --samples 3"
       for K in ("nan", "inf")),
+    "curvature --theta-deg -30",
+    "profile --axis r --fixed 1 --min 0.5 --max 1 --steps 3 --theta-deg 200",
+    "trace --surface plane --theta-deg 0 --r0 1 --r1 2 --samples 2",
 ]
 
 
