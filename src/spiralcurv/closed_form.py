@@ -71,10 +71,12 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     """The one sampling grid of the package: num >= 2 points
     start + i*(stop - start)/(num - 1), with start itself first and stop
     itself last, so a sweep never ends an ulp past its end and keeps the
-    sign of a zero end.  Where stop - start overflows between finite ends,
-    the points are (1 - t)*start + t*stop at t = i/(num - 1) instead."""
+    sign of a zero end: start alone up to stop where stop == start, and
+    (1 - t)*start + t*stop at t = i/(num - 1) where stop - start overflows."""
     span, last = stop - start, num - 1
-    if math.isinf(span) and math.isfinite(start) and math.isfinite(stop):
+    if span == 0.0:
+        xs = [start] * num
+    elif math.isinf(span) and math.isfinite(start) and math.isfinite(stop):
         xs = [(1.0 - i / last) * start + i / last * stop for i in range(num)]
     else:
         xs = [start + i * span / last for i in range(num)]

@@ -228,11 +228,14 @@ def _embedded_spiral(K: float, theta: float, r_lo: float, r_hi: float) -> ChartC
     """The intrinsic spiral at angle theta through (min(r_lo, r_hi), 0) on
     the model surface of K, built from K and theta as given; t = r.
     DomainError for theta, then K < 0, then as spiral_chart_trace (a K
-    that is not finite among them) and then the model patch of K raise."""
+    not finite among them), then for a K whose 1/sqrt(K) squared overflows."""
     _require_angle(theta)
     if K < 0.0:
         raise DomainError("polar traces embed only for K >= 0")
     lo, hi = sorted((r_lo, r_hi))
     spiral_chart_trace(K, theta, lo, 0.0, hi)
-    patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
+    try:
+        patch = plane_patch() if K == 0.0 else sphere_patch(1.0 / math.sqrt(K))
+    except BadParameter:
+        raise DomainError(f"K={K} has no model sphere: 1/sqrt(K) squared overflows") from None
     return _polar_curve(patch, K, math.cos(theta) / math.sin(theta), lo, 0.0)

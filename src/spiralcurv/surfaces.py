@@ -437,10 +437,7 @@ def surface_of_revolution(
     x: Callable[[float], float],
     z: Callable[[float], float],
     *,
-    dx: Callable[[float], float] | None = None,
-    d2x: Callable[[float], float] | None = None,
-    dz: Callable[[float], float] | None = None,
-    d2z: Callable[[float], float] | None = None,
+    derivatives: Callable[[float], tuple[float, float, float, float]] | None = None,
     v_domain,
     u_domain=Interval(-math.inf, math.inf),
     orientation_sign: int = 1,
@@ -449,23 +446,19 @@ def surface_of_revolution(
 ) -> SurfacePatch:
     """Surface of revolution (x(v) cos u, x(v) sin u, z(v)).
 
-    When all four profile derivatives are supplied the patch carries an
-    analytic jet, when none only finite-difference jets; some alone are a
-    BadParameter.  Domains may be Interval instances or plain (lo, hi)
-    pairs, which are taken as open intervals.
+    derivatives(v) -> (x', z', x'', z''), the profile's derivatives in the
+    order of ChartCurve.trace_derivatives, gives the patch an analytic
+    jet; without it the patch has finite-difference jets only.  Domains
+    may be Interval instances or plain (lo, hi) pairs, which are taken as
+    open intervals.
     """
-    names, fns = ("dx", "d2x", "dz", "d2z"), (dx, d2x, dz, d2z)
-    missing = [name for name, fn in zip(names, fns) if fn is None]
-    if 0 < len(missing) < 4:
-        raise BadParameter(f"pass all four profile derivatives or none: no {', '.join(missing)}")
-
     jet = None
-    if not missing:
+    if derivatives is not None:
 
         def jet(u: float, v: float) -> Jet2:
             cu, su = math.cos(u), math.sin(u)
-            r, r1, r2 = x(v), dx(v), d2x(v)
-            h, h1, h2 = z(v), dz(v), d2z(v)
+            r, h = x(v), z(v)
+            r1, h1, r2, h2 = derivatives(v)
             return _new(
                 Jet2,
                 (
@@ -512,10 +505,7 @@ def plane_patch() -> SurfacePatch:
     return surface_of_revolution(
         x=lambda v: v,
         z=lambda v: 0.0,
-        dx=lambda v: 1.0,
-        d2x=lambda v: 0.0,
-        dz=lambda v: 0.0,
-        d2z=lambda v: 0.0,
+        derivatives=lambda v: (1.0, 0.0, 0.0, 0.0),
         v_domain=Interval(0.0, math.inf),
         orientation_sign=-1,
         known_K=0.0,
@@ -530,13 +520,15 @@ def sphere_patch(R: float = 1.0) -> SurfacePatch:
     -(p_u x p_v)/|p_u x p_v|.
     """
     known_K = _inverse_square(R, "sphere")
+
+    def derivatives(v: float) -> tuple[float, float, float, float]:
+        s, c = math.sin(v), math.cos(v)
+        return R * c, -R * s, -R * s, -R * c
+
     return surface_of_revolution(
         x=lambda v: R * math.sin(v),
         z=lambda v: R * math.cos(v),
-        dx=lambda v: R * math.cos(v),
-        d2x=lambda v: -R * math.sin(v),
-        dz=lambda v: -R * math.sin(v),
-        d2z=lambda v: -R * math.cos(v),
+        derivatives=derivatives,
         v_domain=Interval(0.0, math.pi),
         orientation_sign=-1,
         known_K=known_K,
@@ -556,26 +548,14 @@ def pseudosphere_patch(R: float = 1.0, v_floor: float = 1e-3) -> SurfacePatch:
     if not 0.0 < v_floor < math.pi / 2:
         raise BadParameter("v_floor must lie in (0, pi/2)")
 
-    def z(v: float) -> float:
-        return R * (math.log(math.tan(v / 2.0)) + math.cos(v))
-
-    def dz(v: float) -> float:
-        s = math.sin(v)
-        c = math.cos(v)
-        return R * c * c / s
-
-    def d2z(v: float) -> float:
-        s = math.sin(v)
-        c = math.cos(v)
-        return -R * c * (1.0 + s * s) / (s * s)
+    def derivatives(v: float) -> tuple[float, float, float, float]:
+        s, c = math.sin(v), math.cos(v)
+        return R * c, R * c * c / s, -R * s, -R * c * (1.0 + s * s) / (s * s)
 
     return surface_of_revolution(
         x=lambda v: R * math.sin(v),
-        z=z,
-        dx=lambda v: R * math.cos(v),
-        d2x=lambda v: -R * math.sin(v),
-        dz=dz,
-        d2z=d2z,
+        z=lambda v: R * (math.log(math.tan(v / 2.0)) + math.cos(v)),
+        derivatives=derivatives,
         v_domain=Interval(v_floor, math.pi / 2, closed_lo=True, closed_hi=True),
         orientation_sign=1,
         known_K=known_K,

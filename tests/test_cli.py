@@ -431,12 +431,13 @@ class TestInputValidation:
     @pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere", "polar"])
     def test_equal_end_radii_give_identical_rows(self, capsys, surface):
         code, out, err = run(capsys, "trace", "--surface", surface, "--K", "1", "--theta", "1",
-                             "--r0", "1", "--r1", "1", "--samples", "2")
+                             "--r0", "1", "--r1", "1", "--samples", "3")
         assert (code, err) == (0, "")
         # equal as printed: on the plane t = -ln(1)/tan(1) is -0.0, which
-        # both rows print as -0.0
-        first, second = out.splitlines()[1:]
-        assert first == second
+        # every row prints as -0.0 (the middle row read 0.0, and y and u
+        # flipped sign with it)
+        first, second, third = out.splitlines()[1:]
+        assert first == second == third
         assert abs(float(first.split(",")[-1]) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("r1", ["1.81379936", "1.8137993640528378"])
@@ -465,6 +466,15 @@ class TestInputValidation:
                              "--r0", "0.5", "--r1", "1.2", "--samples", "3")
         assert (code, out) == (1, "")
         assert err == f"domain error: K={K} must be finite\n"
+
+    @pytest.mark.parametrize("K", ["1e-320", "5e-324"])
+    def test_polar_subnormal_K_is_named_as_given(self, capsys, K):
+        # the model sphere's radius 1/sqrt(K) squares to inf; the message
+        # named that radius, which the user never passed
+        code, out, err = run(capsys, "trace", "--surface", "polar", "--K", K, "--theta", "1",
+                             "--r0", "0.5", "--r1", "1", "--samples", "2")
+        assert (code, out) == (1, "")
+        assert err == f"domain error: K={K} has no model sphere: 1/sqrt(K) squared overflows\n"
 
     def test_tol_scale_is_not_an_option(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "analysis", "--tol-scale", "2")

@@ -4,7 +4,7 @@ import pickle
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiralcurv import (
@@ -252,13 +252,21 @@ def test_linspace_keeps_the_sign_of_a_zero_end(start, stop):
 
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(st.floats(allow_nan=False), st.floats(allow_nan=False), st.integers(2, 60))
+@example(-0.0, -0.0, 3)
+@example(-0.0, 0.0, 4)
+@example(1.5, 1.5, 5)
 def test_linspace_keeps_the_bits_of_every_finite_span(start, stop, num):
     assume(math.isfinite(stop - start))
     xs = _linspace(start, stop, num)
     # the former grid, start + i*span/last with stop itself last, but
-    # start itself first: before, a start of -0.0 came out as +0.0
-    former = [start + i * (stop - start) / (num - 1) for i in range(num)]
-    former[0], former[-1] = start, stop
+    # start itself first: before, a start of -0.0 came out as +0.0; and
+    # start alone up to stop where the span is zero, where -0.0 + 0.0
+    # turned the inner points of a grid from -0.0 to -0.0 into +0.0
+    if stop - start == 0.0:
+        former = [start] * (num - 1) + [stop]
+    else:
+        former = [start + i * (stop - start) / (num - 1) for i in range(num)]
+        former[0], former[-1] = start, stop
     assert [x.hex() for x in xs] == [x.hex() for x in former]
 
 

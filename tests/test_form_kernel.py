@@ -169,13 +169,13 @@ def test_a_huge_sphere_overflows_the_normal(mode, sign):
                               r"^\|p_u x p_v\| overflows$", NORMAL_READERS)
 
 
-# A unit sphere whose analytic d2z returns a non-finite value, and one whose
-# position map does at the points of the second-difference stencil (at
+# A unit sphere whose analytic z'' is a non-finite value, and one whose
+# position map has one at the points of the second-difference stencil (at
 # v = 1 those lie 1.2e-3 and 2.5e-3 away, the first differences' within 7.4e-4).
 def _analytic_repro(bad):
     return surface_of_revolution(
-        math.sin, math.cos, dx=math.cos, d2x=lambda v: -math.sin(v),
-        dz=lambda v: -math.sin(v), d2z=lambda v: bad, v_domain=(0.0, math.pi),
+        math.sin, math.cos, v_domain=(0.0, math.pi),
+        derivatives=lambda v: (math.cos(v), -math.sin(v), -math.sin(v), bad),
     )
 
 
@@ -201,8 +201,8 @@ def test_a_non_finite_second_form_raises(mode, repro, bad):
 # finite and above the degeneracy bound, E = |p_u|^2 = 1e310 is not.
 def _huge_radius_repro():
     return surface_of_revolution(
-        lambda v: 1e155, lambda v: 1e-160 * v, dx=lambda v: 0.0, d2x=lambda v: 0.0,
-        dz=lambda v: 1e-160, d2z=lambda v: 0.0, v_domain=(0.0, 1.0),
+        lambda v: 1e155, lambda v: 1e-160 * v, v_domain=(0.0, 1.0),
+        derivatives=lambda v: (0.0, 1e-160, 0.0, 0.0),
     )
 
 

@@ -468,10 +468,7 @@ class TestBuilder:
         patch = surface_of_revolution(
             x=lambda v: 1.0,
             z=lambda v: v,
-            dx=None,
-            d2x=None,
-            dz=None,
-            d2z=None,
+            derivatives=None,
             v_domain=(-2.0, 2.0),
             orientation_sign=-1,
             known_K=0.0,
@@ -486,10 +483,7 @@ class TestBuilder:
         patch = surface_of_revolution(
             x=lambda v: v,
             z=lambda v: 2.0 * v,
-            dx=lambda v: 1.0,
-            d2x=lambda v: 0.0,
-            dz=lambda v: 2.0,
-            d2z=lambda v: 0.0,
+            derivatives=lambda v: (1.0, 2.0, 0.0, 0.0),
             v_domain=(0.1, 3.0),
             orientation_sign=-1,
             known_K=0.0,
@@ -497,16 +491,46 @@ class TestBuilder:
         )
         assert abs(gaussian_curvature(patch, 1.0, 1.5)) < 1e-12
 
-    @pytest.mark.parametrize("given,missing", [
-        (("dx", "dz"), "d2x, d2z"),
-        (("dx", "d2x", "dz"), "d2z"),
-        (("d2z",), "dx, d2x, dz"),
-    ])
-    def test_some_profile_derivatives_alone_are_a_bad_parameter(self, given, missing):
-        # it used to build a patch with FD jets only, dropping those given
-        derivatives = {name: (lambda v: 0.0) for name in given}
-        with pytest.raises(BadParameter, match=f"none: no {missing}$"):
-            surface_of_revolution(math.sin, math.cos, v_domain=(0.1, 3.0), **derivatives)
+    def test_derivatives_run_once_per_analytic_jet(self):
+        calls = []
+
+        def derivatives(v):
+            calls.append(v)
+            return math.cos(v), -math.sin(v), -math.sin(v), -math.cos(v)
+
+        patch = surface_of_revolution(math.sin, math.cos, derivatives=derivatives,
+                                      v_domain=(0.0, math.pi))
+        for v in (0.5, 1.0, 2.0):
+            eval_jet(patch, 0.3, v, JET_MODE_ANALYTIC)
+        assert calls == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("patch,us,vs", verify._patches(),
+                             ids=[p.name for p, _, _ in verify._patches()])
+    def test_analytic_jets_keep_the_bits_of_six_profile_formulas(self, patch, us, vs):
+        # x, z and their derivatives each in their own formula, as the
+        # built-in patches gave them before one derivatives callable
+        sin, cos, log, tan = math.sin, math.cos, math.log, math.tan
+        if patch.name == "plane":
+            x, dx, d2x = (lambda v: v), (lambda v: 1.0), (lambda v: 0.0)
+            z = dz = d2z = lambda v: 0.0
+        else:
+            R = 1.0 / math.sqrt(abs(patch.known_K))  # 0.5, 1 and 2 exactly
+            assert patch.name.endswith(f"(R={R:g})")
+            x, dx, d2x = (lambda v: R * sin(v)), (lambda v: R * cos(v)), (lambda v: -R * sin(v))
+            if patch.name.startswith("sphere"):
+                z, dz, d2z = (lambda v: R * cos(v)), (lambda v: -R * sin(v)), (lambda v: -R * cos(v))
+            else:
+                z = lambda v: R * (log(tan(v / 2.0)) + cos(v))
+                dz = lambda v: R * cos(v) * cos(v) / sin(v)
+                d2z = lambda v: -R * cos(v) * (1.0 + sin(v) * sin(v)) / (sin(v) * sin(v))
+        for u in us:
+            cu, su = cos(u), sin(u)
+            for v in vs:
+                r, r1, r2, h, h1, h2 = x(v), dx(v), d2x(v), z(v), dz(v), d2z(v)
+                want = ((r * cu, r * su, h), (-r * su, r * cu, 0.0), (r1 * cu, r1 * su, h1),
+                        (-r * cu, -r * su, 0.0), (-r1 * su, r1 * cu, 0.0), (r2 * cu, r2 * su, h2))
+                got = eval_jet(patch, u, v, JET_MODE_ANALYTIC)
+                assert [c.hex() for f in got for c in f] == [c.hex() for f in want for c in f]
 
 
 class TestInterval:

@@ -43,6 +43,8 @@ COMMANDS = [
     "trace --surface pseudosphere --theta 1 --r0 0.001 --r1 0.5 --samples 3",
     "trace --surface sphere --R 1e-7 --theta 1 --r0 5e-8 --r1 1e-7 --samples 2",
     "trace --surface pseudosphere --theta 1 --r0 1.326570320789366 --r1 0.001 --samples 2",
+    # a zero-length trace
+    "trace --surface plane --theta 1 --r0 1 --r1 1 --samples 3",
     # the import checks
     "curvature --K 1e-6 --series",
     "profile --axis r --fixed 1 --min 0.1 --max 2 --steps 1000 --theta 0.7",
@@ -66,6 +68,7 @@ COMMANDS = [
     "curvature --K 4 --r 2",
     "trace --surface sphere --theta 1 --r0 0.5 --r1 3.2 --samples 5",
     "trace --surface polar --K 1 --theta 1 --r0 0.5 --r1 4 --samples 5",
+    "trace --surface polar --K 1e-320 --theta 1 --r0 0.5 --r1 1 --samples 2",
     "trace --surface sphere --R 1e-300 --theta 1 --r0 1e-301 --r1 2e-301 --samples 2",
     "trace --surface sphere --R 1e100 --theta 1 --r0 5e99 --r1 1e100 --samples 2",
     "trace --surface pseudosphere --jets fd --theta 1 --r0 0.001 --r1 0.5 --samples 3",
