@@ -31,8 +31,9 @@ _JETS = {"analytic": "analytic", "fd": "finite_difference"}
 _SUITES = ("forms", "curves", "liouville", "analysis", "all")
 
 # argparse takes a word that starts with "-" for a flag unless it looks
-# like a negative number; its own pattern misses exponents ("-1e-6")
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# like a negative number; its own pattern misses exponents ("-1e-6") and
+# the infinities and nan that float() reads ("-inf", "-Infinity", "-nan")
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -254,8 +254,9 @@ def profile(
     """Sweep the spiral curvature along r (axis="r", fixed K) or along K
     (axis="K", fixed r).
 
-    An inadmissible grid point raises DomainError, and no partial
-    result is returned.
+    Every row and tag has the bits of spiral_curvature_with_method at that
+    point.  The gate's tests run inline; the first inadmissible grid point
+    raises the gate's own DomainError, and no partial result is returned.
     """
     if axis not in ("r", "K"):
         raise BadParameter(f"axis must be 'r' or 'K', got {axis!r}")
@@ -266,13 +267,36 @@ def profile(
 
     xs = _linspace(x_min, x_max, steps)
     _require_angle(theta)
+    # _require_admissible's tests and _circle_value's branches inline, in the
+    # same float operations; only a point that fails the tests calls the gate
     c = math.cos(theta)
+    c0, c1, c2, c3 = _COT_COEFFS[:4]
+    sqrt, tan, tanh, inf, pi = math.sqrt, math.tan, math.tanh, math.inf, math.pi
     samples: list[tuple[float, float]] = []
     tags: list[str] = []
-    for x in xs:
-        K, r = (fixed_value, x) if axis == "r" else (x, fixed_value)
-        _require_admissible(K, r)
-        value, method = _circle_value(K, r)
-        samples.append((x, c * value))
-        tags.append(method)
+    if axis == "r":
+        K, finite, s = fixed_value, math.isfinite(fixed_value), sqrt(abs(fixed_value))
+        for r in xs:
+            if not (finite and 0.0 < r < inf and (K <= 0.0 or r * s < pi) and 1.0 / r != inf):
+                _require_admissible(K, r)
+            y = K * r * r
+            if -SERIES_WINDOW < y < SERIES_WINDOW:
+                samples.append((r, c * ((c0 + y * (c1 + y * (c2 + y * c3))) / r)))
+                tags.append(METHOD_SERIES)
+            else:
+                samples.append((r, c * (s / tan(r * s) if K > 0.0 else s / tanh(r * s))))
+                tags.append(METHOD_CLOSED_FORM)
+    else:
+        r, r_ok = fixed_value, 0.0 < fixed_value < inf and 1.0 / fixed_value != inf
+        for K in xs:
+            if not (r_ok and -inf < K < inf and (K <= 0.0 or r * sqrt(K) < pi)):
+                _require_admissible(K, r)
+            y = K * r * r
+            if -SERIES_WINDOW < y < SERIES_WINDOW:
+                samples.append((K, c * ((c0 + y * (c1 + y * (c2 + y * c3))) / r)))
+                tags.append(METHOD_SERIES)
+            else:
+                s = sqrt(abs(K))
+                samples.append((K, c * (s / tan(r * s) if K > 0.0 else s / tanh(r * s))))
+                tags.append(METHOD_CLOSED_FORM)
     return CurvatureProfile(axis, samples, theta, fixed_value, METHOD_CLOSED_FORM, tags)

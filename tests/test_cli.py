@@ -341,8 +341,22 @@ class TestNegativeNumbers:
         assert code == 1
         assert err.startswith("domain error:")
 
+    # and "-inf" or "-nan", spellings float() reads in any case
+    @pytest.mark.parametrize("argv,name", [
+        (["curvature", "--K", "-inf", "--r", "1", "--theta", "1"], "K=-inf"),
+        (["curvature", "--K", "-Infinity", "--r", "1", "--theta", "1"], "K=-inf"),
+        (["curvature", "--K", "-nan", "--r", "1", "--theta", "1"], "K=nan"),
+        (["curvature", "--K", "-NaN"], "K=nan"),
+        (["profile", "--axis", "K", "--fixed", "1", "--min", "-inf", "--max", "0",
+          "--steps", "3", "--theta", "1"], "K=-inf"),
+    ])
+    def test_negative_infinity_and_nan_reach_the_domain_check(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"domain error: {name} must be finite\n")
+
     def test_flags_still_rejected(self, capsys):
         assert run(capsys, "curvature", "--K", "-x")[0] == 3
+        assert run(capsys, "curvature", "--K", "-infinite")[0] == 3
         assert run(capsys, "curvature", "--K", "--r", "1")[0] == 3
 
 

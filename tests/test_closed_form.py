@@ -21,6 +21,7 @@ from spiralcurv import (
     spiral_curvature_series,
     spiral_curvature_with_method,
 )
+from spiralcurv import closed_form
 from spiralcurv.closed_form import (
     METHOD_CLOSED_FORM,
     METHOD_SERIES,
@@ -292,6 +293,92 @@ def test_profile_along_K_over_the_whole_float_range():
     assert [K for K, _ in prof.samples] == [-1e308, 0.0, 1e308]
     for K, k in prof.samples:
         assert k == spiral_curvature(K, 1e-160, 1.0)
+
+
+@st.composite
+def _profile_grids(draw):
+    """profile's arguments: grids along r that cross the seam ring
+    |K| r^2 = 1e-4 at either sign of K, and grids along K that cross it on
+    both sides of K = 0; or grids that end within 1e-6 of the conjugate
+    radius pi/sqrt(K), or just past it.  One in eight holds K at +-0.0 or
+    a subnormal value, or r at a subnormal value; one in eight starts at a
+    point the gate refuses."""
+    steps = draw(st.integers(2, 40))
+    theta = draw(st.floats(0.05, PI - 0.05))
+    edge, refused = (draw(st.integers(0, 7)) == 0 for _ in range(2))
+    end = draw(st.sampled_from(("ring", "conjugate", "past")))
+    near = draw(st.floats(1e-12, 1e-6))
+    far = draw(st.floats(1.0, 20.0))  # how far past the ring the grid reaches
+    if draw(st.booleans()):
+        if edge:
+            K = draw(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308)))
+        else:
+            K = draw(st.sampled_from((1.0, -1.0))) * draw(
+                st.one_of(st.floats(1e-8, 1e-5), st.floats(1e-5, 10.0)))
+        ring = 0.01 / math.sqrt(abs(K)) if K else 1.0
+        lo, hi = ring * draw(st.floats(0.05, 1.0)), ring * far
+        if K > 0.0 and end != "ring":
+            hi = PI / math.sqrt(K) * (1.0 - near if end == "conjugate" else 1.0 + near)
+        if refused:
+            lo = draw(st.sampled_from((0.0, -1.0, 1e-320)))
+        return "r", K, lo, hi, steps, theta
+    r = draw(st.sampled_from((1e-308, 1e-320, 0.0)) if edge else st.floats(1e-3, 10.0))
+    ring = 1e-4 / (r * r) if r > 1e-100 else 1e300
+    lo, hi = -ring * far, ring * draw(st.floats(0.05, 20.0))
+    if r > 1e-100 and end != "ring":
+        hi = (PI * (1.0 - near if end == "conjugate" else 1.0 + near) / r) ** 2
+    return "K", r, -math.inf if refused else lo, hi, steps, theta
+
+
+@settings(deadline=None, max_examples=250, derandomize=True)
+@given(_profile_grids())
+@example(("r", 4.0, 0.5, 3.0, 9, PI / 4.0))  # the gate refuses the 8th point
+def test_profile_keeps_the_bits_of_the_scalar_route(grid):
+    # every row and tag of profile's inline loop is spiral_curvature_with_method's
+    # at that point, -0.0 included; an inadmissible grid raises the gate's
+    # message at its first inadmissible point
+    axis, fixed, lo, hi, steps, theta = grid
+    assume(lo < hi)
+    expected = ([], [])
+    for x in _linspace(lo, hi, steps):
+        K, r = (fixed, x) if axis == "r" else (x, fixed)
+        try:
+            k, tag = spiral_curvature_with_method(K, r, theta)
+        except DomainError as exc:
+            expected = str(exc)
+            break
+        expected[0].append((x.hex(), k.hex()))
+        expected[1].append(tag)
+    try:
+        prof = profile(axis, fixed, lo, hi, steps, theta)
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        assert ([(x.hex(), k.hex()) for x, k in prof.samples], prof.sample_methods) == expected
+
+
+def test_profile_calls_the_gate_only_at_a_failing_point(monkeypatch):
+    calls = {"gate": 0, "branch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(closed_form, "_require_admissible",
+                        counted("gate", closed_form._require_admissible))
+    monkeypatch.setattr(closed_form, "_circle_value",
+                        counted("branch", closed_form._circle_value))
+    # both cross the seam ring; the K sweep ends at r sqrt(K) = 0.9995 pi
+    along_r = profile("r", -1e-6, 1e-3, 20.0, 1000, 0.7)
+    along_K = profile("K", 1.0, -1.0, 0.999 * PI * PI, 1000, 0.7)
+    assert calls == {"gate": 0, "branch": 0}
+    for prof in (along_r, along_K):
+        assert set(prof.sample_methods) == {METHOD_SERIES, METHOD_CLOSED_FORM}
+    with pytest.raises(DomainError, match="conjugate radius"):
+        profile("r", 4.0, 0.5, 3.0, 9, PI / 4.0)
+    assert calls == {"gate": 1, "branch": 0}
 
 
 

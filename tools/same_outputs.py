@@ -8,8 +8,9 @@ fresh interpreter whose PYTHONPATH is the checkout's src/ and whose working
 directory is a new empty folder, once per checkout.  Prints every
 difference in exit code, stdout, stderr and written file, and exits 1 if
 there is any.  The list: verify in text and JSON with both jet modes and
-each suite alone, the five figures, and every curvature, profile and trace
-command of .github/workflows/tests.yml, its error commands included.
+each suite alone, the five figures, every curvature, profile and trace
+command of .github/workflows/tests.yml, its error commands included, and
+profiles across the seam ring and up to the conjugate radius.
 """
 
 import difflib
@@ -49,6 +50,12 @@ COMMANDS = [
     "curvature --K 1e-6 --series",
     "profile --axis r --fixed 1 --min 0.1 --max 2 --steps 1000 --theta 0.7",
     "profile --axis K --fixed 1 --min -1 --max 1 --steps 9",
+    # profiles across the seam ring |K| r^2 = 1e-4, far out on the coth
+    # branch, and up to r sqrt(K) = 0.9995 pi
+    *(f"profile --axis r --fixed {K} --min 1 --max 20 --steps 50 --theta 0.7"
+      for K in ("1e-6", "-1e-6")),
+    "profile --axis r --fixed -4 --min 0.001 --max 20 --steps 50 --theta 0.7",
+    "profile --axis K --fixed 1 --min -1 --max 9.859734796688269 --steps 50 --theta 0.7",
     "figure --name k-surface --out k-surface-imports.svg",
     # an unwritable --out exits 3
     "profile --axis r --fixed 1 --min 0.1 --max 2 --steps 5 --theta 0.7 --out missing-dir/out.txt",
@@ -65,6 +72,10 @@ COMMANDS = [
     "curvature --theta-deg abc",
     # inadmissible input exits 1
     "curvature --K nan",
+    "curvature --K -inf --r 1 --theta 1",
+    "curvature --K -nan --r 1 --theta 1",
+    "profile --axis K --fixed 1 --min -inf --max 0 --steps 3 --theta 1",
+    "profile --axis r --fixed 4 --min 0.5 --max 3 --steps 9",
     "curvature --K 4 --r 2",
     "trace --surface sphere --theta 1 --r0 0.5 --r1 3.2 --samples 5",
     "trace --surface polar --K 1 --theta 1 --r0 0.5 --r1 4 --samples 5",
