@@ -31,16 +31,18 @@ _JETS = {"analytic": "analytic", "fd": "finite_difference"}
 _SUITES = ("forms", "curves", "liouville", "analysis", "all")
 
 # argparse takes a word that starts with "-" for a flag unless it looks
-# like a negative number; its own pattern misses exponents ("-1e-6") and
-# the infinities and nan that float() reads ("-inf", "-Infinity", "-nan")
-_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+# like a negative number; this pattern takes exactly the words that float()
+# reads after "-" ("-1e-6", "-1_000", "-Infinity", "-nan"), where D is a run
+# of digits with single underscores between them, so "-1__0" is a flag
+_D = r"(\d(_?\d)*)"
+_NEGATIVE_NUMBER = re.compile(rf"^-(({_D}(\.{_D}?)?|\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)$", re.I)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the contract here is 3.
 
     Subparsers are built by the same class, so every subcommand reads
-    negative numbers in scientific notation as values.
+    each negative number that float() reads as a value.
     """
 
     def __init__(self, *args, **kwargs):

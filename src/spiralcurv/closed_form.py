@@ -52,19 +52,15 @@ METHOD_SERIES = "series"
 
 
 class CurvatureProfile(
-    Record, namedtuple("_Fields", "axis samples theta fixed_value method sample_methods")
+    Record, namedtuple("_Fields", "axis samples theta fixed_value sample_methods")
 ):
     """A 1-D sweep of spiral curvature along r (fixed K) or K (fixed r):
-    samples lists (x, k) and sample_methods the per-sample tags.  A tuple
-    with a frozen dataclass's value behaviour (vec.Record): read-only
-    fields, a repr by field, equal only to a CurvatureProfile with equal
-    fields, and not ordered."""
+    samples lists (x, k) and sample_methods the branch tag of each sample.
+    A tuple with a frozen dataclass's value behaviour (vec.Record):
+    read-only fields, a repr by field, equal only to a CurvatureProfile
+    with equal fields, and not ordered."""
 
     __slots__ = ()
-
-    def __new__(cls, axis, samples, theta, fixed_value, method, sample_methods=None):
-        tags = [] if sample_methods is None else sample_methods
-        return tuple.__new__(cls, (axis, samples, theta, fixed_value, method, tags))
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -299,4 +295,4 @@ def profile(
                 s = sqrt(abs(K))
                 samples.append((K, c * (s / tan(r * s) if K > 0.0 else s / tanh(r * s))))
                 tags.append(METHOD_CLOSED_FORM)
-    return CurvatureProfile(axis, samples, theta, fixed_value, METHOD_CLOSED_FORM, tags)
+    return CurvatureProfile(axis, samples, theta, fixed_value, tags)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -316,8 +317,10 @@ def test_help_exits_zero(capsys):
 
 
 class TestNegativeNumbers:
-    # argparse once took "-1e-6" after a flag for a flag of its own
-    @pytest.mark.parametrize("value", ["-1e-6", "-2.5E-3", "-1.e-4", "-.5e-5"])
+    # argparse once took "-1e-6" after a flag for a flag of its own, and
+    # "-1_000" too, a spelling float() reads that "--K=-1_000" always took
+    @pytest.mark.parametrize("value", ["-1e-6", "-2.5E-3", "-1.e-4", "-.5e-5", "-1_000",
+                                       "-1_0.2_5e-0_1", "-.5_0", "-1e1_0"])
     def test_curvature_K(self, capsys, value):
         code, out, _ = run(capsys, "curvature", "--K", value, "--r", "2", "--theta", "0.7")
         assert code == 0
@@ -333,6 +336,11 @@ class TestNegativeNumbers:
         assert code == 0
         x, k, _ = out.splitlines()[1].split(",")
         assert float(k) == spiral_curvature(-2.5e-3, 0.5, 0.7)
+        code, out, _ = run(capsys, "profile", "--axis", "r", "--fixed", "-1_0", "--min", "0.1",
+                           "--max", "1", "--steps", "2", "--theta", "0.7")
+        assert code == 0
+        x, k, _ = out.splitlines()[1].split(",")
+        assert float(k) == spiral_curvature(-10.0, 0.1, 0.7)
 
     def test_trace_radii_reach_the_domain_check(self, capsys):
         # parsed as values, so the plane's radius check answers, not argparse
@@ -358,6 +366,26 @@ class TestNegativeNumbers:
         assert run(capsys, "curvature", "--K", "-x")[0] == 3
         assert run(capsys, "curvature", "--K", "-infinite")[0] == 3
         assert run(capsys, "curvature", "--K", "--r", "1")[0] == 3
+        # float() reads no double underscore, so neither does the parser
+        assert run(capsys, "curvature", "--K", "-1__0", "--r", "0.01")[0] == 3
+
+    def test_the_pattern_matches_what_float_reads(self):
+        # every word of "-" and up to 6 characters over the characters of a
+        # number: the parser takes it for a value exactly when float() reads it
+        from spiralcurv.cli import _NEGATIVE_NUMBER
+
+        def reads(word):
+            try:
+                float(word)
+            except ValueError:
+                return False
+            return True
+
+        differ = [
+            word for n in range(7) for chars in itertools.product("01_.e+-", repeat=n)
+            if (_NEGATIVE_NUMBER.match(word := "-" + "".join(chars)) is not None) != reads(word)
+        ]
+        assert differ == []
 
 
 class TestInputValidation:
@@ -437,9 +465,11 @@ class TestInputValidation:
     @pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere", "polar"])
     def test_every_surface_reads_its_angle_back(self, capsys, surface, theta):
         code, out, err = run(capsys, "trace", "--surface", surface, "--theta", str(theta),
-                             "--r0", "0.5", "--r1", "1.2", "--samples", "3")
+                             "--r0", "0.5", "--r1", "1.2", "--samples", "5")
         assert (code, err) == (0, "")
-        for row in csv.DictReader(out.splitlines()):
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 5
+        for row in rows:
             assert abs(float(row["theta_meas"]) - theta) <= 1e-12
 
     @pytest.mark.parametrize("surface", ["plane", "sphere", "pseudosphere", "polar"])

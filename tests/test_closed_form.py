@@ -385,7 +385,7 @@ def test_profile_calls_the_gate_only_at_a_failing_point(monkeypatch):
 class TestCurvatureProfileValue:
     """The tuple-backed CurvatureProfile behaves as the frozen dataclass it was."""
 
-    FIELDS = ("axis", "samples", "theta", "fixed_value", "method", "sample_methods")
+    FIELDS = ("axis", "samples", "theta", "fixed_value", "sample_methods")
 
     def make(self):
         return profile("r", 1.0, 0.1, 2.0, 3, 0.7)
@@ -395,13 +395,11 @@ class TestCurvatureProfileValue:
         assert prof._fields == self.FIELDS
         assert tuple(prof) == tuple(getattr(prof, name) for name in self.FIELDS)
         assert prof.axis == "r" and prof.theta == 0.7 and prof.fixed_value == 1.0
-        assert prof.method == METHOD_CLOSED_FORM
         assert isinstance(prof.samples, list) and isinstance(prof.sample_methods, list)
 
     def test_equality_only_between_profiles_with_equal_fields(self):
         prof = self.make()
-        twin = CurvatureProfile("r", list(prof.samples), 0.7, 1.0, METHOD_CLOSED_FORM,
-                                list(prof.sample_methods))
+        twin = CurvatureProfile("r", list(prof.samples), 0.7, 1.0, list(prof.sample_methods))
         assert prof == twin and not prof != twin
         assert prof != self.make()._replace(theta=0.8)
         assert prof != profile("r", 1.0, 0.1, 2.0, 4, 0.7)
@@ -423,20 +421,18 @@ class TestCurvatureProfileValue:
 
     def test_repr_names_every_field(self):
         samples = [(0.5, 1.0), (2.0, 0.25)]
-        prof = CurvatureProfile("K", samples, 0.5, 2.0, METHOD_SERIES, ["series", "series"])
+        prof = CurvatureProfile("K", samples, 0.5, 2.0, [METHOD_SERIES, METHOD_SERIES])
         assert repr(prof) == (
             "CurvatureProfile(axis='K', samples=[(0.5, 1.0), (2.0, 0.25)], theta=0.5, "
-            "fixed_value=2.0, method='series', sample_methods=['series', 'series'])"
+            "fixed_value=2.0, sample_methods=['series', 'series'])"
         )
 
-    def test_sample_methods_defaults_to_a_new_list(self):
-        a = CurvatureProfile("r", [], 0.5, 0.0, METHOD_CLOSED_FORM)
-        b = CurvatureProfile(axis="r", samples=[], theta=0.5, fixed_value=0.0,
-                             method=METHOD_CLOSED_FORM)
-        assert a.sample_methods == [] and b.sample_methods == []
-        a.sample_methods.append("series")
-        assert b.sample_methods == []
-        assert a.sample_methods is not b.sample_methods
+    def test_every_field_is_required(self):
+        # the tags are the profile's one record of its branches
+        with pytest.raises(TypeError, match="sample_methods"):
+            CurvatureProfile("r", [], 0.5, 0.0)
+        with pytest.raises(TypeError):
+            CurvatureProfile("r", [], 0.5, 0.0, METHOD_CLOSED_FORM, [])
 
     def test_samples_stays_a_mutable_list(self):
         prof = self.make()

@@ -21,6 +21,7 @@ from spiralcurv import (
     speed,
     sphere_loxodrome,
     sphere_patch,
+    verify,
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL
 from spiralcurv.surfaces import JET_MODE_ANALYTIC, JET_MODE_FD, eval_jet, unit_normal
@@ -276,3 +277,13 @@ class TestSample:
         assert s.theta == pytest.approx(PI / 4.0, abs=1e-12)
         assert s.k == pytest.approx(math.cos(PI / 4.0) / s.r, rel=1e-8)
         assert s.position.z == 0.0
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_every_point_of_the_battery_angle_families(self, mode):
+        # 7 curves x 50 t: the battery measures the angle there, and a
+        # sample takes the curvature too, from the same jet
+        for curve, theta, ts in verify._angle_families():
+            for t in ts:
+                s = sample(curve, t, mode)
+                assert math.isfinite(s.k), (curve.label, t, s.k)
+                assert abs(s.theta - theta) <= 1e-7, (curve.label, t, s.theta)

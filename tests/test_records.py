@@ -43,9 +43,8 @@ RECORDS = {
                     ("input", "expected", "actual", "error")),
     # tuple samples and tags, so that the profile hashes
     "CurvatureProfile": (
-        CurvatureProfile("K", ((0.5, 1.0), (2.0, 0.25)), 0.5, 2.0, METHOD_SERIES,
-                         ("series", "series")),
-        ("axis", "samples", "theta", "fixed_value", "method", "sample_methods"),
+        CurvatureProfile("K", ((0.5, 1.0), (2.0, 0.25)), 0.5, 2.0, (METHOD_SERIES, METHOD_SERIES)),
+        ("axis", "samples", "theta", "fixed_value", "sample_methods"),
     ),
     "Interval": (Interval(0.0, 1.0, True), ("lo", "hi", "closed_lo", "closed_hi")),
     "Rect": (Rect(Interval(-math.inf, math.inf), Interval(0.0, 1.0, True, True)), ("u", "v")),

@@ -9,8 +9,10 @@ directory is a new empty folder, once per checkout.  Prints every
 difference in exit code, stdout, stderr and written file, and exits 1 if
 there is any.  The list: verify in text and JSON with both jet modes and
 each suite alone, the five figures, every curvature, profile and trace
-command of .github/workflows/tests.yml, its error commands included, and
-profiles across the seam ring and up to the conjugate radius.
+command of .github/workflows/tests.yml, its error commands included,
+traces that read back their angle, the commands of the import checks,
+negative flag values with digit underscores, and profiles across the seam
+ring and up to the conjugate radius.
 """
 
 import difflib
@@ -88,6 +90,10 @@ COMMANDS = [
     "curvature --theta-deg -30",
     "profile --axis r --fixed 1 --min 0.5 --max 1 --steps 3 --theta-deg 200",
     "trace --surface plane --theta-deg 0 --r0 1 --r1 2 --samples 2",
+    # a negative value with digit underscores, and a word float() does not read
+    "curvature --K -1_000 --r 0.01",
+    "profile --axis r --fixed -1_0 --min 0.1 --max 1 --steps 2",
+    "curvature --K -1__0 --r 0.01",
 ]
 
 
