@@ -16,6 +16,9 @@ precision to cancellation.
 The K-derivative of the circle curvature is negative everywhere it is
 defined, with value -r/3 at K = 0; consequently |k| is strictly decreasing
 in K except for the radial geodesics theta = pi/2.
+
+The kernels _circle_value and _circle_dK run the gate's tests inline and
+call _require_admissible only to raise; each public scalar calls one kernel.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _COT_COEFFS = (
 #   -(r/3) * (1 + (2/15) y + (2/105) y^2 + (4/1575) y^3 + (2/6237) y^4)
 # so the K = 0 value is bit-exactly -(r/3).
 _DERIV_COEFFS = (2.0 / 15.0, 2.0 / 105.0, 4.0 / 1575.0, 2.0 / 6237.0)
+
+# the four-term series that both kernels write out
+_C0, _C1, _C2, _C3 = _COT_COEFFS[:4]
+_D0, _D1, _D2, _D3 = _DERIV_COEFFS
 
 _SINH_SQUARE_OVERFLOW = 400.0  # sinh(b)^2 is inf from b ~ 355.6 on
 
@@ -92,7 +99,8 @@ def _require_admissible(K: float, r: float) -> None:
     K finite; r finite, positive and above about 5.6e-309, below which
     1/r, and with it every branch, overflows; r*sqrt(K) < pi for K > 0
     (the conjugate radius).  Else DomainError.  Past the gate no branch
-    divides by zero or overflows.
+    divides by zero or overflows.  The kernels and profile run these tests
+    inline and call the gate only to raise, so it words every message.
     """
     _require_finite_K(K)
     if not 0.0 < r < math.inf:
@@ -119,17 +127,21 @@ def _series_value(y: float, r: float, terms: int) -> float:
     return acc / r
 
 
-def _circle_value(K: float, r: float, terms: int = 4) -> tuple[float, str]:
-    """Circle curvature and the branch tag that produced it, at a (K, r)
-    that passed _require_admissible."""
+def _circle_value(K: float, r: float) -> tuple[float, str]:
+    """Circle curvature and the branch tag that produced it.  Runs
+    _require_admissible's tests inline and calls it only where one fails."""
+    if not (-math.inf < K < math.inf and 0.0 < r < math.inf
+            and (K <= 0.0 or r * math.sqrt(K) < math.pi) and 1.0 / r != math.inf):
+        _require_admissible(K, r)
     y = K * r * r
-    if abs(y) < SERIES_WINDOW:
-        return _series_value(y, r, terms), METHOD_SERIES
+    if -SERIES_WINDOW < y < SERIES_WINDOW:
+        # _series_value(y, r, 4), written out
+        return (_C0 + y * (_C1 + y * (_C2 + y * _C3))) / r, METHOD_SERIES
     if K > 0.0:
-        a = r * math.sqrt(K)
-        return math.sqrt(K) / math.tan(a), METHOD_CLOSED_FORM
-    b = r * math.sqrt(-K)
-    return math.sqrt(-K) / math.tanh(b), METHOD_CLOSED_FORM
+        s = math.sqrt(K)
+        return s / math.tan(r * s), METHOD_CLOSED_FORM
+    s = math.sqrt(-K)
+    return s / math.tanh(r * s), METHOD_CLOSED_FORM
 
 
 def geodesic_circle_curvature(K: float, r: float) -> float:
@@ -140,7 +152,6 @@ def geodesic_circle_curvature(K: float, r: float) -> float:
     circle stops existing at the conjugate radius).  Inside the seam
     window |K|*r^2 < 1e-4 the series branch is used (exact 1/r at K = 0).
     """
-    _require_admissible(K, r)
     return _circle_value(K, r)[0]
 
 
@@ -150,35 +161,37 @@ def geodesic_circle_curvature_dK(K: float, r: float) -> float:
     Restricted to the principal branch r*sqrt(K) < pi for K > 0.  The
     value at K = 0 is exactly -(r/3); the sign is negative everywhere.
     """
-    _require_admissible(K, r)
     return _circle_dK(K, r)
 
 
 def _circle_dK(K: float, r: float) -> float:
-    """geodesic_circle_curvature_dK at a (K, r) that passed the gate."""
+    """geodesic_circle_curvature_dK, with the gate's tests inline as in
+    _circle_value."""
+    if not (-math.inf < K < math.inf and 0.0 < r < math.inf
+            and (K <= 0.0 or r * math.sqrt(K) < math.pi) and 1.0 / r != math.inf):
+        _require_admissible(K, r)
     y = K * r * r
-    if abs(y) < SERIES_WINDOW:
-        acc = _DERIV_COEFFS[-1]
-        for c in reversed(_DERIV_COEFFS[:-1]):
-            acc = c + y * acc
-        return -(r / 3.0) * (1.0 + y * acc)
+    if -SERIES_WINDOW < y < SERIES_WINDOW:
+        return -(r / 3.0) * (1.0 + y * (_D0 + y * (_D1 + y * (_D2 + y * _D3))))
     if K > 0.0:
-        a = r * math.sqrt(K)
+        q = math.sqrt(K)
+        a = r * q
         s = math.sin(a)
-        return (1.0 / (2.0 * math.sqrt(K))) * (1.0 / math.tan(a) - a / (s * s))
-    b = r * math.sqrt(-K)
+        return (1.0 / (2.0 * q)) * (1.0 / math.tan(a) - a / (s * s))
+    q = math.sqrt(-K)
+    b = r * q
     if b > _SINH_SQUARE_OVERFLOW:
         # sinh(b)^2 is inf, so b / sinh(b)^2 is 0; sinh itself overflows past b ~ 710
-        return (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b))
+        return (1.0 / (2.0 * q)) * (-1.0 / math.tanh(b))
     sh = math.sinh(b)
-    return (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b) + b / (sh * sh))
+    return (1.0 / (2.0 * q)) * (-1.0 / math.tanh(b) + b / (sh * sh))
 
 
 def spiral_curvature_with_method(K: float, r: float, theta: float) -> tuple[float, str]:
     """Spiral curvature plus the branch tag ("closed_form" or "series")."""
-    _require_admissible(K, r)
-    _require_angle(theta)
     value, method = _circle_value(K, r)
+    if not 0.0 < theta < math.pi:
+        _require_angle(theta)
     return math.cos(theta) * value, method
 
 
@@ -186,7 +199,10 @@ def spiral_curvature(K: float, r: float, theta: float) -> float:
     """Geodesic curvature of the constant-angle spiral: cos(theta) times
     the geodesic-circle curvature.  See _require_admissible and
     _require_angle for the admissible region."""
-    return spiral_curvature_with_method(K, r, theta)[0]
+    value = _circle_value(K, r)[0]
+    if not 0.0 < theta < math.pi:
+        _require_angle(theta)
+    return math.cos(theta) * value
 
 
 def spiral_curvature_series(K: float, r: float, theta: float, terms: int = 4) -> float:
@@ -212,9 +228,10 @@ def spiral_curvature_dK(K: float, r: float, theta: float) -> float:
 
     Equals cos(theta) times the circle-curvature derivative; at K = 0 the
     value is -(r/3)*cos(theta)."""
-    _require_admissible(K, r)
-    _require_angle(theta)
-    return math.cos(theta) * _circle_dK(K, r)
+    dK = _circle_dK(K, r)
+    if not 0.0 < theta < math.pi:
+        _require_angle(theta)
+    return math.cos(theta) * dK
 
 
 def spiral_curvature_abs_dK(K: float, r: float, theta: float) -> float:

@@ -151,7 +151,6 @@ def _monotone_in_K(r: float, ts: list[float]) -> VerificationReport:
     increasing grid ts and the values themselves decrease along it."""
     obs, prev = [], None
     for t in ts:
-        cf._require_admissible(t, r)
         fp = cf._circle_dK(t, r)
         error = 0.0 if fp < 0.0 else max(abs(fp), 5e-324)
         obs.append(_new(Observation, ((t, r), 0.0, fp, error)))

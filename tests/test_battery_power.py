@@ -21,20 +21,22 @@ _circle_value = cf._circle_value
 _curvature = curves._curvature
 
 
-def coth_to_tanh(K, r, terms=4):
-    value, method = _circle_value(K, r, terms)
+def coth_to_tanh(K, r):
+    value, method = _circle_value(K, r)
     if method == cf.METHOD_CLOSED_FORM and K < 0.0:
         return math.sqrt(-K) * math.tanh(r * math.sqrt(-K)), method
     return value, method
 
 
-def flat(K, r, terms=4):
-    # c = 1/r everywhere: the two curvatures of ratio_limit.slope are equal
-    return 1.0 / r, _circle_value(K, r, terms)[1]
+def flat(K, r):
+    # c = 1/r everywhere: the two curvatures of ratio_limit.slope are equal;
+    # the kernel runs first, so the gate refuses a point before 1/r divides
+    method = _circle_value(K, r)[1]
+    return 1.0 / r, method
 
 
-def nudged(K, r, terms=4):
-    value, method = _circle_value(K, r, terms)
+def nudged(K, r):
+    value, method = _circle_value(K, r)
     return (value * (1.0 + 1e-7) if abs(K) * r * r > 1e-2 else value), method
 
 

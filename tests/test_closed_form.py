@@ -381,6 +381,158 @@ def test_profile_calls_the_gate_only_at_a_failing_point(monkeypatch):
     assert calls == {"gate": 1, "branch": 0}
 
 
+def _reference_circle(K, r):
+    """The circle curvature, its K-derivative and the tag by the route of
+    the gate, then the branch: _series_value's loop and the _DERIV_COEFFS
+    loop on the seam, the cot/coth closed forms off it."""
+    closed_form._require_admissible(K, r)
+    y = K * r * r
+    if abs(y) < SERIES_WINDOW:
+        acc = closed_form._DERIV_COEFFS[-1]
+        for c in reversed(closed_form._DERIV_COEFFS[:-1]):
+            acc = c + y * acc
+        return closed_form._series_value(y, r, 4), -(r / 3.0) * (1.0 + y * acc), METHOD_SERIES
+    if K > 0.0:
+        a = r * math.sqrt(K)
+        s = math.sin(a)
+        dK = (1.0 / (2.0 * math.sqrt(K))) * (1.0 / math.tan(a) - a / (s * s))
+        return math.sqrt(K) / math.tan(a), dK, METHOD_CLOSED_FORM
+    b = r * math.sqrt(-K)
+    if b > closed_form._SINH_SQUARE_OVERFLOW:
+        dK = (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b))
+    else:
+        sh = math.sinh(b)
+        dK = (1.0 / (2.0 * math.sqrt(-K))) * (-1.0 / math.tanh(b) + b / (sh * sh))
+    return math.sqrt(-K) / math.tanh(b), dK, METHOD_CLOSED_FORM
+
+
+def _reference_spiral(K, r, theta):
+    """k, dk/dK, d|k|/dK and the tag: the (K, r) gate, then the angle gate."""
+    value, dK, method = _reference_circle(K, r)
+    closed_form._require_angle(theta)
+    k, dk = math.cos(theta) * value, math.cos(theta) * dK
+    return k, dk, 0.0 if k == 0.0 else math.copysign(1.0, k) * dk, method
+
+
+def _outcome(fn, *args):
+    """A result's float.hex, or the text of the DomainError it raised."""
+    try:
+        result = fn(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    if isinstance(result, tuple):
+        return result[0].hex(), result[1]
+    return result.hex()
+
+
+_NEXT_PAST_RING = math.nextafter(SERIES_WINDOW, math.inf)
+_BELOW_PI = math.nextafter(PI, 0.0)
+
+
+@st.composite
+def _scalar_points(draw):
+    """(K, r, theta): on either side of the seam ring |K| r^2 = 1e-4 at
+    either sign of K, within a few ulps of the conjugate radius, past
+    r sqrt(-K) = 400, at +-0.0 and subnormal K or r, or any floats at all;
+    theta inside (0, pi) three times in four, else at or past its ends."""
+    kind = draw(st.sampled_from(("ring", "conjugate", "far", "edge", "any")))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if kind == "ring":
+        r = draw(st.floats(1e-3, 1e3))
+        y = draw(st.sampled_from((SERIES_WINDOW, _NEXT_PAST_RING, 9.9e-5, 1.01e-4)))
+        K = sign * y / (r * r)
+        for _ in range(draw(st.integers(0, 3))):
+            K = math.nextafter(K, draw(st.sampled_from((0.0, sign * math.inf))))
+    elif kind == "conjugate":
+        K = draw(st.floats(1e-6, 1e6))
+        r = PI / math.sqrt(K)
+        for _ in range(draw(st.integers(0, 4))):
+            r = math.nextafter(r, draw(st.sampled_from((0.0, math.inf))))
+    elif kind == "far":
+        K = -draw(st.floats(1e-2, 1e6))
+        r = draw(st.floats(300.0, 1000.0)) / math.sqrt(-K)
+    elif kind == "edge":
+        K = draw(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308, 1.0, -1.0)))
+        r = draw(st.sampled_from((5e-324, 1e-310, 5.6e-309, 6e-309, 1e-300, 0.5, 0.0, -0.0)))
+    else:
+        K, r = draw(st.floats()), draw(st.floats())
+    theta = draw(st.one_of(
+        st.floats(0.0, PI), st.floats(0.0, PI), st.floats(0.0, PI),
+        st.sampled_from((0.0, -0.0, PI, -1.0, 5.0, math.nan, math.inf)),
+    ))
+    return K, r, theta
+
+
+@settings(deadline=None, max_examples=600, derandomize=True)
+@given(_scalar_points())
+@example((9.9e-5, 1.0, 0.7))
+@example((-9.9e-5, 1.0, 0.7))
+@example((1.01e-4, 1.0, 0.7))
+@example((-1.01e-4, 1.0, 0.7))
+# the largest |K| below the ring at r = 1 where the fourth term of the
+# derivative series changes a bit of the derivative
+@example((9.999999999992543e-05, 1.0, 0.7))
+@example((-9.999999999867813e-05, 1.0, 0.7))
+@example((1.0, _BELOW_PI, 0.7))
+@example((-1e6, 1.0, 0.7))
+@example((0.0, 5e-324, 0.7))
+@example((1.0, 4.0, 5.0))  # both gates refuse: the (K, r) message comes first
+@example((math.nan, 1.0, -1.0))
+def test_scalars_keep_the_bits_and_raises_of_the_gate_then_branch_route(point):
+    K, r, theta = point
+    try:
+        k, dk, abs_dk, method = _reference_spiral(K, r, theta)
+        expected = [(k.hex(), method), k.hex(), dk.hex(), abs_dk.hex()]
+    except DomainError as exc:
+        expected = [("DomainError", str(exc))] * 4
+    try:
+        value, dK, _ = _reference_circle(K, r)
+        expected += [value.hex(), dK.hex()]
+    except DomainError as exc:
+        expected += [("DomainError", str(exc))] * 2
+    assert [
+        _outcome(spiral_curvature_with_method, K, r, theta),
+        _outcome(spiral_curvature, K, r, theta),
+        _outcome(spiral_curvature_dK, K, r, theta),
+        _outcome(spiral_curvature_abs_dK, K, r, theta),
+        _outcome(geodesic_circle_curvature, K, r),
+        _outcome(geodesic_circle_curvature_dK, K, r),
+    ] == expected
+
+
+def test_scalars_call_the_gate_only_at_a_failing_point(monkeypatch):
+    calls = []
+    gate = closed_form._require_admissible
+
+    def counted(K, r):
+        calls.append((K, r))
+        gate(K, r)
+
+    monkeypatch.setattr(closed_form, "_require_admissible", counted)
+    scalars = [
+        spiral_curvature, spiral_curvature_with_method, spiral_curvature_dK,
+        spiral_curvature_abs_dK,
+        lambda K, r, theta: geodesic_circle_curvature(K, r),
+        lambda K, r, theta: geodesic_circle_curvature_dK(K, r),
+    ]
+    # the series branch at both signs of K, the cot branch just inside the
+    # conjugate radius, the coth branch past r sqrt(-K) = 400
+    for K, r in ((1e-6, 2.0), (-1e-6, 2.0), (0.0, 6e-309), (1.0, _BELOW_PI), (-1e6, 1.0)):
+        for fn in scalars:
+            fn(K, r, 0.7)
+    assert calls == []
+    for K, r in ((1.0, PI), (math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, 5e-324),
+                 (-1.0, math.inf)):
+        for fn in scalars:
+            with pytest.raises(DomainError):
+                fn(K, r, 0.7)
+            assert calls == [(K, r)]
+            calls.clear()
+    with pytest.raises(DomainError, match="theta"):
+        spiral_curvature(1.0, 1.0, 4.0)
+    assert calls == []
+
+
 
 class TestCurvatureProfileValue:
     """The tuple-backed CurvatureProfile behaves as the frozen dataclass it was."""

@@ -11,8 +11,8 @@ there is any.  The list: verify in text and JSON with both jet modes and
 each suite alone, the five figures, every curvature, profile and trace
 command of .github/workflows/tests.yml, its error commands included,
 traces that read back their angle, the commands of the import checks,
-negative flag values with digit underscores, and profiles across the seam
-ring and up to the conjugate radius.
+negative flag values with digit underscores, and profiles and scalars
+across the seam ring and up to the conjugate radius.
 """
 
 import difflib
@@ -94,6 +94,15 @@ COMMANDS = [
     "curvature --K -1_000 --r 0.01",
     "profile --axis r --fixed -1_0 --min 0.1 --max 1 --steps 2",
     "curvature --K -1__0 --r 0.01",
+    # the scalar on either side of the seam ring at either sign of K, at the
+    # float below the conjugate radius, far out on the coth branch and at a
+    # subnormal r; a refused (K, r) is named before a refused theta
+    *(f"curvature --K {K} --r 1" for K in ("9.9e-5", "-9.9e-5", "1.01e-4", "-1.01e-4")),
+    "curvature --K 1 --r 3.1415926535897927",
+    "curvature --K -1e6 --r 1",
+    "curvature --r 5e-324",
+    "curvature --K 1 --r 4 --theta 5",
+    "curvature --K nan --theta -1",
 ]
 
 
