@@ -12,8 +12,8 @@ convention e = <N_u, p_u>, f = <N_u, p_v>, g = <N_v, p_v> because N is
 orthogonal to p_u and p_v; flipping the orientation flips (e, f, g)
 jointly and leaves the curvature untouched.  gaussian_curvature reads K
 off one 2-jet through curvature_from_jet, which the verify battery calls
-directly, for both orientations, on the one jet of each grid point.  It
-reads the forms through forms_from_jet, a straight-line float kernel with
+directly on the flipped orientation of its grid points.  It reads the
+forms through forms_from_jet, a straight-line float kernel with
 the bits and the raises of first_form, unit_normal and Vec3.dot; it
 raises NumericalBreakdown where e, f, g or K is not finite rather than
 return them.  The oriented unit normal has one owner, the private float
@@ -30,7 +30,8 @@ sign check.  A Vec3 is built only where a point leaves the package: by
 a surface of revolution's position map and by unit_normal.
 
 Jets can be evaluated analytically (when the patch provides derivatives of
-its profile functions) or by pure central differences of the position map.
+its profile functions; surface_of_revolution binds them with x and z in a
+functools.partial of _revolution_jet) or by pure central differences.
 eval_jet is the one entry point, and its domain and mode gate also picks
 the mode of a call that names none (mode=None): analytic exactly when the
 patch carries a jet, else finite differences.  fundamental_forms,
@@ -54,8 +55,12 @@ differences them.  It recognises the surface by its position map, which
 surface_of_revolution builds as a functools.partial of
 _revolution_position over x and z; any other position map, such as a
 chart without that symmetry or a wrapped copy of the map, is called once
-per stencil point.  _jet_grid, the forms battery's source of jets, builds
-each axis once per distinct grid coordinate instead of once per point.
+per stencil point.  _jet_grid builds each axis once per distinct grid
+coordinate instead of once per point.  _curvature_grid, the forms
+battery's source of K, recognises the analytic jet's partial the same
+way: there it takes cos, sin once per grid u and the profile once per
+grid v and reads K per point in plain floats, no Jet2, the normal from
+_normal; any other grid it reads off the jets of _jet_grid.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ class SurfacePatch:
     orientation_sign : int
         +1 or -1; the unit normal is orientation_sign * (p_u x p_v)/|...|.
     jet : callable or None
-        Analytic 2-jet (u, v) -> Jet2, present for the built-in surfaces.
+        Analytic 2-jet (u, v) -> Jet2, present for the built-in surfaces:
+        a functools.partial of _revolution_jet (see the module docstring).
     known_K : float or None
         The constant Gaussian curvature this patch is supposed to have,
         for downstream cross-checks and for degeneracy_bound; None if not
@@ -420,6 +426,52 @@ def curvature_from_jet(jet: Jet2, patch: SurfacePatch) -> float:
     return K
 
 
+def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
+    """[curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us
+    for v in vs], bit for bit.
+
+    A surface_of_revolution patch in analytic mode takes the one pass of
+    _revolution_curvatures; any other reads K off each jet of _jet_grid.
+    Where either fails, the row-major loop runs instead and raises what it
+    raises first."""
+    jet = patch.jet
+    try:
+        if mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet:
+            return _revolution_curvatures(patch, us, vs, *jet.args)
+        return [curvature_from_jet(j, patch) for j in _jet_grid(patch, us, vs, mode)]
+    except Exception:  # any: the profile is the caller's
+        pass
+    return [curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us for v in vs]
+
+
+def _revolution_curvatures(patch: SurfacePatch, us, vs, x, z, derivatives) -> list:
+    """K over a grid in the float operations of _revolution_jet, first_form,
+    forms_from_jet and curvature_from_jet.  It raises where a coordinate is
+    outside the domain or a point fails a test of curvature_from_jet; those
+    of _first_form_det imply finite E, F, G, and a finite K finite e, f, g."""
+    dom = patch.domain
+    if not (all(map(dom.u.contains, us)) and all(map(dom.v.contains, vs))):
+        raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")
+    profile = [(x(v), z(v), *derivatives(v)) for v in vs]  # z(v) for its raises
+    Ks = []
+    for u in us:
+        cu, su = math.cos(u), math.sin(u)
+        for r, _, r1, h1, r2, h2 in profile:
+            x0, x1, a0, a1 = -r * su, r * cu, r1 * cu, r1 * su  # p_u and p_v
+            E = x0 * x0 + x1 * x1 + 0.0 * 0.0
+            F = x0 * a0 + x1 * a1 + 0.0 * h1
+            G = a0 * a0 + a1 * a1 + h1 * h1
+            nx, ny, nz = _normal((x0, x1, 0.0), (a0, a1, h1), patch)
+            e = -(nx * (-r * cu) + ny * x0 + nz * 0.0)  # p_uu = (-r cu, -r su, 0)
+            f = -(nx * (-r1 * su) + ny * a0 + nz * 0.0)  # p_uv = (-r1 su, r1 cu, 0)
+            g = -(nx * (r2 * cu) + ny * (r2 * su) + nz * h2)
+            K = (e * g - f * f) / _first_form_det(E, F, G)
+            if not _isfinite(K):
+                raise NumericalBreakdown(f"K = {K!r} is not finite")
+            Ks.append(K)
+    return Ks
+
+
 # ---------------------------------------------------------------------------
 # built-in surfaces
 
@@ -431,6 +483,25 @@ def _revolution_position(x, z, u: float, v: float) -> Vec3:
     FD jets recognise (_fd_axis_values)."""
     r = x(v)
     return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
+
+
+def _revolution_jet(x, z, derivatives, u: float, v: float) -> Jet2:
+    """The analytic 2-jet at (u, v) of _revolution_position, from the
+    profile's derivatives (x', z', x'', z''); bound as a partial, like it."""
+    cu, su = math.cos(u), math.sin(u)
+    r, h = x(v), z(v)
+    r1, h1, r2, h2 = derivatives(v)
+    return _new(
+        Jet2,
+        (
+            (r * cu, r * su, h),
+            (-r * su, r * cu, 0.0),
+            (r1 * cu, r1 * su, h1),
+            (-r * cu, -r * su, 0.0),
+            (-r1 * su, r1 * cu, 0.0),
+            (r2 * cu, r2 * su, h2),
+        ),
+    )
 
 
 def surface_of_revolution(
@@ -452,30 +523,11 @@ def surface_of_revolution(
     may be Interval instances or plain (lo, hi) pairs, which are taken as
     open intervals.
     """
-    jet = None
-    if derivatives is not None:
-
-        def jet(u: float, v: float) -> Jet2:
-            cu, su = math.cos(u), math.sin(u)
-            r, h = x(v), z(v)
-            r1, h1, r2, h2 = derivatives(v)
-            return _new(
-                Jet2,
-                (
-                    (r * cu, r * su, h),
-                    (-r * su, r * cu, 0.0),
-                    (r1 * cu, r1 * su, h1),
-                    (-r * cu, -r * su, 0.0),
-                    (-r1 * su, r1 * cu, 0.0),
-                    (r2 * cu, r2 * su, h2),
-                ),
-            )
-
     return SurfacePatch(
         eval=partial(_revolution_position, x, z),
         domain=Rect(Interval(*u_domain), Interval(*v_domain)),  # an Interval or a (lo, hi)
         orientation_sign=orientation_sign,
-        jet=jet,
+        jet=None if derivatives is None else partial(_revolution_jet, x, z, derivatives),
         known_K=known_K,
         name=name,
     )

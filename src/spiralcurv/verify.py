@@ -47,6 +47,7 @@ from .surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
     SurfacePatch,
+    _curvature_grid,
     _jet_grid,
     curvature_from_jet,
     first_form,
@@ -228,22 +229,25 @@ def _patches() -> list[tuple[SurfacePatch, list[float], list[float]]]:
 def suite_forms(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
     """One pass per patch: the curvature at every grid point, and at every
     4th point in u and in v its orientation flip, the regularity of the
-    first form and the analytic-vs-FD jet agreement.  Each grid point
-    takes one jet in the battery's mode, which serves both orientations
-    and its own side of the jet agreement, and every 4th point one in the
-    other mode, both from surfaces._jet_grid (once per grid coordinate)."""
+    first form and the analytic-vs-FD jet agreement.  The curvature at
+    every grid point comes from surfaces._curvature_grid, in the battery's
+    mode.  Every 4th point also takes one jet in each mode from
+    surfaces._jet_grid: the battery's serves the flip and its side of the
+    jet agreement, so the flip's K also checks the grid's K against
+    curvature_from_jet."""
     reports = []
     orientation, regularity, consistency = [], [], []
     other = JET_MODE_FD if mode == JET_MODE_ANALYTIC else JET_MODE_ANALYTIC
     for patch, us, vs in _patches():
         flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         relative = patch.known_K != 0.0
-        others = iter(_jet_grid(patch, us[::4], vs[::4], other))
+        quarter = zip(
+            _jet_grid(patch, us[::4], vs[::4], mode), _jet_grid(patch, us[::4], vs[::4], other)
+        )
         obs = []
         points = product(enumerate(us), enumerate(vs))
-        for ((i, u), (j, v)), jet in zip(points, _jet_grid(patch, us, vs, mode)):
+        for ((i, u), (j, v)), K in zip(points, _curvature_grid(patch, us, vs, mode)):
             point = (patch.name, u, v)
-            K = curvature_from_jet(jet, patch)
             if relative:
                 err = abs(K - patch.known_K) / abs(patch.known_K)
             else:
@@ -251,9 +255,10 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
             obs.append(_new(Observation, (point, patch.known_K, K, err)))
             if i % 4 or j % 4:
                 continue
+            jet, other_jet = next(quarter)
             K2 = curvature_from_jet(jet, flipped)
             orientation.append(Observation(point, K, K2, abs(K - K2)))
-            an, fd = (jet, next(others)) if mode == JET_MODE_ANALYTIC else (next(others), jet)
+            an, fd = (jet, other_jet) if mode == JET_MODE_ANALYTIC else (other_jet, jet)
             E, F, G = first_form(an)
             det = E * G - F * F
             regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))

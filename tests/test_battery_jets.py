@@ -1,19 +1,21 @@
-"""The forms suite takes one jet per grid point, in the battery's mode,
-and each curve measurement one jet at its curve point.
+"""The forms suite reads K at every grid point through one grid call, and
+takes jets only at every 4th point in u and in v; each curve measurement
+takes one jet at its curve point.
 
-Per run_suites("all"): 2,800 + 330 + 653 jets in the battery's mode and
-175 in the other mode.  The forms suite takes its jets from
-surfaces._jet_grid, a grid at a time: the 2,800 (7 patches x 400 grid
-points) and the 175 (the other side of jet_consistency at every 4th
-point in u and in v).  Every other jet is one call of eval_jet: the
-curvature measurements take 330: 250 numeric_vs_closed_form samples, 36
+Per run_suites("all"): 2,800 curvatures (7 patches x 400 grid points)
+from surfaces._curvature_grid in the battery's mode, 175 jets from
+surfaces._jet_grid in each mode (the orientation flip, the regularity and
+the two sides of jet_consistency at every 4th point), and 330 + 653 jets
+in the battery's mode, each one call of eval_jet: the curvature
+measurements take 330: 250 numeric_vs_closed_form samples, 36
 curvatures of orientation_covariance, 32 liouville breakdowns and 12
 meridian curvatures; the speeds and angles take 653: 75 speeds (5 arc
 lengths of one 15-node panel each) and 578 angles (350 of
 constant_angle, 100 of embedded_polar_angle and the 4-point dtheta/dt
-stencil of the 32 liouville breakdowns).  Wrappers around _jet_grid and
-eval_jet in every module that binds them count the jets per route; an
-eval_jet call inside _jet_grid counts for the grid alone."""
+stencil of the 32 liouville breakdowns).  Wrappers around
+_curvature_grid, _jet_grid and eval_jet in every module that binds them
+count the calls per route; a call made inside another route counts
+apart, as nested in the outermost one."""
 
 import collections
 import dataclasses
@@ -48,29 +50,40 @@ OTHER = {JET_MODE_ANALYTIC: JET_MODE_FD, JET_MODE_FD: JET_MODE_ANALYTIC}
 @pytest.fixture
 def jet_counts(monkeypatch):
     counts = collections.Counter()
-    original, original_grid = surfaces.eval_jet, surfaces._jet_grid
-    inside_grid = []
+    original = surfaces.eval_jet
+    inside = []
+
+    def count(route, mode, n):
+        if inside:
+            counts[inside[0], route, mode] += n
+        else:
+            counts[route, mode] += n
 
     def counted(patch, u, v, mode=JET_MODE_ANALYTIC):
-        if not inside_grid:
-            counts["eval_jet", mode] += 1
+        count("eval_jet", mode, 1)
         return original(patch, u, v, mode)
 
-    def counted_grid(patch, us, vs, mode):
-        counts["_jet_grid", mode] += len(us) * len(vs)
-        inside_grid.append(mode)
-        try:
-            return original_grid(patch, us, vs, mode)
-        finally:
-            inside_grid.pop()
+    def counting(route, grid):
+        def counted_grid(patch, us, vs, mode):
+            count(route, mode, len(us) * len(vs))
+            inside.append(route)
+            try:
+                return grid(patch, us, vs, mode)
+            finally:
+                inside.pop()
 
+        return counted_grid
+
+    wrappers = {
+        id(original): counted,
+        id(surfaces._jet_grid): counting("_jet_grid", surfaces._jet_grid),
+        id(surfaces._curvature_grid): counting("_curvature_grid", surfaces._curvature_grid),
+    }
     for name, module in list(sys.modules.items()):
         if name == "spiralcurv" or name.startswith("spiralcurv."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-                elif value is original_grid:
-                    monkeypatch.setattr(module, attr, counted_grid)
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
     return counts
 
 
@@ -78,10 +91,21 @@ def jet_counts(monkeypatch):
 def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode)
     assert all(r.passed for r in reports)
+    # analytic jets of _jet_grid are eval_jet calls; analytic curvatures
+    # of _curvature_grid take no jet, FD ones the jets of _jet_grid
+    nested = {
+        JET_MODE_ANALYTIC: {("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175},
+        JET_MODE_FD: {
+            ("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175,
+            ("_curvature_grid", "_jet_grid", JET_MODE_FD): 2800,
+        },
+    }
     assert jet_counts == {
-        ("_jet_grid", mode): 2800,
+        ("_curvature_grid", mode): 2800,
         ("eval_jet", mode): 330 + 75 + 578,
+        ("_jet_grid", mode): 175,
         ("_jet_grid", OTHER[mode]): 175,
+        **nested[mode],
     }
 
 
@@ -172,20 +196,25 @@ def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
     for patch, us, vs in verify._patches():
         grid = surfaces._jet_grid(patch, us, vs, JET_MODE_FD)
         assert _hex(grid) == _hex(_generic_fd_jet(patch, u, v) for u in us for v in vs)
-    # and so does the suite built on them
+    # and so does the suite built on them: its curvatures read the jets of
+    # the grid source of _curvature_grid, the rest those of verify's
     kernel = verify.suite_forms(JET_MODE_FD)
     calls = collections.Counter()
     original_grid = surfaces._jet_grid
 
-    def generic_grid(patch, us, vs, mode):
-        if mode != JET_MODE_FD:
-            return original_grid(patch, us, vs, mode)
-        calls["_generic_fd_jet"] += len(us) * len(vs)
-        return [_generic_fd_jet(patch, u, v) for u in us for v in vs]
+    def generic(source):
+        def generic_grid(patch, us, vs, mode):
+            if mode != JET_MODE_FD:
+                return original_grid(patch, us, vs, mode)
+            calls[source] += len(us) * len(vs)
+            return [_generic_fd_jet(patch, u, v) for u in us for v in vs]
 
-    monkeypatch.setattr(verify, "_jet_grid", generic_grid)
-    generic = verify.suite_forms(JET_MODE_FD)
-    assert calls["_generic_fd_jet"] == 2800
+        return generic_grid
+
+    monkeypatch.setattr(surfaces, "_jet_grid", generic("surfaces"))
+    monkeypatch.setattr(verify, "_jet_grid", generic("verify"))
+    generic_suite = verify.suite_forms(JET_MODE_FD)
+    assert calls == {"surfaces": 2800, "verify": 175}
     assert [(r.check_name, r.observations) for r in kernel] == [
-        (r.check_name, r.observations) for r in generic
+        (r.check_name, r.observations) for r in generic_suite
     ]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -18,6 +19,7 @@ from spiralcurv import (
     pseudosphere_patch,
     sphere_patch,
     surface_of_revolution,
+    surfaces,
     unit_normal,
     verify,
 )
@@ -31,7 +33,14 @@ from spiralcurv.numdiff import (
 )
 from spiralcurv.curves import MERIDIAN, PARALLEL, coordinate_curve
 from spiralcurv.errors import GeometryError, NumericalBreakdown
-from spiralcurv.surfaces import Interval, Rect, SurfacePatch, _jet_grid
+from spiralcurv.surfaces import (
+    Interval,
+    Rect,
+    SurfacePatch,
+    _curvature_grid,
+    _jet_grid,
+    curvature_from_jet,
+)
 
 from test_form_kernel import vec3_jet
 
@@ -345,6 +354,37 @@ def _grid(patch, us, vs, mode):
         return type(exc), str(exc)
 
 
+# grids of charts other than the battery's, which the FD kernel evaluates
+# at each stencil point or which have no analytic jet
+OTHER_GRIDS = {
+    "skew": (SKEW, SKEW_US, SKEW_VS),
+    "wrapped-sphere": (
+        _wrapped(sphere_patch(2.0)), (0.0, 1.5, 6.0), (1e-3, 0.4, 2.0, math.pi - 1e-9)
+    ),
+    "wrapped-pseudosphere": (
+        _wrapped(pseudosphere_patch(1.0)), (-3.0, 0.2), (1e-3 + 1e-9, 0.7, math.pi / 2 - 1e-6)
+    ),
+    "nojet": (NOJET, (-1.0, 0.0, 2.5), (1e-6, 1.5, 3.0 - 1e-6)),
+}
+
+# grids at the edges of the charts, where the row-major loop raises in
+# one jet mode or in both
+EDGE_GRIDS = {
+    # u outside the chart, and v outside it at the first u, which the
+    # row-major loop meets first
+    "u": (SKEW, (0.0, 2.5), (0.5,)),
+    "v-before-u": (SKEW, (0.0, 2.5), (0.5, 3.5)),
+    # v below the tractroid's floor; on its rim, the point is in the domain
+    # but no FD stencil fits
+    "v-floor": (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, 1e-4, math.pi / 2)),
+    "rim": (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, math.pi / 2)),
+    "wrapped-rim": (_wrapped(pseudosphere_patch(1.0)), (0.5,), (1.0, math.pi / 2)),
+    # a step that underflows when squared, next to the plane's origin
+    "underflow": (plane_patch(), (0.0, 1.0), (1.0, 1e-200)),
+    "nan": (sphere_patch(1.0), (0.0, math.nan), (1.0,)),
+}
+
+
 class TestJetGrid:
     """_jet_grid gives the jets of eval_jet at every point of a grid, bit
     for bit, and raises what the row-major loop of eval_jet raises first."""
@@ -356,44 +396,31 @@ class TestJetGrid:
             assert len(want) == len(us) * len(vs) == 400
             assert _grid(patch, us, vs, mode) == want, patch.name
 
-    @pytest.mark.parametrize(
-        "patch,us,vs",
-        [
-            (SKEW, SKEW_US, SKEW_VS),
-            (_wrapped(sphere_patch(2.0)), (0.0, 1.5, 6.0), (1e-3, 0.4, 2.0, math.pi - 1e-9)),
-            (_wrapped(pseudosphere_patch(1.0)), (-3.0, 0.2), (1e-3 + 1e-9, 0.7, math.pi / 2 - 1e-6)),
-            (NOJET, (-1.0, 0.0, 2.5), (1e-6, 1.5, 3.0 - 1e-6)),
-        ],
-        ids=["skew", "wrapped-sphere", "wrapped-pseudosphere", "nojet"],
-    )
-    def test_eval_jet_on_other_charts(self, patch, us, vs):
+    @pytest.mark.parametrize("name", OTHER_GRIDS)
+    def test_eval_jet_on_other_charts(self, name):
+        patch, us, vs = OTHER_GRIDS[name]
         want = _row_major(patch, us, vs, JET_MODE_FD)
         assert len(want) == len(us) * len(vs)
         assert _grid(patch, us, vs, JET_MODE_FD) == want
 
-    @pytest.mark.parametrize(
-        "patch,us,vs,kinds",
-        [
-            # u outside the chart, and v outside it at the first u, which
-            # the row-major loop meets first
-            (SKEW, (0.0, 2.5), (0.5,), (BadParameter, OutOfDomain)),
-            (SKEW, (0.0, 2.5), (0.5, 3.5), (BadParameter, OutOfDomain)),
-            # v below the tractroid's floor; on its rim, the point is in the
-            # domain but no FD stencil fits
-            (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, 1e-4, math.pi / 2),
-             (OutOfDomain, OutOfDomain)),
-            (pseudosphere_patch(1.0), (0.5, 1.0), (1.0, math.pi / 2), (None, OutOfDomain)),
-            (_wrapped(pseudosphere_patch(1.0)), (0.5,), (1.0, math.pi / 2), (None, OutOfDomain)),
-            # a step that underflows when squared, next to the plane's origin
-            (plane_patch(), (0.0, 1.0), (1.0, 1e-200), (None, NumericalBreakdown)),
-            (sphere_patch(1.0), (0.0, math.nan), (1.0,), (OutOfDomain, OutOfDomain)),
-        ],
-        ids=["u", "v-before-u", "v-floor", "rim", "wrapped-rim", "underflow", "nan"],
-    )
+    # what the row-major loop raises on each edge grid in analytic mode and
+    # with finite differences; None where it raises nothing
+    RAISES = {
+        "u": (BadParameter, OutOfDomain),
+        "v-before-u": (BadParameter, OutOfDomain),
+        "v-floor": (OutOfDomain, OutOfDomain),
+        "rim": (None, OutOfDomain),
+        "wrapped-rim": (None, OutOfDomain),
+        "underflow": (None, NumericalBreakdown),
+        "nan": (OutOfDomain, OutOfDomain),
+    }
+
+    @pytest.mark.parametrize("name", EDGE_GRIDS)
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
-    def test_raises_what_the_row_major_loop_raises_first(self, patch, us, vs, kinds, mode):
+    def test_raises_what_the_row_major_loop_raises_first(self, name, mode):
+        patch, us, vs = EDGE_GRIDS[name]
         want = _row_major(patch, us, vs, mode)
-        kind = kinds[mode == JET_MODE_FD]
+        kind = self.RAISES[name][mode == JET_MODE_FD]
         if kind is None:
             assert len(want) == len(us) * len(vs)
         else:
@@ -418,6 +445,149 @@ class TestJetGrid:
         assert len(jets) == 20
         for name in ("x", "z"):
             assert len(seen[name]) == len(set(seen[name])) == 9 * len(vs), name
+
+
+def _row_major_K(patch, us, vs, mode):
+    """curvature_from_jet of each jet of eval_jet over the grid, row-major,
+    as float.hex, or the type and message of the first exception raised."""
+    try:
+        return [curvature_from_jet(eval_jet(patch, u, v, mode), patch).hex()
+                for u in us for v in vs]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _K_grid(patch, us, vs, mode):
+    try:
+        return [K.hex() for K in _curvature_grid(patch, us, vs, mode)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _cylinder(r, derivatives, name):
+    """A cylinder of radius r whose analytic jet takes the given profile
+    derivatives (x', z', x'', z'') at every v, whether or not they match."""
+    return surface_of_revolution(lambda v: r, lambda v: v, derivatives=lambda v: derivatives,
+                                 v_domain=(0.0, 1.0), name=name)
+
+
+def _jet_behind_a_function(patch):
+    """The patch with its analytic jet behind a plain function, whose K
+    _curvature_grid reads off each jet (the generic route)."""
+    jet = patch.jet
+    return dataclasses.replace(patch, jet=lambda u, v: jet(u, v))
+
+
+# grids on which every point has a curvature, next to the edges of the
+# charts, on scaled surfaces, and on charts read through their jets
+CURVATURE_GRIDS = {
+    **OTHER_GRIDS,
+    "sphere-poles": (sphere_patch(1.0), (0.0, 2.0, -5.5),
+                     (1e-8, 1e-3, math.pi - 1e-3, math.pi - 1e-8)),
+    "pseudosphere-rim-and-floor": (pseudosphere_patch(2.0), (-2.5, 6.0),
+                                   (1e-3 + 1e-9, 1e-3 + 1e-7, 0.9, math.pi / 2 - 1e-6)),
+    "plane-origin": (plane_patch(), (0.0, 3.0), (1e-6, 1e-3, 1e3)),
+    "tiny-sphere": (sphere_patch(1e-60), (0.5, 4.0), (1.0, 2.0)),
+    "huge-pseudosphere": (pseudosphere_patch(1e50), (0.5, 4.0), (0.2, 1.0)),
+    "jet-behind-a-function": (_jet_behind_a_function(sphere_patch(2.0)), (0.0, 1.5, 6.0),
+                              (1e-3, 0.4, 2.0, math.pi - 1e-9)),
+}
+
+# grids where the row-major loop raises in one jet mode or in both: the
+# edge grids of _jet_grid, and grids where a test of curvature_from_jet
+# fails at a point whose jet is in the domain
+CURVATURE_EDGE_GRIDS = {
+    **EDGE_GRIDS,
+    # on the rim the analytic jet is in the domain but degenerate, and the
+    # loop meets it before the point below the floor
+    "rim-before-floor": (pseudosphere_patch(1.0), (0.5,), (math.pi / 2, 1e-4)),
+    # past the sphere's pole, where the profile still has a curvature
+    "v-past-pole": (sphere_patch(1.0), (0.5,), (1.0, 4.0)),
+    "normal-overflow": (sphere_patch(1e80), (0.5,), (1.0,)),
+    "E-overflow": (_cylinder(1e160, (1e-10, 1e-10, 0.0, 0.0), "E-overflow"), (0.5,), (0.5,)),
+    "g-not-finite": (_cylinder(1.0, (1.0, 1.0, math.inf, 0.0), "g-not-finite"), (0.5,), (0.5,)),
+    "K-overflow": (_cylinder(1e100, (1.0, 1.0, 1e300, 0.0), "K-overflow"), (0.5,), (0.5,)),
+}
+
+
+class TestCurvatureGrid:
+    """_curvature_grid gives curvature_from_jet of the jet of eval_jet at
+    every point of a grid, bit for bit, and raises what that row-major
+    loop raises first."""
+
+    # what the loop raises on each edge grid in analytic mode and with
+    # finite differences; None where it raises nothing
+    RAISES = {
+        **TestJetGrid.RAISES,
+        "rim": (DegenerateJet, OutOfDomain),
+        "wrapped-rim": (DegenerateJet, OutOfDomain),
+        "underflow": (DegenerateJet, NumericalBreakdown),
+        "rim-before-floor": (DegenerateJet, OutOfDomain),
+        "v-past-pole": (OutOfDomain, OutOfDomain),
+        "normal-overflow": (NumericalBreakdown, NumericalBreakdown),
+        "E-overflow": (NumericalBreakdown, NumericalBreakdown),
+        "g-not-finite": (NumericalBreakdown, None),
+        "K-overflow": (NumericalBreakdown, None),
+    }
+
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_the_battery_grids(self, mode):
+        for patch, us, vs in verify._patches():
+            want = _row_major_K(patch, us, vs, mode)
+            assert len(want) == len(us) * len(vs) == 400
+            assert _K_grid(patch, us, vs, mode) == want, patch.name
+
+    @pytest.mark.parametrize("name", CURVATURE_GRIDS)
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_other_grids(self, name, mode):
+        patch, us, vs = CURVATURE_GRIDS[name]
+        want = _row_major_K(patch, us, vs, mode)
+        if patch.jet is not None or mode == JET_MODE_FD:
+            assert len(want) == len(us) * len(vs)
+        else:  # skew and nojet: no analytic jet
+            assert want[0] is BadParameter
+        assert _K_grid(patch, us, vs, mode) == want
+
+    @pytest.mark.parametrize("name", CURVATURE_EDGE_GRIDS)
+    @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+    def test_raises_what_the_row_major_loop_raises_first(self, name, mode):
+        patch, us, vs = CURVATURE_EDGE_GRIDS[name]
+        want = _row_major_K(patch, us, vs, mode)
+        kind = self.RAISES[name][mode == JET_MODE_FD]
+        if kind is None:
+            assert len(want) == len(us) * len(vs)
+        else:
+            assert want[0] is kind
+        assert _K_grid(patch, us, vs, mode) == want
+
+    def test_profile_once_per_grid_v_and_no_jet(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def g(*args):
+                calls[name] += 1
+                return f(*args)
+            return g
+
+        monkeypatch.setattr(surfaces, "_revolution_jet", counted("jet", surfaces._revolution_jet))
+        patch = surface_of_revolution(
+            counted("x", lambda v: 2.0 + math.cos(v)), counted("z", math.sin),
+            derivatives=counted("derivatives", lambda v: (-math.sin(v), math.cos(v),
+                                                          -math.cos(v), -math.sin(v))),
+            v_domain=(0.0, 3.0),
+        )
+
+        def no_jet(*args):
+            raise AssertionError("a jet was taken")
+
+        us, vs = (0.0, 0.7, 1.4, 2.1, 2.8), (0.5, 1.0, 1.5, 2.0)
+        with monkeypatch.context() as m:
+            m.setattr(surfaces, "eval_jet", no_jet)
+            m.setattr(surfaces, "_jet_grid", no_jet)
+            grid = _K_grid(patch, us, vs, JET_MODE_ANALYTIC)
+        assert calls == {"x": len(vs), "z": len(vs), "derivatives": len(vs)}
+        assert grid == _row_major_K(patch, us, vs, JET_MODE_ANALYTIC)
+        assert calls["jet"] == len(us) * len(vs)
 
 
 class TestNormals:

@@ -8,7 +8,8 @@ fresh interpreter whose PYTHONPATH is the checkout's src/ and whose working
 directory is a new empty folder, once per checkout.  Prints every
 difference in exit code, stdout, stderr and written file, and exits 1 if
 there is any.  The list: verify in text and JSON with both jet modes and
-each suite alone, the five figures, every curvature, profile and trace
+each suite alone, the forms suite alone also in JSON and with FD jets, the
+five figures, every curvature, profile and trace
 command of .github/workflows/tests.yml, its error commands included,
 traces that read back their angle, the commands of the import checks,
 negative flag values with digit underscores, and profiles and scalars
@@ -28,6 +29,10 @@ COMMANDS = [
     *(f"verify --suite all --jets {jets}{fmt}"
       for jets in ("analytic", "fd") for fmt in ("", " --format report-json")),
     *(f"verify --suite {suite}" for suite in ("forms", "curves", "liouville", "analysis")),
+    # the forms suite alone in both jet modes and in JSON, where its grids read K
+    "verify --suite forms --jets fd",
+    "verify --suite forms --format report-json",
+    "verify --suite forms --jets fd --format report-json",
     *(f"figure --name {name} --out {name}.svg" for name in FIGURES),
     # the runs without numpy
     "curvature --K -1e-6 --r 2 --theta-deg 60",
