@@ -60,7 +60,13 @@ coordinate instead of once per point.  _curvature_grid, the forms
 battery's source of K, recognises the analytic jet's partial the same
 way: there it takes cos, sin once per grid u and the profile once per
 grid v and reads K per point in plain floats, no Jet2, the normal from
-_normal; any other grid it reads off the jets of _jet_grid.
+_normal; any other grid it reads off the jets of _jet_grid.  Each grid
+takes one route per jet mode.  The FD axes, and the domain check and
+profile of the analytic pass, take every grid coordinate before any
+point is evaluated, so a coordinate outside the domain raises
+OutOfDomain first; otherwise a grid raises the class that the row-major
+loop of eval_jet and curvature_from_jet raises first, unless two points
+fail in different ways.
 """
 
 from __future__ import annotations
@@ -214,30 +220,24 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -
         return patch.jet(u, v)
     if mode != JET_MODE_FD:
         raise BadParameter(f"unknown jet mode {mode!r}")
-    return _fd_jet(patch, u, v)
+    (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
+    return _fd_combine(patch, _fd_axis(u, dom.u, *f_u), _fd_axis(v, dom.v, *f_v))
 
 
 def _jet_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[eval_jet(patch, u, v, mode) for u in us for v in vs], bit for bit.
 
     With finite differences each _fd_axis is built once per distinct grid
-    coordinate and combined per point.  fit_steps raises at every coordinate
-    outside the domain; where anything raises, the row-major loop of
-    eval_jet runs instead and raises what it raises first."""
-    if mode == JET_MODE_FD:
-        (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
-        try:
-            axes_u = [_fd_axis(u, dom.u, *f_u) for u in us]
-            axes_v = [_fd_axis(v, dom.v, *f_v) for v in vs]
-            return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
-        except Exception:  # any: the position map and profile are the caller's
-            pass
-    return [eval_jet(patch, u, v, mode) for u in us for v in vs]
-
-
-def _fd_jet(patch: SurfacePatch, u: float, v: float) -> Jet2:
+    coordinate, before any point is combined, so fit_steps raises
+    OutOfDomain first at a coordinate outside the domain (see the module
+    docstring for the other raises).  In any other mode the grid is the
+    row-major loop."""
+    if mode != JET_MODE_FD:
+        return [eval_jet(patch, u, v, mode) for u in us for v in vs]
     (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
-    return _fd_combine(patch, _fd_axis(u, dom.u, *f_u), _fd_axis(v, dom.v, *f_v))
+    axes_u = [_fd_axis(u, dom.u, *f_u) for u in us]
+    axes_v = [_fd_axis(v, dom.v, *f_v) for v in vs]
+    return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
 
 
 def _fd_axis_values(patch: SurfacePatch) -> tuple:
@@ -430,25 +430,17 @@ def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us
     for v in vs], bit for bit.
 
-    A surface_of_revolution patch in analytic mode takes the one pass of
-    _revolution_curvatures; any other reads K off each jet of _jet_grid.
-    Where either fails, the row-major loop runs instead and raises what it
-    raises first."""
+    A surface_of_revolution patch in analytic mode takes one pass in the
+    float operations of _revolution_jet, first_form, forms_from_jet and
+    curvature_from_jet, no Jet2 (the tests of _first_form_det imply finite
+    E, F, G, and a finite K finite e, f, g); it checks every coordinate
+    against the domain first and raises OutOfDomain at one outside it.
+    Any other grid reads K off each jet of _jet_grid.  The module
+    docstring gives the raises of both routes."""
     jet = patch.jet
-    try:
-        if mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet:
-            return _revolution_curvatures(patch, us, vs, *jet.args)
+    if not (mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet):
         return [curvature_from_jet(j, patch) for j in _jet_grid(patch, us, vs, mode)]
-    except Exception:  # any: the profile is the caller's
-        pass
-    return [curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us for v in vs]
-
-
-def _revolution_curvatures(patch: SurfacePatch, us, vs, x, z, derivatives) -> list:
-    """K over a grid in the float operations of _revolution_jet, first_form,
-    forms_from_jet and curvature_from_jet.  It raises where a coordinate is
-    outside the domain or a point fails a test of curvature_from_jet; those
-    of _first_form_det imply finite E, F, G, and a finite K finite e, f, g."""
+    x, z, derivatives = jet.args
     dom = patch.domain
     if not (all(map(dom.u.contains, us)) and all(map(dom.v.contains, vs))):
         raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")

@@ -122,17 +122,20 @@ def _project(azimuth: float, elevation: float) -> Callable[[Vec3], Point]:
     return proj
 
 
-def _wireframe(canvas: Canvas, patch, us, vs, proj, stroke="#bbbbbb") -> None:
+def _wireframe(patch, nu: int, vs, stroke: str, curve=None, ts=()) -> str:
+    """The figure of a surface of revolution seen from azimuth 0.55 and
+    elevation 0.32: its meridians at nu longitudes over a full turn and its
+    parallels at vs in stroke, and the points of curve at ts in red."""
+    canvas = Canvas()
+    proj = _project(0.55, 0.32)
+    us = _linspace(0.0, 2.0 * math.pi, nu)
     for u in us:
-        pts = [proj(patch.eval(u, v)) for v in vs]
-        canvas.polyline(pts, stroke=stroke, width=0.8)
+        canvas.polyline([proj(patch.eval(u, v)) for v in vs], stroke=stroke, width=0.8)
     for v in vs:
-        pts = [proj(patch.eval(u, v)) for u in us]
-        canvas.polyline(pts, stroke=stroke, width=0.8)
-
-
-def _curve_points(curve, t0: float, t1: float, n: int, proj) -> list[Point]:
-    return [proj(curve.point(t)) for t in _linspace(t0, t1, n)]
+        canvas.polyline([proj(patch.eval(u, v)) for u in us], stroke=stroke, width=0.8)
+    if curve is not None:
+        canvas.polyline([proj(curve.point(t)) for t in ts], stroke="#d62728", width=1.6)
+    return canvas.render()
 
 
 def figure_spiral() -> str:
@@ -147,39 +150,19 @@ def figure_spiral() -> str:
 
 
 def figure_pseudosphere() -> str:
-    canvas = Canvas()
-    patch = pseudosphere_patch(1.0)
-    proj = _project(0.55, 0.32)
-    us = _linspace(0.0, 2.0 * math.pi, 17)
-    vs = _linspace(0.16, math.pi / 2.0, 24)
-    _wireframe(canvas, patch, us, vs, proj, stroke="#888888")
-    return canvas.render()
+    return _wireframe(pseudosphere_patch(1.0), 17, _linspace(0.16, math.pi / 2.0, 24), "#888888")
 
 
 def figure_sphere_loxodrome() -> str:
-    canvas = Canvas()
-    patch = sphere_patch(1.0)
-    proj = _project(0.55, 0.32)
-    us = _linspace(0.0, 2.0 * math.pi, 13)
     vs = _linspace(0.08, math.pi - 0.08, 18)
-    _wireframe(canvas, patch, us, vs, proj)
-    curve = cv.sphere_loxodrome(1.0, 6.0)
-    pts = _curve_points(curve, 0.04, math.pi / 2.0 - 0.04, 1400, proj)
-    canvas.polyline(pts, stroke="#d62728", width=1.6)
-    return canvas.render()
+    ts = _linspace(0.04, math.pi / 2.0 - 0.04, 1400)
+    return _wireframe(sphere_patch(1.0), 13, vs, "#bbbbbb", cv.sphere_loxodrome(1.0, 6.0), ts)
 
 
 def figure_pseudosphere_loxodrome() -> str:
-    canvas = Canvas()
-    patch = pseudosphere_patch(1.0)
-    proj = _project(0.55, 0.32)
-    us = _linspace(0.0, 2.0 * math.pi, 17)
-    vs = _linspace(0.16, math.pi / 2.0, 24)
-    _wireframe(canvas, patch, us, vs, proj)
+    vs, ts = _linspace(0.16, math.pi / 2.0, 24), _linspace(0.12, math.pi / 2.0, 1200)
     curve = cv.pseudosphere_loxodrome(1.0, math.pi / 6.0)
-    pts = _curve_points(curve, 0.12, math.pi / 2.0, 1200, proj)
-    canvas.polyline(pts, stroke="#d62728", width=1.6)
-    return canvas.render()
+    return _wireframe(pseudosphere_patch(1.0), 17, vs, "#bbbbbb", curve, ts)
 
 
 def _iso_radius(K: float, level: float) -> float | None:

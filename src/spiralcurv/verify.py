@@ -231,18 +231,20 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
     4th point in u and in v its orientation flip, the regularity of the
     first form and the analytic-vs-FD jet agreement.  The curvature at
     every grid point comes from surfaces._curvature_grid, in the battery's
-    mode.  Every 4th point also takes one jet in each mode from
-    surfaces._jet_grid: the battery's serves the flip and its side of the
-    jet agreement, so the flip's K also checks the grid's K against
-    curvature_from_jet."""
+    mode.  Every 4th point also takes the pair (analytic, FD) of jets from
+    surfaces._jet_grid: the jet of the battery's mode serves the flip, so
+    the flip's K also checks the grid's K against curvature_from_jet.
+    The battery's grids lie in their domains, where a grid that failed
+    would raise the class that the row-major loop of eval_jet and
+    curvature_from_jet raises first (see surfaces)."""
     reports = []
     orientation, regularity, consistency = [], [], []
-    other = JET_MODE_FD if mode == JET_MODE_ANALYTIC else JET_MODE_ANALYTIC
     for patch, us, vs in _patches():
         flipped = dataclasses.replace(patch, orientation_sign=-patch.orientation_sign)
         relative = patch.known_K != 0.0
         quarter = zip(
-            _jet_grid(patch, us[::4], vs[::4], mode), _jet_grid(patch, us[::4], vs[::4], other)
+            _jet_grid(patch, us[::4], vs[::4], JET_MODE_ANALYTIC),
+            _jet_grid(patch, us[::4], vs[::4], JET_MODE_FD),
         )
         obs = []
         points = product(enumerate(us), enumerate(vs))
@@ -255,10 +257,9 @@ def suite_forms(mode: str = JET_MODE_ANALYTIC) -> list[VerificationReport]:
             obs.append(_new(Observation, (point, patch.known_K, K, err)))
             if i % 4 or j % 4:
                 continue
-            jet, other_jet = next(quarter)
-            K2 = curvature_from_jet(jet, flipped)
+            an, fd = next(quarter)
+            K2 = curvature_from_jet(an if mode == JET_MODE_ANALYTIC else fd, flipped)
             orientation.append(Observation(point, K, K2, abs(K - K2)))
-            an, fd = (jet, other_jet) if mode == JET_MODE_ANALYTIC else (other_jet, jet)
             E, F, G = first_form(an)
             det = E * G - F * F
             regularity.append(Observation(point, 0.0, det, 0.0 if det > 0.0 else 1.0))

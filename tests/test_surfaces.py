@@ -385,9 +385,25 @@ EDGE_GRIDS = {
 }
 
 
+def _faulty_first_call(f):
+    """f, but its first call raises TypeError, as a fault in a profile
+    would; a rerun of the grid would meet no fault."""
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        if len(calls) == 1:
+            raise TypeError("fault in the profile")
+        return f(v)
+
+    return g
+
+
 class TestJetGrid:
     """_jet_grid gives the jets of eval_jet at every point of a grid, bit
-    for bit, and raises what the row-major loop of eval_jet raises first."""
+    for bit.  With finite differences a coordinate outside the domain
+    raises OutOfDomain before any point is evaluated; otherwise the grid
+    raises the class that the row-major loop of eval_jet raises first."""
 
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
     def test_eval_jet_on_the_battery_grids(self, mode):
@@ -423,9 +439,17 @@ class TestJetGrid:
         kind = self.RAISES[name][mode == JET_MODE_FD]
         if kind is None:
             assert len(want) == len(us) * len(vs)
+            assert _grid(patch, us, vs, mode) == want
         else:
             assert want[0] is kind
-        assert _grid(patch, us, vs, mode) == want
+            assert _grid(patch, us, vs, mode)[0] is kind
+
+    def test_a_fault_in_the_profile_propagates(self):
+        patch = surface_of_revolution(
+            _faulty_first_call(lambda v: 2.0 + math.cos(v)), math.sin, v_domain=(0.0, 3.0)
+        )
+        with pytest.raises(TypeError, match="fault in the profile"):
+            _jet_grid(patch, (0.0, 0.7), (0.5, 1.0), JET_MODE_FD)
 
     def test_profile_evaluated_9_times_per_distinct_grid_v(self):
         seen = {"x": [], "z": []}
@@ -512,8 +536,10 @@ CURVATURE_EDGE_GRIDS = {
 
 class TestCurvatureGrid:
     """_curvature_grid gives curvature_from_jet of the jet of eval_jet at
-    every point of a grid, bit for bit, and raises what that row-major
-    loop raises first."""
+    every point of a grid, bit for bit.  With finite differences, and in
+    analytic mode on a surface of revolution, a coordinate outside the
+    domain raises OutOfDomain before any point is evaluated; otherwise the
+    grid raises the class that that row-major loop raises first."""
 
     # what the loop raises on each edge grid in analytic mode and with
     # finite differences; None where it raises nothing
@@ -529,6 +555,9 @@ class TestCurvatureGrid:
         "g-not-finite": (NumericalBreakdown, None),
         "K-overflow": (NumericalBreakdown, None),
     }
+    # where the grid raises another class: the analytic pass checks the
+    # floor before it meets the degenerate rim
+    GRID_RAISES = {"rim-before-floor": (OutOfDomain, OutOfDomain)}
 
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
     def test_the_battery_grids(self, mode):
@@ -556,9 +585,21 @@ class TestCurvatureGrid:
         kind = self.RAISES[name][mode == JET_MODE_FD]
         if kind is None:
             assert len(want) == len(us) * len(vs)
+            assert _K_grid(patch, us, vs, mode) == want
         else:
             assert want[0] is kind
-        assert _K_grid(patch, us, vs, mode) == want
+            grid_kind = self.GRID_RAISES.get(name, self.RAISES[name])[mode == JET_MODE_FD]
+            assert _K_grid(patch, us, vs, mode)[0] is grid_kind
+
+    def test_a_fault_in_the_profile_propagates(self):
+        patch = surface_of_revolution(
+            lambda v: 2.0 + math.cos(v), math.sin,
+            derivatives=_faulty_first_call(lambda v: (-math.sin(v), math.cos(v),
+                                                      -math.cos(v), -math.sin(v))),
+            v_domain=(0.0, 3.0),
+        )
+        with pytest.raises(TypeError, match="fault in the profile"):
+            _curvature_grid(patch, (0.0, 0.7), (0.5, 1.0), JET_MODE_ANALYTIC)
 
     def test_profile_once_per_grid_v_and_no_jet(self, monkeypatch):
         calls = collections.Counter()

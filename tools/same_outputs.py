@@ -4,10 +4,12 @@
     python3 tools/same_outputs.py PARENT CHANGE
 
 Runs a fixed list of CLI commands, each as `python -m spiralcurv ...` in a
-fresh interpreter whose PYTHONPATH is the checkout's src/ and whose working
-directory is a new empty folder, once per checkout.  Prints every
-difference in exit code, stdout, stderr and written file, and exits 1 if
-there is any.  The list: verify in text and JSON with both jet modes and
+fresh interpreter with its own random hash seed, whose PYTHONPATH is the
+checkout's src/ and whose working directory is a new empty folder, once
+per checkout.  Given one checkout twice, it checks that each command's
+output does not depend on the hash seed or on anything else of the run.
+Prints every difference in exit code, stdout, stderr and written file,
+and exits 1 if there is any.  The list: verify in text and JSON with both jet modes and
 each suite alone, the forms suite alone also in JSON and with FD jets, the
 five figures, every curvature, profile and trace
 command of .github/workflows/tests.yml, its error commands included,
@@ -113,7 +115,9 @@ COMMANDS = [
 
 def run(checkout: str, command: str) -> dict:
     """Exit code, stdout, stderr and the files written, of one command."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    src = os.path.join(os.path.abspath(checkout), "src")  # the runs have their own cwd
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONHASHSEED", None)  # each run draws its own seed
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run(
             [sys.executable, "-m", "spiralcurv", *command.split()],
