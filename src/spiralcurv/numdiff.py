@@ -1,13 +1,12 @@
 """Central-difference derivatives with one level of Richardson extrapolation,
 and adaptive Gauss-Kronrod quadrature.
 
-Derivatives are scalar-only: every routine takes and returns floats (the
-stencil kernels below, float triples), and all are pure.  Every stencil
-in the package takes one Richardson level, so every relative step is one
-of two: STEP_FIRST_FINE = eps**(1/5) for first differences and
-STEP_SECOND_FINE = eps**(1/6) for a stencil that also takes second or
-mixed ones, which balance the extrapolated estimate's h^4 truncation
-against its rounding.
+Derivatives are scalar-only: every routine takes and returns floats, and
+all are pure.  Every stencil in the package takes one Richardson level,
+so every relative step is one of two: STEP_FIRST_FINE = eps**(1/5) for
+first differences and STEP_SECOND_FINE = eps**(1/6) for a stencil that
+also takes second or mixed ones, which balance the extrapolated
+estimate's h^4 truncation against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
 finite-difference jets of surfaces (once per chart coordinate); once per
@@ -19,14 +18,13 @@ from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
 extrapolate is the one Richardson level that every estimate here takes.
-The straight-line stencil kernels of surfaces take each stencil position
-once and difference the positions with extrapolated_first,
-extrapolated_second and extrapolated_cross, which return float triples:
-each component in the float operations and order of central_first,
-central_second and the cross stencil (((A - B) - C) + D) / (4hk), then
-extrapolate, so the bits of richardson_first, richardson_second and
-richardson on that component alone.  Every other derivative goes
-through richardson itself: the trace stencil of curves calls
+The FD 2-jet of surfaces writes its differences out in one straight-line
+block over the floats of its stencil positions, each component in the
+float operations and order of central_first, central_second or the cross
+stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
+richardson_first, richardson_second and richardson on that component,
+which the tests hold it to.  Every other derivative goes through
+richardson itself: the trace stencil of curves calls
 richardson_first/richardson_second once per chart coordinate, as
 liouville's angle stencil and verify's checks do.
 
@@ -85,8 +83,7 @@ def central_second(f: Callable[[float], float], x: float, h: float):
 
 def extrapolate(d_h, d_half):
     """One Richardson level: the h^2 term removed from two central
-    estimates at steps h and h/2.  richardson and the stencil kernels
-    below take it from here."""
+    estimates at steps h and h/2.  richardson takes it from here."""
     return d_half + (d_half - d_h) / 3.0
 
 
@@ -110,36 +107,6 @@ def richardson_first(f, x, h):
 def richardson_second(f, x, h):
     """Extrapolated second derivative and an error estimate."""
     return richardson(lambda s: central_second(f, x, s), h)
-
-
-def extrapolated_first(a, b, a2, b2, h: float, h2: float) -> tuple:
-    """Central first differences of a = f(x+h), b = f(x-h) and a2, b2 at
-    the half step h2, extrapolated."""
-    s, s2 = 2.0 * h, 2.0 * h2
-    x = extrapolate((a[0] - b[0]) / s, (a2[0] - b2[0]) / s2)
-    y = extrapolate((a[1] - b[1]) / s, (a2[1] - b2[1]) / s2)
-    z = extrapolate((a[2] - b[2]) / s, (a2[2] - b2[2]) / s2)
-    return x, y, z
-
-
-def extrapolated_second(p, a, b, a2, b2, h: float, h2: float) -> tuple:
-    """Central second differences about the centre p of a = f(x+h),
-    b = f(x-h) and a2, b2 at the half step h2, extrapolated."""
-    s, s2 = h * h, h2 * h2
-    px, py, pz = 2.0 * p[0], 2.0 * p[1], 2.0 * p[2]
-    x = extrapolate(((a[0] - px) + b[0]) / s, ((a2[0] - px) + b2[0]) / s2)
-    y = extrapolate(((a[1] - py) + b[1]) / s, ((a2[1] - py) + b2[1]) / s2)
-    z = extrapolate(((a[2] - pz) + b[2]) / s, ((a2[2] - pz) + b2[2]) / s2)
-    return x, y, z
-
-
-def extrapolated_cross(A, B, C, D, A2, B2, C2, D2, s: float, s2: float) -> tuple:
-    """Cross stencils f(+h,+k) - f(+h,-k) - f(-h,+k) + f(-h,-k) over
-    s = 4hk, at both step pairs, extrapolated."""
-    x = extrapolate((((A[0] - B[0]) - C[0]) + D[0]) / s, (((A2[0] - B2[0]) - C2[0]) + D2[0]) / s2)
-    y = extrapolate((((A[1] - B[1]) - C[1]) + D[1]) / s, (((A2[1] - B2[1]) - C2[1]) + D2[1]) / s2)
-    z = extrapolate((((A[2] - B[2]) - C[2]) + D[2]) / s, (((A2[2] - B2[2]) - C2[2]) + D2[2]) / s2)
-    return x, y, z
 
 
 # Kronrod nodes on [-1, 1] (the odd-indexed ones are the Gauss nodes), with

@@ -39,21 +39,19 @@ gaussian_curvature and every curve measurement pass their mode to it
 unchanged.  With finite differences a jet takes the position at 25
 stencil points, each step fitted into the domain by numdiff.fit_steps
 from STEP_FIRST_FINE and STEP_SECOND_FINE, the steps of one Richardson
-level, and differences the positions with numdiff's per-component kernels
-(extrapolated_first, _second and _cross), which have the bits of its
-generic central differences with one Richardson level.  A jet carries the
-extrapolated values only, no Richardson error estimate.
+level, and carries the extrapolated values only, no error estimate.
 
 An FD jet is two axes and their combination.  An axis (_fd_axis) holds
 what depends on one chart coordinate alone: its fitted steps, the 9
 abscissae of the stencil along it and, on a surface of revolution
 (x(v) cos u, x(v) sin u, z(v)), cos and sin at the 9 u or the profile
-x, z at the 9 v.  The straight-line combination (_fd_combine) builds
-each of the 25 stencil positions once from them, with the float
-products of the position map and so the bits of a call of it, and
-differences them.  It recognises the surface by its position map, which
-surface_of_revolution builds as a functools.partial of
-_revolution_position over x and z; any other position map, such as a
+x, z at the 9 v.  The combination (_fd_combine) holds the 75 floats of
+the 25 positions in locals and differences them in one straight-line
+block, with the bits of numdiff's richardson routines on each component.
+On a surface of revolution, which it recognises by the position map that
+surface_of_revolution builds (a functools.partial of
+_revolution_position over x and z), the floats are the map's products of
+the axes, so the bits of a call of it; any other position map, such as a
 chart without that symmetry or a wrapped copy of the map, is called once
 per stencil point.  _jet_grid builds each axis once per distinct grid
 coordinate instead of once per point.  _curvature_grid, the forms
@@ -78,14 +76,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import (
-    STEP_FIRST_FINE,
-    STEP_SECOND_FINE,
-    extrapolated_cross,
-    extrapolated_first,
-    extrapolated_second,
-    fit_steps,
-)
+from .numdiff import STEP_FIRST_FINE, STEP_SECOND_FINE, fit_steps
 from .vec import Record, Vec3
 
 _new = tuple.__new__  # a record from one tuple
@@ -263,9 +254,11 @@ def _fd_axis(x: float, interval: Interval, f=None, g=None) -> tuple:
 
 
 def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
-    """The FD jet at (u, v) from the _fd_axis of u and of v: the 25 stencil
-    positions, each taken once (see the module docstring), differenced by
-    numdiff's per-component kernels."""
+    """The FD jet at (u, v) from the _fd_axis of u and of v (see the module
+    docstring).  Each component takes the float operations and order of
+    numdiff's central_first, central_second or cross stencil at both
+    steps, then of extrapolate: richardson_first's, richardson_second's
+    and richardson's bits on that component alone."""
     hu, hu_half, hu2, hu2_half, us, cu, su = axis_u
     hv, hv_half, hv2, hv2_half, vs, rv, zv = axis_v
     u, v = us[0], vs[0]
@@ -275,44 +268,84 @@ def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
         raise NumericalBreakdown(
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
+    # a: the u abscissae at v, b: the v abscissae at u, m: the cross stencil
+    # in the order of _CROSS
     if cu is None:
         e = patch.eval
-        a1, a2, a3, a4, a5, a6, a7, a8 = [e(a, v) for a in us[1:]]
-        b1, b2, b3, b4, b5, b6, b7, b8 = [e(u, b) for b in vs[1:]]
-        p = tuple(e(u, v))
-        x1, x2, x3, x4, x5, x6, x7, x8 = [e(us[i], vs[j]) for i, j in _CROSS]
+        (
+            (a1x, a1y, a1z), (a2x, a2y, a2z), (a3x, a3y, a3z), (a4x, a4y, a4z),
+            (a5x, a5y, a5z), (a6x, a6y, a6z), (a7x, a7y, a7z), (a8x, a8y, a8z),
+        ) = [e(a, v) for a in us[1:]]
+        (
+            (b1x, b1y, b1z), (b2x, b2y, b2z), (b3x, b3y, b3z), (b4x, b4y, b4z),
+            (b5x, b5y, b5z), (b6x, b6y, b6z), (b7x, b7y, b7z), (b8x, b8y, b8z),
+        ) = [e(u, b) for b in vs[1:]]
+        px, py, pz = e(u, v)
+        (
+            (m1x, m1y, m1z), (m2x, m2y, m2z), (m3x, m3y, m3z), (m4x, m4y, m4z),
+            (m5x, m5y, m5z), (m6x, m6y, m6z), (m7x, m7y, m7z), (m8x, m8y, m8z),
+        ) = [e(us[i], vs[j]) for i, j in _CROSS]
     else:
+        # the products of _revolution_position; three targets per
+        # assignment, so that no tuple is built
         c0, c1, c2, c3, c4, c5, c6, c7, c8 = cu
         s0, s1, s2, s3, s4, s5, s6, s7, s8 = su
         r0, r1, r2, r3, r4, r5, r6, r7, r8 = rv
         z0, z1, z2, z3, z4, z5, z6, z7, z8 = zv
-        p = (r0 * c0, r0 * s0, z0)
-        a1, a2, a3 = (r0 * c1, r0 * s1, z0), (r0 * c2, r0 * s2, z0), (r0 * c3, r0 * s3, z0)
-        a4, a5, a6 = (r0 * c4, r0 * s4, z0), (r0 * c5, r0 * s5, z0), (r0 * c6, r0 * s6, z0)
-        a7, a8 = (r0 * c7, r0 * s7, z0), (r0 * c8, r0 * s8, z0)
-        b1, b2, b3 = (r1 * c0, r1 * s0, z1), (r2 * c0, r2 * s0, z2), (r3 * c0, r3 * s0, z3)
-        b4, b5, b6 = (r4 * c0, r4 * s0, z4), (r5 * c0, r5 * s0, z5), (r6 * c0, r6 * s0, z6)
-        b7, b8 = (r7 * c0, r7 * s0, z7), (r8 * c0, r8 * s0, z8)
-        # the cross stencil, as listed in _CROSS
-        x1, x2, x3 = (r5 * c5, r5 * s5, z5), (r6 * c5, r6 * s5, z6), (r5 * c6, r5 * s6, z5)
-        x4, x5, x6 = (r6 * c6, r6 * s6, z6), (r7 * c7, r7 * s7, z7), (r8 * c7, r8 * s7, z8)
-        x7, x8 = (r7 * c8, r7 * s8, z7), (r8 * c8, r8 * s8, z8)
+        px, py, pz = r0 * c0, r0 * s0, z0
+        a1x, a1y, a1z = r0 * c1, r0 * s1, z0
+        a2x, a2y, a2z = r0 * c2, r0 * s2, z0
+        a3x, a3y, a3z = r0 * c3, r0 * s3, z0
+        a4x, a4y, a4z = r0 * c4, r0 * s4, z0
+        a5x, a5y, a5z = r0 * c5, r0 * s5, z0
+        a6x, a6y, a6z = r0 * c6, r0 * s6, z0
+        a7x, a7y, a7z = r0 * c7, r0 * s7, z0
+        a8x, a8y, a8z = r0 * c8, r0 * s8, z0
+        b1x, b1y, b1z = r1 * c0, r1 * s0, z1
+        b2x, b2y, b2z = r2 * c0, r2 * s0, z2
+        b3x, b3y, b3z = r3 * c0, r3 * s0, z3
+        b4x, b4y, b4z = r4 * c0, r4 * s0, z4
+        b5x, b5y, b5z = r5 * c0, r5 * s0, z5
+        b6x, b6y, b6z = r6 * c0, r6 * s0, z6
+        b7x, b7y, b7z = r7 * c0, r7 * s0, z7
+        b8x, b8y, b8z = r8 * c0, r8 * s0, z8
+        m1x, m1y, m1z = r5 * c5, r5 * s5, z5
+        m2x, m2y, m2z = r6 * c5, r6 * s5, z6
+        m3x, m3y, m3z = r5 * c6, r5 * s6, z5
+        m4x, m4y, m4z = r6 * c6, r6 * s6, z6
+        m5x, m5y, m5z = r7 * c7, r7 * s7, z7
+        m6x, m6y, m6z = r8 * c7, r8 * s7, z8
+        m7x, m7y, m7z = r7 * c8, r7 * s8, z7
+        m8x, m8y, m8z = r8 * c8, r8 * s8, z8
+    # w, w2: the divisors at the step and at its half; each component is
+    # extrapolate(d_h, d_half) = d_half + (d_half - d_h) / 3.0
+    w, w2 = 2.0 * hu, 2.0 * hu_half
+    pux = (d := (a3x - a4x) / w2) + (d - (a1x - a2x) / w) / 3.0
+    puy = (d := (a3y - a4y) / w2) + (d - (a1y - a2y) / w) / 3.0
+    puz = (d := (a3z - a4z) / w2) + (d - (a1z - a2z) / w) / 3.0
+    w, w2 = 2.0 * hv, 2.0 * hv_half
+    pvx = (d := (b3x - b4x) / w2) + (d - (b1x - b2x) / w) / 3.0
+    pvy = (d := (b3y - b4y) / w2) + (d - (b1y - b2y) / w) / 3.0
+    pvz = (d := (b3z - b4z) / w2) + (d - (b1z - b2z) / w) / 3.0
+    qx, qy, qz = 2.0 * px, 2.0 * py, 2.0 * pz
+    w, w2 = hu2 * hu2, hu2_half * hu2_half
+    puux = (d := ((a7x - qx) + a8x) / w2) + (d - ((a5x - qx) + a6x) / w) / 3.0
+    puuy = (d := ((a7y - qy) + a8y) / w2) + (d - ((a5y - qy) + a6y) / w) / 3.0
+    puuz = (d := ((a7z - qz) + a8z) / w2) + (d - ((a5z - qz) + a6z) / w) / 3.0
     # the mixed stencil halves both steps together, to the second
-    # differences' half steps (numdiff.richardson's 0.5 * h is h / 2.0
-    # exactly); the fields in Jet2's order p, p_u, p_v, p_uu, p_uv, p_vv
-    return _new(
-        Jet2,
-        (
-            p,
-            extrapolated_first(a1, a2, a3, a4, hu, hu_half),
-            extrapolated_first(b1, b2, b3, b4, hv, hv_half),
-            extrapolated_second(p, a5, a6, a7, a8, hu2, hu2_half),
-            extrapolated_cross(
-                x1, x2, x3, x4, x5, x6, x7, x8, 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half
-            ),
-            extrapolated_second(p, b5, b6, b7, b8, hv2, hv2_half),
-        ),
-    )
+    # differences' half steps (numdiff.richardson's 0.5 * h is h / 2.0 exactly)
+    w, w2 = 4.0 * hu2 * hv2, 4.0 * hu2_half * hv2_half
+    puvx = (d := (((m5x - m6x) - m7x) + m8x) / w2) + (d - (((m1x - m2x) - m3x) + m4x) / w) / 3.0
+    puvy = (d := (((m5y - m6y) - m7y) + m8y) / w2) + (d - (((m1y - m2y) - m3y) + m4y) / w) / 3.0
+    puvz = (d := (((m5z - m6z) - m7z) + m8z) / w2) + (d - (((m1z - m2z) - m3z) + m4z) / w) / 3.0
+    w, w2 = hv2 * hv2, hv2_half * hv2_half
+    pvvx = (d := ((b7x - qx) + b8x) / w2) + (d - ((b5x - qx) + b6x) / w) / 3.0
+    pvvy = (d := ((b7y - qy) + b8y) / w2) + (d - ((b5y - qy) + b6y) / w) / 3.0
+    pvvz = (d := ((b7z - qz) + b8z) / w2) + (d - ((b5z - qz) + b6z) / w) / 3.0
+    return _new(Jet2, (
+        (px, py, pz), (pux, puy, puz), (pvx, pvy, pvz),
+        (puux, puuy, puuz), (puvx, puvy, puvz), (pvvx, pvvy, pvvz),
+    ))
 
 
 # The cross stencil of a jet, as (i, j) into the abscissae of its u and v

@@ -151,7 +151,7 @@ def test_jet_consistency_is_the_vec3_route(mode):
 
 # The finite-difference jet through numdiff's generic scalar routines, one
 # component of the positions at a time: the reference that surfaces'
-# stencil kernel reproduces.
+# FD jet reproduces.
 
 
 def _steps(patch, u, v, rel):

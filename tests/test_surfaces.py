@@ -262,21 +262,62 @@ def _bits(obj):
     return tuple(float(c).hex() for name in obj._fields for c in getattr(obj, name))
 
 
+def _ndarray_outcome(patch, u, v):
+    """The bits of _fd_jet_ndarray at (u, v), or the class it raises."""
+    try:
+        with np.errstate(all="ignore"):  # the stencils with inf or nan
+            ref = _fd_jet_ndarray(patch, u, v)
+    except GeometryError as exc:
+        return type(exc)
+    return tuple(float(c).hex() for want in ref.values() for c in want)
+
+
+def _fd_outcome(patch, u, v):
+    try:
+        return _bits(eval_jet(patch, u, v, JET_MODE_FD))
+    except GeometryError as exc:
+        return type(exc)
+
+
 def _assert_revolution_kernel_is_generic_route(patch, points):
-    """FD jets of the patch and of its wrapped copy carry the same bits, or
-    raise the same exception."""
+    """FD jets of the patch and of its wrapped copy carry the bits of the
+    generic richardson routines (_fd_jet_ndarray), or raise its class:
+    the copy checks the position products, the routines the differences."""
     generic = _wrapped(patch)
     for u, v in points:
-        try:
-            want = _bits(eval_jet(generic, u, v, JET_MODE_FD))
-        except GeometryError as exc:  # the kernel must raise it too
-            with pytest.raises(type(exc)):
-                eval_jet(patch, u, v, JET_MODE_FD)
-            continue
-        assert _bits(eval_jet(patch, u, v, JET_MODE_FD)) == want, (u, v)
+        want = _ndarray_outcome(patch, u, v)
+        assert _fd_outcome(generic, u, v) == want, (u, v)
+        assert _fd_outcome(patch, u, v) == want, (u, v)
 
 
 NOJET = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
+
+
+def _spoilt(f, value, where):
+    """The profile function f, but value at every v where where(v)."""
+    return lambda v: value if where(v) else f(v)
+
+
+# NOJET's profile with an infinite or nan x or z at some abscissae of the
+# stencil at v = 1: the 4 of its 9 above or below 1, or the centre; at
+# u = 0, sin u = 0.0 exactly, so an infinite x gives inf * 0.0 = nan
+_X, _Z = NOJET.eval.args
+_ABOVE, _BELOW, _CENTRE = (lambda v: v > 1.0), (lambda v: v < 1.0), (lambda v: v == 1.0)
+NONFINITE = {
+    "x=inf-above": (_spoilt(_X, math.inf, _ABOVE), _Z),
+    "x=-inf-below": (_spoilt(_X, -math.inf, _BELOW), _Z),
+    "x=nan-above": (_spoilt(_X, math.nan, _ABOVE), _Z),
+    "x=inf-centre": (_spoilt(_X, math.inf, _CENTRE), _Z),
+    "z=-inf-above": (_X, _spoilt(_Z, -math.inf, _ABOVE)),
+    "z=inf-below": (_X, _spoilt(_Z, math.inf, _BELOW)),
+    "z=nan-below": (_X, _spoilt(_Z, math.nan, _BELOW)),
+    "z=nan-centre": (_X, _spoilt(_Z, math.nan, _CENTRE)),
+}
+# x = -(v - 1) is -0.0 at the centre v = 1, so the stencil's zero
+# components carry signs, and z = sin(1 - v) changes sign there
+SIGNED_ZERO = surface_of_revolution(
+    lambda v: -(v - 1.0), lambda v: math.sin(1.0 - v), v_domain=(0.0, 3.0)
+)
 
 
 class TestRevolutionKernel:
@@ -313,9 +354,21 @@ class TestRevolutionKernel:
                 1e-12, 1e-8, 1e-3, math.pi - 1e-3, math.pi - 1e-8, math.pi - 1e-12)]),
             (sphere_patch(0.5), [(-1.0, 1e-6), (1.0, math.pi - 1e-6)]),
             # FD only: no analytic jet
-            (NOJET, [(0.5, 1.0), (-3.0, 1e-6), (3.0, 3.0 - 1e-6), (0.0, 1.5)]),
+            (NOJET, [(0.5, 1.0), (-3.0, 1e-6), (3.0, 3.0 - 1e-6), (0.0, 1.5), (1e-3, 1.0)]),
+            # a chart without the symmetry, which both routes call per point;
+            # at u = 0 its z = -cos(2v) changes sign at v = pi/4, and at the
+            # last two points its z crosses a power of 2 along u, so that
+            # each order of the second difference rounds its own way
+            (SKEW, [(u, v) for u in SKEW_US for v in SKEW_VS]
+             + [(0.0, math.pi / 4), (-1.9, 0.11), (-1.75, 0.61)]),
+            # profiles with an infinite or nan x or z at some abscissae, and
+            # one whose x is -0.0 at the centre
+            *((surface_of_revolution(x, z, v_domain=(0.0, 3.0)),
+               [(0.0, 1.0), (0.5, 1.0), (-2.0, 1.0)]) for x, z in NONFINITE.values()),
+            (SIGNED_ZERO, [(u, 1.0) for u in (0.0, -0.0, 0.5, math.pi / 2, math.pi)]),
         ],
-        ids=["pseudosphere(R=1)", "pseudosphere(R=2)", "sphere(R=1)", "sphere(R=0.5)", "nojet"],
+        ids=["pseudosphere(R=1)", "pseudosphere(R=2)", "sphere(R=1)", "sphere(R=0.5)", "nojet",
+             "skew", *NONFINITE, "signed-zero"],
     )
     def test_bit_identical_to_the_generic_route_at_the_edges(self, patch, points):
         _assert_revolution_kernel_is_generic_route(patch, points)

@@ -9,13 +9,15 @@ checkout's src/ and whose working directory is a new empty folder, once
 per checkout.  Given one checkout twice, it checks that each command's
 output does not depend on the hash seed or on anything else of the run.
 Prints every difference in exit code, stdout, stderr and written file,
-and exits 1 if there is any.  The list: verify in text and JSON with both jet modes and
-each suite alone, the forms suite alone also in JSON and with FD jets, the
-five figures, every curvature, profile and trace
+and exits 1 if there is any.  The list: verify in text and JSON with
+both jet modes and each suite alone, the forms suite alone also in JSON
+and with FD jets, the five figures, every curvature, profile and trace
 command of .github/workflows/tests.yml, its error commands included,
-traces that read back their angle, the commands of the import checks,
-negative flag values with digit underscores, and profiles and scalars
-across the seam ring and up to the conjugate radius.
+traces that read back their angle on every surface, a far-out plane
+trace and a tiny-sphere trace, each in both jet modes, the commands of
+the import checks, negative flag values with digit underscores, and
+profiles and scalars across the seam ring and up to the conjugate
+radius.
 """
 
 import difflib
@@ -40,18 +42,21 @@ COMMANDS = [
     "curvature --K -1e-6 --r 2 --theta-deg 60",
     "trace --surface sphere --theta 1 --r0 0.5 --r1 1.2 --samples 20",
     "trace --surface pseudosphere --jets fd --theta 1 --r0 0.5 --r1 1.2 --samples 3",
-    # every surface reads back its angle, and the polar trace by the conjugate radius
-    *(f"trace --surface {surface} --theta {theta} --r0 0.5 --r1 1.2 --samples 5"
-      for surface in SURFACES for theta in (1, 2)),
+    # every surface reads back its angle in both jet modes, and the polar
+    # trace by the conjugate radius
+    *(f"trace --surface {surface} --theta {theta} --r0 0.5 --r1 1.2 --samples 5{jets}"
+      for surface in SURFACES for theta in (1, 2) for jets in ("", " --jets fd")),
     *(f"trace --surface polar --K 3 --theta 1 --r0 0.5 --r1 {r1} --samples 3"
       for r1 in ("1.81379936", "1.8137993640528378")),
     # next to the sphere pole, far out on the plane, a tiny sphere, the tractroid floor
     "trace --surface sphere --theta 0.6 --r0 0.05 --r1 1 --samples 3",
     "trace --surface sphere --R 2.5 --theta 0.6 --r0 0.05 --r1 6 --samples 40",
     "trace --surface sphere --R 2.5 --theta 0.6 --r0 0.05 --r1 6 --samples 40 --jets fd",
-    "trace --surface plane --theta 1 --r0 1e103 --r1 2e103 --samples 2",
+    *(f"trace --surface plane --theta 1 --r0 1e103 --r1 2e103 --samples 2{jets}"
+      for jets in ("", " --jets fd")),
     "trace --surface pseudosphere --theta 1 --r0 0.001 --r1 0.5 --samples 3",
-    "trace --surface sphere --R 1e-7 --theta 1 --r0 5e-8 --r1 1e-7 --samples 2",
+    *(f"trace --surface sphere --R 1e-7 --theta 1 --r0 5e-8 --r1 1e-7 --samples 2{jets}"
+      for jets in ("", " --jets fd")),
     "trace --surface pseudosphere --theta 1 --r0 1.326570320789366 --r1 0.001 --samples 2",
     # a zero-length trace
     "trace --surface plane --theta 1 --r0 1 --r1 1 --samples 3",
