@@ -10,14 +10,10 @@ Carmo, Differential Geometry of Curves and Surfaces, 4-4):
     k       = <gamma'', N x gamma'> / |gamma'|^3
 
 It reads only the embedding and the trace, never the closed form c(K, r),
-so it cross-checks the closed-form predictions.  Every constructor gives
-(u', v', u'', v'') in closed form; a curve without them takes its trace
-once at each of t, t +- h and t +- h/2 (h from numdiff.fit_steps) and reads
-both orders of both chart coordinates off those five values with
-numdiff.richardson_first and richardson_second; its curvature raises
-NumericalBreakdown where the stencil's correction of (u'', v'') exceeds
-BREAKDOWN_TOL relative to max(|(u'', v'')|, |(u', v')|^2), as at a kink,
-or where k is not finite.
+so it cross-checks the closed-form predictions.  Every curve carries the
+trace's (u', v', u'', v'') in closed form, its required field
+trace_derivatives; its curvature raises NumericalBreakdown where k is
+not finite.
 
 The chain rule, _curvature, is a straight-line float kernel: it unpacks
 the jet once and forms gamma', gamma'', |gamma'|, N x gamma' and the
@@ -35,8 +31,8 @@ OutOfDomain.
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
 and negates both the measured angle's sine and the curvature.  A curve
-checks that its direction sign is +1 or -1 when it is built, as its patch
-does for its orientation sign.
+checks that its direction sign is +1 or -1 and that its trace_derivatives
+is callable when it is built, as its patch does for its orientation sign.
 """
 
 from __future__ import annotations
@@ -54,13 +50,7 @@ from .errors import (
     NumericalBreakdown,
     OutOfDomain,
 )
-from .numdiff import (
-    STEP_SECOND_FINE,
-    fit_steps,
-    gauss_kronrod,
-    richardson_first,
-    richardson_second,
-)
+from .numdiff import gauss_kronrod
 from .surfaces import (
     SurfacePatch,
     eval_jet,
@@ -73,7 +63,6 @@ from .surfaces import (
 )
 from .vec import Record, Vec3
 
-BREAKDOWN_TOL = 1e-4
 _isfinite = math.isfinite
 _sqrt = math.sqrt
 _TRACE_FAULTS = (OverflowError, ValueError, ZeroDivisionError)  # see _trace_fault
@@ -86,24 +75,26 @@ MERIDIAN = "meridian"
 class ChartCurve:
     """A curve given by its chart trace on a patch.
 
-    trace maps the parameter t to chart coordinates (u, v).  When the
-    derivatives of the trace are known in closed form they should be
-    supplied as trace_derivatives, t -> (u', v', u'', v''); otherwise they
-    are recovered by finite differences.  center_distance, when present,
-    gives the geodesic distance to the spiral's pole as a function of t.
+    trace maps the parameter t to chart coordinates (u, v), and
+    trace_derivatives maps t to the trace's derivatives (u', v', u'', v'')
+    in closed form.  center_distance, when present, gives the geodesic
+    distance to the spiral's pole as a function of t.
     """
 
     patch: SurfacePatch
     trace: Callable[[float], tuple[float, float]]
     t_domain: tuple[float, float]
+    trace_derivatives: Callable[[float], tuple[float, float, float, float]]
     direction_sign: int = 1
-    trace_derivatives: Callable[[float], tuple[float, float, float, float]] | None = None
     center_distance: Callable[[float], float] | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
+        # dataclasses.replace runs these checks too
         if self.direction_sign not in (1, -1):
             raise BadParameter(f"direction sign must be +1 or -1, got {self.direction_sign!r}")
+        if not callable(self.trace_derivatives):
+            raise BadParameter(f"trace_derivatives must be callable, got {self.trace_derivatives!r}")
 
     def contains(self, t: float) -> bool:
         """Whether t lies in t_domain; an infinite end is open."""
@@ -117,7 +108,10 @@ class ChartCurve:
             raise _trace_fault(exc, "trace", t) from None
 
     def velocity(self, t: float) -> tuple[float, float]:
-        """Chart velocity (du/dt, dv/dt), before any direction flip."""
+        """Chart velocity (du/dt, dv/dt), before any direction flip;
+        OutOfDomain for a t outside t_domain."""
+        if not self.contains(t):
+            raise OutOfDomain(f"t={t} outside parameter domain {self.t_domain}")
         return _trace_jet(self, t)[:2]
 
 
@@ -128,25 +122,13 @@ def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | Ou
     return OutOfDomain(f"the chart {what} is undefined at t={t}")
 
 
-def _trace_jet(curve: ChartCurve, t: float) -> tuple[float, float, float, float, float]:
-    """(u', v', u'', v'', err) of the trace at t, before any direction flip:
-    trace_derivatives with err = 0, or else the trace stencil of the module
-    docstring, err the Richardson correction of (u'', v'') relative to
-    max(|(u'', v'')|, |(u', v')|^2)."""
+def _trace_jet(curve: ChartCurve, t: float) -> tuple[float, float, float, float]:
+    """(u', v', u'', v'') of the trace at t, before any direction flip:
+    trace_derivatives, its faults mapped by _trace_fault."""
     try:
-        if curve.trace_derivatives is not None:
-            return (*curve.trace_derivatives(t), 0.0)
-        (h,) = fit_steps(t, *curve.t_domain, STEP_SECOND_FINE)
-        h2 = h / 2.0
-        trace = {x: curve.trace(x) for x in (t, t + h, t - h, t + h2, t - h2)}
-        u, v = (lambda x: trace[x][0]), (lambda x: trace[x][1])
-        (du, _), (dv, _) = richardson_first(u, t, h), richardson_first(v, t, h)
-        (ddu, err_u), (ddv, err_v) = richardson_second(u, t, h), richardson_second(v, t, h)
+        return curve.trace_derivatives(t)
     except _TRACE_FAULTS as exc:
         raise _trace_fault(exc, "velocity", t) from None
-    err = math.hypot(err_u, err_v)
-    scale = max(math.hypot(ddu, ddv), du * du + dv * dv)
-    return du, dv, ddu, ddv, err / scale if scale else err
 
 
 class CurveSample(Record, namedtuple("_CurveSample", "t position k theta r", defaults=(None,))):
@@ -322,7 +304,7 @@ def speed(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _speed(jet, *curve.velocity(t), t)
+    return _speed(jet, *_trace_jet(curve, t)[:2], t)
 
 
 def _speed(jet, du: float, dv: float, t: float) -> float:
@@ -353,8 +335,7 @@ def geodesic_curvature_numeric(curve: ChartCurve, t: float, mode: str | None = N
     derivatives: the signed <gamma'', N x gamma'>/|gamma'|^3.
 
     DegenerateJet where gamma' vanishes or the chart degenerates,
-    NumericalBreakdown where the trace stencil of a curve without
-    trace_derivatives fails BREAKDOWN_TOL or k is not finite.
+    NumericalBreakdown where k is not finite.
     """
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
     return _trace_k(curve, t, jet)[2]
@@ -370,7 +351,7 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: str | None = None) -> f
     2-jet (eval_jet).
     """
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _angle(curve, jet, *curve.velocity(t), t)
+    return _angle(curve, jet, *_trace_jet(curve, t)[:2], t)
 
 
 def sample(curve: ChartCurve, t: float, mode: str | None = None) -> CurveSample:
@@ -389,11 +370,7 @@ def sample(curve: ChartCurve, t: float, mode: str | None = None) -> CurveSample:
 
 def _trace_k(curve: ChartCurve, t: float, jet) -> tuple[float, float, float]:
     """The trace's (u', v') at t and the curve's signed k there from jet."""
-    du, dv, ddu, ddv, err = _trace_jet(curve, t)
-    if err > BREAKDOWN_TOL:
-        raise NumericalBreakdown(
-            f"second-derivative estimate unreliable at t={t} (relative error ~{err:.2e})"
-        )
+    du, dv, ddu, ddv = _trace_jet(curve, t)
     return du, dv, curve.direction_sign * _curvature(curve.patch, jet, du, dv, ddu, ddv)
 
 

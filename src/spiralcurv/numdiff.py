@@ -9,9 +9,8 @@ also takes second or mixed ones, which balance the extrapolated
 estimate's h^4 truncation against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
-finite-difference jets of surfaces (once per chart coordinate); once per
-curve parameter, the trace stencil of a curve without closed-form
-derivatives (curves) and the angle stencil of liouville; and verify's
+finite-difference jets of surfaces (once per chart coordinate); the
+angle stencil of liouville, once per curve parameter; and verify's
 K-derivative check at K = 0 and its Jacobi check, once per point.
 Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
 from x to the nearer finite end of its interval, so that the stencil
@@ -24,9 +23,8 @@ float operations and order of central_first, central_second or the cross
 stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
 richardson_first, richardson_second and richardson on that component,
 which the tests hold it to.  Every other derivative goes through
-richardson itself: the trace stencil of curves calls
-richardson_first/richardson_second once per chart coordinate, as
-liouville's angle stencil and verify's checks do.
+richardson itself: liouville's angle stencil and verify's checks call
+richardson_first or richardson_second.
 
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It

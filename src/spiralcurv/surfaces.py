@@ -39,7 +39,8 @@ gaussian_curvature and every curve measurement pass their mode to it
 unchanged.  With finite differences a jet takes the position at 25
 stencil points, each step fitted into the domain by numdiff.fit_steps
 from STEP_FIRST_FINE and STEP_SECOND_FINE, the steps of one Richardson
-level, and carries the extrapolated values only, no error estimate.
+level, and carries the extrapolated values only, no error estimate; it
+raises NumericalBreakdown where one of its 18 components is not finite.
 
 An FD jet is two axes and their combination.  An axis (_fd_axis) holds
 what depends on one chart coordinate alone: its fitted steps, the 9
@@ -258,7 +259,9 @@ def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
     docstring).  Each component takes the float operations and order of
     numdiff's central_first, central_second or cross stencil at both
     steps, then of extrapolate: richardson_first's, richardson_second's
-    and richardson's bits on that component alone."""
+    and richardson's bits on that component alone.  NumericalBreakdown
+    where the squared second step underflows or a component is not
+    finite."""
     hu, hu_half, hu2, hu2_half, us, cu, su = axis_u
     hv, hv_half, hv2, hv2_half, vs, rv, zv = axis_v
     u, v = us[0], vs[0]
@@ -342,6 +345,12 @@ def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
     pvvx = (d := ((b7x - qx) + b8x) / w2) + (d - ((b5x - qx) + b6x) / w) / 3.0
     pvvy = (d := ((b7y - qy) + b8y) / w2) + (d - ((b5y - qy) + b6y) / w) / 3.0
     pvvz = (d := ((b7z - qz) + b8z) / w2) + (d - ((b5z - qz) + b6z) / w) / 3.0
+    if not (_isfinite(px) and _isfinite(py) and _isfinite(pz) and _isfinite(pux)
+            and _isfinite(puy) and _isfinite(puz) and _isfinite(pvx) and _isfinite(pvy)
+            and _isfinite(pvz) and _isfinite(puux) and _isfinite(puuy) and _isfinite(puuz)
+            and _isfinite(puvx) and _isfinite(puvy) and _isfinite(puvz) and _isfinite(pvvx)
+            and _isfinite(pvvy) and _isfinite(pvvz)):
+        raise NumericalBreakdown(f"the FD 2-jet at ({u}, {v}) in {patch.name} is not finite")
     return _new(Jet2, (
         (px, py, pz), (pux, puy, puz), (pvx, pvy, pvz),
         (puux, puuy, puuz), (puvx, puvy, puvz), (pvvx, pvvy, pvvz),

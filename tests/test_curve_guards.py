@@ -2,7 +2,8 @@
 infinite t, or a t where the trace is undefined, raises OutOfDomain, and a
 trace (or speed) that overflows at a finite t raises NumericalBreakdown,
 never a bare ValueError or OverflowError.  A curve with a direction sign
-other than +1 or -1 is refused when it is built."""
+other than +1 or -1, or without callable trace_derivatives, is refused
+when it is built."""
 
 import dataclasses
 import math
@@ -75,19 +76,17 @@ def _velocity(curve, t):
     return curve.velocity(t)
 
 
-def _fd_velocity(curve, t):
-    return dataclasses.replace(curve, trace_derivatives=None).velocity(t)
-
-
 @pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan])
 def test_fd_velocity_at_a_non_finite_parameter_is_out_of_domain(t):
-    # no step fits about a parameter that is not finite
-    with pytest.raises(OutOfDomain, match="no room for a difference stencil"):
-        _fd_velocity(plane_log_spiral(1.0), t)
+    # the closed forms themselves give (1.0, nan) at nan, (1.0, -inf) at
+    # -inf, and the sphere loxodrome's a value at t = 5, outside (0, pi/2)
+    for curve, at in ((plane_log_spiral(1.0), t), (sphere_loxodrome(1.0, 1.0), 5.0)):
+        with pytest.raises(OutOfDomain, match=rf"^t={at} outside parameter domain "):
+            curve.velocity(at)
 
 
 @pytest.mark.parametrize(
-    "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity, _fd_velocity)
+    "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity)
 )
 def test_trace_overflow_is_numerical_breakdown(measure):
     # exp(800) overflows inside the chart trace (t, exp(-t)) and its velocity
@@ -96,8 +95,7 @@ def test_trace_overflow_is_numerical_breakdown(measure):
 
 
 @pytest.mark.parametrize(
-    "derivatives", [lambda t: (1.0, -1.0 / (t * t), 0.0, 2.0 / (t * t * t)), None],
-    ids=["closed", "fd"],
+    "derivatives", [lambda t: (1.0, -1.0 / (t * t), 0.0, 2.0 / (t * t * t))], ids=["closed"]
 )
 @pytest.mark.parametrize("measure", MEASUREMENTS + (liouville_breakdown,))
 def test_trace_dividing_by_zero_is_out_of_domain(measure, derivatives):
@@ -169,10 +167,9 @@ def test_every_measurement_at_an_end_of_the_domain_is_finite_or_a_geometry_error
 
 @pytest.mark.parametrize("curve,t", ENDS, ids=[f"{c.label}-t={t}" for c, t in ENDS])
 def test_point_and_velocity_at_an_end_of_the_domain(curve, t):
-    # they check no domain (the trace stencil of a curve without closed-form
-    # derivatives takes the trace off t), so an open infinite end may give
-    # infinite values; but only a GeometryError is raised, and a closed end
-    # gives finite values
+    # point checks no domain, so an open infinite end may give infinite
+    # values, and velocity refuses it; but only a GeometryError is raised,
+    # and a closed end gives finite values
     for method in (curve.point, curve.velocity):
         try:
             value = method(t)
@@ -219,7 +216,19 @@ def test_a_bad_direction_sign_is_refused_when_built(sign):
     with pytest.raises(BadParameter, match=match):
         dataclasses.replace(lox, direction_sign=sign)
     with pytest.raises(BadParameter, match=match):
-        ChartCurve(patch=lox.patch, trace=lox.trace, t_domain=lox.t_domain, direction_sign=sign)
+        ChartCurve(patch=lox.patch, trace=lox.trace, t_domain=lox.t_domain,
+                   trace_derivatives=lox.trace_derivatives, direction_sign=sign)
+
+
+@pytest.mark.parametrize("derivatives", [None, (1.0, 0.0, 0.0, 0.0)], ids=["none", "tuple"])
+def test_a_curve_without_callable_trace_derivatives_is_refused_when_built(derivatives):
+    lox = sphere_loxodrome(1.0, 1.0)
+    match = r"^trace_derivatives must be callable, got "
+    with pytest.raises(BadParameter, match=match):
+        dataclasses.replace(lox, trace_derivatives=derivatives)
+    with pytest.raises(BadParameter, match=match):
+        ChartCurve(patch=lox.patch, trace=lox.trace, t_domain=lox.t_domain,
+                   trace_derivatives=derivatives)
 
 
 @pytest.mark.parametrize(

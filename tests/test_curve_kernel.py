@@ -5,8 +5,7 @@ v'').  Every constructor gives them in closed form; the reference here is
 the generic numdiff route on the trace, richardson_first and
 richardson_second once per chart component, at the one step that
 fit_steps sizes from STEP_SECOND_FINE.  The closed forms must agree with
-it where the trace is smooth on the step's scale.  A curve without closed
-forms takes both orders from one trace stencil.  Either way, sample and
+it where the trace is smooth on the step's scale.  sample and
 geodesic_curvature_numeric must give the bits of the chain rule written
 out on eval_jet, or raise its exception with its message, in both jet
 modes and both directions: also next to the sphere loxodrome's pole, the
@@ -46,22 +45,17 @@ PI = math.pi
 
 
 def reference_derivatives(curve, t):
-    """(u', v', u'', v'') and the Richardson error of the second
-    differences, relative to max(|(u'', v'')|, |(u', v')|^2)."""
+    """(u', v', u'', v'') by richardson_first and richardson_second."""
     (h,) = fit_steps(t, *curve.t_domain, STEP_SECOND_FINE)
     first = [richardson_first(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
-    second = [richardson_second(lambda s, i=i: curve.trace(s)[i], t, h) for i in (0, 1)]
-    (du, dv), ((ddu, eu), (ddv, ev)) = first, second
-    err = math.hypot(eu, ev) / max(math.hypot(ddu, ddv), du * du + dv * dv)
-    return du, dv, ddu, ddv, err
+    second = [richardson_second(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
+    return (*first, *second)
 
 
 def chain_rule_derivatives(curve, t):
-    """The closed forms with error 0, or else the generic route."""
-    if curve.trace_derivatives is None:
-        return reference_derivatives(curve, t)
+    """The closed forms, their faults mapped as curves maps them."""
     try:
-        return (*curve.trace_derivatives(t), 0.0)
+        return curve.trace_derivatives(t)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise cv._trace_fault(exc, "velocity", t) from None
 
@@ -101,11 +95,7 @@ def reference_angle(curve, jet, du, dv, t):
 
 def reference_sample(curve, t, mode):
     jet = vec3_jet(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
-    du, dv, ddu, ddv, err = chain_rule_derivatives(curve, t)
-    if err > cv.BREAKDOWN_TOL:
-        raise NumericalBreakdown(
-            f"second-derivative estimate unreliable at t={t} (relative error ~{err:.2e})"
-        )
+    du, dv, ddu, ddv = chain_rule_derivatives(curve, t)
     k = reference_curvature(jet, curve.patch, du, dv, ddu, ddv)
     return cv.CurveSample(
         t=t,
@@ -167,9 +157,9 @@ def test_closed_form_derivatives_match_the_trace(curve, t):
         assert abs(g - w) <= 1e-8 * max(1.0, abs(g)), (got, want)
 
 
-# the constructors' curves, also where the trace stencil could not
-# measure: next to the sphere loxodrome's pole, where exp(-t) comes within
-# 1% of overflowing, and next to the tractroid's floor
+# the constructors' curves, also where a difference stencil on the trace
+# could not measure: next to the sphere loxodrome's pole, where exp(-t)
+# comes within 1% of overflowing, and next to the tractroid's floor
 _NEAR_POLE = tuple((PI - r) / 2.0 for r in (0.2, 0.15, 0.05, 0.03, 0.02))
 KERNEL_CURVES = CURVES + [
     (cv.plane_log_spiral(1.0), (-5.0, -709.7)),
@@ -242,55 +232,9 @@ def test_liouville_terms_give_the_bits_of_the_generic_route(curve, t, mode):
     assert repr((b.k1, b.k2, b.theta)) == repr(reference_liouville_terms(curve, t, mode))
 
 
-# the same curves without closed-form derivatives, and next to the sphere
-# loxodrome's pole, where the stencil's step is coarse for the trace
-BARE = [(dataclasses.replace(c, trace_derivatives=None), ts) for c, ts in CURVES] + [
-    (dataclasses.replace(CURVES[2][0], trace_derivatives=None), _POLE),
-]
-BARE_CASES = [(c, t) for c, ts in BARE for t in ts]
-BARE_IDS = [f"bare {c.label}-t={t}" for c, t in BARE_CASES]
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("curve,t", BARE_CASES, ids=BARE_IDS)
-def test_trace_stencil_gives_the_bits_of_the_generic_route(curve, t, mode):
-    assert outcome(cv.sample, curve, t, mode) == outcome(reference_sample, curve, t, mode)
-    assert outcome(cv.geodesic_curvature_numeric, curve, t, mode) == outcome(
-        reference_k, curve, t, mode
-    )
-
-
-def test_the_pole_cases_reach_the_gate():
-    # the trace stencil measures at r = 0.4 and 0.3 and fails its gate
-    # closer in, where the closed-form derivatives still measure
-    lox = CURVES[2][0]
-    bare = dataclasses.replace(lox, trace_derivatives=None)
-    seen = []
-    for t in _POLE:
-        try:
-            cv.geodesic_curvature_numeric(bare, t)
-            seen.append("measured")
-        except NumericalBreakdown:
-            seen.append("rejected")
-        assert math.isfinite(cv.geodesic_curvature_numeric(lox, t))
-    assert seen == ["measured", "measured", "rejected", "rejected"]
-
-
-@pytest.mark.parametrize("t", (-1.0, 0.6, 3.0))
-def test_fd_velocity_takes_the_trace_five_times(t):
-    bare = BARE[0][0]
-    calls = []
-
-    def trace(s):
-        calls.append(s)
-        return bare.trace(s)
-
-    du, dv = dataclasses.replace(bare, trace=trace).velocity(t)
-    assert len(calls) == 5 and len(set(calls)) == 5
-    assert repr((du, dv)) == repr(reference_derivatives(bare, t)[:2])
-
-
 def test_fd_velocity_maps_trace_faults():
-    curve = dataclasses.replace(BARE[0][0], trace=lambda t: (t, math.exp(-800.0 * t)))
+    curve = dataclasses.replace(
+        CURVES[0][0], trace_derivatives=lambda t: (1.0, math.exp(-800.0 * t), 0.0, 0.0)
+    )
     with pytest.raises(NumericalBreakdown, match="the chart velocity overflows at t=-1.0"):
         curve.velocity(-1.0)

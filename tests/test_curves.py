@@ -8,7 +8,6 @@ from spiralcurv import (
     BadParameter,
     ChartCurve,
     DegenerateJet,
-    NumericalBreakdown,
     OutOfDomain,
     angle_to_parallel,
     arc_length,
@@ -196,17 +195,6 @@ class TestSignCovariance:
 
 
 class TestDiagnostics:
-    def test_kink_reports_numerical_breakdown(self):
-        patch = plane_patch()
-        kink = ChartCurve(
-            patch=patch,
-            trace=lambda t: (t, 1.0 + 0.3 * abs(t - 0.5) ** 1.5),
-            t_domain=(-1.0, 2.0),
-            label="kink",
-        )
-        with pytest.raises(NumericalBreakdown):
-            geodesic_curvature_numeric(kink, 0.5)
-
     @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
     def test_steep_spiral_measures_the_closed_form(self, mode):
         # at theta = 90 degrees a = tan(theta) ~ 1.6e16: exp(-a t) overflowed
@@ -222,6 +210,7 @@ class TestDiagnostics:
             patch=patch,
             trace=lambda t: (0.3, 1.0),
             t_domain=(-1.0, 1.0),
+            trace_derivatives=lambda t: (0.0, 0.0, 0.0, 0.0),
             label="stationary",
         )
         with pytest.raises(DegenerateJet):

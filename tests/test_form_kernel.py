@@ -190,10 +190,13 @@ def _fd_repro(bad):
 @pytest.mark.parametrize("mode,repro", [(JET_MODE_ANALYTIC, _analytic_repro),
                                         (JET_MODE_FD, _fd_repro)])
 def test_a_non_finite_second_form_raises(mode, repro, bad):
+    # the FD jet itself raises, where a second difference is not finite
     patch = repro(bad)
-    with pytest.raises(NumericalBreakdown, match="second form .* is not finite"):
+    match = "second form .* is not finite" if mode == JET_MODE_ANALYTIC else (
+        r"^the FD 2-jet at \(0\.3, 1\.0\) in revolution is not finite$")
+    with pytest.raises(NumericalBreakdown, match=match):
         gaussian_curvature(patch, 0.3, 1.0, mode)
-    with pytest.raises(NumericalBreakdown, match="second form .* is not finite"):
+    with pytest.raises(NumericalBreakdown, match=match):
         fundamental_forms(patch, 0.3, 1.0, mode)
 
 

@@ -203,7 +203,6 @@ NO_ROOM_SITES = {
     "speed": lambda: cv.speed(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "angle": lambda: cv.angle_to_parallel(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3, JET_MODE_FD),
-    "velocity": lambda: dataclasses.replace(_FLOOR_LOX, trace_derivatives=None).velocity(1e-3),
     "liouville": lambda: liouville_breakdown(_FLOOR_LOX, 1e-3),
 }
 
@@ -248,13 +247,11 @@ def _skew_curve():
                          trace_derivatives=lambda t: (1.0, 0.7, 0.0, 0.0), label="skew line")
 
 
-# the smooth cases, a non-orthogonal chart, the same curves without
-# closed-form trace derivatives, and the edges: next to the sphere
+# the smooth cases, a non-orthogonal chart, and the edges: next to the sphere
 # loxodrome's pole, the plane spiral where exp(-t) nearly overflows and
 # where E = exp(-2t) underflows, the tractroid loxodrome next to its floor
 # and on its rim, and outside the parameter domain
 _SKEW = [(_skew_curve(), t) for t in (-0.5, 0.3, 1.2)]
-_BARE = [(dataclasses.replace(c, trace_derivatives=None), t) for c, t in CASES[::3] + _SKEW]
 _EDGES = [
     *((CURVES[2][0], (PI - r) / 2.0) for r in (0.1, 1e-3, 1e-6)),
     *((cv.plane_log_spiral(1.0), t) for t in (-709.7, 371.5, 373.0)),
@@ -263,10 +260,8 @@ _EDGES = [
     (CURVES[0][0], math.inf),
     (CURVES[2][0], 2.0),
 ]
-TANGENT_CASES = CASES + _SKEW + _BARE + _EDGES
-TANGENT_IDS = IDS + [f"{c.label}-t={t}" for c, t in _SKEW] + [
-    f"bare {c.label}-t={t}" for c, t in _BARE
-] + [f"{c.label}-t={t}" for c, t in _EDGES]
+TANGENT_CASES = CASES + _SKEW + _EDGES
+TANGENT_IDS = IDS + [f"{c.label}-t={t}" for c, t in _SKEW + _EDGES]
 
 
 @pytest.mark.parametrize("direction", (1, -1), ids=("forward", "backward"))

@@ -263,12 +263,15 @@ def _bits(obj):
 
 
 def _ndarray_outcome(patch, u, v):
-    """The bits of _fd_jet_ndarray at (u, v), or the class it raises."""
+    """The bits of _fd_jet_ndarray at (u, v), or the class it raises, or
+    NumericalBreakdown where one of its components is not finite."""
     try:
         with np.errstate(all="ignore"):  # the stencils with inf or nan
             ref = _fd_jet_ndarray(patch, u, v)
     except GeometryError as exc:
         return type(exc)
+    if not all(np.isfinite(want).all() for want in ref.values()):
+        return NumericalBreakdown
     return tuple(float(c).hex() for want in ref.values() for c in want)
 
 
