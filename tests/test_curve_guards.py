@@ -42,6 +42,8 @@ from spiralcurv.surfaces import (
     sphere_patch,
 )
 
+from test_curve_kernel import stencil_curve
+
 MEASUREMENTS = (speed, sample, angle_to_parallel, geodesic_curvature_numeric)
 
 
@@ -76,6 +78,11 @@ def _velocity(curve, t):
     return curve.velocity(t)
 
 
+def _fd_velocity(curve, t):
+    # a difference stencil on the trace as the derivatives
+    return stencil_curve(curve).velocity(t)
+
+
 @pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan])
 def test_fd_velocity_at_a_non_finite_parameter_is_out_of_domain(t):
     # the closed forms themselves give (1.0, nan) at nan, (1.0, -inf) at
@@ -86,7 +93,7 @@ def test_fd_velocity_at_a_non_finite_parameter_is_out_of_domain(t):
 
 
 @pytest.mark.parametrize(
-    "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity)
+    "measure", MEASUREMENTS + (liouville_breakdown, _point, _velocity, _fd_velocity)
 )
 def test_trace_overflow_is_numerical_breakdown(measure):
     # exp(800) overflows inside the chart trace (t, exp(-t)) and its velocity
@@ -94,15 +101,19 @@ def test_trace_overflow_is_numerical_breakdown(measure):
         measure(plane_log_spiral(1.0), -800.0)
 
 
+_RECIPROCAL = ChartCurve(
+    plane_patch(), lambda t: (t, 1.0 / t), (-1.0, 1.0),
+    trace_derivatives=lambda t: (1.0, -1.0 / (t * t), 0.0, 2.0 / (t * t * t)),
+)
+
+
 @pytest.mark.parametrize(
-    "derivatives", [lambda t: (1.0, -1.0 / (t * t), 0.0, 2.0 / (t * t * t))], ids=["closed"]
+    "curve", [_RECIPROCAL, stencil_curve(_RECIPROCAL)], ids=["closed", "fd"]
 )
 @pytest.mark.parametrize("measure", MEASUREMENTS + (liouville_breakdown,))
-def test_trace_dividing_by_zero_is_out_of_domain(measure, derivatives):
-    # 1/t raises ZeroDivisionError at t = 0, inside the domain
-    curve = ChartCurve(
-        plane_patch(), lambda t: (t, 1.0 / t), (-1.0, 1.0), trace_derivatives=derivatives
-    )
+def test_trace_dividing_by_zero_is_out_of_domain(measure, curve):
+    # 1/t raises ZeroDivisionError at t = 0, inside the domain, whether the
+    # derivatives are closed forms or a difference stencil on the trace
     with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
         measure(curve, 0.0)
 

@@ -5,7 +5,8 @@ v'').  Every constructor gives them in closed form; the reference here is
 the generic numdiff route on the trace, richardson_first and
 richardson_second once per chart component, at the one step that
 fit_steps sizes from STEP_SECOND_FINE.  The closed forms must agree with
-it where the trace is smooth on the step's scale.  sample and
+it where the trace is smooth on the step's scale; supplied as a curve's
+trace_derivatives, it measures too.  sample and
 geodesic_curvature_numeric must give the bits of the chain rule written
 out on eval_jet, or raise its exception with its message, in both jet
 modes and both directions: also next to the sphere loxodrome's pole, the
@@ -50,6 +51,12 @@ def reference_derivatives(curve, t):
     first = [richardson_first(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
     second = [richardson_second(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
     return (*first, *second)
+
+
+def stencil_curve(curve):
+    """curve with the generic route on its trace as its trace_derivatives,
+    the way a hand-built curve without closed forms can supply them."""
+    return dataclasses.replace(curve, trace_derivatives=lambda t: reference_derivatives(curve, t))
 
 
 def chain_rule_derivatives(curve, t):
@@ -230,6 +237,55 @@ def reference_liouville_terms(curve, t, mode):
 def test_liouville_terms_give_the_bits_of_the_generic_route(curve, t, mode):
     b = liouville_breakdown(curve, t, mode)
     assert repr((b.k1, b.k2, b.theta)) == repr(reference_liouville_terms(curve, t, mode))
+
+
+# the same curves with the generic route as their derivatives, also next
+# to the sphere loxodrome's pole, where its step is coarse for the trace:
+# the kernel takes whatever trace_derivatives gives, through no gate
+STENCIL = [(stencil_curve(c), ts) for c, ts in CURVES] + [(stencil_curve(CURVES[2][0]), _POLE)]
+STENCIL_CASES = [(c, t) for c, ts in STENCIL for t in ts]
+# ("bare": without the closed forms its constructor gave)
+STENCIL_IDS = [f"bare {c.label}-t={t}" for c, t in STENCIL_CASES]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("curve,t", STENCIL_CASES, ids=STENCIL_IDS)
+def test_trace_stencil_gives_the_bits_of_the_generic_route(curve, t, mode):
+    assert outcome(cv.sample, curve, t, mode) == outcome(reference_sample, curve, t, mode)
+    assert outcome(cv.geodesic_curvature_numeric, curve, t, mode) == outcome(
+        reference_k, curve, t, mode
+    )
+
+
+def test_a_stencil_measures_the_pole_cases_near_the_closed_forms():
+    # k from the stencil's derivatives is within 1e-3 of k from the closed
+    # forms at every distance r from the pole, down to r = 0.001 (about
+    # 2.5e-4 there), in both jet modes
+    lox = CURVES[2][0]
+    stencil = stencil_curve(lox)
+    for t in _POLE:
+        for mode in MODES:
+            want = cv.geodesic_curvature_numeric(lox, t, mode)
+            got = cv.geodesic_curvature_numeric(stencil, t, mode)
+            assert abs(got - want) <= 1e-3 * abs(want), (t, mode, got, want)
+
+
+@pytest.mark.parametrize("t", (-1.0, 0.6, 3.0))
+def test_velocity_takes_the_derivatives_once_and_the_trace_never(t):
+    spiral = CURVES[0][0]
+    traced, derived = [], []
+
+    def trace(s):
+        traced.append(s)
+        return spiral.trace(s)
+
+    def derivatives(s):
+        derived.append(s)
+        return spiral.trace_derivatives(s)
+
+    curve = dataclasses.replace(spiral, trace=trace, trace_derivatives=derivatives)
+    assert repr(curve.velocity(t)) == repr(spiral.trace_derivatives(t)[:2])
+    assert traced == [] and derived == [t]
 
 
 def test_fd_velocity_maps_trace_faults():

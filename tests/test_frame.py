@@ -42,6 +42,7 @@ from spiralcurv.surfaces import (
 )
 from spiralcurv.vec import Vec3
 
+from test_curve_kernel import stencil_curve
 from test_form_kernel import vec3_jet
 
 MODES = (JET_MODE_ANALYTIC, JET_MODE_FD)
@@ -203,6 +204,7 @@ NO_ROOM_SITES = {
     "speed": lambda: cv.speed(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "angle": lambda: cv.angle_to_parallel(_FLOOR_LOX, 1e-3, JET_MODE_FD),
     "sample": lambda: cv.sample(_FLOOR_LOX, 1e-3, JET_MODE_FD),
+    "velocity": lambda: stencil_curve(_FLOOR_LOX).velocity(1e-3),
     "liouville": lambda: liouville_breakdown(_FLOOR_LOX, 1e-3),
 }
 
@@ -247,11 +249,13 @@ def _skew_curve():
                          trace_derivatives=lambda t: (1.0, 0.7, 0.0, 0.0), label="skew line")
 
 
-# the smooth cases, a non-orthogonal chart, and the edges: next to the sphere
-# loxodrome's pole, the plane spiral where exp(-t) nearly overflows and
-# where E = exp(-2t) underflows, the tractroid loxodrome next to its floor
-# and on its rim, and outside the parameter domain
+# the smooth cases, a non-orthogonal chart, the same curves with a
+# difference stencil on the trace as their derivatives, and the edges: next
+# to the sphere loxodrome's pole, the plane spiral where exp(-t) nearly
+# overflows and where E = exp(-2t) underflows, the tractroid loxodrome next
+# to its floor and on its rim, and outside the parameter domain
 _SKEW = [(_skew_curve(), t) for t in (-0.5, 0.3, 1.2)]
+_STENCIL = [(stencil_curve(c), t) for c, t in CASES[::3] + _SKEW]
 _EDGES = [
     *((CURVES[2][0], (PI - r) / 2.0) for r in (0.1, 1e-3, 1e-6)),
     *((cv.plane_log_spiral(1.0), t) for t in (-709.7, 371.5, 373.0)),
@@ -260,8 +264,10 @@ _EDGES = [
     (CURVES[0][0], math.inf),
     (CURVES[2][0], 2.0),
 ]
-TANGENT_CASES = CASES + _SKEW + _EDGES
-TANGENT_IDS = IDS + [f"{c.label}-t={t}" for c, t in _SKEW + _EDGES]
+TANGENT_CASES = CASES + _SKEW + _STENCIL + _EDGES
+TANGENT_IDS = IDS + [f"{c.label}-t={t}" for c, t in _SKEW] + [
+    f"bare {c.label}-t={t}" for c, t in _STENCIL
+] + [f"{c.label}-t={t}" for c, t in _EDGES]
 
 
 @pytest.mark.parametrize("direction", (1, -1), ids=("forward", "backward"))
