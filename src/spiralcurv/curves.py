@@ -24,9 +24,11 @@ Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
 point: the speed and the angle its p_u and p_v, sample the position, k
 and the angle off the same jet.  Each passes its jet mode on unchanged:
 mode=None picks analytic exactly when the patch carries a jet.
-_trace_fault maps every fault of the trace and its derivatives:
-OverflowError to NumericalBreakdown, ValueError and ZeroDivisionError to
-OutOfDomain.
+A curve's t_domain is a surfaces.Interval, its ends open or closed as
+declared; every reader, point and velocity too, refuses a t outside it
+(OutOfDomain) before the trace is evaluated.  Inside it _trace_fault
+maps every fault of the trace and its derivatives: OverflowError to
+NumericalBreakdown, ValueError and ZeroDivisionError to OutOfDomain.
 
 Sign conventions: curvature and angles are measured against the patch's
 oriented normal; direction_sign = -1 traverses the same point set backwards
@@ -52,6 +54,7 @@ from .errors import (
 )
 from .numdiff import gauss_kronrod
 from .surfaces import (
+    Interval,
     SurfacePatch,
     eval_jet,
     first_form,
@@ -75,7 +78,8 @@ MERIDIAN = "meridian"
 class ChartCurve:
     """A curve given by its chart trace on a patch.
 
-    trace maps the parameter t to chart coordinates (u, v), and
+    trace maps the parameter t in t_domain, a surfaces.Interval (a plain
+    (lo, hi) pair is taken as open), to chart coordinates (u, v), and
     trace_derivatives maps t to the trace's derivatives (u', v', u'', v'')
     in closed form.  center_distance, when present, gives the geodesic
     distance to the spiral's pole as a function of t.
@@ -83,36 +87,45 @@ class ChartCurve:
 
     patch: SurfacePatch
     trace: Callable[[float], tuple[float, float]]
-    t_domain: tuple[float, float]
+    t_domain: Interval
     trace_derivatives: Callable[[float], tuple[float, float, float, float]]
     direction_sign: int = 1
     center_distance: Callable[[float], float] | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
-        # dataclasses.replace runs these checks too
+        # dataclasses.replace runs these checks too, and keeps an Interval
+        object.__setattr__(self, "t_domain", Interval(*self.t_domain))
         if self.direction_sign not in (1, -1):
             raise BadParameter(f"direction sign must be +1 or -1, got {self.direction_sign!r}")
         if not callable(self.trace_derivatives):
             raise BadParameter(f"trace_derivatives must be callable, got {self.trace_derivatives!r}")
 
     def contains(self, t: float) -> bool:
-        """Whether t lies in t_domain; an infinite end is open."""
-        return self.t_domain[0] <= t <= self.t_domain[1] and math.isfinite(t)
+        """Whether t lies in t_domain (Interval.contains)."""
+        return self.t_domain.contains(t)
 
     def point(self, t: float) -> Vec3:
-        """The curve's position in R^3 (unchecked: t may lie outside t_domain)."""
+        """The curve's position in R^3, past the gates of every
+        measurement: t in t_domain and (u, v) in the patch's domain."""
+        u, v = _chart_point(self, t)
+        if not self.patch.domain.contains(u, v):
+            raise OutOfDomain(f"({u}, {v}) outside domain of {self.patch.name}")
         try:
-            return self.patch.eval(*self.trace(t))
+            return self.patch.eval(u, v)
         except _TRACE_FAULTS as exc:
             raise _trace_fault(exc, "trace", t) from None
 
     def velocity(self, t: float) -> tuple[float, float]:
         """Chart velocity (du/dt, dv/dt), before any direction flip;
-        OutOfDomain for a t outside t_domain."""
-        if not self.contains(t):
-            raise OutOfDomain(f"t={t} outside parameter domain {self.t_domain}")
-        return _trace_jet(self, t)[:2]
+        OutOfDomain outside t_domain, NumericalBreakdown if not finite."""
+        d = self.t_domain
+        if not d.contains(t):
+            raise OutOfDomain(f"t={t} outside parameter domain ({d.lo}, {d.hi})")
+        du, dv = _trace_jet(self, t)[:2]
+        if not (_isfinite(du) and _isfinite(dv)):
+            raise NumericalBreakdown(f"the chart velocity overflows at t={t}")
+        return du, dv
 
 
 def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | OutOfDomain:
@@ -140,8 +153,9 @@ class CurveSample(Record, namedtuple("_CurveSample", "t position k theta r", def
 
 def _chart_point(curve: ChartCurve, t: float) -> tuple[float, float]:
     """The chart point (u, v) at t, after the domain check."""
-    if not curve.contains(t):
-        raise OutOfDomain(f"t={t} outside parameter domain {curve.t_domain}")
+    d = curve.t_domain
+    if not d.contains(t):
+        raise OutOfDomain(f"t={t} outside parameter domain ({d.lo}, {d.hi})")
     try:
         return curve.trace(t)
     except _TRACE_FAULTS as exc:
@@ -169,7 +183,7 @@ def plane_log_spiral(a: float) -> ChartCurve:
     return ChartCurve(
         patch=plane_patch(),
         trace=lambda t: (t, math.exp(-a * t)),
-        t_domain=(-math.inf, math.inf),
+        t_domain=Interval(-math.inf, math.inf),
         trace_derivatives=derivatives,
         center_distance=lambda t: math.exp(-a * t),
         label=f"plane_log_spiral(a={a:g})",
@@ -195,7 +209,7 @@ def sphere_loxodrome(R: float, a: float) -> ChartCurve:
     return ChartCurve(
         patch=patch,
         trace=lambda t: (a * math.log(math.tan(t)), math.pi - 2.0 * t),
-        t_domain=(0.0, math.pi / 2.0),
+        t_domain=Interval(0.0, math.pi / 2.0),
         trace_derivatives=derivatives,
         center_distance=lambda t: R * (math.pi - 2.0 * t),
         label=f"sphere_loxodrome(R={R:g}, a={a:g})",
@@ -225,17 +239,10 @@ def pseudosphere_loxodrome(
         s, c = math.sin(v), math.cos(v)
         return cot * c / (s * s), 1.0, -cot * (s * s + 2.0 * c * c) / (s * s * s), 0.0
 
-    top = math.pi / 2.0
-
-    def chart_u(v: float) -> float:
-        if not v_floor <= v <= top:
-            raise OutOfDomain(f"v={v} outside [{v_floor}, {top}]")
-        return u0 + cot * (1.0 - 1.0 / math.sin(v))
-
     return ChartCurve(
         patch=patch,
-        trace=lambda t: (chart_u(t), t),
-        t_domain=(v_floor, top),
+        trace=lambda t: (u0 + cot * (1.0 - 1.0 / math.sin(t)), t),
+        t_domain=patch.domain.v,
         trace_derivatives=derivatives,
         label=f"pseudosphere_loxodrome(R={R:g}, theta={theta:g})",
     )
@@ -272,28 +279,17 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
     """Coordinate curve of a patch: a parallel (v = fixed, parametrized by
     u) or a meridian (u = fixed, parametrized by v)."""
     if kind == PARALLEL:
-        if not patch.domain.v.contains(fixed):
-            raise OutOfDomain(f"v={fixed} outside domain of {patch.name}")
-        lo, hi = patch.domain.u.lo, patch.domain.u.hi
-        return ChartCurve(
-            patch=patch,
-            trace=lambda t: (t, fixed),
-            t_domain=(lo, hi),
-            trace_derivatives=lambda t: (1.0, 0.0, 0.0, 0.0),
-            label=f"{patch.name} parallel v={fixed:g}",
-        )
-    if kind == MERIDIAN:
-        if not patch.domain.u.contains(fixed):
-            raise OutOfDomain(f"u={fixed} outside domain of {patch.name}")
-        lo, hi = patch.domain.v.lo, patch.domain.v.hi
-        return ChartCurve(
-            patch=patch,
-            trace=lambda t: (fixed, t),
-            t_domain=(lo, hi),
-            trace_derivatives=lambda t: (0.0, 1.0, 0.0, 0.0),
-            label=f"{patch.name} meridian u={fixed:g}",
-        )
-    raise BadParameter(f"kind must be {PARALLEL!r} or {MERIDIAN!r}, got {kind!r}")
+        along, across, name = patch.domain.u, patch.domain.v, "v"
+        trace, derivatives = (lambda t: (t, fixed)), (lambda t: (1.0, 0.0, 0.0, 0.0))
+    elif kind == MERIDIAN:
+        along, across, name = patch.domain.v, patch.domain.u, "u"
+        trace, derivatives = (lambda t: (fixed, t)), (lambda t: (0.0, 1.0, 0.0, 0.0))
+    else:
+        raise BadParameter(f"kind must be {PARALLEL!r} or {MERIDIAN!r}, got {kind!r}")
+    if not across.contains(fixed):
+        raise OutOfDomain(f"{name}={fixed} outside domain of {patch.name}")
+    return ChartCurve(patch=patch, trace=trace, t_domain=along, trace_derivatives=derivatives,
+                      label=f"{patch.name} {kind} {name}={fixed:g}")
 
 
 # ---------------------------------------------------------------------------

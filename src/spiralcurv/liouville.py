@@ -70,7 +70,7 @@ def liouville_breakdown(
     du, dv, k_direct = _trace_k(curve, t, jet)
     theta = _angle(curve, jet, du, dv, t)
 
-    (h,) = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE)
+    (h,) = fit_steps(t, curve.t_domain.lo, curve.t_domain.hi, STEP_FIRST_FINE)
 
     def unwrapped(s: float) -> float:
         a = angle_to_parallel(curve, s, mode)

@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 from .closed_form import _require_admissible, _require_angle, _require_finite_K
 from .curves import ChartCurve
 from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
-from .surfaces import SurfacePatch, plane_patch, sphere_patch
+from .surfaces import Interval, SurfacePatch, plane_patch, sphere_patch
 from .vec import Record
 
 THETA_CLAMP = 1e-3
@@ -198,15 +198,10 @@ def embed_polar_trace(
 
 def _polar_curve(patch: SurfacePatch, K: float, cot: float, r0: float, u0: float) -> ChartCurve:
     """u(r) = u0 + cot * int_r0^r dr/sqrt(G) on the model patch of K, with K
-    and cot as given: the closed form on the whole admissible range
-    0 < r < r_limit, t = r, direction_sign = -1 (traversed toward the pole)."""
+    and cot as given: the closed form, t = r on the open t_domain
+    (0, r_limit), and direction_sign = -1 (traversed toward the pole)."""
     m = polar_metric(K)
     v_scale = math.sqrt(K) if K > 0.0 else 1.0  # v = r / R on the sphere
-
-    def chart_u(r: float) -> float:
-        if not 0.0 < r < m.r_limit:
-            raise OutOfDomain(f"r={r} outside admissible (0, {m.r_limit})")
-        return -(u0 + cot * _advance(K, r0, r))
 
     def derivatives(r: float):
         # u' = -cot/sqrt(G), u'' = cot (sqrt G)_r / G
@@ -215,8 +210,8 @@ def _polar_curve(patch: SurfacePatch, K: float, cot: float, r0: float, u0: float
 
     return ChartCurve(
         patch=patch,
-        trace=lambda t: (chart_u(t), t * v_scale),
-        t_domain=(0.0, m.r_limit),
+        trace=lambda t: (-(u0 + cot * _advance(K, r0, t)), t * v_scale),
+        t_domain=Interval(0.0, m.r_limit),
         direction_sign=-1,
         trace_derivatives=derivatives,
         center_distance=lambda t: t,

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -8,10 +10,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
 
 import spiralcurv
 from spiralcurv import spiral_curvature
 from spiralcurv.cli import main
+
+from test_curve_contract import floats
 
 PI = math.pi
 
@@ -571,6 +576,44 @@ def test_parser_names_match_the_library():
 
     assert cli._JETS == {"analytic": surfaces.JET_MODE_ANALYTIC, "fd": surfaces.JET_MODE_FD}
     assert cli._SUITES == verify.SUITES
+
+
+def _contract_argvs(a, b, c, d):
+    """curvature, profile along r and along K, and trace on every surface
+    in both jet modes, each flag value a contract float."""
+    a, b, c, d = map(repr, (a, b, c, d))
+    yield ["curvature", "--K", a, "--r", b, "--theta", c]
+    yield ["profile", "--axis", "r", "--fixed", a, "--min", b, "--max", c, "--steps", "3",
+           "--theta", d]
+    yield ["profile", "--axis", "K", "--fixed", b, "--min", a, "--max", c, "--steps", "3",
+           "--theta", d]
+    for surface in ("plane", "sphere", "pseudosphere", "polar"):
+        for jets in ("analytic", "fd"):
+            yield ["trace", "--surface", surface, "--K", a, "--R", a, "--theta", d, "--r0", b,
+                   "--r1", c, "--samples", "2", "--jets", jets]
+
+
+@settings(deadline=None, max_examples=90, derandomize=True, database=None)
+@given(floats, floats, floats, floats)
+@example(1.0, 0.5, 1.2, 1.0)  # every command exits 0
+@example(1.0, 0.001, 1.5707963267948966, 0.001)  # onto the tractroid's floor and rim
+def test_every_command_over_the_contract_floats_keeps_its_exit_codes(a, b, c, d):
+    # exit 0 with finite numbers only, 1 for inadmissible input or 3 for
+    # a malformed flag, and never a traceback
+    for argv in _contract_argvs(a, b, c, d):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0:
+            for line in out.getvalue().splitlines():
+                for field in line.split(","):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue  # a header or a profile's method
+                    assert math.isfinite(value), (argv, line)
 
 
 def run_cli(*argv):

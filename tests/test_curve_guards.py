@@ -37,6 +37,7 @@ from spiralcurv.polar import _embedded_spiral
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
+    Interval,
     plane_patch,
     pseudosphere_patch,
     sphere_patch,
@@ -49,7 +50,7 @@ MEASUREMENTS = (speed, sample, angle_to_parallel, geodesic_curvature_numeric)
 
 def test_infinite_ends_of_the_domain_are_open():
     spiral = plane_log_spiral(1.0)
-    assert spiral.t_domain == (-math.inf, math.inf)
+    assert spiral.t_domain == Interval(-math.inf, math.inf)
     assert spiral.contains(-1e300) and spiral.contains(1e300)
     assert not spiral.contains(-math.inf)
     assert not spiral.contains(math.inf)
@@ -118,6 +119,16 @@ def test_trace_dividing_by_zero_is_out_of_domain(measure, curve):
         measure(curve, 0.0)
 
 
+def test_a_hand_given_pair_is_an_open_interval():
+    # as surface_of_revolution takes its domains; dataclasses.replace keeps
+    # a closed end closed
+    assert _RECIPROCAL.t_domain == Interval(-1.0, 1.0)
+    assert not _RECIPROCAL.contains(1.0)
+    lox = pseudosphere_loxodrome(1.0, 1.0)
+    assert dataclasses.replace(lox, direction_sign=-1).t_domain == lox.patch.domain.v
+    assert lox.contains(math.pi / 2.0)
+
+
 def test_arc_length_from_an_overflowing_end_is_numerical_breakdown():
     with pytest.raises(NumericalBreakdown, match="chart trace overflows at t=-800"):
         arc_length(plane_log_spiral(1.0), -800.0, 0.0)
@@ -140,7 +151,7 @@ CURVES = [
     for patch in (plane_patch(), sphere_patch(1.0), pseudosphere_patch(1.0))
     for kind, fixed in ((PARALLEL, 1.0), (MERIDIAN, 0.3))
 ]
-ENDS = [(curve, t) for curve in CURVES for t in curve.t_domain]
+ENDS = [(curve, t) for curve in CURVES for t in (curve.t_domain.lo, curve.t_domain.hi)]
 
 
 def _finite(value):
@@ -156,9 +167,9 @@ def _finite(value):
 def test_every_measurement_at_an_end_of_the_domain_is_finite_or_a_geometry_error(
     curve, t, mode
 ):
-    # the sphere loxodrome's trace (a ln tan t, pi - 2t) is undefined at the
-    # closed end t = 0 of its domain; it used to raise a bare ValueError there
-    lo, hi = curve.t_domain
+    # the sphere loxodrome's trace (a ln tan t, pi - 2t) is undefined at
+    # t = 0, an open end of its domain
+    lo, hi = curve.t_domain.lo, curve.t_domain.hi
     inner = 0.5 * (max(lo, -1.0) + min(hi, 1.0))
     for measure in (
         speed,
@@ -178,27 +189,30 @@ def test_every_measurement_at_an_end_of_the_domain_is_finite_or_a_geometry_error
 
 @pytest.mark.parametrize("curve,t", ENDS, ids=[f"{c.label}-t={t}" for c, t in ENDS])
 def test_point_and_velocity_at_an_end_of_the_domain(curve, t):
-    # point checks no domain, so an open infinite end may give infinite
-    # values, and velocity refuses it; but only a GeometryError is raised,
-    # and a closed end gives finite values
+    # a closed end gives finite values, and both refuse an open one
     for method in (curve.point, curve.velocity):
-        try:
-            value = method(t)
-        except GeometryError:
-            continue
-        assert not curve.contains(t) or _finite(value), (method, value)
+        if curve.contains(t):
+            assert _finite(method(t)), method
+        else:
+            with pytest.raises(OutOfDomain, match=rf"^t={t} outside parameter domain "):
+                method(t)
+
+
+LOXODROME_END = r"^t=0.0 outside parameter domain \(0.0, 1.5707963267948966\)$"
 
 
 def test_undefined_trace_point_and_velocity_are_out_of_domain():
+    # ln tan 0 and 2a / sin 0 are undefined at t = 0, an open end
     lox = sphere_loxodrome(1.0, 1.0)
-    with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
-        lox.point(0.0)  # ln tan 0
-    with pytest.raises(OutOfDomain, match="the chart velocity is undefined at t=0.0"):
-        lox.velocity(0.0)  # 2a / sin 0
+    with pytest.raises(OutOfDomain, match=LOXODROME_END):
+        lox.point(0.0)
+    with pytest.raises(OutOfDomain, match=LOXODROME_END):
+        lox.velocity(0.0)
+
 
 @pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
 def test_undefined_trace_is_out_of_domain(mode):
-    with pytest.raises(OutOfDomain, match="the chart trace is undefined at t=0.0"):
+    with pytest.raises(OutOfDomain, match=LOXODROME_END):
         sample(sphere_loxodrome(1.0, 1.0), 0.0, mode)
 
 

@@ -47,7 +47,7 @@ PI = math.pi
 
 def reference_derivatives(curve, t):
     """(u', v', u'', v'') by richardson_first and richardson_second."""
-    (h,) = fit_steps(t, *curve.t_domain, STEP_SECOND_FINE)
+    (h,) = fit_steps(t, curve.t_domain.lo, curve.t_domain.hi, STEP_SECOND_FINE)
     first = [richardson_first(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
     second = [richardson_second(lambda s, i=i: curve.trace(s)[i], t, h)[0] for i in (0, 1)]
     return (*first, *second)

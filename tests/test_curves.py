@@ -128,9 +128,13 @@ class TestPseudosphereLoxodrome:
             assert angle_to_parallel(c, v) == pytest.approx(PI / 6.0, abs=1e-12)
 
     def test_floor_enforced(self):
+        # the curve takes its patch's closed [v_floor, pi/2] as its t_domain
         c = pseudosphere_loxodrome(1.0, PI / 3.0, v_floor=0.05)
-        with pytest.raises(OutOfDomain):
-            c.trace(0.01)
+        assert c.t_domain == c.patch.domain.v
+        assert c.contains(0.05) and not c.contains(0.01)
+        for measure in (c.point, c.velocity, lambda t: sample(c, t)):
+            with pytest.raises(OutOfDomain, match=r"^t=0.01 outside parameter domain \(0.05, "):
+                measure(0.01)
 
     @pytest.mark.parametrize("theta", [0.0, PI, -1.0])
     def test_bad_angle(self, theta):

@@ -129,7 +129,7 @@ def two_jet_breakdown(curve, t, mode):
     k2 = two_jet_k(coordinate_curve(curve.patch, MERIDIAN, u), v, mode)
     theta = two_jet_theta(curve, t, mode)
     k_direct = two_jet_k(curve, t, mode)
-    (h,) = fit_steps(t, *curve.t_domain, STEP_FIRST_FINE)
+    (h,) = fit_steps(t, curve.t_domain.lo, curve.t_domain.hi, STEP_FIRST_FINE)
 
     def unwrapped(s):
         a = two_jet_theta(curve, s, mode)

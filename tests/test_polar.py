@@ -8,6 +8,7 @@ from spiralcurv import (
     JET_MODE_FD,
     BadParameter,
     DomainError,
+    Interval,
     OutOfDomain,
     PolarTracePoint,
     Unsupported,
@@ -241,11 +242,11 @@ class TestEmbedding:
     def test_admissible_range_is_open(self):
         pts = _trace_points(1.0, PI / 4.0, 0.5, 0.0, 2.0, n=8)
         emb = embed_polar_trace(sphere_patch(1.0), pts)
-        assert emb.t_domain == (0.0, PI)
-        with pytest.raises(OutOfDomain):
-            emb.trace(0.0)
-        with pytest.raises(OutOfDomain):
-            emb.trace(PI)
+        assert emb.t_domain == Interval(0.0, PI)
+        for r in (0.0, PI):
+            for measure in (emb.point, emb.velocity, lambda t: sample(emb, t)):
+                with pytest.raises(OutOfDomain, match=rf"^t={r} outside parameter domain "):
+                    measure(r)
 
 
 def _near_conjugate_radii(K):

@@ -14,7 +14,9 @@ both jet modes and each suite alone, the forms suite alone also in JSON
 and with FD jets, the five figures, every curvature, profile and trace
 command of .github/workflows/tests.yml, its error commands included,
 traces that read back their angle on every surface, a far-out plane
-trace and a tiny-sphere trace, each in both jet modes, the commands of
+trace and a tiny-sphere trace, each in both jet modes, the tractroid
+traces that the curve's parameter gate refuses below the floor and past
+the rim, in both jet modes, with the gate's message, the commands of
 the import checks, negative flag values with digit underscores, and
 profiles and scalars across the seam ring and up to the conjugate
 radius.
@@ -97,6 +99,9 @@ COMMANDS = [
     "trace --surface sphere --R 1e-300 --theta 1 --r0 1e-301 --r1 2e-301 --samples 2",
     "trace --surface sphere --R 1e100 --theta 1 --r0 5e99 --r1 1e100 --samples 2",
     "trace --surface pseudosphere --jets fd --theta 1 --r0 0.001 --r1 0.5 --samples 3",
+    # the curve's parameter gate, below the tractroid's floor and past its rim
+    *(f"trace --surface pseudosphere --theta 1 --r0 {r0} --r1 {r1} --samples 2{jets}"
+      for r0, r1 in (("0.0005", "0.5"), ("0.5", "1.6")) for jets in ("", " --jets fd")),
     *(f"trace --surface polar --K {K} --theta 1 --r0 0.5 --r1 1.2 --samples 3"
       for K in ("nan", "inf")),
     "curvature --theta-deg -30",
