@@ -23,7 +23,6 @@ _EXPORTS = {
         "spiral_curvature",
         "spiral_curvature_abs_dK",
         "spiral_curvature_dK",
-        "spiral_curvature_series",
         "spiral_curvature_with_method",
     ),
     "curves": (

@@ -7,11 +7,11 @@ battery), figure (regenerate a named SVG).
 Exit codes: 0 success, 1 inadmissible input ("domain error: ..." on
 stderr), 2 verification failure, 3 malformed flags or an unwritable
 --out path.  argparse owns every flag rule: --theta and --theta-deg are
-one exclusive group (required by trace, pi/4 elsewhere), --steps and
---samples are ints of at least 2, and --terms is one of 2..6; each
-command reads only the parsed values.  All output is deterministic;
-floats are written in shortest round-trip form (17 significant digits
-suffice to re-read them exactly).
+one exclusive group (required by trace, pi/4 elsewhere), and --steps
+and --samples are ints of at least 2; each command reads only the
+parsed values.  All output is deterministic; floats are written in
+shortest round-trip form (17 significant digits suffice to re-read them
+exactly).
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=float, default=0.0, help="ambient Gaussian curvature")
     p.add_argument("--r", type=float, default=1.0, help="geodesic radius")
     add_theta(p, default=math.pi / 4.0)
-    p.add_argument("--series", action="store_true", help="force the series branch")
-    p.add_argument("--terms", type=int, choices=range(2, 7), default=4, help="series term count")
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("profile", help="sweep curvature along r or K to CSV")
@@ -159,10 +157,7 @@ def build_parser() -> _Parser:
 def cmd_curvature(args) -> int:
     from . import closed_form as cf
 
-    if args.series:
-        k = cf.spiral_curvature_series(args.K, args.r, args.theta, args.terms)
-    else:
-        k = cf.spiral_curvature(args.K, args.r, args.theta)
+    k = cf.spiral_curvature(args.K, args.r, args.theta)
     print(f"{k:.17g}")
     return 0
 

@@ -30,14 +30,12 @@ from .errors import BadParameter, DomainError
 from .vec import Record
 
 # Taylor coefficients of x*cot(x) in powers of x^2 (valid for both signs of
-# K through x^2 = K*r^2):  1 - y/3 - y^2/45 - 2 y^3/945 - y^4/4725 - ...
+# K through x^2 = K*r^2):  1 - y/3 - y^2/45 - 2 y^3/945 - ...
 _COT_COEFFS = (
     1.0,
     -1.0 / 3.0,
     -1.0 / 45.0,
     -2.0 / 945.0,
-    -1.0 / 4725.0,
-    -2.0 / 93555.0,
 )
 
 # Coefficients of the derivative series, factored as
@@ -46,7 +44,7 @@ _COT_COEFFS = (
 _DERIV_COEFFS = (2.0 / 15.0, 2.0 / 105.0, 4.0 / 1575.0, 2.0 / 6237.0)
 
 # the four-term series that both kernels write out
-_C0, _C1, _C2, _C3 = _COT_COEFFS[:4]
+_C0, _C1, _C2, _C3 = _COT_COEFFS
 _D0, _D1, _D2, _D3 = _DERIV_COEFFS
 
 _SINH_SQUARE_OVERFLOW = 400.0  # sinh(b)^2 is inf from b ~ 355.6 on
@@ -119,14 +117,6 @@ def _require_angle(theta: float) -> None:
         raise DomainError(f"theta={theta} outside (0, pi)")
 
 
-def _series_value(y: float, r: float, terms: int) -> float:
-    """Horner evaluation of the x*cot(x) series in y = K*r^2, over r."""
-    acc = _COT_COEFFS[terms - 1]
-    for c in reversed(_COT_COEFFS[: terms - 1]):
-        acc = c + y * acc
-    return acc / r
-
-
 def _circle_value(K: float, r: float) -> tuple[float, str]:
     """Circle curvature and the branch tag that produced it.  Runs
     _require_admissible's tests inline and calls it only where one fails."""
@@ -135,7 +125,6 @@ def _circle_value(K: float, r: float) -> tuple[float, str]:
         _require_admissible(K, r)
     y = K * r * r
     if -SERIES_WINDOW < y < SERIES_WINDOW:
-        # _series_value(y, r, 4), written out
         return (_C0 + y * (_C1 + y * (_C2 + y * _C3))) / r, METHOD_SERIES
     if K > 0.0:
         s = math.sqrt(K)
@@ -205,14 +194,11 @@ def spiral_curvature(K: float, r: float, theta: float) -> float:
     return math.cos(theta) * value
 
 
-def spiral_curvature_series(K: float, r: float, theta: float, terms: int = 4) -> float:
-    """Series evaluation around K = 0 with an explicit term count.
-
-    terms counts the powers of (K*r^2) kept, between 2 and 6; validity
-    window |K|*r^2 <= 0.1.
-    """
-    if not isinstance(terms, int) or not 2 <= terms <= 6:
-        raise BadParameter(f"terms={terms!r} must be an int in [2, 6]")
+def spiral_curvature_series(K: float, r: float, theta: float) -> float:
+    """Spiral curvature from the four-term series in y = K*r^2 that
+    _circle_value uses inside the seam window, at any |y| up to the
+    validity window 0.1 (DomainError past it); inside the seam window it
+    has the bits of spiral_curvature."""
     _require_admissible(K, r)
     _require_angle(theta)
     y = K * r * r
@@ -220,7 +206,7 @@ def spiral_curvature_series(K: float, r: float, theta: float, terms: int = 4) ->
         raise DomainError(
             f"|K|*r^2 = {abs(y)} outside the series validity window {SERIES_VALIDITY}"
         )
-    return math.cos(theta) * _series_value(y, r, terms)
+    return math.cos(theta) * ((_C0 + y * (_C1 + y * (_C2 + y * _C3))) / r)
 
 
 def spiral_curvature_dK(K: float, r: float, theta: float) -> float:
@@ -283,7 +269,7 @@ def profile(
     # _require_admissible's tests and _circle_value's branches inline, in the
     # same float operations; only a point that fails the tests calls the gate
     c = math.cos(theta)
-    c0, c1, c2, c3 = _COT_COEFFS[:4]
+    c0, c1, c2, c3 = _COT_COEFFS
     sqrt, tan, tanh, inf, pi = math.sqrt, math.tan, math.tanh, math.inf, math.pi
     samples: list[tuple[float, float]] = []
     tags: list[str] = []

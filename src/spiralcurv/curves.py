@@ -122,10 +122,7 @@ class ChartCurve:
         d = self.t_domain
         if not d.contains(t):
             raise OutOfDomain(f"t={t} outside parameter domain ({d.lo}, {d.hi})")
-        du, dv = _trace_jet(self, t)[:2]
-        if not (_isfinite(du) and _isfinite(dv)):
-            raise NumericalBreakdown(f"the chart velocity overflows at t={t}")
-        return du, dv
+        return _chart_velocity(self, t)
 
 
 def _trace_fault(exc: Exception, what: str, t: float) -> NumericalBreakdown | OutOfDomain:
@@ -142,6 +139,14 @@ def _trace_jet(curve: ChartCurve, t: float) -> tuple[float, float, float, float]
         return curve.trace_derivatives(t)
     except _TRACE_FAULTS as exc:
         raise _trace_fault(exc, "velocity", t) from None
+
+
+def _chart_velocity(curve: ChartCurve, t: float) -> tuple[float, float]:
+    """The trace's (u', v') at t; NumericalBreakdown if not finite."""
+    du, dv = _trace_jet(curve, t)[:2]
+    if not (_isfinite(du) and _isfinite(dv)):
+        raise NumericalBreakdown(f"the chart velocity overflows at t={t}")
+    return du, dv
 
 
 class CurveSample(Record, namedtuple("_CurveSample", "t position k theta r", defaults=(None,))):
@@ -344,10 +349,11 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: str | None = None) -> f
     leg is <gamma', p_u> and the sine leg is the signed area
     orientation_sign * dv * sqrt(EG - F^2), which matches the ambient
     triple product <N, p_u x gamma'>.  E, F, G come from the patch's
-    2-jet (eval_jet).
+    2-jet (eval_jet).  NumericalBreakdown where the chart velocity
+    overflows.
     """
     jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _angle(curve, jet, *_trace_jet(curve, t)[:2], t)
+    return _angle(curve, jet, *_chart_velocity(curve, t), t)
 
 
 def sample(curve: ChartCurve, t: float, mode: str | None = None) -> CurveSample:

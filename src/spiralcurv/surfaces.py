@@ -544,7 +544,6 @@ def surface_of_revolution(
     *,
     derivatives: Callable[[float], tuple[float, float, float, float]] | None = None,
     v_domain,
-    u_domain=Interval(-math.inf, math.inf),
     orientation_sign: int = 1,
     known_K: float | None = None,
     name: str = "revolution",
@@ -553,13 +552,13 @@ def surface_of_revolution(
 
     derivatives(v) -> (x', z', x'', z''), the profile's derivatives in the
     order of ChartCurve.trace_derivatives, gives the patch an analytic
-    jet; without it the patch has finite-difference jets only.  Domains
-    may be Interval instances or plain (lo, hi) pairs, which are taken as
-    open intervals.
+    jet; without it the patch has finite-difference jets only.  u is the
+    revolution angle, on all of (-inf, inf); v_domain may be an Interval
+    or a plain (lo, hi) pair, which is taken as open.
     """
     return SurfacePatch(
         eval=partial(_revolution_position, x, z),
-        domain=Rect(Interval(*u_domain), Interval(*v_domain)),  # an Interval or a (lo, hi)
+        domain=Rect(Interval(-math.inf, math.inf), Interval(*v_domain)),
         orientation_sign=orientation_sign,
         jet=None if derivatives is None else partial(_revolution_jet, x, z, derivatives),
         known_K=known_K,

@@ -457,7 +457,7 @@ def suite_analysis() -> list[VerificationReport]:
         for frac in (0.9, 0.95, 1.0, 1.05, 1.1):
             for sgn in (1.0, -1.0):
                 K = sgn * frac * 1e-4 / (r * r)
-                series = cf.spiral_curvature_series(K, r, theta, 4)
+                series = cf.spiral_curvature_series(K, r, theta)
                 if K > 0.0:
                     direct = math.cos(theta) * math.sqrt(K) / math.tan(r * math.sqrt(K))
                 else:

@@ -11,6 +11,7 @@ import numpy as np
 
 import spiralcurv as sc
 from spiralcurv.cli import main as cli_main
+from spiralcurv.closed_form import spiral_curvature_series
 from spiralcurv.numdiff import EPS, fit_steps, richardson_first, richardson_second
 
 PI = math.pi
@@ -212,7 +213,7 @@ def test_criterion_10_seam_stability(capsys):
                 else:
                     b = math.sqrt(-K)
                     direct = b / math.tanh(r * b) * math.cos(theta)
-                series = sc.spiral_curvature_series(K, r, theta)
+                series = spiral_curvature_series(K, r, theta)
                 worst = max(worst, abs(series - direct) / abs(direct))
     jump_worst = 0.0
     for r in (0.5, 1.0, 2.0):

@@ -28,9 +28,9 @@ from spiralcurv import (
     spiral_curvature,
     spiral_curvature_abs_dK,
     spiral_curvature_dK,
-    spiral_curvature_series,
     spiral_curvature_with_method,
 )
+from spiralcurv.closed_form import spiral_curvature_series
 
 PI = math.pi
 

@@ -72,13 +72,13 @@ class TestCurvature:
         assert code == 3
 
     def test_series_switch(self, capsys):
-        code, out, _ = run(
+        # the scalar takes the series branch inside the seam window by itself;
+        # there is no flag that forces it
+        code, out, err = run(
             capsys, "curvature", "--series", "--K", "1e-3", "--r", "1", "--theta", "0.7"
         )
-        assert code == 0
-        assert float(out) == pytest.approx(
-            spiral_curvature(1e-3, 1.0, 0.7), rel=1e-12
-        )
+        assert (code, out) == (3, "")
+        assert err == "spiralcurv: error: unrecognized arguments: --series\n"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "curvature", "--radius", "1")
@@ -395,7 +395,7 @@ class TestNegativeNumbers:
 
 class TestInputValidation:
     @pytest.mark.parametrize("argv", [["--K", "nan"], ["--K", "inf"], ["--K=-inf"],
-                                      ["--r", "inf"], ["--K", "nan", "--series"]])
+                                      ["--r", "inf"], ["--K", "nan", "--theta-deg", "30"]])
     def test_non_finite_curvature_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "curvature", *argv)
         assert code == 1
@@ -536,9 +536,10 @@ class TestFlagRules:
     # line that names the flag, before any command runs
     @pytest.mark.parametrize("terms", ["7", "1"])
     def test_terms_out_of_range_exits_3(self, capsys, terms):
+        # the series has no term count: --series and --terms are not flags
         code, out, err = run(capsys, "curvature", "--series", "--terms", terms)
         assert (code, out) == (3, "")
-        assert err.startswith(f"spiralcurv curvature: error: argument --terms: invalid choice: {terms}")
+        assert err == f"spiralcurv: error: unrecognized arguments: --series --terms {terms}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["curvature", "--theta", "1", "--theta-deg", "30"],
@@ -552,13 +553,15 @@ class TestFlagRules:
          "argument --steps: invalid count value: 'x'"),
         (["trace", "--surface", "plane", "--theta", "1", "--r0", "1", "--r1", "2", "--samples", "1"],
          "argument --samples: must be at least 2, got 1"),
-        (["curvature", "--series", "--terms", "7"], "argument --terms: invalid choice: 7"),
+        (["curvature", "--series", "--terms", "7"], "unrecognized arguments: --series --terms 7"),
     ])
     def test_message_names_the_flag_without_a_traceback(self, argv, message):
         proc = run_cli(*argv)
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"spiralcurv {argv[0]}: error: {message}")
+        # the top parser, not the subcommand's, reports unrecognized arguments
+        prog = "spiralcurv" if message.startswith("unrecognized") else f"spiralcurv {argv[0]}"
+        assert proc.stderr.startswith(f"{prog}: error: {message}")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_theta_is_one_value_in_radians(self):
@@ -635,7 +638,7 @@ class TestFloatRangeEdges:
          "--r1", "1.2", "--samples", "2"],
         # the circle curvature 1/r overflowed to inf
         ["curvature", "--K", "0", "--r", "1e-320"],
-        ["curvature", "--K", "0", "--r", "1e-320", "--series"],
+        ["curvature", "--K", "0", "--r", "5e-324"],
         # the second FD step squared to 0 within ~3e-162 of the plane's origin
         ["trace", "--surface", "plane", "--jets", "fd", "--theta", "0.785", "--r0", "2e-162",
          "--r1", "3e-162", "--samples", "2"],

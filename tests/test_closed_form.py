@@ -18,15 +18,16 @@ from spiralcurv import (
     spiral_curvature,
     spiral_curvature_abs_dK,
     spiral_curvature_dK,
-    spiral_curvature_series,
     spiral_curvature_with_method,
 )
 from spiralcurv import closed_form
 from spiralcurv.closed_form import (
     METHOD_CLOSED_FORM,
     METHOD_SERIES,
+    SERIES_VALIDITY,
     SERIES_WINDOW,
     _linspace,
+    spiral_curvature_series,
 )
 
 PI = math.pi
@@ -120,8 +121,18 @@ class TestSpiralCurvature:
             profile(axis, fixed, 0.5, hi, 3, 0.7)
 
 
+def _horner_series(y, r):
+    """The four-term x*cot(x) series in y = K*r^2, over r, by a Horner
+    loop over _COT_COEFFS."""
+    acc = closed_form._COT_COEFFS[-1]
+    for c in reversed(closed_form._COT_COEFFS[:-1]):
+        acc = c + y * acc
+    return acc / r
+
+
 class TestSeries:
     def test_matches_direct_inside_validity(self):
+        # the four terms miss x*cot(x) by about the fifth, y^4/4725
         for K in (3e-3, -3e-3, 8e-2):
             r = 1.0
             direct = math.cos(0.9) * (
@@ -129,24 +140,32 @@ class TestSeries:
                 if K > 0
                 else math.sqrt(-K) / math.tanh(r * math.sqrt(-K))
             )
-            s = spiral_curvature_series(K, r, 0.9, 6)
-            assert s == pytest.approx(direct, rel=1e-10)
-
-    def test_term_count_controls_error(self):
-        K, r, theta = 5e-2, 1.0, 0.7
-        direct = math.cos(theta) * math.sqrt(K) / math.tan(r * math.sqrt(K))
-        e2 = abs(spiral_curvature_series(K, r, theta, 2) - direct)
-        e4 = abs(spiral_curvature_series(K, r, theta, 4) - direct)
-        assert e4 < e2
+            s = spiral_curvature_series(K, r, 0.9)
+            assert s == pytest.approx(direct, rel=1.1 * K**4 / 4725.0 + 1e-15)
 
     def test_outside_validity_rejected(self):
         with pytest.raises(DomainError):
-            spiral_curvature_series(0.5, 1.0, 0.7, 4)  # |K| r^2 = 0.5 > 0.1
+            spiral_curvature_series(0.5, 1.0, 0.7)  # |K| r^2 = 0.5 > 0.1
 
-    @pytest.mark.parametrize("terms", [1, 7, 2.5, "4"])
-    def test_terms_validated(self, terms):
-        with pytest.raises(BadParameter):
-            spiral_curvature_series(1e-3, 1.0, 0.7, terms)
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    st.one_of(st.floats(0.0, 1e-4, exclude_max=True), st.floats(0.0, SERIES_VALIDITY)),
+    st.sampled_from((1.0, -1.0)),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, PI - 1e-3),
+)
+@example(9.9e-5, 1.0, 0.25, 0.7)
+@example(9.9e-5, -1.0, 4.0, 0.7)
+@example(SERIES_VALIDITY, -1.0, 3.0, PI / 2.0)
+def test_series_has_the_bits_of_the_scalar_in_the_seam_and_of_horner_past_it(q, sign, r, theta):
+    K = sign * q / (r * r)
+    y = K * r * r
+    assume(abs(y) <= SERIES_VALIDITY)
+    series = spiral_curvature_series(K, r, theta)
+    assert series.hex() == (math.cos(theta) * _horner_series(y, r)).hex()
+    if abs(y) < SERIES_WINDOW:
+        assert series.hex() == spiral_curvature(K, r, theta).hex()
 
 
 class TestDerivative:
@@ -383,15 +402,15 @@ def test_profile_calls_the_gate_only_at_a_failing_point(monkeypatch):
 
 def _reference_circle(K, r):
     """The circle curvature, its K-derivative and the tag by the route of
-    the gate, then the branch: _series_value's loop and the _DERIV_COEFFS
-    loop on the seam, the cot/coth closed forms off it."""
+    the gate, then the branch: Horner loops over _COT_COEFFS and
+    _DERIV_COEFFS on the seam, the cot/coth closed forms off it."""
     closed_form._require_admissible(K, r)
     y = K * r * r
     if abs(y) < SERIES_WINDOW:
         acc = closed_form._DERIV_COEFFS[-1]
         for c in reversed(closed_form._DERIV_COEFFS[:-1]):
             acc = c + y * acc
-        return closed_form._series_value(y, r, 4), -(r / 3.0) * (1.0 + y * acc), METHOD_SERIES
+        return _horner_series(y, r), -(r / 3.0) * (1.0 + y * acc), METHOD_SERIES
     if K > 0.0:
         a = r * math.sqrt(K)
         s = math.sin(a)
@@ -647,7 +666,7 @@ class TestOverflowEdges:
             with pytest.raises(DomainError):
                 geodesic_circle_curvature(-1.0, r)
             with pytest.raises(DomainError):
-                spiral_curvature_series(0.0, r, PI / 4.0, 4)
+                spiral_curvature_series(0.0, r, PI / 4.0)
 
     def test_smallest_radii_with_a_finite_curvature_are_unchanged(self):
         for r in (6e-309, 1e-300, 1e-200):

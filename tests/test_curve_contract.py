@@ -71,6 +71,7 @@ def record_is_finite_or_geometry_error(fn, *args):
 @example(1.0, 1e130, 0.7)  # was a bare ZeroDivisionError in liouville_breakdown
 @example(1.0, 1.0, 0.7)  # every family builds, the polar spiral on the unit sphere
 @example(0.0, 2.0, 1e-300)  # the plane's polar spiral next to its pole
+@example(1.0, 1e306, -1e-305)  # plane_log_spiral(1e306): the angle was nan, v' is -inf
 def test_curve_measurements_are_finite_or_geometry_error(p, q, t):
     for curve in families(p, q):
         for mode in (JET_MODE_ANALYTIC, JET_MODE_FD):

@@ -233,6 +233,21 @@ def test_overflowing_speed_is_numerical_breakdown():
         arc_length(spiral, -700.0, 0.0)
 
 
+@pytest.mark.parametrize("mode", [JET_MODE_ANALYTIC, JET_MODE_FD])
+def test_overflowing_velocity_is_numerical_breakdown_in_the_angle(mode):
+    # the trace (t, exp(-a t)) is finite at a = 1e306, t = -1e-305, but its
+    # v' = -a exp(-a t) is -inf: the angle was nan with analytic jets and a
+    # finite pi/4 with FD jets, where the true angle is about pi/2
+    with pytest.raises(NumericalBreakdown, match="the chart velocity overflows at t=-1e-305"):
+        angle_to_parallel(plane_log_spiral(1e306), -1e-305, mode)
+
+
+def test_overflowing_velocity_has_the_angle_message_in_the_velocity():
+    # velocity and angle_to_parallel share one finiteness check of (u', v')
+    with pytest.raises(NumericalBreakdown, match="the chart velocity overflows at t=-1e-305"):
+        plane_log_spiral(1e306).velocity(-1e-305)
+
+
 @pytest.mark.parametrize("sign", [0, 2])
 def test_a_bad_direction_sign_is_refused_when_built(sign):
     # a direction sign of 2 doubled k without an error

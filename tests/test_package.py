@@ -43,7 +43,7 @@ def test_submodule_attributes_resolve_on_first_access():
 
 
 def test_every_public_name_resolves_to_its_definition():
-    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 58
+    assert len(spiralcurv.__all__) == len(set(spiralcurv.__all__)) == 57
     for name in spiralcurv.__all__:
         module = importlib.import_module(f"spiralcurv.{spiralcurv._ORIGIN[name]}")
         assert getattr(spiralcurv, name) is getattr(module, name), name
@@ -77,7 +77,7 @@ def test_every_subcommand_runs_with_numpy_and_scipy_blocked(tmp_path):
     figure = str(tmp_path / "figure.svg")
     argvs = [
         ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
-        ["curvature", "--K", "1e-6", "--series"],
+        ["curvature", "--K", "1e-6"],
         ["profile", "--axis", "K", "--fixed", "1", "--min", "-1", "--max", "1", "--steps", "9"],
         ["trace", "--surface", "sphere", "--theta", "1", "--r0", "0.5", "--r1", "1",
          "--samples", "5", "--format", "svg", "--out", figure],
@@ -128,7 +128,7 @@ def modules_after_main(argv, *flags: str) -> set:
 
 @pytest.mark.parametrize("argv", [
     ["curvature", "--K", "-1", "--r", "1", "--theta-deg", "60"],
-    ["curvature", "--K", "1e-6", "--series"],
+    ["curvature", "--K", "1e-6"],
     ["profile", "--axis", "r", "--fixed", "1", "--min", "0.1", "--max", "2", "--steps", "5"],
     ["profile", "--axis", "K", "--fixed", "1", "--min", "-1", "--max", "1", "--steps", "9"],
 ])

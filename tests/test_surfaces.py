@@ -394,6 +394,18 @@ class TestRevolutionKernel:
         assert len(calls) == 25
 
 
+@pytest.mark.parametrize("v_domain,v_range", [
+    ((0.0, 3.0), Interval(0.0, 3.0)),
+    (Interval(0.0, 3.0, True, False), Interval(0.0, 3.0, True, False)),
+], ids=["pair", "interval"])
+def test_revolution_u_range_is_the_whole_angle(v_domain, v_range):
+    # u is the revolution angle on all of (-inf, inf); there is no knob for it
+    patch = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=v_domain)
+    assert patch.domain == Rect(Interval(-math.inf, math.inf), v_range)
+    with pytest.raises(TypeError, match="u_domain"):
+        surface_of_revolution(math.sin, math.cos, v_domain=v_domain, u_domain=(0.0, 1.0))
+
+
 def _row_major(patch, us, vs, mode):
     """The jets of eval_jet over the grid, row-major, or the type and
     message of the first exception it raises."""

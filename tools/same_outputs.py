@@ -19,7 +19,9 @@ traces that the curve's parameter gate refuses below the floor and past
 the rim, in both jet modes, with the gate's message, the commands of
 the import checks, negative flag values with digit underscores, and
 profiles and scalars across the seam ring and up to the conjugate
-radius.
+radius.  Two commands pin the removal of curvature's --series and --terms
+flags: both exit 3 with "unrecognized arguments", so against a checkout
+from before the removal they are the two expected differences.
 """
 
 import difflib
@@ -62,8 +64,9 @@ COMMANDS = [
     "trace --surface pseudosphere --theta 1 --r0 1.326570320789366 --r1 0.001 --samples 2",
     # a zero-length trace
     "trace --surface plane --theta 1 --r0 1 --r1 1 --samples 3",
-    # the import checks
+    # curvature's removed --series flag, which exits 3
     "curvature --K 1e-6 --series",
+    # the import checks
     "profile --axis r --fixed 1 --min 0.1 --max 2 --steps 1000 --theta 0.7",
     "profile --axis K --fixed 1 --min -1 --max 1 --steps 9",
     # profiles across the seam ring |K| r^2 = 1e-4, far out on the coth
