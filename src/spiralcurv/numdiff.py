@@ -9,7 +9,7 @@ also takes second or mixed ones, which balance the extrapolated
 estimate's h^4 truncation against its rounding.
 
 fit_steps sizes and fits the steps of every stencil in the package: the
-finite-difference jets of surfaces (once per chart coordinate); the
+finite-difference jets of surfaces (once per differenced coordinate); the
 angle stencil of liouville, once per curve parameter; and verify's
 K-derivative check at K = 0 and its Jacobi check, once per point.
 Each step is rel * max(1, |x|), shrunk to at most 0.45 of the distance
@@ -17,14 +17,13 @@ from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
 extrapolate is the one Richardson level that every estimate here takes.
-The FD 2-jet of surfaces writes its differences out in one straight-line
-block over the floats of its stencil positions, each component in the
-float operations and order of central_first, central_second or the cross
-stencil (((A - B) - C) + D) / (4hk), then extrapolate: the bits of
-richardson_first, richardson_second and richardson on that component,
-which the tests hold it to.  Every other derivative goes through
-richardson itself: liouville's angle stencil and verify's checks call
-richardson_first or richardson_second.
+richardson_first and richardson_second take the FD 2-jet of a surface of
+revolution (its profile's derivatives along v), liouville's angle stencil
+and verify's checks.  The FD 2-jet of any other position map writes its
+differences out in one straight-line block, each component in the float
+operations of central_first, central_second or the cross stencil
+(((A - B) - C) + D) / (4hk), then extrapolate: the bits of the
+richardson routines, which the tests hold it to.
 
 gauss_kronrod integrates a float function over a finite interval with the
 7-point Gauss / 15-point Kronrod pair (the QUADPACK qk15 constants).  It

@@ -28,7 +28,6 @@ from .errors import BadParameter, DomainError, OutOfDomain, Unsupported
 from .surfaces import Interval, SurfacePatch, plane_patch, sphere_patch
 from .vec import Record
 
-THETA_CLAMP = 1e-3
 TRACE_TOL = 1e-9
 _SERIES_Q = 1e-6
 
@@ -131,15 +130,12 @@ def spiral_chart_trace(
 
     Integrates du/dr = cot(theta)/sqrt(G(r)) in closed form:
     cot(theta) * ln(r/r0) for K = 0 and the corresponding
-    ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise.  theta is
-    restricted to [1e-3, pi - 1e-3] to keep both cot(theta) and the
-    trace parametrization well-conditioned.  Both radii pass closed_form's
-    gate; a u that is not finite (a non-finite u0) raises DomainError.
+    ln tan / ln tanh differences of (r/2)*sqrt(|K|) otherwise.  theta and
+    both radii pass closed_form's gates, theta in (0, pi); a u that is not
+    finite (a non-finite u0, or a cot(theta) that overflows next to 0 or
+    pi) raises DomainError.
     """
-    if not THETA_CLAMP <= theta <= math.pi - THETA_CLAMP:
-        raise DomainError(
-            f"theta={theta} outside [{THETA_CLAMP}, pi - {THETA_CLAMP}]"
-        )
+    _require_angle(theta)
     _require_admissible(K, r0)
     _require_admissible(K, r)
     cot = math.cos(theta) / math.sin(theta)

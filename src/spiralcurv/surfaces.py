@@ -36,36 +36,31 @@ eval_jet is the one entry point, and its domain and mode gate also picks
 the mode of a call that names none (mode=None): analytic exactly when the
 patch carries a jet, else finite differences.  fundamental_forms,
 gaussian_curvature and every curve measurement pass their mode to it
-unchanged.  With finite differences a jet takes the position at 25
-stencil points, each step fitted into the domain by numdiff.fit_steps
-from STEP_FIRST_FINE and STEP_SECOND_FINE, the steps of one Richardson
-level, and carries the extrapolated values only, no error estimate; it
-raises NumericalBreakdown where one of its 18 components is not finite.
+unchanged.  Every finite difference takes one Richardson level at steps
+fitted into the domain by numdiff.fit_steps from STEP_FIRST_FINE and
+STEP_SECOND_FINE, and a jet carries the extrapolated values only.
 
-An FD jet is two axes and their combination.  An axis (_fd_axis) holds
-what depends on one chart coordinate alone: its fitted steps, the 9
-abscissae of the stencil along it and, on a surface of revolution
-(x(v) cos u, x(v) sin u, z(v)), cos and sin at the 9 u or the profile
-x, z at the 9 v.  The combination (_fd_combine) holds the 75 floats of
-the 25 positions in locals and differences them in one straight-line
-block, with the bits of numdiff's richardson routines on each component.
-On a surface of revolution, which it recognises by the position map that
-surface_of_revolution builds (a functools.partial of
-_revolution_position over x and z), the floats are the map's products of
-the axes, so the bits of a call of it; any other position map, such as a
-chart without that symmetry or a wrapped copy of the map, is called once
-per stencil point.  _jet_grid builds each axis once per distinct grid
-coordinate instead of once per point.  _curvature_grid, the forms
-battery's source of K, recognises the analytic jet's partial the same
-way: there it takes cos, sin once per grid u and the profile once per
-grid v and reads K per point in plain floats, no Jet2, the normal from
-_normal; any other grid it reads off the jets of _jet_grid.  Each grid
-takes one route per jet mode.  The FD axes, and the domain check and
-profile of the analytic pass, take every grid coordinate before any
-point is evaluated, so a coordinate outside the domain raises
-OutOfDomain first; otherwise a grid raises the class that the row-major
-loop of eval_jet and curvature_from_jet raises first, unless two points
-fail in different ways.
+On a surface of revolution (x(v) cos u, x(v) sin u, z(v)), recognised by
+its position map (a functools.partial of _revolution_position over x and
+z, as surface_of_revolution builds it), the FD jet is _revolution_jet of
+the profile's derivatives by numdiff's richardson_first and
+richardson_second along v (_fd_derivatives), with exact cos u and sin u:
+the two modes differ only in where x', z', x'', z'' come from.  Any other
+position map, such as a chart without that symmetry or a wrapped copy of
+the map, is called at 25 stencil points in u and v (_fd_axis), which
+_fd_combine differences in one straight-line block with the bits of the
+richardson routines.  Both raise NumericalBreakdown where the halved
+second step underflows when squared or the jet is not finite.
+
+_jet_grid takes each grid v's profile derivatives, or each axis, once.
+_curvature_grid, the forms battery's source of K, recognises a surface of
+revolution the same way in both modes and reads K per point in plain
+floats, no Jet2, the normal from _normal, from cos, sin once per grid u
+and the profile once per grid v; any other grid it reads off the jets of
+_jet_grid.  Each grid checks every coordinate before any point is
+evaluated, so a coordinate outside the domain raises OutOfDomain first;
+otherwise a grid raises the class that the row-major loop of eval_jet and
+curvature_from_jet raises first, unless two points fail in different ways.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import STEP_FIRST_FINE, STEP_SECOND_FINE, fit_steps
+from .numdiff import STEP_FIRST_FINE, STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
 from .vec import Record, Vec3
 
 _new = tuple.__new__  # a record from one tuple
@@ -185,12 +180,12 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -
         analytic jet and finite differences otherwise.  Analytic mode
         requires the patch to carry an analytic jet.
         Finite-difference mode uses only the position map: central
-        differences with step eps**(1/5)*max(1,|coord|) for first partials
-        and eps**(1/6)*max(1,|coord|) for second partials, one Richardson
-        level each (numdiff.STEP_FIRST_FINE and STEP_SECOND_FINE).
-        The position is taken once at each of the 25 stencil points, from
-        an axis of u and one of v (see the module docstring).  The jet
-        holds the extrapolated derivatives and no Richardson error estimate.
+        differences with step eps**(1/5)*max(1,|coord|) for first
+        derivatives and eps**(1/6)*max(1,|coord|) for second ones, one
+        Richardson level each (numdiff.STEP_FIRST_FINE and
+        STEP_SECOND_FINE), of the profile x, z along v on a surface of
+        revolution, else of the position in u and v (see the module
+        docstring).  The jet holds no error estimate.
 
     Raises
     ------
@@ -212,46 +207,71 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -
         return patch.jet(u, v)
     if mode != JET_MODE_FD:
         raise BadParameter(f"unknown jet mode {mode!r}")
-    (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
-    return _fd_combine(patch, _fd_axis(u, dom.u, *f_u), _fd_axis(v, dom.v, *f_v))
+    profile = _fd_profile(patch, u)
+    if profile is not None:
+        return _revolution_jet(*profile, u, v)
+    dom = patch.domain
+    return _fd_combine(patch, _fd_axis(u, dom.u), _fd_axis(v, dom.v))
 
 
 def _jet_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[eval_jet(patch, u, v, mode) for u in us for v in vs], bit for bit.
 
-    With finite differences each _fd_axis is built once per distinct grid
-    coordinate, before any point is combined, so fit_steps raises
-    OutOfDomain first at a coordinate outside the domain (see the module
-    docstring for the other raises).  In any other mode the grid is the
-    row-major loop."""
-    if mode != JET_MODE_FD:
+    With finite differences each grid v's profile derivatives, or each
+    _fd_axis, are taken once, before any point is evaluated (see the
+    module docstring for the raises).  In any other mode, or on an empty
+    grid, the grid is the row-major loop."""
+    if mode != JET_MODE_FD or not us:
         return [eval_jet(patch, u, v, mode) for u in us for v in vs]
-    (f_u, f_v), dom = _fd_axis_values(patch), patch.domain
-    axes_u = [_fd_axis(u, dom.u, *f_u) for u in us]
-    axes_v = [_fd_axis(v, dom.v, *f_v) for v in vs]
-    return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
+    dom, profile = patch.domain, _fd_profile(patch, us[0])
+    if profile is None:
+        axes_u = [_fd_axis(u, dom.u) for u in us]
+        axes_v = [_fd_axis(v, dom.v) for v in vs]
+        return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
+    x, z, derivatives = profile
+    if not all(map(dom.u.contains, us)):
+        raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")
+    taken = [(v, lambda _, d=derivatives(v): d) for v in vs]
+    return [_revolution_jet(x, z, d, u, v) for u in us for v, d in taken]
 
 
-def _fd_axis_values(patch: SurfacePatch) -> tuple:
-    """The functions the _fd_axis of u and of v take at their abscissae:
-    cos, sin and x, z on a surface_of_revolution patch, else none."""
+def _fd_profile(patch: SurfacePatch, u: float):
+    """x, z and the FD derivatives of a surface_of_revolution patch, whose
+    position map is a functools.partial of _revolution_position, else
+    None.  u names the point in the derivatives' raises."""
     position = patch.eval
     if type(position) is partial and position.func is _revolution_position:
-        return (math.cos, math.sin), position.args
-    return (), ()
+        return (*position.args, partial(_fd_derivatives, patch, u))
 
 
-def _fd_axis(x: float, interval: Interval, f=None, g=None) -> tuple:
+def _fd_derivatives(patch: SurfacePatch, u: float, v: float) -> tuple:
+    """(x', z', x'', z'') at v of a surface_of_revolution patch's profile:
+    richardson_first and richardson_second of x and z at the steps
+    fit_steps fits into the v interval.  NumericalBreakdown where the
+    halved second step underflows when squared or a derivative is not
+    finite, as it is where x or z is (the second differences take v)."""
+    x, z = patch.eval.args
+    dom = patch.domain.v
+    h, h2 = fit_steps(v, dom.lo, dom.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    if (h2 / 2.0) * (h2 / 2.0) == 0.0:
+        raise NumericalBreakdown(
+            f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
+        )
+    d = (richardson_first(x, v, h)[0], richardson_first(z, v, h)[0],
+         richardson_second(x, v, h2)[0], richardson_second(z, v, h2)[0])
+    if not all(map(_isfinite, d)):
+        raise NumericalBreakdown(f"the FD 2-jet at ({u}, {v}) in {patch.name} is not finite")
+    return d
+
+
+def _fd_axis(x: float, interval: Interval) -> tuple:
     """The axis of an FD jet at chart coordinate x: the steps h, h2 fitted
-    into interval (numdiff.fit_steps) and their halves, the 9 abscissae
-    x, x + h, x - h, x + h/2, x - h/2 and the same at h2, and f and g at
-    each abscissa (see _fd_axis_values), or None where f is."""
+    into interval (numdiff.fit_steps), their halves, and the 9 abscissae
+    x, x + h, x - h, x + h/2, x - h/2 and the same at h2."""
     h, h2 = fit_steps(x, interval.lo, interval.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
     h_half, h2_half = h / 2.0, h2 / 2.0
-    xs = (x, x + h, x - h, x + h_half, x - h_half, x + h2, x - h2, x + h2_half, x - h2_half)
-    if f is None:
-        return h, h_half, h2, h2_half, xs, None, None
-    return h, h_half, h2, h2_half, xs, tuple(map(f, xs)), tuple(map(g, xs))
+    return h, h_half, h2, h2_half, (
+        x, x + h, x - h, x + h_half, x - h_half, x + h2, x - h2, x + h2_half, x - h2_half)
 
 
 def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
@@ -262,8 +282,8 @@ def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
     and richardson's bits on that component alone.  NumericalBreakdown
     where the squared second step underflows or a component is not
     finite."""
-    hu, hu_half, hu2, hu2_half, us, cu, su = axis_u
-    hv, hv_half, hv2, hv2_half, vs, rv, zv = axis_v
+    hu, hu_half, hu2, hu2_half, us = axis_u
+    hv, hv_half, hv2, hv2_half, vs = axis_v
     u, v = us[0], vs[0]
     # the second differences divide by the square of the halved step
     h = min(hu2, hv2) / 2.0
@@ -273,53 +293,20 @@ def _fd_combine(patch: SurfacePatch, axis_u: tuple, axis_v: tuple) -> Jet2:
         )
     # a: the u abscissae at v, b: the v abscissae at u, m: the cross stencil
     # in the order of _CROSS
-    if cu is None:
-        e = patch.eval
-        (
-            (a1x, a1y, a1z), (a2x, a2y, a2z), (a3x, a3y, a3z), (a4x, a4y, a4z),
-            (a5x, a5y, a5z), (a6x, a6y, a6z), (a7x, a7y, a7z), (a8x, a8y, a8z),
-        ) = [e(a, v) for a in us[1:]]
-        (
-            (b1x, b1y, b1z), (b2x, b2y, b2z), (b3x, b3y, b3z), (b4x, b4y, b4z),
-            (b5x, b5y, b5z), (b6x, b6y, b6z), (b7x, b7y, b7z), (b8x, b8y, b8z),
-        ) = [e(u, b) for b in vs[1:]]
-        px, py, pz = e(u, v)
-        (
-            (m1x, m1y, m1z), (m2x, m2y, m2z), (m3x, m3y, m3z), (m4x, m4y, m4z),
-            (m5x, m5y, m5z), (m6x, m6y, m6z), (m7x, m7y, m7z), (m8x, m8y, m8z),
-        ) = [e(us[i], vs[j]) for i, j in _CROSS]
-    else:
-        # the products of _revolution_position; three targets per
-        # assignment, so that no tuple is built
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = cu
-        s0, s1, s2, s3, s4, s5, s6, s7, s8 = su
-        r0, r1, r2, r3, r4, r5, r6, r7, r8 = rv
-        z0, z1, z2, z3, z4, z5, z6, z7, z8 = zv
-        px, py, pz = r0 * c0, r0 * s0, z0
-        a1x, a1y, a1z = r0 * c1, r0 * s1, z0
-        a2x, a2y, a2z = r0 * c2, r0 * s2, z0
-        a3x, a3y, a3z = r0 * c3, r0 * s3, z0
-        a4x, a4y, a4z = r0 * c4, r0 * s4, z0
-        a5x, a5y, a5z = r0 * c5, r0 * s5, z0
-        a6x, a6y, a6z = r0 * c6, r0 * s6, z0
-        a7x, a7y, a7z = r0 * c7, r0 * s7, z0
-        a8x, a8y, a8z = r0 * c8, r0 * s8, z0
-        b1x, b1y, b1z = r1 * c0, r1 * s0, z1
-        b2x, b2y, b2z = r2 * c0, r2 * s0, z2
-        b3x, b3y, b3z = r3 * c0, r3 * s0, z3
-        b4x, b4y, b4z = r4 * c0, r4 * s0, z4
-        b5x, b5y, b5z = r5 * c0, r5 * s0, z5
-        b6x, b6y, b6z = r6 * c0, r6 * s0, z6
-        b7x, b7y, b7z = r7 * c0, r7 * s0, z7
-        b8x, b8y, b8z = r8 * c0, r8 * s0, z8
-        m1x, m1y, m1z = r5 * c5, r5 * s5, z5
-        m2x, m2y, m2z = r6 * c5, r6 * s5, z6
-        m3x, m3y, m3z = r5 * c6, r5 * s6, z5
-        m4x, m4y, m4z = r6 * c6, r6 * s6, z6
-        m5x, m5y, m5z = r7 * c7, r7 * s7, z7
-        m6x, m6y, m6z = r8 * c7, r8 * s7, z8
-        m7x, m7y, m7z = r7 * c8, r7 * s8, z7
-        m8x, m8y, m8z = r8 * c8, r8 * s8, z8
+    e = patch.eval
+    (
+        (a1x, a1y, a1z), (a2x, a2y, a2z), (a3x, a3y, a3z), (a4x, a4y, a4z),
+        (a5x, a5y, a5z), (a6x, a6y, a6z), (a7x, a7y, a7z), (a8x, a8y, a8z),
+    ) = [e(a, v) for a in us[1:]]
+    (
+        (b1x, b1y, b1z), (b2x, b2y, b2z), (b3x, b3y, b3z), (b4x, b4y, b4z),
+        (b5x, b5y, b5z), (b6x, b6y, b6z), (b7x, b7y, b7z), (b8x, b8y, b8z),
+    ) = [e(u, b) for b in vs[1:]]
+    px, py, pz = e(u, v)
+    (
+        (m1x, m1y, m1z), (m2x, m2y, m2z), (m3x, m3y, m3z), (m4x, m4y, m4z),
+        (m5x, m5y, m5z), (m6x, m6y, m6z), (m7x, m7y, m7z), (m8x, m8y, m8z),
+    ) = [e(us[i], vs[j]) for i, j in _CROSS]
     # w, w2: the divisors at the step and at its half; each component is
     # extrapolate(d_h, d_half) = d_half + (d_half - d_h) / 3.0
     w, w2 = 2.0 * hu, 2.0 * hu_half
@@ -472,7 +459,7 @@ def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us
     for v in vs], bit for bit.
 
-    A surface_of_revolution patch in analytic mode takes one pass in the
+    A surface_of_revolution patch, in either mode, takes one pass in the
     float operations of _revolution_jet, first_form, forms_from_jet and
     curvature_from_jet, no Jet2 (the tests of _first_form_det imply finite
     E, F, G, and a finite K finite e, f, g); it checks every coordinate
@@ -480,9 +467,12 @@ def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     Any other grid reads K off each jet of _jet_grid.  The module
     docstring gives the raises of both routes."""
     jet = patch.jet
-    if not (mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet):
+    if mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet:
+        x, z, derivatives = jet.args
+    elif mode == JET_MODE_FD and us and (fd := _fd_profile(patch, us[0])):
+        x, z, derivatives = fd
+    else:
         return [curvature_from_jet(j, patch) for j in _jet_grid(patch, us, vs, mode)]
-    x, z, derivatives = jet.args
     dom = patch.domain
     if not (all(map(dom.u.contains, us)) and all(map(dom.v.contains, vs))):
         raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")
@@ -514,7 +504,7 @@ def _revolution_position(x, z, u: float, v: float) -> Vec3:
     """The point (x(v) cos u, x(v) sin u, z(v)) of the surface of
     revolution with profile x, z.  surface_of_revolution's position map
     is this function with x and z bound by functools.partial, which the
-    FD jets recognise (_fd_axis_values)."""
+    FD jets recognise (_fd_profile)."""
     r = x(v)
     return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
 

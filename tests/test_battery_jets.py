@@ -3,7 +3,8 @@ takes jets only at every 4th point in u and in v; each curve measurement
 takes one jet at its curve point.
 
 Per run_suites("all"): 2,800 curvatures (7 patches x 400 grid points)
-from surfaces._curvature_grid in the battery's mode, 175 jets from
+from surfaces._curvature_grid in the battery's mode, which takes no jet
+in either mode, 175 jets from
 surfaces._jet_grid in each mode (the orientation flip, the regularity and
 the two sides of jet_consistency at every 4th point), and 330 + 653 jets
 in the battery's mode, each one call of eval_jet: the curvature
@@ -24,15 +25,6 @@ import sys
 import pytest
 
 from spiralcurv import surfaces, verify
-from spiralcurv.errors import NumericalBreakdown
-from spiralcurv.numdiff import (
-    STEP_FIRST_FINE,
-    STEP_SECOND_FINE,
-    fit_steps,
-    richardson,
-    richardson_first,
-    richardson_second,
-)
 from spiralcurv.surfaces import (
     JET_MODE_ANALYTIC,
     JET_MODE_FD,
@@ -42,6 +34,7 @@ from spiralcurv.surfaces import (
 )
 
 from test_form_kernel import vec3_jet
+from test_surfaces import fd_profile_jet
 
 MODES = [JET_MODE_ANALYTIC, JET_MODE_FD]
 OTHER = {JET_MODE_ANALYTIC: JET_MODE_FD, JET_MODE_FD: JET_MODE_ANALYTIC}
@@ -91,21 +84,14 @@ def jet_counts(monkeypatch):
 def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode)
     assert all(r.passed for r in reports)
-    # analytic jets of _jet_grid are eval_jet calls; analytic curvatures
-    # of _curvature_grid take no jet, FD ones the jets of _jet_grid
-    nested = {
-        JET_MODE_ANALYTIC: {("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175},
-        JET_MODE_FD: {
-            ("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175,
-            ("_curvature_grid", "_jet_grid", JET_MODE_FD): 2800,
-        },
-    }
+    # analytic jets of _jet_grid are eval_jet calls; the curvatures of
+    # _curvature_grid take no jet in either mode
     assert jet_counts == {
         ("_curvature_grid", mode): 2800,
         ("eval_jet", mode): 330 + 75 + 578,
         ("_jet_grid", mode): 175,
         ("_jet_grid", OTHER[mode]): 175,
-        **nested[mode],
+        ("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175,
     }
 
 
@@ -149,42 +135,13 @@ def test_jet_consistency_is_the_vec3_route(mode):
         assert repr((o.actual, o.error)) == repr((worst, worst)), o.input
 
 
-# The finite-difference jet through numdiff's generic scalar routines, one
-# component of the positions at a time: the reference that surfaces'
-# FD jet reproduces.
-
-
-def _steps(patch, u, v, rel):
-    dom = patch.domain
-    (hu,) = fit_steps(u, dom.u.lo, dom.u.hi, rel)
-    (hv,) = fit_steps(v, dom.v.lo, dom.v.hi, rel)
-    return hu, hv
+# The finite-difference jet of the battery's surfaces of revolution
+# through numdiff's scalar routines on the profile (test_surfaces): the
+# reference that surfaces' FD jet reproduces.
 
 
 def _generic_fd_jet(patch, u, v):
-    hu2, hv2 = _steps(patch, u, v, STEP_SECOND_FINE)
-    h = min(hu2, hv2) / 2.0
-    if h * h == 0.0:
-        raise NumericalBreakdown("squared step underflows")
-    hu, hv = _steps(patch, u, v, STEP_FIRST_FINE)
-    e = patch.eval
-
-    def cross(i, c):
-        h, k = c * hu2, c * hv2
-        return (e(u + h, v + k)[i] - e(u + h, v - k)[i] - e(u - h, v + k)[i]
-                + e(u - h, v - k)[i]) / (4.0 * h * k)
-
-    def each(derivative):
-        return tuple(derivative(i)[0] for i in range(3))
-
-    return surfaces.Jet2(
-        p=tuple(e(u, v)),
-        p_u=each(lambda i: richardson_first(lambda uu: e(uu, v)[i], u, hu)),
-        p_v=each(lambda i: richardson_first(lambda vv: e(u, vv)[i], v, hv)),
-        p_uu=each(lambda i: richardson_second(lambda uu: e(uu, v)[i], u, hu2)),
-        p_uv=each(lambda i: richardson(lambda c: cross(i, c), 1.0)),
-        p_vv=each(lambda i: richardson_second(lambda vv: e(u, vv)[i], v, hv2)),
-    )
+    return surfaces.Jet2(*fd_profile_jet(patch, u, v).values())
 
 
 def _hex(jets):
@@ -196,25 +153,27 @@ def test_forms_suite_kernel_matches_generic_richardson(monkeypatch):
     for patch, us, vs in verify._patches():
         grid = surfaces._jet_grid(patch, us, vs, JET_MODE_FD)
         assert _hex(grid) == _hex(_generic_fd_jet(patch, u, v) for u in us for v in vs)
-    # and so does the suite built on them: its curvatures read the jets of
-    # the grid source of _curvature_grid, the rest those of verify's
+    # and so does the suite built on them: its curvatures are
+    # curvature_from_jet of the generic jets, and its FD jets those jets
     kernel = verify.suite_forms(JET_MODE_FD)
     calls = collections.Counter()
-    original_grid = surfaces._jet_grid
+    original_grid = verify._jet_grid
 
-    def generic(source):
-        def generic_grid(patch, us, vs, mode):
-            if mode != JET_MODE_FD:
-                return original_grid(patch, us, vs, mode)
-            calls[source] += len(us) * len(vs)
-            return [_generic_fd_jet(patch, u, v) for u in us for v in vs]
+    def generic_grid(patch, us, vs, mode):
+        if mode != JET_MODE_FD:
+            return original_grid(patch, us, vs, mode)
+        calls["jets"] += len(us) * len(vs)
+        return [_generic_fd_jet(patch, u, v) for u in us for v in vs]
 
-        return generic_grid
+    def generic_curvatures(patch, us, vs, mode):
+        assert mode == JET_MODE_FD
+        calls["curvatures"] += len(us) * len(vs)
+        return [curvature_from_jet(_generic_fd_jet(patch, u, v), patch) for u in us for v in vs]
 
-    monkeypatch.setattr(surfaces, "_jet_grid", generic("surfaces"))
-    monkeypatch.setattr(verify, "_jet_grid", generic("verify"))
+    monkeypatch.setattr(verify, "_jet_grid", generic_grid)
+    monkeypatch.setattr(verify, "_curvature_grid", generic_curvatures)
     generic_suite = verify.suite_forms(JET_MODE_FD)
-    assert calls == {"surfaces": 2800, "verify": 175}
+    assert calls == {"curvatures": 2800, "jets": 175}
     assert [(r.check_name, r.observations) for r in kernel] == [
         (r.check_name, r.observations) for r in generic_suite
     ]

@@ -124,10 +124,14 @@ class TestSpiralChartTrace:
         assert u1 == pytest.approx(u0, abs=1e-11)
 
     def test_theta_clamp(self):
-        with pytest.raises(DomainError):
-            spiral_chart_trace(0.0, 1e-5, 0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            spiral_chart_trace(0.0, PI - 1e-5, 0.5, 0.0, 1.0)
+        # theta passes the angle gate (0, pi) and nothing more: next to
+        # either end the trace winds fast but is still finite
+        for theta in (0.0, PI, math.nan):
+            with pytest.raises(DomainError):
+                spiral_chart_trace(0.0, theta, 0.5, 0.0, 1.0)
+        for theta in (1e-5, PI - 1e-5):
+            p = spiral_chart_trace(0.0, theta, 0.5, 0.0, 1.0)
+            assert p.u == pytest.approx(math.log(2.0) / math.tan(theta), rel=1e-14)
 
     def test_admissibility_of_both_radii(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -93,10 +94,39 @@ def _fd_jet_ndarray(patch, u, v):
     }
 
 
-def _assert_fd_kernel_is_ndarray_stencil(patch, points):
-    """The FD jet at each point carries the ndarray stencil's bits."""
+def fd_profile_jet(patch, u, v):
+    """The finite-difference jet of a surface of revolution from the scalar
+    routines on its profile: richardson_first and richardson_second of x
+    and z along v at the steps fit_steps fits into the v interval, and
+    the jet of (x cos u, x sin u, z) with those derivatives and exact
+    cos u and sin u.  u takes no step."""
+    x, z = patch.eval.args
+    dom = patch.domain.v
+    h, h2 = fit_steps(v, dom.lo, dom.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
+    x1, z1 = richardson_first(x, v, h)[0], richardson_first(z, v, h)[0]
+    x2, z2 = richardson_second(x, v, h2)[0], richardson_second(z, v, h2)[0]
+    c, s, r = math.cos(u), math.sin(u), x(v)
+    return {
+        "p": (r * c, r * s, z(v)),
+        "p_u": (-r * s, r * c, 0.0),
+        "p_v": (x1 * c, x1 * s, z1),
+        "p_uu": (-r * c, -r * s, 0.0),
+        "p_uv": (-x1 * s, x1 * c, 0.0),
+        "p_vv": (x2 * c, x2 * s, z2),
+    }
+
+
+def _fd_reference(patch):
+    """The reference of the FD jet's route: the profile's differences on a
+    surface_of_revolution patch, the ndarray stencil on any other map."""
+    return fd_profile_jet if isinstance(patch.eval, functools.partial) else _fd_jet_ndarray
+
+
+def _assert_fd_kernel_is_reference(patch, points):
+    """The FD jet at each point carries the bits of its route's reference."""
+    reference = _fd_reference(patch)
     for u, v in points:
-        ref = _fd_jet_ndarray(patch, u, v)
+        ref = reference(patch, u, v)
         jet = eval_jet(patch, u, v, JET_MODE_FD)
         for field, want in ref.items():
             assert tuple(np.array(getattr(jet, field))) == tuple(want), (u, v, field)
@@ -186,33 +216,30 @@ class TestJets:
 
     @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES], ids=lambda p: p.name)
     def test_fd_jet_bit_identical_to_ndarray_stencil(self, patch):
-        # the FD jet differences float triples; the same stencils on numpy
-        # arrays give the same bits, also next to the edges of the chart,
-        # where fit_steps shrinks the steps
+        # the FD jet of a surface of revolution differences its profile;
+        # the scalar routines on x and z give the same bits, also next to
+        # the edges of the chart, where fit_steps shrinks the steps
         u, v = _probe(patch)
         dom = patch.domain.v
-        for vv in (v, dom.lo + 1e-3, min(dom.hi, 3.0) - 1e-3):
-            fd = eval_jet(patch, u, vv, JET_MODE_FD)
-            ref = _fd_jet_ndarray(patch, u, vv)
-            for name, want in ref.items():
-                assert tuple(np.array(getattr(fd, name))) == tuple(want), name
+        _assert_fd_kernel_is_reference(
+            patch, [(u, vv) for vv in (v, dom.lo + 1e-3, min(dom.hi, 3.0) - 1e-3)])
 
     @pytest.mark.parametrize(
         "name", ["sphere(R=0.5)", "sphere(R=2)", "pseudosphere(R=0.5)", "pseudosphere(R=2)"]
     )
     def test_fd_kernel_bit_identical_on_battery_patches(self, name):
         # the verify battery's scaled patches, at the corners of its grid
-        # and two inner points: the jet gives the ndarray stencil's bits
+        # and two inner points: the jet gives the profile reference's bits
         (patch, us, vs), = [b for b in verify._patches() if b[0].name == name]
         corners = ((0, 0), (0, -1), (-1, 0), (-1, -1), (10, 10), (7, 13))
-        _assert_fd_kernel_is_ndarray_stencil(patch, [(us[i], vs[j]) for i, j in corners])
+        _assert_fd_kernel_is_reference(patch, [(us[i], vs[j]) for i, j in corners])
 
     def test_fd_kernel_bit_identical_on_a_chart_without_symmetry(self):
         # on a surface of revolution some stencil sums are exactly 0 (the
         # cross stencil of z), so this chart varies every component with
         # both u and v
         grid = [(u, v) for u in SKEW_US for v in SKEW_VS]
-        _assert_fd_kernel_is_ndarray_stencil(SKEW, grid)
+        _assert_fd_kernel_is_reference(SKEW, grid)
 
     @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES], ids=lambda p: p.name)
     def test_fd_stencil_evaluates_each_point_once(self, patch):
@@ -262,12 +289,12 @@ def _bits(obj):
     return tuple(float(c).hex() for name in obj._fields for c in getattr(obj, name))
 
 
-def _ndarray_outcome(patch, u, v):
-    """The bits of _fd_jet_ndarray at (u, v), or the class it raises, or
+def _reference_outcome(reference, patch, u, v):
+    """The bits of the reference jet at (u, v), or the class it raises, or
     NumericalBreakdown where one of its components is not finite."""
     try:
         with np.errstate(all="ignore"):  # the stencils with inf or nan
-            ref = _fd_jet_ndarray(patch, u, v)
+            ref = reference(patch, u, v)
     except GeometryError as exc:
         return type(exc)
     if not all(np.isfinite(want).all() for want in ref.values()):
@@ -282,15 +309,16 @@ def _fd_outcome(patch, u, v):
         return type(exc)
 
 
-def _assert_revolution_kernel_is_generic_route(patch, points):
-    """FD jets of the patch and of its wrapped copy carry the bits of the
-    generic richardson routines (_fd_jet_ndarray), or raise its class:
-    the copy checks the position products, the routines the differences."""
-    generic = _wrapped(patch)
+def _assert_each_route_is_its_reference(patch, points):
+    """FD jets of the patch carry the bits of its route's reference, and
+    those of its wrapped copy the bits of the ndarray stencil (the generic
+    richardson routines on the position), or each raises its reference's
+    class: the profile's differences on a surface of revolution, the
+    position's on the copy."""
+    generic, reference = _wrapped(patch), _fd_reference(patch)
     for u, v in points:
-        want = _ndarray_outcome(patch, u, v)
-        assert _fd_outcome(generic, u, v) == want, (u, v)
-        assert _fd_outcome(patch, u, v) == want, (u, v)
+        assert _fd_outcome(generic, u, v) == _reference_outcome(_fd_jet_ndarray, patch, u, v)
+        assert _fd_outcome(patch, u, v) == _reference_outcome(reference, patch, u, v), (u, v)
 
 
 NOJET = surface_of_revolution(lambda v: 2.0 + math.cos(v), math.sin, v_domain=(0.0, 3.0))
@@ -324,10 +352,14 @@ SIGNED_ZERO = surface_of_revolution(
 
 
 class TestRevolutionKernel:
-    """FD jets of a surface of revolution take cos/sin once per distinct u
-    and the profile once per distinct v of the stencil."""
+    """FD jets of a surface of revolution difference the profile along v,
+    with exact cos u and sin u; a wrapped position map takes the generic
+    route, the position at 25 stencil points."""
 
     def test_profile_evaluated_once_per_distinct_v(self):
+        # once at each abscissa of the two first differences and the two
+        # second ones along v, and at v itself once per second difference
+        # and once for the position
         seen = {"x": [], "z": []}
 
         def counted(name, f):
@@ -342,7 +374,9 @@ class TestRevolutionKernel:
         )
         eval_jet(patch, 0.4, 1.2, JET_MODE_FD)
         for name in ("x", "z"):
-            assert len(seen[name]) == len(set(seen[name])) == 9, name
+            counts = collections.Counter(seen[name])
+            assert len(counts) == 9 and counts.pop(1.2) == 3, name
+            assert set(counts.values()) == {1}, name
 
     @pytest.mark.parametrize(
         "patch,points",
@@ -374,12 +408,14 @@ class TestRevolutionKernel:
              "skew", *NONFINITE, "signed-zero"],
     )
     def test_bit_identical_to_the_generic_route_at_the_edges(self, patch, points):
-        _assert_revolution_kernel_is_generic_route(patch, points)
+        _assert_each_route_is_its_reference(patch, points)
 
     @pytest.mark.parametrize("patch", [p for p, _ in ALL_PATCHES] + [NOJET],
                              ids=lambda p: p.name)
     def test_a_wrapped_position_map_gives_the_same_jets(self, patch):
-        # the wrapper is called at every stencil point, and the jets agree
+        # the wrapper is called at every stencil point, where it gives the
+        # ndarray stencil's bits, and the jets of the two routes agree to
+        # 1e-9 of max(1, |field|)
         calls = []
         position = patch.eval
 
@@ -389,9 +425,13 @@ class TestRevolutionKernel:
 
         wrapped = dataclasses.replace(patch, eval=counted)
         u, v = _probe(patch)
-        assert _bits(eval_jet(wrapped, u, v, JET_MODE_FD)) == _bits(
-            eval_jet(patch, u, v, JET_MODE_FD))
+        jet = eval_jet(wrapped, u, v, JET_MODE_FD)
         assert len(calls) == 25
+        want = _fd_jet_ndarray(patch, u, v)
+        assert _bits(jet) == tuple(float(c).hex() for field in want.values() for c in field)
+        own = vec3_jet(eval_jet(patch, u, v, JET_MODE_FD))
+        for field, a, b in zip(own._fields, own, vec3_jet(jet)):
+            assert (a - b).norm() <= 1e-9 * max(1.0, a.norm()), field
 
 
 @pytest.mark.parametrize("v_domain,v_range", [
@@ -532,11 +572,16 @@ class TestJetGrid:
             counted("x", lambda v: 2.0 + math.cos(v)), counted("z", math.sin),
             v_domain=(0.0, 3.0),
         )
+        # each grid v's differences are taken once, at the 9 abscissae of
+        # eval_jet's stencil; v itself twice in them and once per grid point
         us, vs = (0.0, 0.7, 1.4, 2.1, 2.8), (0.5, 1.0, 1.5, 2.0)
         jets = _jet_grid(patch, us, vs, JET_MODE_FD)
         assert len(jets) == 20
         for name in ("x", "z"):
-            assert len(seen[name]) == len(set(seen[name])) == 9 * len(vs), name
+            counts = collections.Counter(seen[name])
+            assert len(counts) == 9 * len(vs), name
+            assert [counts.pop(v) for v in vs] == [2 + len(us)] * len(vs), name
+            assert set(counts.values()) == {1}, name
 
 
 def _row_major_K(patch, us, vs, mode):

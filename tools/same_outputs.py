@@ -19,9 +19,14 @@ traces that the curve's parameter gate refuses below the floor and past
 the rim, in both jet modes, with the gate's message, the commands of
 the import checks, negative flag values with digit underscores, and
 profiles and scalars across the seam ring and up to the conjugate
-radius.  Two commands pin the removal of curvature's --series and --terms
-flags: both exit 3 with "unrecognized arguments", so against a checkout
-from before the removal they are the two expected differences.
+radius, and FD traces whose revolution angle u runs far from 0: the
+polar spiral at theta = 1e-3 with K = 4 and K = 0, the plane's spiral
+at theta = 3.136196698714557 from r0 = 1.952639558262677e-08, and the
+polar spiral at theta = 1e-5 in both jet modes.  Against a checkout whose
+FD jet steps in u, and whose polar traces refuse theta below 1e-3, these
+commands and every other `--jets fd` command are the expected
+differences, with the forms.jet_consistency observations of the analytic
+report-json runs; every other output is the same.
 """
 
 import difflib
@@ -62,6 +67,14 @@ COMMANDS = [
     *(f"trace --surface sphere --R 1e-7 --theta 1 --r0 5e-8 --r1 1e-7 --samples 2{jets}"
       for jets in ("", " --jets fd")),
     "trace --surface pseudosphere --theta 1 --r0 1.326570320789366 --r1 0.001 --samples 2",
+    # FD traces far out in u, where a step in u would be wrong on a map
+    # 2 pi-periodic in u, and a polar theta below the old 1e-3 clamp
+    "trace --surface polar --K 4 --theta 0.001 --r0 0.3 --r1 1.4 --samples 2 --jets fd",
+    "trace --surface polar --K 0 --theta 0.001 --r0 0.5 --r1 1.2 --samples 3 --jets fd",
+    "trace --surface plane --theta 3.136196698714557 --r0 1.952639558262677e-08 --r1 1"
+    " --samples 2 --jets fd",
+    *(f"trace --surface polar --theta 1e-5 --r0 0.3 --r1 1.2 --samples 2{jets}"
+      for jets in ("", " --jets fd")),
     # a zero-length trace
     "trace --surface plane --theta 1 --r0 1 --r1 1 --samples 3",
     # curvature's removed --series flag, which exits 3
