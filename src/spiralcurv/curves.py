@@ -258,7 +258,8 @@ def _spiral_on(surface: str, R: float, theta: float):
     pseudosphere (tractroid) of radius R, and t_at(r), its parameter at
     pole distance r (the colatitude v on the tractroid, which has no pole).
     DomainError for theta, and from t_at for an r that closed_form's gate
-    refuses.  Past pi/2 the plane's spiral runs backwards, so that it
+    refuses; OutOfDomain from t_at where t rounds out of the parameter
+    range.  Past pi/2 the plane's spiral runs backwards, so that it
     measures theta, not arctan(tan theta) = theta - pi."""
     _require_angle(theta)
     if surface == "pseudosphere":
@@ -275,7 +276,10 @@ def _spiral_on(surface: str, R: float, theta: float):
 
     def t_at(r: float) -> float:
         _require_admissible(curve.patch.known_K, r)
-        return -math.log(r) / a if surface == "plane" else (math.pi - r / R) / 2.0
+        t = -math.log(r) / a if surface == "plane" else (math.pi - r / R) / 2.0
+        if not curve.t_domain.contains(t):  # a tiny r/R or theta rounds t onto an end
+            raise OutOfDomain(f"r={r} rounds t to {t}, outside {curve.t_domain[:2]}")
+        return t
 
     return curve, t_at
 

@@ -17,9 +17,9 @@ from x to the nearer finite end of its interval, so that the stencil
 [x - h, x + h] stays inside; where no step fits, it raises OutOfDomain.
 
 extrapolate is the one Richardson level that every estimate here takes.
-richardson_first and richardson_second take the FD 2-jet of a surface of
-revolution (its profile's derivatives along v), liouville's angle stencil
-and verify's checks.  The FD 2-jet of any other position map writes its
+richardson_first and richardson_second take liouville's angle stencil
+and verify's checks.  Every FD 2-jet (a surface of revolution's profile
+derivatives along v, or any other position map's in u and v) writes its
 differences out in one straight-line block, each component in the float
 operations of central_first, central_second or the cross stencil
 (((A - B) - C) + D) / (4hk), then extrapolate: the bits of the

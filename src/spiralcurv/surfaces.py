@@ -43,14 +43,15 @@ STEP_SECOND_FINE, and a jet carries the extrapolated values only.
 On a surface of revolution (x(v) cos u, x(v) sin u, z(v)), recognised by
 its position map (a functools.partial of _revolution_position over x and
 z, as surface_of_revolution builds it), the FD jet is _revolution_jet of
-the profile's derivatives by numdiff's richardson_first and
-richardson_second along v (_fd_derivatives), with exact cos u and sin u:
-the two modes differ only in where x', z', x'', z'' come from.  Any other
-position map, such as a chart without that symmetry or a wrapped copy of
-the map, is called at 25 stencil points in u and v (_fd_axis), which
-_fd_combine differences in one straight-line block with the bits of the
-richardson routines.  Both raise NumericalBreakdown where the halved
-second step underflows when squared or the jet is not finite.
+the profile's derivatives along v (_fd_derivatives), with exact cos u and
+sin u: the two modes differ only in where x', z', x'', z'' come from.
+Any other position map (a chart without that symmetry, a wrapped copy of
+the map) is called at 25 stencil points in u and v (_fd_axis) for
+_fd_combine.  Both write their differences out in one straight-line block
+with the bits of numdiff's richardson_first and richardson_second, each
+abscissa once (v twice per revolution jet: there and for the position),
+and raise NumericalBreakdown where the halved second step underflows when
+squared or the jet is not finite.
 
 _jet_grid takes each grid v's profile derivatives, or each axis, once.
 _curvature_grid, the forms battery's source of K, recognises a surface of
@@ -72,7 +73,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import BadParameter, DegenerateJet, NumericalBreakdown, OutOfDomain
-from .numdiff import STEP_FIRST_FINE, STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
+from .numdiff import STEP_FIRST_FINE, STEP_SECOND_FINE, fit_steps
 from .vec import Record, Vec3
 
 _new = tuple.__new__  # a record from one tuple
@@ -184,8 +185,9 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -
         derivatives and eps**(1/6)*max(1,|coord|) for second ones, one
         Richardson level each (numdiff.STEP_FIRST_FINE and
         STEP_SECOND_FINE), of the profile x, z along v on a surface of
-        revolution, else of the position in u and v (see the module
-        docstring).  The jet holds no error estimate.
+        revolution, else of the position in u and v, written out with
+        the bits of numdiff.richardson_first and richardson_second (see
+        the module docstring).  The jet holds no error estimate.
 
     Raises
     ------
@@ -245,23 +247,36 @@ def _fd_profile(patch: SurfacePatch, u: float):
 
 
 def _fd_derivatives(patch: SurfacePatch, u: float, v: float) -> tuple:
-    """(x', z', x'', z'') at v of a surface_of_revolution patch's profile:
-    richardson_first and richardson_second of x and z at the steps
-    fit_steps fits into the v interval.  NumericalBreakdown where the
-    halved second step underflows when squared or a derivative is not
-    finite, as it is where x or z is (the second differences take v)."""
+    """(x', z', x'', z'') at v of a surface_of_revolution patch's profile
+    at the steps fit_steps fits into the v interval, written out as in
+    _fd_combine: the float operations and order of numdiff's central_first
+    and central_second at h and h/2, then extrapolate, so the bits of
+    richardson_first and richardson_second, each abscissa evaluated once,
+    in the order of their first calls.  NumericalBreakdown where the halved
+    second step underflows when squared or a derivative is not finite, as
+    it is where x or z is (the second differences take v)."""
     x, z = patch.eval.args
     dom = patch.domain.v
     h, h2 = fit_steps(v, dom.lo, dom.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
-    if (h2 / 2.0) * (h2 / 2.0) == 0.0:
+    h_half, h2_half = h / 2.0, h2 / 2.0
+    if h2_half * h2_half == 0.0:
         raise NumericalBreakdown(
             f"the second-difference step at ({u}, {v}) in {patch.name} underflows when squared"
         )
-    d = (richardson_first(x, v, h)[0], richardson_first(z, v, h)[0],
-         richardson_second(x, v, h2)[0], richardson_second(z, v, h2)[0])
-    if not all(map(_isfinite, d)):
+    a, b, c, d = v + h, v - h, v + h_half, v - h_half
+    x1, x2, x3, x4, z1, z2, z3, z4 = x(a), x(b), x(c), x(d), z(a), z(b), z(c), z(d)
+    a, b, c, d = v + h2, v - h2, v + h2_half, v - h2_half
+    x5, x0, x6, x7, x8 = x(a), x(v), x(b), x(c), x(d)
+    z5, z0, z6, z7, z8 = z(a), z(v), z(b), z(c), z(d)
+    w, w2 = 2.0 * h, 2.0 * h_half
+    dx = (e := (x3 - x4) / w2) + (e - (x1 - x2) / w) / 3.0
+    dz = (e := (z3 - z4) / w2) + (e - (z1 - z2) / w) / 3.0
+    qx, qz, w, w2 = 2.0 * x0, 2.0 * z0, h2 * h2, h2_half * h2_half
+    ddx = (e := ((x7 - qx) + x8) / w2) + (e - ((x5 - qx) + x6) / w) / 3.0
+    ddz = (e := ((z7 - qz) + z8) / w2) + (e - ((z5 - qz) + z6) / w) / 3.0
+    if not (_isfinite(dx) and _isfinite(dz) and _isfinite(ddx) and _isfinite(ddz)):
         raise NumericalBreakdown(f"the FD 2-jet at ({u}, {v}) in {patch.name} is not finite")
-    return d
+    return dx, dz, ddx, ddz
 
 
 def _fd_axis(x: float, interval: Interval) -> tuple:

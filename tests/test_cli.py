@@ -432,6 +432,22 @@ class TestInputValidation:
         assert (code, err) == (1, "domain error: theta=-0.5 outside (0, pi)\n")
 
     @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    @pytest.mark.parametrize("surface,theta,t,t_range", [
+        # on the unit sphere t = (pi - r)/2 rounds onto pi/2 for r below
+        # about 2.2e-16; on the plane t = -ln(r)/tan(theta) overflows
+        ("sphere", "1", "1.5707963267948966", "(0.0, 1.5707963267948966)"),
+        ("plane", "5e-324", "inf", "(-inf, inf)"),
+    ])
+    def test_a_radius_whose_t_rounds_out_of_range_is_named(
+        self, capsys, surface, theta, t, t_range, jets
+    ):
+        # the message named the t, which the command never gave
+        code, out, err = run(capsys, "trace", "--surface", surface, "--theta", theta, "--r0",
+                             "1e-17", "--r1", "1", "--samples", "2", "--jets", jets)
+        assert (code, out) == (1, "")
+        assert err == f"domain error: r=1e-17 rounds t to {t}, outside {t_range}\n"
+
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
     @pytest.mark.parametrize("degrees", ["90", "89.9999"])
     def test_trace_at_a_steep_angle_measures_the_closed_form(self, capsys, degrees, jets):
         # the trace (t, exp(-a t)) overflowed a step of the old t-stencil

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiralcurv import (
     BadParameter,
@@ -351,6 +353,40 @@ SIGNED_ZERO = surface_of_revolution(
 )
 
 
+# profiles beside the built-in ones: FD only, signed zeros, a non-finite x
+# or z at some abscissae, and one out to |v| = 60, where the steps grow with |v|
+PROFILES = [NOJET, SIGNED_ZERO,
+            *(surface_of_revolution(x, z, v_domain=(0.0, 3.0)) for x, z in NONFINITE.values()),
+            surface_of_revolution(lambda v: 1.0 + v * v, math.atan, v_domain=(-40.0, 60.0))]
+
+
+def _powers(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def kernel_points(draw):
+    """A patch, a u and a v anywhere in its v interval, or within 1e-12 to
+    1e-3 of either finite end, where fit_steps shrinks the steps."""
+    patch = draw(st.one_of(
+        st.just(plane_patch()),
+        _powers(-3, 3).map(sphere_patch),
+        _powers(-3, 3).map(pseudosphere_patch),
+        st.sampled_from(PROFILES),
+    ))
+    lo, hi = patch.domain.v.lo, patch.domain.v.hi
+    ends = [_powers(-12, -3).map(lambda d: lo + d)]
+    if math.isfinite(hi):
+        ends.append(_powers(-12, -3).map(lambda d: hi - d))
+    v = draw(st.one_of(st.floats(lo, min(hi, 1e6)), *ends))
+    return patch, draw(st.floats(-10.0, 10.0)), v
+
+
+def _first_calls(log):
+    """The profile's calls in the order of their first one."""
+    return list(dict.fromkeys(log))
+
+
 class TestRevolutionKernel:
     """FD jets of a surface of revolution difference the profile along v,
     with exact cos u and sin u; a wrapped position map takes the generic
@@ -358,8 +394,8 @@ class TestRevolutionKernel:
 
     def test_profile_evaluated_once_per_distinct_v(self):
         # once at each abscissa of the two first differences and the two
-        # second ones along v, and at v itself once per second difference
-        # and once for the position
+        # second ones along v, and at v itself twice: once in the
+        # differences and once for the position
         seen = {"x": [], "z": []}
 
         def counted(name, f):
@@ -375,7 +411,7 @@ class TestRevolutionKernel:
         eval_jet(patch, 0.4, 1.2, JET_MODE_FD)
         for name in ("x", "z"):
             counts = collections.Counter(seen[name])
-            assert len(counts) == 9 and counts.pop(1.2) == 3, name
+            assert len(counts) == 9 and counts.pop(1.2) == 2, name
             assert set(counts.values()) == {1}, name
 
     @pytest.mark.parametrize(
@@ -432,6 +468,37 @@ class TestRevolutionKernel:
         own = vec3_jet(eval_jet(patch, u, v, JET_MODE_FD))
         for field, a, b in zip(own._fields, own, vec3_jet(jet)):
             assert (a - b).norm() <= 1e-9 * max(1.0, a.norm()), field
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(kernel_points())
+    def test_the_kernel_has_the_bits_and_calls_of_numdiff(self, case):
+        # the FD jet is fd_profile_jet's (numdiff's routines), or both raise
+        # the same class; and the profile is first called at each abscissa
+        # in the order of numdiff's calls, 18 calls in all
+        patch, u, v = case
+        log = []
+
+        def logged(name, f):
+            def g(w):
+                log.append((name, w.hex()))
+                return f(w)
+            return g
+
+        counted = surface_of_revolution(
+            *map(logged, "xz", patch.eval.args), v_domain=patch.domain.v
+        )
+        try:
+            want = _reference_outcome(fd_profile_jet, counted, u, v)
+        except ZeroDivisionError:  # numdiff's, where the squared half step underflows
+            want, log[:] = NumericalBreakdown, []
+        calls, log[:] = _first_calls(log), []
+        assert _fd_outcome(patch, u, v) == want
+        try:
+            surfaces._fd_derivatives(counted, u, v)
+        except GeometryError:
+            pass
+        assert _first_calls(log) == calls
+        assert len(log) == (18 if calls else 0)
 
 
 @pytest.mark.parametrize("v_domain,v_range", [
@@ -573,14 +640,14 @@ class TestJetGrid:
             v_domain=(0.0, 3.0),
         )
         # each grid v's differences are taken once, at the 9 abscissae of
-        # eval_jet's stencil; v itself twice in them and once per grid point
+        # eval_jet's stencil; v itself once in them and once per grid point
         us, vs = (0.0, 0.7, 1.4, 2.1, 2.8), (0.5, 1.0, 1.5, 2.0)
         jets = _jet_grid(patch, us, vs, JET_MODE_FD)
         assert len(jets) == 20
         for name in ("x", "z"):
             counts = collections.Counter(seen[name])
             assert len(counts) == 9 * len(vs), name
-            assert [counts.pop(v) for v in vs] == [2 + len(us)] * len(vs), name
+            assert [counts.pop(v) for v in vs] == [1 + len(us)] * len(vs), name
             assert set(counts.values()) == {1}, name
 
 

@@ -21,12 +21,12 @@ the import checks, negative flag values with digit underscores, and
 profiles and scalars across the seam ring and up to the conjugate
 radius, and FD traces whose revolution angle u runs far from 0: the
 polar spiral at theta = 1e-3 with K = 4 and K = 0, the plane's spiral
-at theta = 3.136196698714557 from r0 = 1.952639558262677e-08, and the
-polar spiral at theta = 1e-5 in both jet modes.  Against a checkout whose
-FD jet steps in u, and whose polar traces refuse theta below 1e-3, these
-commands and every other `--jets fd` command are the expected
-differences, with the forms.jet_consistency observations of the analytic
-report-json runs; every other output is the same.
+at theta = 3.136196698714557 from r0 = 1.952639558262677e-08, the
+polar spiral at theta = 1e-5 in both jet modes, and a sphere trace whose
+r1 = 1e-17 rounds t onto the end of the parameter range, in both jet
+modes.  Against a checkout whose refusal of that trace names t, not r,
+these two sphere commands are the only expected differences; every other
+output is the same.
 """
 
 import difflib
@@ -115,6 +115,9 @@ COMMANDS = [
     "trace --surface sphere --R 1e-300 --theta 1 --r0 1e-301 --r1 2e-301 --samples 2",
     "trace --surface sphere --R 1e100 --theta 1 --r0 5e99 --r1 1e100 --samples 2",
     "trace --surface pseudosphere --jets fd --theta 1 --r0 0.001 --r1 0.5 --samples 3",
+    # a sphere r so small that t = (pi - r)/2 rounds onto the end pi/2
+    *(f"trace --surface sphere --theta 1 --r0 1 --r1 1e-17 --samples 2{jets}"
+      for jets in ("", " --jets fd")),
     # the curve's parameter gate, below the tractroid's floor and past its rim
     *(f"trace --surface pseudosphere --theta 1 --r0 {r0} --r1 {r1} --samples 2{jets}"
       for r0, r1 in (("0.0005", "0.5"), ("0.5", "1.6")) for jets in ("", " --jets fd")),
