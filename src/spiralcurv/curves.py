@@ -20,10 +20,19 @@ the jet once and forms gamma', gamma'', |gamma'|, N x gamma' and the
 quotient in the float operations and order of Vec3's *, +, norm, cross
 and dot, so it has their bits.
 
-Every measurement reads one 2-jet of the patch (eval_jet) at the curve's
-point: the speed and the angle its p_u and p_v, sample the position, k
-and the angle off the same jet.  Each passes its jet mode on unchanged:
-mode=None picks analytic exactly when the patch carries a jet.
+Every measurement reads the patch once at the curve's point, past the
+gates of eval_jet, and passes its jet mode on unchanged: mode=None picks
+analytic exactly when the patch carries a jet.  On a surface of
+revolution it reads the six profile floats (x, z, x', z', x'', z'') at
+v, from surfaces._revolution_profile in that mode, with cos u and sin u,
+and builds no Jet2: the speed and the angle form E, F, G from them,
+geodesic_curvature_numeric hands _curvature the partials as plain float
+triples, and sample takes the position, k and the angle in one
+straight-line pass in the float operations and order of
+surfaces._profile_jet, _curvature and _angle, so with their bits and
+raises.  On any other patch each reads one 2-jet (eval_jet): the speed
+and the angle its first form, sample the position, k and the angle off
+the same jet.
 A curve's t_domain is a surfaces.Interval, its ends open or closed as
 declared; every reader, point and velocity too, refuses a t outside it
 (OutOfDomain) before the trace is evaluated.  Inside it _trace_fault
@@ -63,11 +72,14 @@ from .surfaces import (
     sphere_patch,
     _first_form_det,
     _normal,
+    _revolution_profile,
 )
 from .vec import Record, Vec3
 
+_new = tuple.__new__  # a record from one tuple
 _isfinite = math.isfinite
 _sqrt = math.sqrt
+_cos, _sin, _atan2, _PI = math.cos, math.sin, math.atan2, math.pi
 _TRACE_FAULTS = (OverflowError, ValueError, ZeroDivisionError)  # see _trace_fault
 
 PARALLEL = "parallel"
@@ -308,12 +320,11 @@ def coordinate_curve(patch: SurfacePatch, kind: str, fixed: float) -> ChartCurve
 def speed(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """|d gamma/dt| through the first fundamental form; NumericalBreakdown
     where it overflows."""
-    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _speed(jet, *_trace_jet(curve, t)[:2], t)
+    E, F, G = _first_form_at(curve, t, mode)
+    return _speed(E, F, G, *_trace_jet(curve, t)[:2], t)
 
 
-def _speed(jet, du: float, dv: float, t: float) -> float:
-    E, F, G = first_form(jet)
+def _speed(E: float, F: float, G: float, du: float, dv: float, t: float) -> float:
     value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
     if not math.isfinite(value):
         raise NumericalBreakdown(f"the speed overflows at t={t}")
@@ -336,14 +347,23 @@ def arc_length(curve: ChartCurve, t0: float, t1: float, mode: str | None = None)
 
 def geodesic_curvature_numeric(curve: ChartCurve, t: float, mode: str | None = None) -> float:
     """Geodesic curvature measured by the chain rule of the module
-    docstring, from one 2-jet of the patch (eval_jet) and the trace's
-    derivatives: the signed <gamma'', N x gamma'>/|gamma'|^3.
+    docstring, from the patch's partials at the curve's point and the
+    trace's derivatives: the signed <gamma'', N x gamma'>/|gamma'|^3.
 
     DegenerateJet where gamma' vanishes or the chart degenerates,
     NumericalBreakdown where k is not finite.
     """
-    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _trace_k(curve, t, jet)[2]
+    u, v = _chart_point(curve, t)
+    profile = _revolution_profile(curve.patch, u, v, mode)
+    if profile is None:
+        return _trace_k(curve, t, eval_jet(curve.patch, u, v, mode))[2]
+    r, _, r1, h1, r2, h2 = profile
+    cu, su = _cos(u), _sin(u)
+    x, y, a, b = -r * su, r * cu, r1 * cu, r1 * su
+    # the partials of surfaces._profile_jet as plain triples; _curvature
+    # reads no position
+    partials = (None, (x, y, 0.0), (a, b, h1), (-y, x, 0.0), (-b, a, 0.0), (r2 * cu, r2 * su, h2))
+    return _trace_k(curve, t, partials)[2]
 
 
 def angle_to_parallel(curve: ChartCurve, t: float, mode: str | None = None) -> float:
@@ -352,26 +372,78 @@ def angle_to_parallel(curve: ChartCurve, t: float, mode: str | None = None) -> f
     Measured in-chart through the first fundamental form: the cosine
     leg is <gamma', p_u> and the sine leg is the signed area
     orientation_sign * dv * sqrt(EG - F^2), which matches the ambient
-    triple product <N, p_u x gamma'>.  E, F, G come from the patch's
-    2-jet (eval_jet).  NumericalBreakdown where the chart velocity
-    overflows.
+    triple product <N, p_u x gamma'>.  NumericalBreakdown where the chart
+    velocity overflows.
     """
-    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    return _angle(curve, jet, *_chart_velocity(curve, t), t)
+    E, F, G = _first_form_at(curve, t, mode)
+    return _angle(curve, E, F, G, *_chart_velocity(curve, t), t)
+
+
+def _first_form_at(curve: ChartCurve, t: float, mode: str | None) -> tuple[float, float, float]:
+    """(E, F, G) at the curve's point at t, past the gates of eval_jet:
+    from the profile on a surface of revolution, in the float operations
+    of surfaces._profile_jet and first_form, else off eval_jet's jet."""
+    u, v = _chart_point(curve, t)
+    profile = _revolution_profile(curve.patch, u, v, mode)
+    if profile is None:
+        return first_form(eval_jet(curve.patch, u, v, mode))
+    r, _, r1, h1, _, _ = profile
+    cu, su = _cos(u), _sin(u)
+    x, y, a, b = -r * su, r * cu, r1 * cu, r1 * su
+    return x * x + y * y + 0.0 * 0.0, x * a + y * b + 0.0 * h1, a * a + b * b + h1 * h1
 
 
 def sample(curve: ChartCurve, t: float, mode: str | None = None) -> CurveSample:
     """Measure position, curvature and angle at one parameter value.
 
-    Gives the values of geodesic_curvature_numeric and angle_to_parallel,
-    with one 2-jet of the patch serving the position and both.
+    Gives the values of geodesic_curvature_numeric and angle_to_parallel.
+    On a surface of revolution one straight-line pass takes all three from
+    the profile (surfaces._revolution_profile); on any other patch one
+    2-jet (eval_jet) serves them.
     """
-    jet = eval_jet(curve.patch, *_chart_point(curve, t), mode)
-    du, dv, k = _trace_k(curve, t, jet)
-    return CurveSample(
-        t, Vec3(*jet.p), k, _angle(curve, jet, du, dv, t),
-        curve.center_distance(t) if curve.center_distance is not None else None,
-    )
+    u, v = _chart_point(curve, t)
+    patch = curve.patch
+    profile = _revolution_profile(patch, u, v, mode)
+    if profile is None:
+        jet = eval_jet(patch, u, v, mode)
+        du, dv, k = _trace_k(curve, t, jet)
+        position, theta = jet.p, _angle(curve, *first_form(jet), du, dv, t)
+    else:
+        # surfaces._profile_jet, then _curvature and _angle, in their float
+        # operations and order: p = (y, r su, h), p_u = (x, y, 0),
+        # p_v = (a, b, c), p_uu = (-y, x, 0), p_uv = (-b, a, 0) and
+        # p_vv = (r2 cu, r2 su, h2)
+        r, h, r1, h1, r2, h2 = profile
+        du, dv, ddu, ddv = _trace_jet(curve, t)
+        cu, su = _cos(u), _sin(u)
+        x, y, a, b, c = -r * su, r * cu, r1 * cu, r1 * su, h1
+        tx, ty, tz = x * du + a * dv, y * du + b * dv, 0.0 * du + c * dv
+        sp = _sqrt(tx * tx + ty * ty + tz * tz)
+        if sp == 0.0:
+            raise DegenerateJet("the curve is not regular: gamma' vanishes")
+        nx, ny, nz = _normal((x, y, 0.0), (a, b, c), patch)
+        duu, duv, dvv = du * du, 2.0 * du * dv, dv * dv
+        k = ((-y * duu + -b * duv + r2 * cu * dvv + x * ddu + a * ddv) * (ny * tz - nz * ty)
+             + (x * duu + a * duv + r2 * su * dvv + y * ddu + b * ddv) * (nz * tx - nx * tz)
+             + (0.0 * duu + 0.0 * duv + h2 * dvv + 0.0 * ddu + c * ddv) * (nx * ty - ny * tx)
+             ) / sp / sp / sp
+        if not (_isfinite(k) and _isfinite(sp)):
+            raise NumericalBreakdown(f"the curvature {k!r} at speed {sp!r} is not finite")
+        sign = curve.direction_sign
+        k = sign * k
+        E, F, G = x * x + y * y + 0.0 * 0.0, x * a + y * b + 0.0 * c, a * a + b * b + c * c
+        area2 = _first_form_det(E, F, G)
+        du *= sign
+        dv *= sign
+        if E * du * du + 2.0 * F * du * dv + G * dv * dv <= 0.0:
+            raise DegenerateJet(f"curve velocity vanishes at t={t}")
+        theta = _atan2(patch.orientation_sign * dv * _sqrt(area2), E * du + F * dv)
+        if theta <= -_PI:
+            theta += 2.0 * _PI
+        position = y, r * su, h
+    distance = curve.center_distance
+    return _new(CurveSample, (t, _new(Vec3, position), k, theta,
+                              None if distance is None else distance(t)))
 
 
 def _trace_k(curve: ChartCurve, t: float, jet) -> tuple[float, float, float]:
@@ -383,7 +455,9 @@ def _trace_k(curve: ChartCurve, t: float, jet) -> tuple[float, float, float]:
 def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: float) -> float:
     """<gamma'', N x gamma'>/|gamma'|^3 for a trace through the point of
     jet with chart derivatives (du, dv, ddu, ddv), N oriented by patch
-    (surfaces._normal): the chain-rule kernel of the module docstring."""
+    (surfaces._normal): the chain-rule kernel of the module docstring.
+    jet is any sequence of the six fields of a Jet2; its position is not
+    read."""
     _, p_u, p_v, (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = jet
     x, y, z = p_u
     a, b, c = p_v
@@ -402,8 +476,10 @@ def _curvature(patch: SurfacePatch, jet, du: float, dv: float, ddu: float, ddv: 
     return k
 
 
-def _angle(curve: ChartCurve, jet, du: float, dv: float, t: float) -> float:
-    E, F, G = first_form(jet)
+def _angle(curve: ChartCurve, E: float, F: float, G: float, du: float, dv: float,
+           t: float) -> float:
+    """The angle to the parallel from the first form (E, F, G) and the
+    trace's (u', v') at t (see angle_to_parallel)."""
     area2 = _first_form_det(E, F, G)
     du *= curve.direction_sign
     dv *= curve.direction_sign

@@ -68,7 +68,7 @@ def liouville_breakdown(
     k1 = _curvature(curve.patch, jet, 1.0, 0.0, 0.0, 0.0)
     k2 = _curvature(curve.patch, jet, 0.0, 1.0, 0.0, 0.0)
     du, dv, k_direct = _trace_k(curve, t, jet)
-    theta = _angle(curve, jet, du, dv, t)
+    theta = _angle(curve, E, F, G, du, dv, t)
 
     (h,) = fit_steps(t, curve.t_domain.lo, curve.t_domain.hi, STEP_FIRST_FINE)
 
@@ -82,7 +82,7 @@ def liouville_breakdown(
         return a
 
     dtheta_dparam, _ = richardson_first(unwrapped, t, h)
-    dtheta_ds = dtheta_dparam / _speed(jet, du, dv, t)
+    dtheta_ds = dtheta_dparam / _speed(E, F, G, du, dv, t)
 
     k_liouville = k1 * math.cos(theta) + k2 * math.sin(theta) + dtheta_ds
     residual = abs(k_liouville - k_direct)

@@ -40,28 +40,35 @@ unchanged.  Every finite difference takes one Richardson level at steps
 fitted into the domain by numdiff.fit_steps from STEP_FIRST_FINE and
 STEP_SECOND_FINE, and a jet carries the extrapolated values only.
 
-On a surface of revolution (x(v) cos u, x(v) sin u, z(v)), recognised by
-its position map (a functools.partial of _revolution_position over x and
-z, as surface_of_revolution builds it), the FD jet is _revolution_jet of
-the profile's derivatives along v (_fd_derivatives), with exact cos u and
-sin u: the two modes differ only in where x', z', x'', z'' come from.
-Any other position map (a chart without that symmetry, a wrapped copy of
-the map) is called at 25 stencil points in u and v (_fd_axis) for
-_fd_combine.  Both write their differences out in one straight-line block
-with the bits of numdiff's richardson_first and richardson_second, each
-abscissa once (v twice per revolution jet: there and for the position),
-and raise NumericalBreakdown where the halved second step underflows when
-squared or the jet is not finite.
+A surface of revolution (x(v) cos u, x(v) sin u, z(v)) is recognised in
+one place, _revolution_profile: past eval_jet's gates it gives the six
+profile floats (x, z, x', z', x'', z'') at v, analytic where the patch's
+jet is a functools.partial of _revolution_jet and by finite differences
+(_fd_derivatives) where its position map is one of _revolution_position,
+as surface_of_revolution builds both; for any other patch it gives None.
+The two modes differ only in where those floats come from: each jet of a
+surface of revolution is _profile_jet of them, with exact cos u and
+sin u, and the curve measurements and _curvature_grid read them without
+a jet.  An FD jet of any other position map (a chart without that
+symmetry, a wrapped copy of the map) calls it at 25 stencil points in u
+and v (_fd_axis) for _fd_combine.  Both write their differences out in
+one straight-line block with the bits of numdiff's richardson_first and
+richardson_second, each abscissa once (the position takes x and z at v
+from the second differences), and raise NumericalBreakdown where the
+halved second step underflows when squared or the jet is not finite.
 
-_jet_grid takes each grid v's profile derivatives, or each axis, once.
-_curvature_grid, the forms battery's source of K, recognises a surface of
-revolution the same way in both modes and reads K per point in plain
-floats, no Jet2, the normal from _normal, from cos, sin once per grid u
-and the profile once per grid v; any other grid it reads off the jets of
-_jet_grid.  Each grid checks every coordinate before any point is
-evaluated, so a coordinate outside the domain raises OutOfDomain first;
-otherwise a grid raises the class that the row-major loop of eval_jet and
-curvature_from_jet raises first, unless two points fail in different ways.
+On a surface of revolution both grids take each grid v's profile once
+(_profiles, past the gates at the first u and that v, as the row-major
+loop meets them first) and then check every u against the domain;
+_jet_grid builds the jets from the profiles, and _curvature_grid, the
+forms battery's source of K, reads K per point in plain floats, no Jet2,
+the normal from _normal, from cos, sin once per grid u, in both modes.
+Any other FD grid takes each axis once, so a coordinate outside the
+domain raises OutOfDomain before any point is evaluated, and
+_curvature_grid reads K off the jets of _jet_grid.  Otherwise a grid
+raises the class that the row-major loop of eval_jet and
+curvature_from_jet raises first, unless two points fail in different
+ways.
 """
 
 from __future__ import annotations
@@ -199,62 +206,98 @@ def eval_jet(patch: SurfacePatch, u: float, v: float, mode: str | None = None) -
         If mode is unknown or "analytic" is requested of a patch without
         an analytic jet.
     """
-    if not patch.domain.contains(u, v):
-        raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
-    if mode is None:
-        mode = JET_MODE_FD if patch.jet is None else JET_MODE_ANALYTIC
-    if mode == JET_MODE_ANALYTIC:
-        if patch.jet is None:
+    jet = patch.jet
+    if mode == JET_MODE_ANALYTIC or mode is None and jet is not None:
+        if not patch.domain.contains(u, v):
+            raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
+        if jet is None:
             raise BadParameter(f"{patch.name} has no analytic jet; use finite_difference")
-        return patch.jet(u, v)
-    if mode != JET_MODE_FD:
-        raise BadParameter(f"unknown jet mode {mode!r}")
-    profile = _fd_profile(patch, u)
+        return jet(u, v)
+    profile = _revolution_profile(patch, u, v, mode)  # the gates of the other modes
     if profile is not None:
-        return _revolution_jet(*profile, u, v)
+        return _profile_jet(u, *profile)
     dom = patch.domain
     return _fd_combine(patch, _fd_axis(u, dom.u), _fd_axis(v, dom.v))
+
+
+def _revolution_profile(patch: SurfacePatch, u: float, v: float, mode: str | None):
+    """The profile (x, z, x', z', x'', z'') at v of a surface of
+    revolution in the jet mode, or None for any other patch, past
+    eval_jet's gates at (u, v) in its order: OutOfDomain outside the
+    domain, then BadParameter for an unknown mode or an analytic one of a
+    patch without a jet; mode=None picks as eval_jet picks.
+
+    Analytic: the profile and derivatives that _revolution_jet reads,
+    where the patch's jet is a functools.partial of it.  Finite
+    differences: _fd_derivatives, where the position map is a partial of
+    _revolution_position; u names the point in its raises.  The one place
+    that recognises a surface of revolution (see the module docstring).
+    """
+    if not patch.domain.contains(u, v):
+        raise OutOfDomain(f"({u}, {v}) outside domain of {patch.name}")
+    jet = patch.jet
+    if mode is None:
+        mode = JET_MODE_FD if jet is None else JET_MODE_ANALYTIC
+    if mode == JET_MODE_ANALYTIC:
+        if jet is None:
+            raise BadParameter(f"{patch.name} has no analytic jet; use finite_difference")
+        if type(jet) is not partial or jet.func is not _revolution_jet:
+            return None
+        x, z, derivatives = jet.args
+        r, h = x(v), z(v)
+        r1, h1, r2, h2 = derivatives(v)
+        return r, h, r1, h1, r2, h2
+    if mode != JET_MODE_FD:
+        raise BadParameter(f"unknown jet mode {mode!r}")
+    position = patch.eval
+    if type(position) is partial and position.func is _revolution_position:
+        return _fd_derivatives(patch, u, v)
+    return None
 
 
 def _jet_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[eval_jet(patch, u, v, mode) for u in us for v in vs], bit for bit.
 
-    With finite differences each grid v's profile derivatives, or each
-    _fd_axis, are taken once, before any point is evaluated (see the
-    module docstring for the raises).  In any other mode, or on an empty
-    grid, the grid is the row-major loop."""
-    if mode != JET_MODE_FD or not us:
+    With finite differences each grid v's profile (_profiles), or each
+    _fd_axis, is taken once, before any point's jet (see the module
+    docstring for the raises).  In any other mode, or on an empty grid,
+    the grid is the row-major loop."""
+    if mode != JET_MODE_FD or not (us and vs):
         return [eval_jet(patch, u, v, mode) for u in us for v in vs]
-    dom, profile = patch.domain, _fd_profile(patch, us[0])
-    if profile is None:
+    profiles = _profiles(patch, us, vs, mode)
+    if profiles is None:
+        dom = patch.domain
         axes_u = [_fd_axis(u, dom.u) for u in us]
         axes_v = [_fd_axis(v, dom.v) for v in vs]
         return [_fd_combine(patch, au, av) for au in axes_u for av in axes_v]
-    x, z, derivatives = profile
-    if not all(map(dom.u.contains, us)):
+    return [_profile_jet(u, *p) for u in us for p in profiles]
+
+
+def _profiles(patch: SurfacePatch, us, vs, mode: str | None):
+    """The profile at each v of vs, _revolution_profile at (us[0], v), then
+    OutOfDomain if a u of us is outside the domain; None, after the gates
+    at (us[0], vs[0]) only, where the patch is no surface of revolution.
+    us and vs are not empty."""
+    u = us[0]
+    first = _revolution_profile(patch, u, vs[0], mode)
+    if first is None:
+        return None
+    profiles = [first, *[_revolution_profile(patch, u, v, mode) for v in vs[1:]]]
+    if not all(map(patch.domain.u.contains, us)):
         raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")
-    taken = [(v, lambda _, d=derivatives(v): d) for v in vs]
-    return [_revolution_jet(x, z, d, u, v) for u in us for v, d in taken]
-
-
-def _fd_profile(patch: SurfacePatch, u: float):
-    """x, z and the FD derivatives of a surface_of_revolution patch, whose
-    position map is a functools.partial of _revolution_position, else
-    None.  u names the point in the derivatives' raises."""
-    position = patch.eval
-    if type(position) is partial and position.func is _revolution_position:
-        return (*position.args, partial(_fd_derivatives, patch, u))
+    return profiles
 
 
 def _fd_derivatives(patch: SurfacePatch, u: float, v: float) -> tuple:
-    """(x', z', x'', z'') at v of a surface_of_revolution patch's profile
-    at the steps fit_steps fits into the v interval, written out as in
-    _fd_combine: the float operations and order of numdiff's central_first
-    and central_second at h and h/2, then extrapolate, so the bits of
-    richardson_first and richardson_second, each abscissa evaluated once,
-    in the order of their first calls.  NumericalBreakdown where the halved
-    second step underflows when squared or a derivative is not finite, as
-    it is where x or z is (the second differences take v)."""
+    """(x, z, x', z', x'', z'') at v of a surface_of_revolution patch's
+    profile, the derivatives at the steps fit_steps fits into the v
+    interval, written out as in _fd_combine: the float operations and
+    order of numdiff's central_first and central_second at h and h/2, then
+    extrapolate, so the bits of richardson_first and richardson_second,
+    each abscissa evaluated once, in the order of their first calls; x and
+    z are the second differences' values at v.  NumericalBreakdown where
+    the halved second step underflows when squared or a derivative is not
+    finite, as it is where x or z is."""
     x, z = patch.eval.args
     dom = patch.domain.v
     h, h2 = fit_steps(v, dom.lo, dom.hi, STEP_FIRST_FINE, STEP_SECOND_FINE)
@@ -276,7 +319,7 @@ def _fd_derivatives(patch: SurfacePatch, u: float, v: float) -> tuple:
     ddz = (e := ((z7 - qz) + z8) / w2) + (e - ((z5 - qz) + z6) / w) / 3.0
     if not (_isfinite(dx) and _isfinite(dz) and _isfinite(ddx) and _isfinite(ddz)):
         raise NumericalBreakdown(f"the FD 2-jet at ({u}, {v}) in {patch.name} is not finite")
-    return dx, dz, ddx, ddz
+    return x0, z0, dx, dz, ddx, ddz
 
 
 def _fd_axis(x: float, interval: Interval) -> tuple:
@@ -474,28 +517,21 @@ def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
     """[curvature_from_jet(eval_jet(patch, u, v, mode), patch) for u in us
     for v in vs], bit for bit.
 
-    A surface_of_revolution patch, in either mode, takes one pass in the
-    float operations of _revolution_jet, first_form, forms_from_jet and
-    curvature_from_jet, no Jet2 (the tests of _first_form_det imply finite
-    E, F, G, and a finite K finite e, f, g); it checks every coordinate
-    against the domain first and raises OutOfDomain at one outside it.
-    Any other grid reads K off each jet of _jet_grid.  The module
+    A surface_of_revolution patch, in either mode, takes one pass over
+    the profiles of _profiles in the float operations of _profile_jet,
+    first_form, forms_from_jet and curvature_from_jet, no Jet2 (the tests
+    of _first_form_det imply finite E, F, G, and a finite K finite e, f,
+    g).  Any other grid reads K off each jet of _jet_grid.  The module
     docstring gives the raises of both routes."""
-    jet = patch.jet
-    if mode == JET_MODE_ANALYTIC and type(jet) is partial and jet.func is _revolution_jet:
-        x, z, derivatives = jet.args
-    elif mode == JET_MODE_FD and us and (fd := _fd_profile(patch, us[0])):
-        x, z, derivatives = fd
-    else:
+    if not (us and vs):
+        return []
+    profiles = _profiles(patch, us, vs, mode)
+    if profiles is None:
         return [curvature_from_jet(j, patch) for j in _jet_grid(patch, us, vs, mode)]
-    dom = patch.domain
-    if not (all(map(dom.u.contains, us)) and all(map(dom.v.contains, vs))):
-        raise OutOfDomain(f"a grid point is outside the domain of {patch.name}")
-    profile = [(x(v), z(v), *derivatives(v)) for v in vs]  # z(v) for its raises
     Ks = []
     for u in us:
         cu, su = math.cos(u), math.sin(u)
-        for r, _, r1, h1, r2, h2 in profile:
+        for r, _, r1, h1, r2, h2 in profiles:
             x0, x1, a0, a1 = -r * su, r * cu, r1 * cu, r1 * su  # p_u and p_v
             E = x0 * x0 + x1 * x1 + 0.0 * 0.0
             F = x0 * a0 + x1 * a1 + 0.0 * h1
@@ -518,8 +554,8 @@ def _curvature_grid(patch: SurfacePatch, us, vs, mode: str | None) -> list:
 def _revolution_position(x, z, u: float, v: float) -> Vec3:
     """The point (x(v) cos u, x(v) sin u, z(v)) of the surface of
     revolution with profile x, z.  surface_of_revolution's position map
-    is this function with x and z bound by functools.partial, which the
-    FD jets recognise (_fd_profile)."""
+    is this function with x and z bound by functools.partial, which
+    _revolution_profile recognises."""
     r = x(v)
     return _new(Vec3, (r * math.cos(u), r * math.sin(u), z(v)))
 
@@ -527,9 +563,16 @@ def _revolution_position(x, z, u: float, v: float) -> Vec3:
 def _revolution_jet(x, z, derivatives, u: float, v: float) -> Jet2:
     """The analytic 2-jet at (u, v) of _revolution_position, from the
     profile's derivatives (x', z', x'', z''); bound as a partial, like it."""
-    cu, su = math.cos(u), math.sin(u)
     r, h = x(v), z(v)
     r1, h1, r2, h2 = derivatives(v)
+    return _profile_jet(u, r, h, r1, h1, r2, h2)
+
+
+def _profile_jet(u: float, r: float, h: float, r1: float, h1: float, r2: float,
+                 h2: float) -> Jet2:
+    """The 2-jet at revolution angle u of a surface of revolution whose
+    profile at the point is (x, z, x', z', x'', z'') = (r, h, r1, h1, r2, h2)."""
+    cu, su = math.cos(u), math.sin(u)
     return _new(
         Jet2,
         (

@@ -1,22 +1,24 @@
 """The forms suite reads K at every grid point through one grid call, and
 takes jets only at every 4th point in u and in v; each curve measurement
-takes one jet at its curve point.
+reads the profile of its surface of revolution once at its curve point
+and takes no jet.
 
 Per run_suites("all"): 2,800 curvatures (7 patches x 400 grid points)
 from surfaces._curvature_grid in the battery's mode, which takes no jet
-in either mode, 175 jets from
-surfaces._jet_grid in each mode (the orientation flip, the regularity and
-the two sides of jet_consistency at every 4th point), and 330 + 653 jets
-in the battery's mode, each one call of eval_jet: the curvature
-measurements take 330: 250 numeric_vs_closed_form samples, 36
-curvatures of orientation_covariance, 32 liouville breakdowns and 12
-meridian curvatures; the speeds and angles take 653: 75 speeds (5 arc
+in either mode and reads each of the 20 grid v's profile once, 175 jets
+from surfaces._jet_grid in each mode (the orientation flip, the
+regularity and the two sides of jet_consistency at every 4th point),
+and 32 jets in the battery's mode, one call of eval_jet per liouville
+breakdown.  The curve measurements read the profile
+(surfaces._revolution_profile) 298 + 653 times: the curvatures 298 (250
+numeric_vs_closed_form samples, 36 curvatures of orientation_covariance
+and 12 meridian curvatures), the speeds and angles 653: 75 speeds (5 arc
 lengths of one 15-node panel each) and 578 angles (350 of
 constant_angle, 100 of embedded_polar_angle and the 4-point dtheta/dt
 stencil of the 32 liouville breakdowns).  Wrappers around
-_curvature_grid, _jet_grid and eval_jet in every module that binds them
-count the calls per route; a call made inside another route counts
-apart, as nested in the outermost one."""
+_curvature_grid, _jet_grid, eval_jet and _revolution_profile in every
+module that binds them count the calls per route; a call made inside
+another route counts apart, as nested in the outermost one."""
 
 import collections
 import dataclasses
@@ -43,7 +45,7 @@ OTHER = {JET_MODE_ANALYTIC: JET_MODE_FD, JET_MODE_FD: JET_MODE_ANALYTIC}
 @pytest.fixture
 def jet_counts(monkeypatch):
     counts = collections.Counter()
-    original = surfaces.eval_jet
+    original, profile = surfaces.eval_jet, surfaces._revolution_profile
     inside = []
 
     def count(route, mode, n):
@@ -54,7 +56,15 @@ def jet_counts(monkeypatch):
 
     def counted(patch, u, v, mode=JET_MODE_ANALYTIC):
         count("eval_jet", mode, 1)
-        return original(patch, u, v, mode)
+        inside.append("eval_jet")
+        try:
+            return original(patch, u, v, mode)
+        finally:
+            inside.pop()
+
+    def counted_profile(patch, u, v, mode):
+        count("_revolution_profile", mode, 1)
+        return profile(patch, u, v, mode)
 
     def counting(route, grid):
         def counted_grid(patch, us, vs, mode):
@@ -69,6 +79,7 @@ def jet_counts(monkeypatch):
 
     wrappers = {
         id(original): counted,
+        id(profile): counted_profile,
         id(surfaces._jet_grid): counting("_jet_grid", surfaces._jet_grid),
         id(surfaces._curvature_grid): counting("_curvature_grid", surfaces._curvature_grid),
     }
@@ -85,13 +96,19 @@ def test_battery_jet_counts(jet_counts, mode):
     reports = verify.run_suites("all", mode)
     assert all(r.passed for r in reports)
     # analytic jets of _jet_grid are eval_jet calls; the curvatures of
-    # _curvature_grid take no jet in either mode
+    # _curvature_grid take no jet in either mode; an FD jet reads the
+    # profile once
+    fd_jets = {("eval_jet", "_revolution_profile", JET_MODE_FD): 32} if mode == JET_MODE_FD else {}
     assert jet_counts == {
         ("_curvature_grid", mode): 2800,
-        ("eval_jet", mode): 330 + 75 + 578,
+        ("_curvature_grid", "_revolution_profile", mode): 7 * 20,
+        ("eval_jet", mode): 32,
+        ("_revolution_profile", mode): 298 + 75 + 578,
+        **fd_jets,
         ("_jet_grid", mode): 175,
         ("_jet_grid", OTHER[mode]): 175,
         ("_jet_grid", "eval_jet", JET_MODE_ANALYTIC): 175,
+        ("_jet_grid", "_revolution_profile", JET_MODE_FD): 7 * 5,
     }
 
 

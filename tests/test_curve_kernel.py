@@ -14,7 +14,9 @@ tractroid's floor, and where exp nearly overflows in the trace, and at
 one input per raise of the kernel.  The route written out wraps the jet's
 float triples in Vec3 and uses Vec3's operators only: its normal, first
 form and angle do not call the package's float kernels.  liouville_breakdown's k1, k2 and theta are
-pinned against it too.
+pinned against it too.  On every built-in surface of revolution, sample,
+speed, angle_to_parallel and geodesic_curvature_numeric give the outcomes
+of that route with every way to a 2-jet raising.
 """
 
 import dataclasses
@@ -23,7 +25,8 @@ import math
 import pytest
 
 from spiralcurv import curves as cv
-from spiralcurv.errors import DegenerateJet, GeometryError, NumericalBreakdown
+from spiralcurv import surfaces
+from spiralcurv.errors import DegenerateJet, GeometryError, NumericalBreakdown, OutOfDomain
 from spiralcurv.liouville import liouville_breakdown
 from spiralcurv.numdiff import STEP_SECOND_FINE, fit_steps, richardson_first, richardson_second
 from spiralcurv.polar import _embedded_spiral
@@ -33,6 +36,7 @@ from spiralcurv.surfaces import (
     eval_jet,
     pseudosphere_patch,
     sphere_patch,
+    surface_of_revolution,
 )
 
 from test_form_kernel import reference_first_form, reference_normal, vec3_jet
@@ -175,9 +179,33 @@ KERNEL_CURVES = CURVES + [
     (CURVES[4][0], (0.0012,)),
     (CURVES[8][0], (0.01,)),
 ]
+
+
+def _undefined_velocity(t):
+    """Trace derivatives that fault (ValueError) at every t > 0."""
+    return 1.0, math.log(-t), 0.0, 0.0
+
+
+def _tabulated(v):
+    """A profile x that refuses v past 1, as one read off a table would."""
+    if v > 1.0:
+        raise OutOfDomain("the profile is tabulated up to v=1")
+    return 2.0 + math.cos(v)
+
+
+# a torus-like patch whose profile faults past v = 1, at every abscissa of
+# the FD stencil there too
+TABULATED = surface_of_revolution(
+    _tabulated, math.sin,
+    derivatives=lambda v: (-math.sin(v), math.cos(v), -math.cos(v), -math.sin(v)),
+    v_domain=(0.0, 3.0), name="tabulated",
+)
+
 # and each raise of the kernel: the tractroid's rim, where the normal
 # degenerates (FD: the stencil does not fit), a trace standing still, and
-# a loxodrome so steep that k overflows in both modes
+# a loxodrome so steep that k overflows in both modes; trace derivatives
+# that fault, before k, and a profile that faults at the point, before
+# the trace derivatives, which fault there too
 RAISES = [
     (cv.pseudosphere_loxodrome(1.0, 1.0), PI / 2.0,
      ("DegenerateJet: |p_u x p_v| = 6.123e-17 below degeneracy threshold", "OutOfDomain: ")),
@@ -186,6 +214,12 @@ RAISES = [
      ("DegenerateJet: the curve is not regular: gamma' vanishes",) * 2),
     (cv.sphere_loxodrome(1.0, 1e130), 0.7,
      ("NumericalBreakdown: the curvature -inf at speed 2e+130 is not finite",) * 2),
+    (dataclasses.replace(cv.plane_log_spiral(0.5), trace_derivatives=_undefined_velocity,
+                         label="undefined velocity"), 0.2,
+     ("OutOfDomain: the chart velocity is undefined at t=0.2",) * 2),
+    (dataclasses.replace(cv.coordinate_curve(TABULATED, cv.PARALLEL, 1.2),
+                         trace_derivatives=_undefined_velocity, label="profile faults at v"), 0.2,
+     ("OutOfDomain: the profile is tabulated up to v=1",) * 2),
 ]
 KERNEL_CASES = [(c, t) for c, ts in KERNEL_CURVES for t in ts] + [(c, t) for c, t, _ in RAISES]
 KERNEL_IDS = [f"{c.label}-t={t}" for c, t in KERNEL_CASES]
@@ -209,6 +243,57 @@ def test_the_raising_cases_reach_their_raise(curve, t, want, mode):
         curve = dataclasses.replace(curve, direction_sign=direction)
         for measure in (cv.sample, cv.geodesic_curvature_numeric):
             assert outcome(measure, curve, t, mode).startswith(want[mode == JET_MODE_FD])
+
+
+def reference_theta(curve, t, mode):
+    """angle_to_parallel's value: the reference angle at the chart velocity."""
+    jet = vec3_jet(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
+    return reference_angle(curve, jet, *curve.velocity(t), t)
+
+
+def reference_speed(curve, t, mode):
+    """sqrt(E du^2 + 2F du dv + G dv^2) from the reference first form."""
+    E, F, G = reference_first_form(eval_jet(curve.patch, *cv._chart_point(curve, t), mode))
+    du, dv = chain_rule_derivatives(curve, t)[:2]
+    value = math.sqrt(E * du * du + 2.0 * F * du * dv + G * dv * dv)
+    if not math.isfinite(value):
+        raise NumericalBreakdown(f"the speed overflows at t={t}")
+    return value
+
+
+MEASURES = {cv.sample: reference_sample, cv.geodesic_curvature_numeric: reference_k,
+            cv.angle_to_parallel: reference_theta, cv.speed: reference_speed}
+
+# a curve on each built-in surface of revolution, built where the test
+# runs: a patch binds the _revolution_jet it finds when it is built
+ROUTE_CURVES = {
+    "plane": (lambda: cv.plane_log_spiral(0.5), (-1.0, 1.7)),
+    "sphere": (lambda: cv.sphere_loxodrome(1.0, math.cos(0.6) / math.sin(0.6)), (0.3, 1.2)),
+    "tractroid": (lambda: cv.pseudosphere_loxodrome(1.0, PI / 3.0), (0.3, 1.4)),
+    "polar-sphere": (lambda: _polar(1.0, 1.0), (0.4, 2.5)),
+    "polar-plane": (lambda: _polar(0.0, 2.0), (0.5, 30.0)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ROUTE_CURVES)
+def test_a_surface_of_revolution_is_measured_without_a_jet(monkeypatch, name, mode):
+    # every measurement reads the profile: with each route to a Jet2
+    # raising, each gives the reference outcome of the jet route
+    build, ts = ROUTE_CURVES[name]
+    curve = build()
+    want = [outcome(ref, curve, t, mode) for t in ts for ref in MEASURES.values()]
+
+    def no_jet(*args):
+        raise AssertionError("a 2-jet was taken")
+
+    for module, attribute in ((surfaces, "eval_jet"), (cv, "eval_jet"),
+                              (surfaces, "_revolution_jet"), (surfaces, "_profile_jet"),
+                              (surfaces, "_fd_combine")):
+        monkeypatch.setattr(module, attribute, no_jet, raising=False)
+    curve = build()
+    assert curve.patch.jet.func is no_jet
+    assert [outcome(measure, curve, t, mode) for t in ts for measure in MEASURES] == want
 
 
 # k1, k2 and theta of liouville_breakdown on the liouville suite's families

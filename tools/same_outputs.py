@@ -16,8 +16,10 @@ command of .github/workflows/tests.yml, its error commands included,
 traces that read back their angle on every surface, a far-out plane
 trace and a tiny-sphere trace, each in both jet modes, the tractroid
 traces that the curve's parameter gate refuses below the floor and past
-the rim, in both jet modes, with the gate's message, the commands of
-the import checks, negative flag values with digit underscores, and
+the rim, in both jet modes, with the gate's message, the traces that
+reach each raise of the measurement kernel (the tractroid's rim and
+sphere loxodromes whose k overflows to inf and to nan), in both jet
+modes, the commands of the import checks, negative flag values with digit underscores, and
 profiles and scalars across the seam ring and up to the conjugate
 radius, and FD traces whose revolution angle u runs far from 0: the
 polar spiral at theta = 1e-3 with K = 4 and K = 0, the plane's spiral
@@ -121,6 +123,14 @@ COMMANDS = [
     # the curve's parameter gate, below the tractroid's floor and past its rim
     *(f"trace --surface pseudosphere --theta 1 --r0 {r0} --r1 {r1} --samples 2{jets}"
       for r0, r1 in (("0.0005", "0.5"), ("0.5", "1.6")) for jets in ("", " --jets fd")),
+    # each raise of the measurement kernel: on the tractroid's rim the
+    # normal degenerates (FD: no stencil fits), and loxodromes so steep that
+    # k overflows to inf and to nan
+    *(f"trace --surface {surface} --theta {theta} --r0 {r0} --r1 {r1} --samples 2{jets}"
+      for surface, theta, r0, r1 in (("pseudosphere", "1", "1.5", "1.5707963267948966"),
+                                     ("sphere", "1e-130", "0.5", "1.2"),
+                                     ("sphere", "1e-300", "0.5", "1.2"))
+      for jets in ("", " --jets fd")),
     *(f"trace --surface polar --K {K} --theta 1 --r0 0.5 --r1 1.2 --samples 3"
       for K in ("nan", "inf")),
     "curvature --theta-deg -30",
